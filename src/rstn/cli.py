@@ -72,12 +72,17 @@ def _guarded(fn):
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _finite(x: float) -> float | None:
+    """JSON has no infinities or NaN: write such values as null."""
+    return x if math.isfinite(x) else None
 
 
 def _matrix(arr: np.ndarray) -> list:
@@ -147,8 +152,8 @@ def analyze(path, mode, terms, max_vertices, out):
             {
                 "m": r.m,
                 "n": r.n,
-                "log_z0": r.z0.log,
-                "log_z1": r.z1.log,
+                "log_z0": _finite(r.z0.log),
+                "log_z1": _finite(r.z1.log),
                 "ground_config": list(r.ground_config),
                 "degeneracy": list(r.degeneracy),
             }
@@ -298,7 +303,7 @@ def sweep(path, param, grid, out):
     writer = csv.writer(buf)
     writer.writerow([param, "purity", "ratio"])
     for row in rows:
-        writer.writerow([repr(v) for v in row])
+        writer.writerow([repr(float(v)) for v in row])
     text = buf.getvalue()
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -332,12 +337,12 @@ def oracle(path, method, samples, seed, out):
     else:
         res = mc_purity(sc, samples, seed)
         report["oracle_purity"] = res.purity
-        report["stderr"] = res.stderr
+        report["stderr"] = _finite(res.stderr)
         report["samples"] = samples
         report["seed"] = seed
         report["discrepancy"] = abs(res.purity - engine_value)
         report["z_score"] = (
-            report["discrepancy"] / res.stderr if res.stderr > 0 else math.inf
+            report["discrepancy"] / res.stderr if report["stderr"] else None
         )
     _emit(report, out)
 

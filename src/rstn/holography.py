@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from rstn.ising import IsingEngine
 from rstn.state import Scenario
@@ -197,6 +196,8 @@ def solve_weights(sc: Scenario, max_vertices: int = 24) -> WeightSolution:
             return finish(p, "segment_root")
 
     # (iii) deterministic multi-start simplex search
+    from scipy import optimize  # slow to import; only this fallback needs it
+
     def objective(y: np.ndarray) -> float:
         p = np.abs(y)
         s = p.sum()

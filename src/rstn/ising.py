@@ -12,6 +12,16 @@ Purity of C is then a quotient of K-weighted sums of these.
 
 Configurations are ints; bit x set means sigma_x = -1 (swapped).
 Energies are natural logs; +inf marks an excluded configuration.
+
+An engine evaluates each ordered pair once and keeps the n_sec^2
+results as its pair table, which purity, P, Q and the error bound all
+read.  Per pair, the link energies and the Delta masks are numpy
+arrays over configurations, built in chunks of 2^CHUNK_BITS; the bulk
+term sigma_I is evaluated only where some variant survives Delta.  Its
+sector-block reductions come from a subset lattice: the block reduced
+to the swapped set S is one partial trace, over the lowest vertex x
+outside S, of the block already reduced to S | {x}, memoised per block
+and bitmask.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from rstn.graph import ColoredGraph
 
 SIGMA_IMAG_TOL = 1e-9
 TIE_TOL = 1e-12
+CHUNK_BITS = 14
 
 
 class SizeCapError(RuntimeError):
@@ -39,7 +50,18 @@ def down_set(config: int, n: int) -> frozenset[int]:
     return frozenset(x for x in range(n) if config >> x & 1)
 
 
-@dataclass
+def _mask(down) -> int:
+    return sum(1 << x for x in down)
+
+
+def _survives(configs, pins: tuple[int, int]):
+    """Delta test of configurations (an int or an int array) against
+    the (up, down) vertex pins of one pair and variant."""
+    up, down = pins
+    return ((configs & up) == 0) & ((configs & down) == down)
+
+
+@dataclass(frozen=True)
 class PairResult:
     """Partition data of one ordered sector pair."""
 
@@ -53,7 +75,101 @@ class PairResult:
     gap: tuple[float, float] = (math.inf, math.inf)
 
 
+class SubsetLattice:
+    """Partial traces of one matrix over the subsets of its vertices.
+
+    The matrix maps the product of per-vertex factors `col_dims` to
+    that of `row_dims`.  `matrix(mask)` keeps the vertices set in
+    `mask` and traces out the others, which need equal row and column
+    dims.  Each reduction is one np.trace over the lowest traced vertex
+    of the memoised reduction to mask | {that vertex}, so a chain of
+    them traces from the highest vertex down.
+    """
+
+    def __init__(self, mat: np.ndarray, row_dims, col_dims):
+        full = mat.reshape(tuple(row_dims) + tuple(col_dims))
+        self._tensors = {(1 << len(row_dims)) - 1: full}
+        self._matrices = {(1 << len(row_dims)) - 1: mat}
+
+    def _tensor(self, mask: int) -> np.ndarray:
+        arr = self._tensors.get(mask)
+        if arr is None:
+            x = (~mask & (mask + 1)).bit_length() - 1
+            parent = self._tensor(mask | 1 << x)
+            # vertices below x are all kept, so x is axis x of each half
+            arr = parent.trace(axis1=x, axis2=parent.ndim // 2 + x)
+            self._tensors[mask] = arr
+        return arr
+
+    def matrix(self, mask: int) -> np.ndarray:
+        mat = self._matrices.get(mask)
+        if mat is None:
+            arr = self._tensor(mask)
+            k = arr.ndim // 2
+            mat = arr.reshape(math.prod(arr.shape[:k]), math.prod(arr.shape[k:]))
+            self._matrices[mask] = mat
+        return mat
+
+
+class _GroundScan:
+    """The ground-state update over energies in configuration order.
+
+    Fed chunk by chunk, it ends in the state of the sequential loop
+
+        if e < best * (1 - TIE_TOL) - TIE_TOL:  second, best, degen = best, e, 1
+        elif isclose(e, best):                   degen += 1
+        elif e < second:                         second = e
+
+    Only a new best moves `best`.  While every energy is non-negative
+    the threshold never exceeds `best`, so a new best undercuts every
+    earlier energy and only running minima need the Python test (after
+    a negative energy no non-negative one can be a new best).  After
+    the last new best the loop is a count and a min.
+    """
+
+    def __init__(self):
+        self.best = math.inf
+        self.second = math.inf
+        self.config = 0
+        self.degen = 1
+        self.floor = math.inf  # least energy fed so far
+
+    def feed(self, e: np.ndarray, configs: np.ndarray) -> None:
+        if not e.size:
+            return
+        if e.min() >= 0.0:
+            before = np.minimum.accumulate(np.concatenate(([self.floor], e[:-1])))
+            tries = np.flatnonzero(e < before).tolist()
+        else:
+            tries = range(e.size)
+        last = -1
+        for i in tries:
+            x = float(e[i])
+            if x < self.best * (1 - TIE_TOL) - TIE_TOL:
+                self.second, self.best, last = self.best, x, i
+        if last >= 0:
+            self.config, self.degen = int(configs[last]), 1
+        tail = e[last + 1:]
+        diff = np.abs(self.best - tail)
+        close = ((tail == self.best) | (diff <= abs(TIE_TOL * self.best))
+                 | (diff <= np.abs(TIE_TOL * tail)) | (diff <= TIE_TOL))
+        self.degen += int(close.sum())
+        if not close.all():
+            self.second = min(self.second, float(tail[~close].min()))
+        self.floor = min(self.floor, float(e.min()))
+
+
 class IsingEngine:
+    """Constrained Ising sums of one scenario, with per-engine caches.
+
+    The pair table, sigma_I values and sector-block lattices live on
+    the engine and die with it.  The Scenario is treated as immutable
+    once the engine is built: build a new engine after changing it.
+    Pairs evaluated in threads (RSTN_THREADS) share these caches; each
+    cached value is a pure function of its key, so a race between two
+    threads only repeats work.
+    """
+
     def __init__(self, sc: Scenario, max_vertices: int = 24):
         if sc.graph.n_vertices > max_vertices:
             raise SizeCapError(
@@ -64,7 +180,10 @@ class IsingEngine:
         self.sc = sc
         self.n_vert = sc.graph.n_vertices
         self.n_sec = len(sc.sectors)
-        self._sigma_cache: dict[tuple[int, int, frozenset[int]], float] = {}
+        self._full = (1 << self.n_vert) - 1
+        self._sigma_cache: dict[tuple[int, int, int], float] = {}
+        self._lattices: dict[tuple[int, int], SubsetLattice] = {}
+        self._pairs: tuple[PairResult, ...] | None = None
         g = sc.graph
         self._boundary = [
             (k, b.vertex, f"b{k}") for k, b in enumerate(g.boundary)
@@ -79,9 +198,15 @@ class IsingEngine:
             {lid: math.log(dim_rep(tj)) for lid, tj in sec.spins.items()}
             for sec in sc.sectors
         ]
-        self._tuples = [
+        tuples = [
             [sc.vertex_tuple(s, x) for x in range(self.n_vert)]
             for s in range(self.n_sec)
+        ]
+        # bitmask of the vertices where sectors p and q carry equal spins
+        self._agree = [
+            [_mask(x for x in range(self.n_vert) if tp[x] == tq[x])
+             for tq in tuples]
+            for tp in tuples
         ]
         self._vdims = [sc.vertex_dims(s) for s in range(self.n_sec)]
         self._c = [sc.c_norm(s) for s in range(self.n_sec)]
@@ -110,8 +235,8 @@ class IsingEngine:
 
     # -- constraint factor ---------------------------------------------------
 
-    def delta_ok(self, m: int, n: int, config: int, variant: int) -> bool:
-        """Whether the sector-matching deltas of a configuration survive.
+    def _delta_masks(self, m: int, n: int) -> tuple[tuple[int, int], ...]:
+        """Per variant, the vertices Delta pins (up, down) for pair (m, n).
 
         A link needs equal spins in both sectors whenever the two
         copies are swapped on (at least one of) its ends: boundary
@@ -120,82 +245,88 @@ class IsingEngine:
         forces full vertex agreement on every swapped vertex.
         """
         if m == n:
-            return True
+            return (0, 0), (0, 0)
+        up, down = [0, 0], [0, 0]
         sc = self.sc
         for _, v, lid in self._boundary:
-            h = -1 if (variant == 1 and lid in self._region_C) else 1
-            sigma = -1 if config >> v & 1 else 1
-            if sigma * h == -1 and sc.spin(m, lid) != sc.spin(n, lid):
-                return False
+            if sc.spin(m, lid) != sc.spin(n, lid):
+                up[0] |= 1 << v
+                if lid in self._region_C:  # h = -1 in variant 1
+                    down[1] |= 1 << v
+                else:
+                    up[1] |= 1 << v
         for _, s, t, lid in self._internal:
-            if (config >> s & 1) or (config >> t & 1):
-                if sc.spin(m, lid) != sc.spin(n, lid):
-                    return False
+            if sc.spin(m, lid) != sc.spin(n, lid):
+                up[0] |= 1 << s | 1 << t
+                up[1] |= 1 << s | 1 << t
         if sc.vertex_product:
-            for x in range(self.n_vert):
-                if config >> x & 1 and self._tuples[m][x] != self._tuples[n][x]:
-                    return False
-        return True
+            up[0] |= self._full & ~self._agree[m][n]
+            up[1] |= self._full & ~self._agree[m][n]
+        return (up[0], down[0]), (up[1], down[1])
+
+    def delta_ok(self, m: int, n: int, config: int, variant: int) -> bool:
+        """Whether the sector-matching deltas of a configuration survive."""
+        return bool(_survives(config, self._delta_masks(m, n)[variant]))
 
     # -- bulk-state entropy term ---------------------------------------------
 
-    def sigma_I(self, m: int, n: int, down: frozenset[int]) -> float:
+    def sigma_I(self, m: int, n: int, down) -> float:
         """Entropy-like energy of the bulk state for swapped set `down`.
 
         -log of a normalized trace of two partially-traced,
         sector-projected reductions of rho^I; 0 when nothing is
         swapped, the Renyi-2 entropy of the reduction to `down` when
         m = n, +inf when the trace vanishes (excluded configuration).
+        `down` is a set of vertices or a configuration bitmask.
         """
-        key = (m, n, down)
+        mask = down if isinstance(down, int) else _mask(down)
+        key = (m, n, mask)
         if key in self._sigma_cache:
             return self._sigma_cache[key]
-        val = self._sigma_I_compute(m, n, down)
+        val = self._sigma_I_compute(m, n, mask)
         self._sigma_cache[key] = val
         return val
 
-    def _agrees(self, p: int, q: int, verts) -> bool:
-        return all(self._tuples[p][x] == self._tuples[q][x] for x in verts)
+    def _reduced(self, row: int, col: int, down: int) -> np.ndarray:
+        """Block rho_{row,col} traced over the vertices outside `down`.
 
-    def _reduced(self, row: int, col: int, down: frozenset[int]) -> np.ndarray:
-        """Partial trace of block rho_{row,col} over the up vertices.
-
-        Requires the row/col vertex tuples to agree on the up set so
-        the traced factors match; returns a matrix indexed by the down
-        factors of row (rows) and col (columns).
+        Requires the row/col vertex tuples to agree on the traced
+        vertices; returns a matrix indexed by the kept factors of row
+        (rows) and col (columns).
         """
-        blk = self.sc.block(row, col)
-        rd = self._vdims[row]
-        cd = self._vdims[col]
-        arr = blk.reshape(tuple(rd) + tuple(cd))
-        nv = self.n_vert
-        up = [x for x in range(nv) if x not in down]
-        # trace row factor x against col factor nv + x for up vertices
-        for x in sorted(up, reverse=True):
-            arr = np.trace(arr, axis1=x, axis2=nv + x)
-            nv -= 1
-        down_sorted = sorted(down)
-        r = int(np.prod([rd[x] for x in down_sorted])) if down_sorted else 1
-        c = int(np.prod([cd[x] for x in down_sorted])) if down_sorted else 1
-        return arr.reshape(r, c)
+        lattice = self._lattices.get((row, col))
+        if lattice is None:
+            lattice = SubsetLattice(
+                self.sc.block(row, col), self._vdims[row], self._vdims[col]
+            )
+            self._lattices[(row, col)] = lattice
+        return lattice.matrix(down)
 
-    def _sigma_I_compute(self, m: int, n: int, down: frozenset[int]) -> float:
+    def _matched_block(self, row: int, other: int, down: int):
+        """Block (row, q) reduced to `down`, for the sector q that
+        matches `row` on the up vertices and `other` on `down`.
+
+        Distinct sectors differ at some vertex, so at most one q
+        matches; None when none does or its block is absent (zero).
+        """
+        up = self._full & ~down
+        for q in range(self.n_sec):
+            if up & ~self._agree[q][row] or down & ~self._agree[q][other]:
+                continue
+            if (row, q) in self.sc.blocks or (q, row) in self.sc.blocks:
+                return self._reduced(row, q, down)
+            return None
+        return None
+
+    def _sigma_I_compute(self, m: int, n: int, down: int) -> float:
         cm, cn = self._c[m], self._c[n]
         if cm <= 0.0 or cn <= 0.0:
             return math.inf
-        up = [x for x in range(self.n_vert) if x not in down]
-        da, db = None, None
-        for q in range(self.n_sec):
-            if self._agrees(q, m, up) and self._agrees(q, n, down):
-                red = self._reduced(m, q, down)
-                da = red if da is None else da + red
-        for q in range(self.n_sec):
-            if self._agrees(q, n, up) and self._agrees(q, m, down):
-                red = self._reduced(n, q, down)
-                db = red if db is None else db + red
+        da = self._matched_block(m, n, down)
+        db = self._matched_block(n, m, down)
         if da is None or db is None:
             return math.inf
-        t = np.trace(da @ db)
+        t = (da * db.T).sum()  # Tr(da @ db)
         if abs(t.imag) > SIGMA_IMAG_TOL * max(1.0, abs(t.real)):
             raise ValueError(
                 f"bulk-state trace for pair ({m},{n}) is not real: {t}"
@@ -207,27 +338,36 @@ class IsingEngine:
 
     # -- energies ------------------------------------------------------------
 
-    def hamiltonian(self, m: int, n: int, config: int, variant: int) -> float:
-        """Energy of a configuration for the ordered pair (m, n).
+    def _link_energies(self, m: int, configs: np.ndarray):
+        """Boundary plus internal energy of each configuration, per variant.
 
         Boundary half-edges pay log(2j+1) when swapped relative to
         their pinning (h = -1 on C for variant 1), internal links pay
-        when cut, and the bulk state contributes sigma_I of the
-        swapped vertex set.  Spins are read from sector m; wherever
-        the two sectors could disagree on a paying link, delta_ok has
-        already forced agreement.
+        when cut.  Spins are read from sector m; wherever the two
+        sectors could disagree on a paying link, Delta has already
+        forced agreement.  Terms are added in link order.
         """
-        total = 0.0
+        bits = [(configs >> x) & 1 for x in range(self.n_vert)]
+        e0 = np.zeros(configs.shape)
+        e1 = np.zeros(configs.shape)
+        logd = self._logd[m]
         for _, v, lid in self._boundary:
-            h = -1 if (variant == 1 and lid in self._region_C) else 1
-            sigma = -1 if config >> v & 1 else 1
-            if sigma * h == -1:
-                total += self._logd[m][lid]
+            e0 += logd[lid] * bits[v]
+            e1 += logd[lid] * (bits[v] ^ 1 if lid in self._region_C else bits[v])
         for _, s, t, lid in self._internal:
-            if (config >> s & 1) != (config >> t & 1):
-                total += self._logd[m][lid]
-        si = self.sigma_I(m, n, down_set(config, self.n_vert))
-        return total + si
+            cut = logd[lid] * (bits[s] ^ bits[t])
+            e0 += cut
+            e1 += cut
+        return e0, e1
+
+    def hamiltonian(self, m: int, n: int, config: int, variant: int) -> float:
+        """Energy of a configuration for the ordered pair (m, n).
+
+        The link energies of `_link_energies` plus sigma_I of the
+        swapped vertex set.
+        """
+        link = self._link_energies(m, np.array([config]))[variant]
+        return float(link[0]) + self.sigma_I(m, n, config)
 
     def hamiltonian_difference_region(self, m: int, config: int) -> float:
         """H_1 - H_0 for a diagonal pair: sum of sigma_s * log d over C."""
@@ -242,60 +382,56 @@ class IsingEngine:
 
     def partition_pair(self, m: int, n: int) -> PairResult:
         exact = self.sc.mode == "exact"
-        logs: list[list[float]] = [[], []]
-        best: list[float] = [math.inf, math.inf]
-        best_cfg: list[int] = [0, 0]
-        degen: list[int] = [1, 1]
-        second: list[float] = [math.inf, math.inf]
-        for config in range(1 << self.n_vert):
-            for variant in (0, 1):
-                if not self.delta_ok(m, n, config, variant):
-                    continue
-                energy = self.hamiltonian(m, n, config, variant)
-                if energy == math.inf:
-                    continue
+        masks = self._delta_masks(m, n)
+        logs: list[list[np.ndarray]] = [[], []]
+        scans = (_GroundScan(), _GroundScan())
+        n_conf = 1 << self.n_vert
+        for start in range(0, n_conf, 1 << CHUNK_BITS):
+            configs = np.arange(start, min(n_conf, start + (1 << CHUNK_BITS)))
+            ok = [_survives(configs, pins) for pins in masks]
+            live = ok[0] | ok[1]
+            sigma = np.full(configs.shape, math.inf)
+            sigma[live] = [
+                self.sigma_I(m, n, c) for c in configs[live].tolist()
+            ]
+            for variant, link in enumerate(self._link_energies(m, configs)):
+                energy = link + sigma
+                keep = ok[variant] & (energy != math.inf)
                 if exact:
-                    logs[variant].append(-energy)
-                if energy < best[variant] * (1 - TIE_TOL) - TIE_TOL:
-                    second[variant] = best[variant]
-                    best[variant] = energy
-                    best_cfg[variant] = config
-                    degen[variant] = 1
-                elif math.isclose(energy, best[variant], rel_tol=TIE_TOL,
-                                  abs_tol=TIE_TOL):
-                    degen[variant] += 1
-                elif energy < second[variant]:
-                    second[variant] = energy
+                    logs[variant].append(-energy[keep])
+                scans[variant].feed(energy[keep], configs[keep])
         if exact:
-            z0 = LogWeight(log_sum_tree(logs[0]))
-            z1 = LogWeight(log_sum_tree(logs[1]))
+            z0, z1 = (LogWeight(log_sum_tree(np.concatenate(parts)))
+                      for parts in logs)
         else:
             # ground-state dominance: keep only the minimal energy,
             # multiplied by its multiplicity
-            z = []
-            for variant in (0, 1):
-                if best[variant] == math.inf:
-                    z.append(LogWeight.ZERO)
-                else:
-                    z.append(
-                        LogWeight(-best[variant] + math.log(degen[variant]))
-                    )
-            z0, z1 = z
-        gaps = tuple(
-            second[v] - best[v] if best[v] != math.inf else math.inf
-            for v in (0, 1)
-        )
+            z0, z1 = (
+                LogWeight.ZERO if s.best == math.inf
+                else LogWeight(-s.best + math.log(s.degen))
+                for s in scans
+            )
         return PairResult(
             m=m, n=n, z0=z0, z1=z1,
-            ground_config=tuple(best_cfg), ground_energy=tuple(best),
-            degeneracy=tuple(degen), gap=gaps,
+            ground_config=tuple(s.config for s in scans),
+            ground_energy=tuple(s.best for s in scans),
+            degeneracy=tuple(s.degen for s in scans),
+            gap=tuple(
+                s.second - s.best if s.best != math.inf else math.inf
+                for s in scans
+            ),
         )
 
     def all_pairs(self) -> list[PairResult]:
-        pairs = [
-            (m, n) for m in range(self.n_sec) for n in range(self.n_sec)
-        ]
-        return det_map(lambda mn: self.partition_pair(*mn), pairs)
+        """The pair table: every ordered pair, m-major, evaluated once."""
+        if self._pairs is None:
+            pairs = [
+                (m, n) for m in range(self.n_sec) for n in range(self.n_sec)
+            ]
+            self._pairs = tuple(
+                det_map(lambda mn: self.partition_pair(*mn), pairs)
+            )
+        return list(self._pairs)
 
     # -- observable quotients ------------------------------------------------
 
@@ -308,7 +444,7 @@ class IsingEngine:
             if not r.z0.is_zero() and logK[r.m] != -math.inf \
                     and logK[r.n] != -math.inf:
                 logs[r.m, r.n] = logK[r.m] + logK[r.n] + r.z0.log
-        total = log_sum_tree(list(logs.flatten()))
+        total = log_sum_tree(logs.ravel())
         if total == -math.inf:
             raise ValueError("normalization sum vanishes")
         return np.exp(logs - total)
@@ -346,14 +482,12 @@ class IsingEngine:
 
 def _reduce_square(mat: np.ndarray, dims: list[int],
                    down: frozenset[int]) -> np.ndarray:
-    """Partial trace of a square matrix on the vertex-factor product."""
-    nv = len(dims)
-    arr = mat.reshape(tuple(dims) * 2)
-    for x in sorted((x for x in range(nv) if x not in down), reverse=True):
-        arr = np.trace(arr, axis1=x, axis2=nv + x)
-        nv -= 1
-    dim = int(np.prod([dims[x] for x in sorted(down)])) if down else 1
-    return arr.reshape(dim, dim)
+    """Partial trace of a square matrix on the vertex-factor product.
+
+    One-off form of SubsetLattice; perfbench/spans.py counts reduced
+    bytes through it.
+    """
+    return SubsetLattice(mat, dims, dims).matrix(_mask(down))
 
 
 def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
@@ -365,9 +499,11 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
         F(rho) = sum_S alpha_S Tr[rho_S^2] / (Tr rho)^2,
 
     over vertex subsets S, with alpha_S the product of 1/(2j+1) over
-    the links cut by S xor marked as C (but not both).  This returns
-    d/d eps F(rho + eps X) at eps = 0 for a Hermitian direction X.
-    The derivative along X = rho itself vanishes: F is scale invariant.
+    the links cut by S xor marked as C (but not both): exp of minus
+    the variant-1 link energy.  This returns d/d eps F(rho + eps X) at
+    eps = 0 for a Hermitian direction X, reducing rho and X over the
+    subset lattice.  The derivative along X = rho itself vanishes: F
+    is scale invariant.
     """
     if len(sc.sectors) != 1:
         raise ValueError("gradient is defined for single-sector scenarios")
@@ -377,23 +513,20 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
         raise ValueError(f"direction shape {x.shape} != state {rho.shape}")
     if not np.allclose(x, x.conj().T, atol=1e-12):
         raise ValueError("direction must be Hermitian")
-    g = sc.graph
-    dims = sc.vertex_dims(0)
-    nv = g.n_vertices
-    logd = {lid: math.log(dim_rep(sc.spin(0, lid))) for lid in g.link_ids()}
-    region = set(sc.region_C)
+    engine = IsingEngine(sc)
+    dims = engine._vdims[0]
+    x_lattice = SubsetLattice(x, dims, dims)
+    configs = np.arange(1 << engine.n_vert)
+    alpha = np.exp(-engine._link_energies(0, configs)[1]).tolist()
     tr_rho = float(np.trace(rho).real)
     tr_x = float(np.trace(x).real)
     total = 0.0
-    for config in range(1 << nv):
-        down = down_set(config, nv)
-        paying = set(g.cut(down)) ^ region
-        alpha = math.exp(-sum(logd[lid] for lid in paying))
-        rho_s = _reduce_square(rho, dims, down)
-        x_s = _reduce_square(x, dims, down)
-        term = np.trace(rho_s @ x_s).real \
-            - (tr_x / tr_rho) * np.trace(rho_s @ rho_s).real
-        total += alpha * term
+    for config in configs.tolist():
+        rho_s = engine._reduced(0, 0, config)
+        x_s = x_lattice.matrix(config)
+        term = (rho_s * x_s.T).sum().real \
+            - (tr_x / tr_rho) * (rho_s * rho_s.T).sum().real
+        total += alpha[config] * term
     return 2.0 / tr_rho**2 * total
 
 

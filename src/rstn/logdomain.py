@@ -53,18 +53,20 @@ LogWeight.ZERO = LogWeight(-math.inf)
 LogWeight.ONE = LogWeight(0.0)
 
 
-def log_sum_tree(logs: list[float]) -> float:
-    """log(sum(exp(logs))) by pairwise tree reduction in index order."""
-    vals = [v for v in logs if v != -math.inf]
-    if not vals:
+def log_sum_tree(logs) -> float:
+    """log(sum(exp(logs))) by pairwise tree reduction in index order.
+
+    Each level adds neighbours (0,1), (2,3), ... and carries an odd
+    last term up unchanged.
+    """
+    vals = np.asarray(logs, dtype=float)
+    vals = vals[vals != -math.inf]
+    if not vals.size:
         return -math.inf
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(np.logaddexp(vals[i], vals[i + 1]))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
+    while vals.size > 1:
+        even = vals.size & ~1
+        pairs = np.logaddexp(vals[0:even:2], vals[1:even:2])
+        vals = np.concatenate((pairs, vals[even:]))
     return float(vals[0])
 
 

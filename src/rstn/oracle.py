@@ -261,7 +261,7 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     Per sample: contract the network, weight the intertwiner indices
     with rho^I, reduce to the boundary, and record Tr[rho_C^2] and
     (Tr rho)^2.  The estimate is mean(num)/mean(den) with a jackknife
-    standard error.
+    standard error, NaN for a single sample.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -364,8 +364,10 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     mean_den = dens.mean()
     ratio = mean_num / mean_den
     n = n_samples
-    jack = (nums.sum() - nums) / (dens.sum() - dens)
-    stderr = math.sqrt((n - 1) / n * ((jack - jack.mean()) ** 2).sum())
+    stderr = math.nan  # a single sample leaves the jackknife undefined
+    if n > 1:
+        jack = (nums.sum() - nums) / (dens.sum() - dens)
+        stderr = math.sqrt((n - 1) / n * ((jack - jack.mean()) ** 2).sum())
     return MCResult(ratio, stderr, n, mean_num, mean_den)
 
 

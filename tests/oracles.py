@@ -4,7 +4,8 @@ Everything here is deliberately derived by a different route than the
 package code: invariant-subspace dimensions by weight counting and by
 a Casimir null space, the two-vertex benchmark partition sums as
 frozen closed forms, the two-sector area variance in exact rational
-arithmetic, and gradients by central finite differences.
+arithmetic, gradients by central finite differences, partial traces
+by one np.einsum per subset, and the pairwise log-sum as a scalar loop.
 """
 
 from __future__ import annotations
@@ -175,3 +176,62 @@ def brute_force_subsets(n: int) -> list[frozenset[int]]:
         for r in range(n + 1)
         for c in itertools.combinations(range(n), r)
     ]
+
+
+# -- partial traces and log sums ----------------------------------------------
+
+
+def einsum_partial_trace(
+    mat: np.ndarray, row_dims: list[int], col_dims: list[int], keep: int
+) -> np.ndarray:
+    """Trace `mat` over the vertices not set in the bitmask `keep`.
+
+    One np.einsum: each traced vertex shares its row and column index.
+    """
+    nv = len(row_dims)
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    rows = [letters[x] for x in range(nv)]
+    cols = [
+        letters[nv + x] if keep >> x & 1 else letters[x] for x in range(nv)
+    ]
+    kept = [x for x in range(nv) if keep >> x & 1]
+    out = "".join(rows[x] for x in kept) + "".join(cols[x] for x in kept)
+    arr = mat.reshape(tuple(row_dims) + tuple(col_dims))
+    red = np.einsum("".join(rows) + "".join(cols) + "->" + out, arr)
+    r = math.prod(row_dims[x] for x in kept)
+    c = math.prod(col_dims[x] for x in kept)
+    return red.reshape(r, c)
+
+
+def scalar_log_sum_tree(logs: list[float]) -> float:
+    """The pairwise log-sum as a scalar loop over each tree level."""
+    vals = [v for v in logs if v != -math.inf]
+    if not vals:
+        return -math.inf
+    while len(vals) > 1:
+        nxt = []
+        for i in range(0, len(vals) - 1, 2):
+            nxt.append(np.logaddexp(vals[i], vals[i + 1]))
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return float(vals[0])
+
+
+def sequential_ground_scan(
+    energies: list[float], tol: float
+) -> tuple[float, float, int, int]:
+    """(best, second, index of best, degeneracy) by one scalar pass.
+
+    A new best must undercut the current one by the relative and
+    absolute tolerance `tol`; energies within it count as degenerate.
+    """
+    best, second, index, degen = math.inf, math.inf, 0, 1
+    for k, e in enumerate(energies):
+        if e < best * (1 - tol) - tol:
+            second, best, index, degen = best, e, k, 1
+        elif math.isclose(e, best, rel_tol=tol, abs_tol=tol):
+            degen += 1
+        elif e < second:
+            second = e
+    return best, second, index, degen

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 
+import rstn
 from rstn.cli import main
 
 SCENARIOS = resources.files("rstn") / "scenarios"
@@ -115,8 +119,23 @@ def test_sweep_w(runner):
     lines = res.output.strip().splitlines()
     assert lines[0] == "w,purity,ratio"
     assert len(lines) == 4
-    purities = [float(line.split(",")[1]) for line in lines[1:]]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [0.3, 0.5, 0.7]
+    purities = [row[1] for row in rows]
     assert purities[1] == min(purities)  # w = 1/2 is the valid minimum
+
+
+def test_sweep_range_grid_is_numeric_csv(runner):
+    res = runner.invoke(
+        main,
+        ["sweep", scenario_path("appendix_c.json"),
+         "--param", "w", "--grid", "0:1:21"],
+    )
+    assert res.exit_code == 0
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 22
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert rows[1][0] == 0.05
 
 
 def test_sweep_unknown_param_rejected(runner):
@@ -175,3 +194,44 @@ def test_report_out_file(runner, tmp_path):
     )
     assert res.exit_code == 0
     assert json.loads(out.read_text())["purity"] > 0
+
+
+def strict_json(text: str):
+    """Parse JSON, rejecting NaN and the infinities."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_analyze_vanishing_sum_is_null(runner):
+    res = runner.invoke(main, ["analyze", scenario_path("two_sector_nu.json")])
+    assert res.exit_code == 0
+    rep = strict_json(res.output)
+    assert None in [p["log_z1"] for p in rep["pairs"]]
+    assert all(p["log_z0"] is not None for p in rep["pairs"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_single_sample_is_strict_json(runner):
+    res = runner.invoke(
+        main,
+        ["oracle", scenario_path("tiny_oracle.json"),
+         "--method", "mc", "--samples", "1"],
+    )
+    assert res.exit_code == 0
+    rep = strict_json(res.output)
+    assert rep["stderr"] is None and rep["z_score"] is None
+    assert rep["samples"] == 1 and rep["oracle_purity"] > 0.0
+
+
+def test_cli_import_skips_scipy_optimize():
+    code = "import sys, rstn.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rstn.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,18 +1,23 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from oracles import (
     benchmark_partition_sums,
+    einsum_partial_trace,
     fd_swapped_gradient,
     psd_safe_direction,
 )
 from rstn.families import appendix_c, random_scenario, tiny_generic, two_sector
 from rstn.graph import BoundaryLink, ColoredGraph, Link
+from rstn.holography import analyze_holography, q_matrix
 from rstn.ising import (
     IsingEngine,
     SizeCapError,
+    SubsetLattice,
     down_set,
     hamiltonian_bulk_boundary,
     purity_gradient,
@@ -231,3 +236,129 @@ def test_random_scenarios_have_unit_distribution_sum():
         sc = random_scenario(rng, "two", n_sectors=2, max_twice=3)
         p = IsingEngine(sc).distribution()
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# -- pair table and subset lattice ------------------------------------------
+
+
+def test_subset_lattice_matches_einsum_with_unequal_dims():
+    rng = np.random.default_rng(29)
+    row_dims, col_dims = [2, 3, 1, 2, 3], [4, 3, 1, 2, 3]
+    mat = rng.normal(size=(36, 72)) + 1j * rng.normal(size=(36, 72))
+    lattice = SubsetLattice(mat, row_dims, col_dims)
+    # vertex 0 has unequal dims, so it is always kept
+    masks = [mask for mask in range(32) if mask & 1]
+    for mask in rng.permutation(masks).tolist():
+        expect = einsum_partial_trace(mat, row_dims, col_dims, mask)
+        got = lattice.matrix(mask)
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_engine_reductions_match_einsum_partial_trace():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for trial in range(12):
+        sc = random_scenario(
+            rng, ("two", "chain")[trial % 2], n_sectors=3, max_twice=6
+        )
+        engine = IsingEngine(sc)
+        nv = sc.graph.n_vertices
+        full = (1 << nv) - 1
+        dims = [sc.vertex_dims(s) for s in range(3)]
+        for row in range(3):
+            for col in range(3):
+                for mask in rng.integers(0, 1 << nv, size=6).tolist():
+                    if full & ~mask & ~engine._agree[row][col]:
+                        continue  # traced factors must match
+                    expect = einsum_partial_trace(
+                        sc.block(row, col), dims[row], dims[col], mask
+                    )
+                    got = engine._reduced(row, col, mask)
+                    assert np.abs(got - expect).max() <= 1e-12
+                    checked += 1
+    assert checked > 100
+
+
+def test_each_pair_evaluated_once_per_engine(monkeypatch):
+    calls = Counter()
+    evaluate = IsingEngine.partition_pair
+
+    def counting(self, m, n):
+        calls[m, n] += 1
+        return evaluate(self, m, n)
+
+    monkeypatch.setattr(IsingEngine, "partition_pair", counting)
+    rng = np.random.default_rng(31)
+    for sc in (appendix_c(4, **BLOCK_PARAMS),
+               random_scenario(rng, "chain", n_sectors=3, max_twice=4)):
+        every_pair_once = Counter(
+            (m, n) for m in range(len(sc.sectors))
+            for n in range(len(sc.sectors))
+        )
+        engine = IsingEngine(sc)
+        engine.purity()
+        engine.log_purity()
+        engine.distribution()
+        engine.error_bound()
+        q_matrix(engine)
+        engine.all_pairs().clear()
+        assert len(engine.all_pairs()) == len(every_pair_once)
+        assert calls == every_pair_once
+        calls.clear()
+        analyze_holography(sc)
+        assert calls == every_pair_once
+        calls.clear()
+
+
+def test_pair_results_are_frozen():
+    result = IsingEngine(tiny_generic()).all_pairs()[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.z0 = result.z1
+
+
+@pytest.mark.parametrize("mode", ["exact", "high_spin"])
+def test_fresh_engines_give_bit_identical_pairs(mode):
+    rng = np.random.default_rng(37)
+    scenarios = [appendix_c(4, mode=mode, **BLOCK_PARAMS)] + [
+        random_scenario(rng, t, n_sectors=3, max_twice=5, mode=mode)
+        for t in ("two", "chain")
+    ]
+    for sc in scenarios:
+        first = [repr(r) for r in IsingEngine(sc).all_pairs()]
+        assert first == [repr(r) for r in IsingEngine(sc).all_pairs()]
+
+
+def test_gradient_matches_finite_differences_random_scenario():
+    rng = np.random.default_rng(41)
+    sc = random_scenario(rng, "chain", n_sectors=1, max_twice=4)
+    x = psd_safe_direction(sc.block(0, 0), rng)
+    analytic = purity_gradient(sc, x)
+    numeric = fd_swapped_gradient(sc, x)
+    assert analytic == pytest.approx(numeric, rel=1e-6)
+
+
+def test_absent_blocks_equal_explicit_zero_blocks():
+    # sector 2 incoherent with 0 and 1: its cross blocks are absent in
+    # one scenario and written out as zero matrices in the other
+    rng = np.random.default_rng(43)
+    base = random_scenario(rng, "chain", n_sectors=3, max_twice=4)
+    kept = {k: v for k, v in base.blocks.items() if 2 not in k or k == (2, 2)}
+    zeros = {
+        (m, 2): np.zeros((base.block_dim(m), base.block_dim(2)), dtype=complex)
+        for m in (0, 1)
+    }
+
+    def with_blocks(blocks):
+        return Scenario(
+            graph=base.graph, sectors=base.sectors,
+            amplitudes=base.amplitudes, blocks=blocks,
+            region_C=base.region_C,
+        )
+
+    absent = IsingEngine(with_blocks(kept)).all_pairs()
+    explicit = IsingEngine(with_blocks({**kept, **zeros})).all_pairs()
+    for a, b in zip(absent, explicit):
+        assert (a.ground_config, a.degeneracy) == (b.ground_config, b.degeneracy)
+        for x, y in ((a.z0, b.z0), (a.z1, b.z1)):
+            assert x.log == pytest.approx(y.log, rel=1e-14)

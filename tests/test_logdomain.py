@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import scalar_log_sum_tree
 from rstn.logdomain import LogWeight, log_sum_tree, sum_weights
 
 
@@ -60,3 +61,13 @@ def test_chunking_independence():
     # the tree reduction is a pure function of the index order
     logs = [0.1 * k for k in range(11)]
     assert log_sum_tree(logs) == log_sum_tree(list(logs))
+
+
+def test_log_sum_tree_bit_identical_to_scalar_loop():
+    rng = np.random.default_rng(17)
+    for size in list(range(1, 40)) + [255, 256, 257, 1001]:
+        logs = rng.normal(size=size) * rng.choice([1.0, 30.0, 700.0])
+        logs[rng.random(size) < 0.3] = -math.inf
+        logs = list(logs)
+        assert log_sum_tree(logs) == scalar_log_sum_tree(logs)
+        assert log_sum_tree(np.array(logs)) == scalar_log_sum_tree(logs)

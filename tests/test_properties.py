@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sequential_ground_scan
 from rstn.families import random_scenario
-from rstn.ising import IsingEngine, down_set
+from rstn.ising import TIE_TOL, IsingEngine, _GroundScan, down_set
 from rstn.observables import area_variance
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -104,3 +105,28 @@ def test_down_set_roundtrip(params):
     config = params["seed"] % (1 << nv)
     down = down_set(config, nv)
     assert sum(1 << x for x in down) == config
+
+
+# energies from a few levels, with exact ties, ties inside the
+# tolerance, just outside it, and values below -1 where the relative
+# tolerance widens instead of narrowing the tie band
+_level = st.sampled_from([-3.5, -1.0, 0.0, 1e-13, 0.7, 2.0, 2.0 + 3e-12])
+_jitter = st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 5e-12, -2e-12])
+_energies = st.lists(
+    st.tuples(_level, _jitter).map(lambda lj: lj[0] * (1 + lj[1]) + lj[1]),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_energies, st.lists(st.integers(0, 60), max_size=4))
+def test_ground_scan_matches_sequential_loop(energies, cuts):
+    scan = _GroundScan()
+    configs = np.arange(len(energies)) * 3  # configuration ids in order
+    bounds = [0] + sorted(min(c, len(energies)) for c in cuts) + [len(energies)]
+    e = np.array(energies, dtype=float)
+    for lo, hi in zip(bounds, bounds[1:]):
+        scan.feed(e[lo:hi], configs[lo:hi])
+    best, second, index, degen = sequential_ground_scan(energies, TIE_TOL)
+    assert (scan.best, scan.second, scan.degen) == (best, second, degen)
+    assert scan.config == (int(configs[index]) if energies else 0)
