@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -30,7 +31,6 @@ from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
 from rstn.holography import (
     InfeasibleError,
     analyze_holography,
-    q_matrix,
     solve_weights,
 )
 from rstn.ising import IsingEngine, SizeCapError, down_set
@@ -128,15 +128,8 @@ def analyze(path, mode, terms, max_vertices, out):
     """Purity, sector distribution and holography diagnostics."""
     sc = load_scenario(path)
     if mode is not None and mode != sc.mode:
-        sc = Scenario(
-            graph=sc.graph, sectors=sc.sectors, amplitudes=sc.amplitudes,
-            blocks=sc.blocks, region_C=sc.region_C, mode=mode,
-            vertex_product=sc.vertex_product, core=sc.core,
-            cutoffs=sc.cutoffs,
-        )
-    engine = IsingEngine(sc, max_vertices=max_vertices)
+        sc = replace(sc, mode=mode)
     holo = analyze_holography(sc, max_vertices=max_vertices)
-    pairs = engine.all_pairs()
     report = {
         "input_hash": content_hash(path),
         "mode": sc.mode,
@@ -145,9 +138,9 @@ def analyze(path, mode, terms, max_vertices, out):
         "ratio": holo.ratio,
         "holographic": holo.holographic,
         "tolerance": holo.tolerance,
-        "P": _matrix(engine.distribution()),
+        "P": _matrix(holo.distribution),
         "Q": _matrix(holo.q_matrix),
-        "error_bound": engine.error_bound(),
+        "error_bound": holo.error_bound,
         "pairs": [
             {
                 "m": r.m,
@@ -157,10 +150,11 @@ def analyze(path, mode, terms, max_vertices, out):
                 "ground_config": list(r.ground_config),
                 "degeneracy": list(r.degeneracy),
             }
-            for r in pairs
+            for r in holo.pairs
         ],
     }
     if terms:
+        engine = IsingEngine(sc, max_vertices=max_vertices)
         table = []
         for m in range(engine.n_sec):
             for n in range(engine.n_sec):
@@ -213,13 +207,21 @@ def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         try:
             lo, hi, num = text.split(":")
-            return list(np.linspace(float(lo), float(hi), int(num)))
+            lo, hi, num = float(lo), float(hi), int(num)
         except ValueError as exc:
             raise ParseError(f"grid {text!r}: expected lo:hi:count") from exc
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"grid {text!r}: expected comma list") from exc
+        if num < 1:
+            raise ParseError(f"grid {text!r}: count must be at least 1")
+        with np.errstate(all="ignore"):  # non-finite values fail below
+            values = list(np.linspace(lo, hi, num))
+    else:
+        try:
+            values = [float(tok) for tok in text.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"grid {text!r}: expected comma list") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"grid {text!r}: values must be finite")
+    return values
 
 
 def _pinwheel_params(sc: Scenario) -> dict:

@@ -51,12 +51,6 @@ class ColoredGraph:
 
     # -- ids ----------------------------------------------------------------
 
-    def internal_id(self, k: int) -> str:
-        return f"i{k}"
-
-    def boundary_id(self, k: int) -> str:
-        return f"b{k}"
-
     def link_ids(self) -> list[str]:
         return [f"i{k}" for k in range(len(self.internal))] + [
             f"b{k}" for k in range(len(self.boundary))
@@ -64,12 +58,6 @@ class ColoredGraph:
 
     def is_internal(self, link_id: str) -> bool:
         return link_id.startswith("i")
-
-    def internal_link(self, link_id: str) -> Link:
-        return self.internal[int(link_id[1:])]
-
-    def boundary_link(self, link_id: str) -> BoundaryLink:
-        return self.boundary[int(link_id[1:])]
 
     def outer_boundary_ids(self) -> list[str]:
         return [

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from rstn.ising import IsingEngine
+from rstn.ising import IsingEngine, PairResult
 from rstn.state import Scenario
 from rstn.spins import dim_rep, intertwiner_dimension
 
@@ -45,6 +45,9 @@ class HolographyReport:
     q_matrix: np.ndarray
     inverse_sum: float | None
     singular: bool
+    pairs: list[PairResult]  # the engine's pair table, m-major
+    distribution: np.ndarray  # P(m, n)
+    error_bound: float
 
 
 @dataclass
@@ -101,6 +104,9 @@ def analyze_holography(sc: Scenario, max_vertices: int = 24) -> HolographyReport
         q_matrix=q,
         inverse_sum=inverse_sum,
         singular=singular,
+        pairs=engine.all_pairs(),
+        distribution=engine.distribution(),
+        error_bound=engine.error_bound(),
     )
 
 
@@ -245,17 +251,7 @@ def reweighted_scenario(sc: Scenario, c: np.ndarray) -> Scenario:
             blocks[(m, n2)] = blk * math.sqrt(
                 (c[m] / old[m]) * (c[n2] / old[n2])
             )
-    return Scenario(
-        graph=sc.graph,
-        sectors=sc.sectors,
-        amplitudes=sc.amplitudes,
-        blocks=blocks,
-        region_C=sc.region_C,
-        mode=sc.mode,
-        vertex_product=sc.vertex_product,
-        core=sc.core,
-        cutoffs=sc.cutoffs,
-    )
+    return replace(sc, blocks=blocks)
 
 
 # -- fixed-spin flip criteria -----------------------------------------------

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from rstn.logdomain import LogWeight, log_sum_tree
-from rstn.parallel import det_map
 from rstn.spins import dim_rep, intertwiner_dimension
 from rstn.state import Scenario
 from rstn.graph import ColoredGraph
@@ -165,9 +164,6 @@ class IsingEngine:
     The pair table, sigma_I values and sector-block lattices live on
     the engine and die with it.  The Scenario is treated as immutable
     once the engine is built: build a new engine after changing it.
-    Pairs evaluated in threads (RSTN_THREADS) share these caches; each
-    cached value is a pure function of its key, so a race between two
-    threads only repeats work.
     """
 
     def __init__(self, sc: Scenario, max_vertices: int = 24):
@@ -407,7 +403,7 @@ class IsingEngine:
             # ground-state dominance: keep only the minimal energy,
             # multiplied by its multiplicity
             z0, z1 = (
-                LogWeight.ZERO if s.best == math.inf
+                LogWeight(-math.inf) if s.best == math.inf
                 else LogWeight(-s.best + math.log(s.degen))
                 for s in scans
             )
@@ -425,11 +421,9 @@ class IsingEngine:
     def all_pairs(self) -> list[PairResult]:
         """The pair table: every ordered pair, m-major, evaluated once."""
         if self._pairs is None:
-            pairs = [
-                (m, n) for m in range(self.n_sec) for n in range(self.n_sec)
-            ]
             self._pairs = tuple(
-                det_map(lambda mn: self.partition_pair(*mn), pairs)
+                self.partition_pair(m, n)
+                for m in range(self.n_sec) for n in range(self.n_sec)
             )
         return list(self._pairs)
 

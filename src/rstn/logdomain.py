@@ -2,15 +2,14 @@
 
 Weights are nonnegative reals kept as their natural log; -inf encodes
 an exactly excluded (zero) term, +inf in an energy likewise.  Sums are
-pairwise-tree reduced in index order, so results do not depend on how
-the terms were chunked across workers.
+pairwise-tree reduced in index order, so each result is a fixed
+function of its terms and their order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -21,36 +20,8 @@ class LogWeight:
 
     log: float
 
-    ZERO: ClassVar["LogWeight"]
-    ONE: ClassVar["LogWeight"]
-
-    @staticmethod
-    def from_linear(x: float) -> "LogWeight":
-        if x < 0:
-            raise ValueError(f"weights are nonnegative, got {x}")
-        return LogWeight(math.log(x) if x > 0 else -math.inf)
-
-    def to_linear(self) -> float:
-        return math.exp(self.log) if self.log != -math.inf else 0.0
-
-    def __mul__(self, other: "LogWeight") -> "LogWeight":
-        if self.log == -math.inf or other.log == -math.inf:
-            return LogWeight(-math.inf)
-        return LogWeight(self.log + other.log)
-
-    def __truediv__(self, other: "LogWeight") -> "LogWeight":
-        if other.log == -math.inf:
-            raise ZeroDivisionError("division by zero weight")
-        if self.log == -math.inf:
-            return LogWeight(-math.inf)
-        return LogWeight(self.log - other.log)
-
     def is_zero(self) -> bool:
         return self.log == -math.inf
-
-
-LogWeight.ZERO = LogWeight(-math.inf)
-LogWeight.ONE = LogWeight(0.0)
 
 
 def log_sum_tree(logs) -> float:
@@ -68,7 +39,3 @@ def log_sum_tree(logs) -> float:
         pairs = np.logaddexp(vals[0:even:2], vals[1:even:2])
         vals = np.concatenate((pairs, vals[even:]))
     return float(vals[0])
-
-
-def sum_weights(weights: list[LogWeight]) -> LogWeight:
-    return LogWeight(log_sum_tree([w.log for w in weights]))

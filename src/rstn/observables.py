@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from rstn.holography import analyze_holography
 from rstn.ising import IsingEngine
 from rstn.logdomain import LogWeight
 from rstn.spins import dim_rep
@@ -136,13 +137,12 @@ def p_vector(
     pair distribution P is used.  Pass `holographic` to skip the
     autodetection.
     """
-    if holographic is None:
-        from rstn.holography import analyze_holography
-
-        holographic = analyze_holography(sc, max_vertices).holographic
     if holographic:
         return holographic_p(sc)
-    p = np.diag(IsingEngine(sc, max_vertices).distribution()).copy()
+    holo = analyze_holography(sc, max_vertices)
+    if holographic is None and holo.holographic:
+        return holographic_p(sc)
+    p = np.diag(holo.distribution).copy()
     return p / p.sum()
 
 

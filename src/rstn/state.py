@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,9 +112,6 @@ class Scenario:
             total *= sum(dim_rep(tj) for tj in dims)
         return total
 
-    def sectors_agree_at(self, m: int, n: int, vertex: int) -> bool:
-        return self.vertex_tuple(m, vertex) == self.vertex_tuple(n, vertex)
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
@@ -198,17 +194,6 @@ class Scenario:
                 f"bulk state is not positive semidefinite "
                 f"(min eigenvalue {evals.min():.3e})"
             )
-
-    def full_bulk_matrix(self) -> tuple[np.ndarray, list[int]]:
-        """Dense rho^I on the direct sum of sector blocks, plus offsets."""
-        n_sec = len(self.sectors)
-        dims = [self.block_dim(m) for m in range(n_sec)]
-        offs = list(np.concatenate([[0], np.cumsum(dims)]).astype(int))
-        full = np.zeros((offs[-1], offs[-1]), dtype=complex)
-        for m in range(n_sec):
-            for n in range(n_sec):
-                full[offs[m]:offs[m + 1], offs[n]:offs[n + 1]] = self.block(m, n)
-        return full, offs
 
 
 # -- JSON -------------------------------------------------------------------

@@ -128,7 +128,7 @@ def two_sector_var_prefactor(a1: float, a2: float) -> float:
 
 def swapped_sum_of(sc: Scenario) -> float:
     """The swapped partition sum of a single-sector scenario."""
-    return IsingEngine(sc).partition_pair(0, 0).z1.to_linear()
+    return math.exp(IsingEngine(sc).partition_pair(0, 0).z1.log)
 
 
 def fd_swapped_gradient(

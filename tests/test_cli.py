@@ -147,6 +147,19 @@ def test_sweep_unknown_param_rejected(runner):
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize("grid", ["nan,inf", "0.5,inf", "0:inf:3",
+                                  "0:1:0", "0:1:-2"])
+def test_sweep_bad_grid_is_parse_error(runner, grid):
+    res = runner.invoke(
+        main,
+        ["sweep", scenario_path("appendix_c.json"),
+         "--param", "w", "--grid", grid],
+    )
+    assert res.exit_code == 2
+    assert repr(grid) in res.stderr
+    assert res.stdout == ""
+
+
 def test_oracle_exact(runner):
     res = runner.invoke(main, ["oracle", scenario_path("tiny_oracle.json")])
     assert res.exit_code == 0

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from oracles import (
     benchmark_partition_sums,
@@ -22,7 +24,9 @@ from rstn.ising import (
     hamiltonian_bulk_boundary,
     purity_gradient,
 )
-from rstn.state import Scenario, Sector
+from rstn.cli import main
+from rstn.observables import area_average, area_variance, p_vector
+from rstn.state import Scenario, Sector, load_scenario
 
 BLOCK_PARAMS = dict(
     a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j, v=0.07 + 0.02j
@@ -41,7 +45,7 @@ def test_partition_sums_match_frozen_forms(twice_s):
     forms = benchmark_partition_sums(twice_s, **BLOCK_PARAMS)
     for (m, n, variant), expect in forms.items():
         r = engine.partition_pair(m, n)
-        got = (r.z1 if variant else r.z0).to_linear()
+        got = math.exp((r.z1 if variant else r.z0).log)
         assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -282,20 +286,32 @@ def test_engine_reductions_match_einsum_partial_trace():
 
 def test_each_pair_evaluated_once_per_engine(monkeypatch):
     calls = Counter()
+    engines = []
     evaluate = IsingEngine.partition_pair
+    build = IsingEngine.__init__
 
     def counting(self, m, n):
         calls[m, n] += 1
         return evaluate(self, m, n)
 
+    def counting_init(self, *args, **kwargs):
+        engines.append(self)
+        build(self, *args, **kwargs)
+
     monkeypatch.setattr(IsingEngine, "partition_pair", counting)
-    rng = np.random.default_rng(31)
-    for sc in (appendix_c(4, **BLOCK_PARAMS),
-               random_scenario(rng, "chain", n_sectors=3, max_twice=4)):
-        every_pair_once = Counter(
+    monkeypatch.setattr(IsingEngine, "__init__", counting_init)
+
+    def check(sc, run, n_engines=1):
+        run()
+        assert calls == Counter(
             (m, n) for m in range(len(sc.sectors))
             for n in range(len(sc.sectors))
         )
+        assert len(engines) == n_engines
+        calls.clear()
+        engines.clear()
+
+    def engine_quotients(sc):
         engine = IsingEngine(sc)
         engine.purity()
         engine.log_purity()
@@ -303,12 +319,29 @@ def test_each_pair_evaluated_once_per_engine(monkeypatch):
         engine.error_bound()
         q_matrix(engine)
         engine.all_pairs().clear()
-        assert len(engine.all_pairs()) == len(every_pair_once)
-        assert calls == every_pair_once
-        calls.clear()
-        analyze_holography(sc)
-        assert calls == every_pair_once
-        calls.clear()
+        assert len(engine.all_pairs()) == len(sc.sectors) ** 2
+
+    rng = np.random.default_rng(31)
+    for sc in (appendix_c(4, **BLOCK_PARAMS),
+               random_scenario(rng, "chain", n_sectors=3, max_twice=4)):
+        check(sc, lambda: engine_quotients(sc))
+        check(sc, lambda: analyze_holography(sc))
+
+    path = str(resources.files("rstn") / "scenarios" / "appendix_c.json")
+    sc = load_scenario(path)
+    for flags, n_engines in (([], 1), (["--terms"], 2)):
+        def analyze():
+            res = CliRunner().invoke(main, ["analyze", path] + flags)
+            assert res.exit_code == 0, res.output
+        check(sc, analyze, n_engines)
+
+    sc = two_sector(9, 5, 0.4)
+    assert not analyze_holography(sc).holographic
+    calls.clear()
+    engines.clear()
+    check(sc, lambda: p_vector(sc))
+    check(sc, lambda: area_average(sc))
+    check(sc, lambda: area_variance(sc))
 
 
 def test_pair_results_are_frozen():
