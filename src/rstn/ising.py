@@ -16,16 +16,18 @@ Energies are natural logs; +inf marks an excluded configuration.
 An engine evaluates each ordered pair once and keeps the n_sec^2
 results as its pair table, which purity, P, Q and the error bound all
 read.  Per pair, the link energies and the Delta masks are numpy
-arrays over configurations, built in chunks of 2^CHUNK_BITS; the bulk
-term sigma_I is evaluated only where some variant survives Delta.  Its
-sector-block reductions come from a subset lattice: the block reduced
-to the swapped set S is one partial trace, over the lowest vertex x
-outside S, of the block already reduced to S | {x}, memoised per block
-and bitmask.
+arrays over configurations, built in chunks of 2^CHUNK_BITS.  The bulk
+term sigma_I is one float array per pair over all 2^V swapped sets,
+built on first use: each sector block is written in a per-vertex
+operator basis whose element 0 is the identity, where a partial trace
+keeps only component 0, so Tr(A_S B_S) for every S is one elementwise
+product followed by a per-vertex reduction to [traced, kept]
+(Rains' quantum weight enumerators; Yates' subset transform).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +62,63 @@ def _survives(configs, pins: tuple[int, int]):
     return ((configs & up) == 0) & ((configs & down) == down)
 
 
+def _partial_trace(mat: np.ndarray, row_dims, col_dims, keep: int):
+    """`mat` (col factors to row factors) traced over the vertices
+    outside `keep`, which need equal row and column dims."""
+    arr = mat.reshape(*row_dims, *col_dims)
+    for x in reversed(range(len(row_dims))):  # lower axes stay in place
+        if not keep >> x & 1:
+            arr = arr.trace(axis1=x, axis2=arr.ndim // 2 + x)
+    return arr.reshape(math.prod(arr.shape[:arr.ndim // 2]), -1)
+
+
+@functools.cache
+def _vertex_maps(r: int, c: int, whole: bool):
+    """Change of basis and [traced, kept] reduction at one vertex.
+
+    Basis row 0 is vec(I), so component 0 is the trace; rows 1.. are
+    those of the Householder reflection taking vec(I)/sqrt(r) to e_0.
+    Tracing keeps the product of the components 0, keeping sums all
+    products (component 0 weighted 1/r).  Whole vertices stay kept.
+    """
+    if whole:
+        return np.eye(r * c), np.outer([0.0, 1.0], np.ones(r * c))
+    eye = np.eye(r).ravel()
+    v = eye / math.sqrt(r) - np.eye(1, r * r)[0]
+    basis = np.eye(r * r) - np.outer(v, v) * (2.0 / (v @ v or 1.0))
+    basis[0] = eye
+    kept = np.r_[1.0 / r, np.ones(r * r - 1)]
+    return basis, np.vstack([np.eye(1, r * r), kept])
+
+
+def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
+                   whole: int = 0) -> np.ndarray:
+    """Tr(A_S B_S) for every vertex set S, indexed by bitmask.
+
+    A maps the col factors to the row factors and B back; `b=None`
+    stands for B = A Hermitian.  The vertices in `whole` (it must hold
+    all whose dims differ) are never traced: sets missing one get 0.
+    A and B^T go to the operator basis of `_vertex_maps` at every
+    vertex, are multiplied elementwise and reduced vertex by vertex.
+    """
+    n = len(row_dims)
+    verts = range(n - 1, -1, -1)  # so that vertex 0 is the lowest bit
+    maps = [_vertex_maps(row_dims[x], col_dims[x], bool(whole >> x & 1))
+            for x in verts]
+
+    def per_vertex(arr, k):  # each step maps the leading axis to the back
+        for mat in (pair[k] for pair in maps):
+            arr = (mat @ arr.reshape(len(mat[0]), -1)).T
+        return arr.reshape(-1)
+
+    order = [k for x in verts for k in (x, n + x)]
+    alpha = per_vertex(a.reshape(*row_dims, *col_dims).transpose(order), 0)
+    if b is None:  # B^T = conj(A)
+        return per_vertex(np.square(alpha.real) + np.square(alpha.imag), 1)
+    beta = per_vertex(b.T.reshape(*row_dims, *col_dims).transpose(order), 0)
+    return per_vertex(alpha * beta, 1)
+
+
 @dataclass(frozen=True)
 class PairResult:
     """Partition data of one ordered sector pair."""
@@ -72,42 +131,6 @@ class PairResult:
     ground_energy: tuple[float, float] = (math.inf, math.inf)
     degeneracy: tuple[int, int] = (1, 1)
     gap: tuple[float, float] = (math.inf, math.inf)
-
-
-class SubsetLattice:
-    """Partial traces of one matrix over the subsets of its vertices.
-
-    The matrix maps the product of per-vertex factors `col_dims` to
-    that of `row_dims`.  `matrix(mask)` keeps the vertices set in
-    `mask` and traces out the others, which need equal row and column
-    dims.  Each reduction is one np.trace over the lowest traced vertex
-    of the memoised reduction to mask | {that vertex}, so a chain of
-    them traces from the highest vertex down.
-    """
-
-    def __init__(self, mat: np.ndarray, row_dims, col_dims):
-        full = mat.reshape(tuple(row_dims) + tuple(col_dims))
-        self._tensors = {(1 << len(row_dims)) - 1: full}
-        self._matrices = {(1 << len(row_dims)) - 1: mat}
-
-    def _tensor(self, mask: int) -> np.ndarray:
-        arr = self._tensors.get(mask)
-        if arr is None:
-            x = (~mask & (mask + 1)).bit_length() - 1
-            parent = self._tensor(mask | 1 << x)
-            # vertices below x are all kept, so x is axis x of each half
-            arr = parent.trace(axis1=x, axis2=parent.ndim // 2 + x)
-            self._tensors[mask] = arr
-        return arr
-
-    def matrix(self, mask: int) -> np.ndarray:
-        mat = self._matrices.get(mask)
-        if mat is None:
-            arr = self._tensor(mask)
-            k = arr.ndim // 2
-            mat = arr.reshape(math.prod(arr.shape[:k]), math.prod(arr.shape[k:]))
-            self._matrices[mask] = mat
-        return mat
 
 
 class _GroundScan:
@@ -161,9 +184,9 @@ class _GroundScan:
 class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
-    The pair table, sigma_I values and sector-block lattices live on
-    the engine and die with it.  The Scenario is treated as immutable
-    once the engine is built: build a new engine after changing it.
+    The pair table and the per-pair sigma_I arrays live on the engine
+    and die with it.  The Scenario is treated as immutable once the
+    engine is built: build a new engine after changing it.
     """
 
     def __init__(self, sc: Scenario, max_vertices: int = 24):
@@ -177,8 +200,7 @@ class IsingEngine:
         self.n_vert = sc.graph.n_vertices
         self.n_sec = len(sc.sectors)
         self._full = (1 << self.n_vert) - 1
-        self._sigma_cache: dict[tuple[int, int, int], float] = {}
-        self._lattices: dict[tuple[int, int], SubsetLattice] = {}
+        self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pairs: tuple[PairResult, ...] | None = None
         g = sc.graph
         self._boundary = [
@@ -205,6 +227,8 @@ class IsingEngine:
             for tp in tuples
         ]
         self._vdims = [sc.vertex_dims(s) for s in range(self.n_sec)]
+        # (row, col) of every block given, either way round
+        self._present = {k for key in sc.blocks for k in (key, key[::-1])}
         self._c = [sc.c_norm(s) for s in range(self.n_sec)]
 
     # -- sector weights ------------------------------------------------------
@@ -276,61 +300,62 @@ class IsingEngine:
         `down` is a set of vertices or a configuration bitmask.
         """
         mask = down if isinstance(down, int) else _mask(down)
-        key = (m, n, mask)
-        if key in self._sigma_cache:
-            return self._sigma_cache[key]
-        val = self._sigma_I_compute(m, n, mask)
-        self._sigma_cache[key] = val
+        val = float(self._sigma_array(m, n)[mask])
+        if math.isnan(val):
+            raise ValueError(f"bulk-state trace for pair ({m},{n}) and "
+                             f"swapped set {mask:#b} is not real")
         return val
 
-    def _reduced(self, row: int, col: int, down: int) -> np.ndarray:
-        """Block rho_{row,col} traced over the vertices outside `down`.
+    def _sigma_array(self, m: int, n: int) -> np.ndarray:
+        """sigma_I of every swapped set of the pair, indexed by bitmask,
+        built on first use; NaN marks a trace that is not real."""
+        if (m, n) not in self._sigma_cache:
+            self._sigma_cache[m, n] = self._sigma_build(m, n)
+        return self._sigma_cache[m, n]
 
-        Requires the row/col vertex tuples to agree on the traced
-        vertices; returns a matrix indexed by the kept factors of row
-        (rows) and col (columns).
+    def _reduced(self, row: int, col: int, keep: int) -> np.ndarray:
+        """Block rho_{row,col} traced over the vertices outside `keep`."""
+        return _partial_trace(self.sc.block(row, col), self._vdims[row],
+                              self._vdims[col], keep)
+
+    def _sigma_build(self, m: int, n: int) -> np.ndarray:
+        """sigma_I of the pair for all 2^V swapped sets.
+
+        Swapping S pairs the blocks (m, q) and (n, q'), q with the tuples
+        of m off S and of n on S, q' the other way round.  Only the part
+        T of S where m and n differ fixes the pair, so each T is one
+        `_subset_traces` call: the split vertices outside T are traced up
+        front, T is kept whole.  Absent (zero) blocks are skipped.
         """
-        lattice = self._lattices.get((row, col))
-        if lattice is None:
-            lattice = SubsetLattice(
-                self.sc.block(row, col), self._vdims[row], self._vdims[col]
-            )
-            self._lattices[(row, col)] = lattice
-        return lattice.matrix(down)
-
-    def _matched_block(self, row: int, other: int, down: int):
-        """Block (row, q) reduced to `down`, for the sector q that
-        matches `row` on the up vertices and `other` on `down`.
-
-        Distinct sectors differ at some vertex, so at most one q
-        matches; None when none does or its block is absent (zero).
-        """
-        up = self._full & ~down
-        for q in range(self.n_sec):
-            if up & ~self._agree[q][row] or down & ~self._agree[q][other]:
-                continue
-            if (row, q) in self.sc.blocks or (q, row) in self.sc.blocks:
-                return self._reduced(row, q, down)
-            return None
-        return None
-
-    def _sigma_I_compute(self, m: int, n: int, down: int) -> float:
         cm, cn = self._c[m], self._c[n]
+        configs = np.arange(1 << self.n_vert)
         if cm <= 0.0 or cn <= 0.0:
-            return math.inf
-        da = self._matched_block(m, n, down)
-        db = self._matched_block(n, m, down)
-        if da is None or db is None:
-            return math.inf
-        t = (da * db.T).sum()  # Tr(da @ db)
-        if abs(t.imag) > SIGMA_IMAG_TOL * max(1.0, abs(t.real)):
-            raise ValueError(
-                f"bulk-state trace for pair ({m},{n}) is not real: {t}"
-            )
+            return np.full(configs.size, math.inf)
+        t = np.zeros(configs.size, dtype=complex)
+        split = self._full & ~self._agree[m][n]
+        hybrids = [q for q in range(self.n_sec)  # m or n at every vertex
+                   if self._agree[q][m] | self._agree[q][n] == self._full]
+        partner = {split & ~self._agree[q][n]: q for q in hybrids}
+        for q in hybrids:
+            swapped = split & ~self._agree[q][m]
+            q2 = partner.get(swapped)
+            if not {(m, q), (n, q2)} <= self._present:
+                continue
+            keep = self._full & ~split | swapped
+            # traced vertices become factors of dim 1
+            rows, cols = ([d if keep >> x & 1 else 1 for x, d in
+                           enumerate(self._vdims[s])] for s in (m, q))
+            b = None if m == n else self._reduced(n, q2, keep)
+            vals = _subset_traces(self._reduced(m, q, keep), b, rows, cols,
+                                  whole=swapped)
+            group = (configs & split) == swapped
+            t[group] = vals[group]
         val = t.real / (cm * cn)
-        if val <= 0.0:
-            return math.inf
-        return -math.log(val)
+        sigma = -np.log(val, out=np.full(val.size, -math.inf), where=val > 0.0)
+        tol = SIGMA_IMAG_TOL * np.maximum(1.0, np.abs(t.real))
+        sigma[np.abs(t.imag) > tol] = math.nan
+        sigma[0] = 0.0  # nothing swapped: t = c_m c_n
+        return sigma
 
     # -- energies ------------------------------------------------------------
 
@@ -385,11 +410,10 @@ class IsingEngine:
         for start in range(0, n_conf, 1 << CHUNK_BITS):
             configs = np.arange(start, min(n_conf, start + (1 << CHUNK_BITS)))
             ok = [_survives(configs, pins) for pins in masks]
-            live = ok[0] | ok[1]
-            sigma = np.full(configs.shape, math.inf)
-            sigma[live] = [
-                self.sigma_I(m, n, c) for c in configs[live].tolist()
-            ]
+            sigma = self._sigma_array(m, n)[configs]
+            bad = configs[np.isnan(sigma) & (ok[0] | ok[1])]
+            if bad.size:
+                self.sigma_I(m, n, int(bad[0]))  # raises: trace not real
             for variant, link in enumerate(self._link_energies(m, configs)):
                 energy = link + sigma
                 keep = ok[variant] & (energy != math.inf)
@@ -476,12 +500,9 @@ class IsingEngine:
 
 def _reduce_square(mat: np.ndarray, dims: list[int],
                    down: frozenset[int]) -> np.ndarray:
-    """Partial trace of a square matrix on the vertex-factor product.
-
-    One-off form of SubsetLattice; perfbench/spans.py counts reduced
-    bytes through it.
-    """
-    return SubsetLattice(mat, dims, dims).matrix(_mask(down))
+    """Square `mat` traced over the vertices outside `down` (perfbench's
+    span tracer counts reduced bytes through it)."""
+    return _partial_trace(mat, dims, dims, _mask(down))
 
 
 def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
@@ -495,9 +516,10 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
     over vertex subsets S, with alpha_S the product of 1/(2j+1) over
     the links cut by S xor marked as C (but not both): exp of minus
     the variant-1 link energy.  This returns d/d eps F(rho + eps X) at
-    eps = 0 for a Hermitian direction X, reducing rho and X over the
-    subset lattice.  The derivative along X = rho itself vanishes: F
-    is scale invariant.
+    eps = 0 for a Hermitian direction X: 2 / (Tr rho)^2 times the sum
+    over S of alpha_S Tr(rho_S X'_S), X' = X - (Tr X / Tr rho) rho, with
+    the traces from the transform that gives sigma_I.  The derivative
+    along X = rho itself vanishes: F is scale invariant.
     """
     if len(sc.sectors) != 1:
         raise ValueError("gradient is defined for single-sector scenarios")
@@ -509,19 +531,11 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
         raise ValueError("direction must be Hermitian")
     engine = IsingEngine(sc)
     dims = engine._vdims[0]
-    x_lattice = SubsetLattice(x, dims, dims)
-    configs = np.arange(1 << engine.n_vert)
-    alpha = np.exp(-engine._link_energies(0, configs)[1]).tolist()
+    alpha = np.exp(-engine._link_energies(0, np.arange(1 << engine.n_vert))[1])
     tr_rho = float(np.trace(rho).real)
-    tr_x = float(np.trace(x).real)
-    total = 0.0
-    for config in configs.tolist():
-        rho_s = engine._reduced(0, 0, config)
-        x_s = x_lattice.matrix(config)
-        term = (rho_s * x_s.T).sum().real \
-            - (tr_x / tr_rho) * (rho_s * rho_s.T).sum().real
-        total += alpha[config] * term
-    return 2.0 / tr_rho**2 * total
+    x = x - float(np.trace(x).real) / tr_rho * rho
+    traces = _subset_traces(rho, x, dims, dims).real
+    return 2.0 / tr_rho**2 * float(alpha @ traces)
 
 
 def hamiltonian_bulk_boundary(

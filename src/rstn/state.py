@@ -216,6 +216,19 @@ def _complex_in(v, where: str) -> complex:
     raise ParseError(f"{where}: expected number or [re, im], got {v!r}")
 
 
+def _int_in(v, where: str) -> int:
+    try:
+        return int(v)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: expected an integer, got {v!r}") from exc
+
+
+def _object_in(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise ParseError(f"{where}: expected an object, got {v!r}")
+    return v
+
+
 def _complex_out(z: complex):
     if z.imag == 0:
         return z.real
@@ -248,19 +261,23 @@ def scenario_from_dict(data: dict) -> Scenario:
                          d.get("side", "outer"))
             for d in gd.get("boundary_links", [])
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"graph: malformed link entry ({exc})") from exc
     try:
-        graph = ColoredGraph(int(gd["vertices"]), internal, boundary)
+        graph = ColoredGraph(_int_in(gd.get("vertices"), "graph.vertices"),
+                             internal, boundary)
     except GraphError as exc:
         raise ValidationError(str(exc)) from exc
 
+    if not isinstance(data["sectors"], list):
+        raise ParseError("sectors: expected a list")
     sectors = []
     for s, sd in enumerate(data["sectors"]):
         if not isinstance(sd, dict) or set(sd) - {"name", "spins"}:
             raise ParseError(f"sectors[{s}]: expected keys name?/spins")
         spins = {}
-        for lid, tj in sd["spins"].items():
+        for lid, tj in _object_in(sd.get("spins"),
+                                  f"sectors[{s}].spins").items():
             if not isinstance(tj, int) or isinstance(tj, bool):
                 raise ParseError(
                     f"sectors[{s}].spins[{lid}]: twice-spin must be an "
@@ -270,27 +287,31 @@ def scenario_from_dict(data: dict) -> Scenario:
         sectors.append(Sector(spins=spins, name=str(sd.get("name", str(s)))))
 
     amplitudes: dict[str, dict[int, complex]] = {}
-    for lid, table in data.get("amplitudes", {}).items():
-        if not isinstance(table, dict):
-            raise ParseError(f"amplitudes[{lid}]: expected an object")
+    for lid, table in _object_in(data.get("amplitudes", {}),
+                                 "amplitudes").items():
         amplitudes[str(lid)] = {
-            int(tj): _complex_in(v, f"amplitudes[{lid}][{tj}]")
-            for tj, v in table.items()
+            _int_in(tj, f"amplitudes[{lid}] key"):
+                _complex_in(v, f"amplitudes[{lid}][{tj}]")
+            for tj, v in _object_in(table, f"amplitudes[{lid}]").items()
         }
 
     idata = data["intertwiner"]
     if not isinstance(idata, dict) or set(idata) - {"blocks", "vertex_product"}:
         raise ParseError("intertwiner: expected keys blocks/vertex_product?")
     blocks = {}
-    for key, mat in idata.get("blocks", {}).items():
+    for key, mat in _object_in(idata.get("blocks", {}),
+                               "intertwiner.blocks").items():
         try:
             m, n = (int(t) for t in key.split(","))
         except ValueError as exc:
             raise ParseError(
                 f"intertwiner block key {key!r} must be 'm,n'"
             ) from exc
-        if not isinstance(mat, list):
-            raise ParseError(f"intertwiner block {key}: expected a matrix")
+        if not isinstance(mat, list) or any(
+            not isinstance(row, list) or len(row) != len(mat[0]) for row in mat
+        ):
+            raise ParseError(f"intertwiner block {key}: expected a matrix "
+                             f"of equal-length rows")
         arr = np.array(
             [
                 [_complex_in(v, f"block {key}[{i}][{j}]")
@@ -311,6 +332,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         not isinstance(cutoffs, dict) or set(cutoffs) - {"lower", "upper"}
     ):
         raise ParseError("cutoffs: expected keys lower/upper")
+    for key, v in (cutoffs or {}).items():
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                or key == "upper" and v is None):
+            raise ParseError(f"cutoffs.{key}: expected a number, got {v!r}")
 
     return Scenario(
         graph=graph,

@@ -5,7 +5,8 @@ package code: invariant-subspace dimensions by weight counting and by
 a Casimir null space, the two-vertex benchmark partition sums as
 frozen closed forms, the two-sector area variance in exact rational
 arithmetic, gradients by central finite differences, partial traces
-by one np.einsum per subset, and the pairwise log-sum as a scalar loop.
+by one np.einsum per subset (and sigma_I from them), and the pairwise
+log-sum as a scalar loop.
 """
 
 from __future__ import annotations
@@ -201,6 +202,37 @@ def einsum_partial_trace(
     r = math.prod(row_dims[x] for x in kept)
     c = math.prod(col_dims[x] for x in kept)
     return red.reshape(r, c)
+
+
+def einsum_sigma(sc: Scenario, m: int, n: int, mask: int) -> float:
+    """sigma_I of the pair (m, n) for the swapped set `mask`.
+
+    The hybrid sectors are found by comparing vertex tuples, each block
+    is reduced by `einsum_partial_trace` (an absent block is a zero
+    matrix), and a trace that is not real gives NaN.
+    """
+    cm, cn = sc.c_norm(m), sc.c_norm(n)
+    if cm <= 0.0 or cn <= 0.0:
+        return math.inf
+    nv = sc.graph.n_vertices
+
+    def reduced(row: int, other: int):
+        want = [sc.vertex_tuple(other if mask >> x & 1 else row, x)
+                for x in range(nv)]
+        for q in range(len(sc.sectors)):
+            if [sc.vertex_tuple(q, x) for x in range(nv)] == want:
+                return einsum_partial_trace(sc.block(row, q), sc.vertex_dims(row),
+                                            sc.vertex_dims(q), mask)
+        return None
+
+    a, b = reduced(m, n), reduced(n, m)
+    if a is None or b is None:
+        return math.inf
+    t = np.trace(a @ b)
+    if abs(t.imag) > 1e-9 * max(1.0, abs(t.real)):
+        return math.nan
+    val = t.real / (cm * cn)
+    return -math.log(val) if val > 0.0 else math.inf
 
 
 def scalar_log_sum_tree(logs: list[float]) -> float:

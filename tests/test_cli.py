@@ -36,6 +36,34 @@ def test_parse_error_exit_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def _set(path, value):
+    def mutate(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value(data[last]) if callable(value) else value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (_set(["cutoffs"], {"lower": "x"}), "cutoffs.lower"),
+    (_set(["sectors", 0, "spins"], [1, 1]), "sectors[0].spins"),
+    (_set(["intertwiner", "blocks"], [[1.0]]), "intertwiner.blocks"),
+    (_set(["intertwiner", "blocks", "0,0", 1], lambda row: row[:-1]),
+     "block 0,0"),
+    (_set(["amplitudes", "i0"], {"x": 1.0}), "amplitudes[i0]"),
+    (_set(["graph", "vertices"], "two"), "graph.vertices"),
+])
+def test_malformed_scenario_is_parse_error(runner, tmp_path, mutate, named):
+    data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    res = runner.invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert named in res.output
+
+
 def test_validation_error_exit_3(runner, tmp_path):
     data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
     data["intertwiner"]["blocks"]["0,0"][0][0] = 5.0  # breaks the trace

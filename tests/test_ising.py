@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from click.testing import CliRunner
 from oracles import (
     benchmark_partition_sums,
     einsum_partial_trace,
+    einsum_sigma,
     fd_swapped_gradient,
     psd_safe_direction,
 )
@@ -19,13 +24,14 @@ from rstn.holography import analyze_holography, q_matrix
 from rstn.ising import (
     IsingEngine,
     SizeCapError,
-    SubsetLattice,
+    _subset_traces,
     down_set,
     hamiltonian_bulk_boundary,
     purity_gradient,
 )
 from rstn.cli import main
 from rstn.observables import area_average, area_variance, p_vector
+from rstn.oracle import exact_purity
 from rstn.state import Scenario, Sector, load_scenario
 
 BLOCK_PARAMS = dict(
@@ -242,21 +248,111 @@ def test_random_scenarios_have_unit_distribution_sum():
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-# -- pair table and subset lattice ------------------------------------------
+# -- pair table and subset traces -------------------------------------------
 
 
-def test_subset_lattice_matches_einsum_with_unequal_dims():
+def test_subset_traces_match_einsum_with_unequal_dims():
     rng = np.random.default_rng(29)
     row_dims, col_dims = [2, 3, 1, 2, 3], [4, 3, 1, 2, 3]
     mat = rng.normal(size=(36, 72)) + 1j * rng.normal(size=(36, 72))
-    lattice = SubsetLattice(mat, row_dims, col_dims)
-    # vertex 0 has unequal dims, so it is always kept
-    masks = [mask for mask in range(32) if mask & 1]
-    for mask in rng.permutation(masks).tolist():
-        expect = einsum_partial_trace(mat, row_dims, col_dims, mask)
-        got = lattice.matrix(mask)
-        assert got.shape == expect.shape
-        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+    back = rng.normal(size=(72, 36)) + 1j * rng.normal(size=(72, 36))
+    # vertex 0 has unequal dims, so it is kept whole
+    got = _subset_traces(mat, back, row_dims, col_dims, whole=1)
+    sq = [3, 1, 2, 3, 2]
+    herm = mat[:, :36] @ mat[:, :36].conj().T
+    got_herm = _subset_traces(herm, None, sq, sq)
+    for mask in range(32):
+        if mask & 1:
+            a = einsum_partial_trace(mat, row_dims, col_dims, mask)
+            b = einsum_partial_trace(back, col_dims, row_dims, mask)
+            expect = np.trace(a @ b)
+            assert abs(got[mask] - expect) <= 1e-12 * abs(expect)
+        else:
+            assert got[mask] == 0.0
+        h = einsum_partial_trace(herm, sq, sq, mask)
+        assert got_herm[mask] == pytest.approx(np.trace(h @ h).real, rel=1e-12)
+
+
+def test_sigma_arrays_match_einsum_reference():
+    rng = np.random.default_rng(47)
+    scenarios = [
+        random_scenario(rng, ("two", "chain")[k % 2], n_sectors=3, max_twice=6)
+        for k in range(6)
+    ]
+    # sector 2 incoherent with 0 and 1: its cross blocks are absent
+    base = scenarios[-1]
+    scenarios.append(dataclasses.replace(base, blocks={
+        k: v for k, v in base.blocks.items() if 2 not in k or k == (2, 2)
+    }))
+    # sectors that agree on some vertices and split on others
+    scenarios += [appendix_c(4, **BLOCK_PARAMS), onoff_ring()]
+    n_inf = 0
+    for sc in scenarios:
+        engine = IsingEngine(sc)
+        for m in range(len(sc.sectors)):
+            for n in range(len(sc.sectors)):
+                got = engine._sigma_array(m, n)
+                expect = np.array([
+                    einsum_sigma(sc, m, n, mask)
+                    for mask in range(1 << sc.graph.n_vertices)
+                ])
+                assert np.array_equal(np.isinf(got), np.isinf(expect))
+                assert np.array_equal(np.isnan(got), np.isnan(expect))
+                finite = np.isfinite(expect)
+                assert np.all(np.abs(got[finite] - expect[finite])
+                              <= 1e-12 * np.maximum(1.0, np.abs(expect[finite])))
+                n_inf += int(np.isinf(expect).sum())
+    assert n_inf > 0
+
+
+def onoff_ring(seed: int = 0) -> Scenario:
+    """A 4-vertex spin-1/2 ring whose sectors switch vertices 0-2 on or
+    off (both boundary legs spin 1/2 or 0), with a coherent random
+    bulk state over all 17 dimensions and C the colour-3 legs of
+    vertices 0 and 1."""
+    n = 4
+    graph = ColoredGraph(
+        n, [Link(x, (x + 1) % n, 1 + x % 2) for x in range(n)],
+        [BoundaryLink(x, c) for x in range(n) for c in (3, 4)],
+    )
+    words = ("000", "010", "100", "110", "111")
+    sectors = []
+    for word in words:
+        spins = {f"i{x}": 1 for x in range(n)}
+        for x in range(n):
+            on = int(x < 3 and word[x] == "1")
+            spins[f"b{2 * x}"] = spins[f"b{2 * x + 1}"] = on
+        sectors.append(Sector(spins, word))
+    offs = np.cumsum([0] + [2 ** w.count("1") for w in words])
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
+    full = h @ h.conj().T
+    full /= np.trace(full).real
+    blocks = {(m, q): full[offs[m]:offs[m + 1], offs[q]:offs[q + 1]]
+              for m in range(5) for q in range(m, 5)}
+    return Scenario(graph=graph, sectors=sectors, amplitudes={},
+                    blocks=blocks, region_C=["b0", "b2"])
+
+
+def test_nonreal_traces_count_only_where_delta_admits():
+    # some hybrid traces of swapped sets that Delta excludes are
+    # complex; they must not stop the sums
+    sc = onoff_ring()
+    engine = IsingEngine(sc)
+    assert engine.purity() == pytest.approx(exact_purity(sc)[0], rel=1e-10)
+    analyze_holography(dataclasses.replace(sc, mode="high_spin"))
+    nonreal = []
+    for m in range(5):
+        for n in range(5):
+            for config in range(16):
+                if engine.delta_ok(m, n, config, 0) \
+                        or engine.delta_ok(m, n, config, 1):
+                    engine.sigma_I(m, n, config)
+                elif math.isnan(engine._sigma_array(m, n)[config]):
+                    nonreal.append((m, n, config))
+    assert nonreal
+    with pytest.raises(ValueError, match="not real"):
+        engine.sigma_I(*nonreal[0])
 
 
 def test_engine_reductions_match_einsum_partial_trace():
@@ -395,3 +491,27 @@ def test_absent_blocks_equal_explicit_zero_blocks():
         assert (a.ground_config, a.degeneracy) == (b.ground_config, b.degeneracy)
         for x, y in ((a.z0, b.z0), (a.z1, b.z1)):
             assert x.log == pytest.approx(y.log, rel=1e-14)
+
+
+def test_perfbench_tracer_installs():
+    # perfbench/spans.py wraps engine internals by name
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "tracer.enabled = True\n"
+        "from rstn.families import tiny_generic\n"
+        "from rstn.ising import IsingEngine, purity_gradient\n"
+        "sc = tiny_generic()\n"
+        "engine = IsingEngine(sc)\n"
+        "engine.purity()\n"
+        "engine.sigma_I(0, 0, 1)\n"
+        "purity_gradient(sc, sc.block(0, 0))\n"
+        "assert spans.layer_metrics(tracer, 1)['ising.reduction_bytes'] > 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
