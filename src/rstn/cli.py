@@ -28,11 +28,7 @@ import numpy as np
 
 from rstn.graph import GraphError
 from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
-from rstn.holography import (
-    InfeasibleError,
-    analyze_holography,
-    solve_weights,
-)
+from rstn.holography import InfeasibleError, analyze_holography, solve_weights
 from rstn.ising import IsingEngine, SizeCapError, down_set
 from rstn.oracle import exact_purity, mc_purity
 from rstn.state import (
@@ -121,15 +117,14 @@ def validate(path):
               default=None, help="override the scenario's mode")
 @click.option("--terms", is_flag=True,
               help="dump every (pair, configuration, variant) term")
-@click.option("--max-vertices", type=int, default=24)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guarded
-def analyze(path, mode, terms, max_vertices, out):
+def analyze(path, mode, terms, out):
     """Purity, sector distribution and holography diagnostics."""
     sc = load_scenario(path)
     if mode is not None and mode != sc.mode:
         sc = replace(sc, mode=mode)
-    holo = analyze_holography(sc, max_vertices=max_vertices)
+    holo = analyze_holography(sc)
     report = {
         "input_hash": content_hash(path),
         "mode": sc.mode,
@@ -154,41 +149,26 @@ def analyze(path, mode, terms, max_vertices, out):
         ],
     }
     if terms:
-        engine = IsingEngine(sc, max_vertices=max_vertices)
-        table = []
-        for m in range(engine.n_sec):
-            for n in range(engine.n_sec):
-                for config in range(1 << engine.n_vert):
-                    for variant in (0, 1):
-                        if not engine.delta_ok(m, n, config, variant):
-                            continue
-                        energy = engine.hamiltonian(m, n, config, variant)
-                        if energy == math.inf:
-                            continue
-                        table.append(
-                            {
-                                "m": m,
-                                "n": n,
-                                "config": sorted(
-                                    down_set(config, engine.n_vert)
-                                ),
-                                "variant": variant,
-                                "energy": energy,
-                            }
-                        )
-        report["terms"] = table
+        engine = IsingEngine(sc)
+        report["terms"] = [
+            {"m": m, "n": n, "config": sorted(down_set(c, engine.n_vert)),
+             "variant": v, "energy": e}
+            for m in range(engine.n_sec) for n in range(engine.n_sec)
+            for c in range(1 << engine.n_vert) for v in (0, 1)
+            if engine.delta_ok(m, n, c, v)
+            and (e := engine.hamiltonian(m, n, c, v)) != math.inf
+        ]
     _emit(report, out)
 
 
 @main.command("solve-weights")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-vertices", type=int, default=24)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guarded
-def solve_weights_cmd(path, max_vertices, out):
+def solve_weights_cmd(path, out):
     """Bulk sector weights that make the scenario holographic."""
     sc = load_scenario(path)
-    sol = solve_weights(sc, max_vertices=max_vertices)
+    sol = solve_weights(sc)
     _emit(
         {
             "input_hash": content_hash(path),

@@ -82,8 +82,8 @@ def q_matrix(engine: IsingEngine) -> np.ndarray:
     return q
 
 
-def analyze_holography(sc: Scenario, max_vertices: int = 24) -> HolographyReport:
-    engine = IsingEngine(sc, max_vertices=max_vertices)
+def analyze_holography(sc: Scenario) -> HolographyReport:
+    engine = IsingEngine(sc)
     purity = engine.purity()
     dim = sc.dim_H_C()
     ratio = purity * dim
@@ -142,7 +142,7 @@ def _p_to_c(engine: IsingEngine, p: np.ndarray) -> np.ndarray:
     return c / c.sum()
 
 
-def solve_weights(sc: Scenario, max_vertices: int = 24) -> WeightSolution:
+def solve_weights(sc: Scenario) -> WeightSolution:
     """Find bulk sector weights that make the scenario holographic.
 
     Solves <p, beta p> = 0 with beta = Q - 1 over the probability
@@ -151,7 +151,7 @@ def solve_weights(sc: Scenario, max_vertices: int = 24) -> WeightSolution:
     an exact root on a segment between extreme diagonal directions,
     and a deterministic multi-start simplex minimization.
     """
-    engine = IsingEngine(sc, max_vertices=max_vertices)
+    engine = IsingEngine(sc)
     q = q_matrix(engine)
     n = q.shape[0]
     beta = q - 1.0

@@ -41,10 +41,12 @@ from rstn.graph import ColoredGraph
 SIGMA_IMAG_TOL = 1e-9
 TIE_TOL = 1e-12
 CHUNK_BITS = 14
+MAX_CONFIG_PAIRS = 2**24  # 2^V configurations x n_sec^2 ordered pairs
 
 
 class SizeCapError(RuntimeError):
-    """Vertex count too large for exact enumeration."""
+    """Input too large to evaluate: for the engine, more than 2^24
+    configurations x ordered sector pairs."""
 
 
 def down_set(config: int, n: int) -> frozenset[int]:
@@ -187,14 +189,20 @@ class IsingEngine:
     The pair table and the per-pair sigma_I arrays live on the engine
     and die with it.  The Scenario is treated as immutable once the
     engine is built: build a new engine after changing it.
+
+    The work is 2^V configurations for each of the n_sec^2 ordered
+    sector pairs, each one enumeration step and 8 bytes of sigma_I;
+    more than MAX_CONFIG_PAIRS (2^24) configurations x ordered sector
+    pairs raises SizeCapError before anything is built.
     """
 
-    def __init__(self, sc: Scenario, max_vertices: int = 24):
-        if sc.graph.n_vertices > max_vertices:
+    def __init__(self, sc: Scenario):
+        work = len(sc.sectors) ** 2 << sc.graph.n_vertices
+        if work > MAX_CONFIG_PAIRS:
             raise SizeCapError(
-                f"{sc.graph.n_vertices} vertices exceeds the enumeration "
-                f"cap of {max_vertices}; raise the cap explicitly if this "
-                f"is intentional"
+                f"{len(sc.sectors)}^2 sector pairs x 2^{sc.graph.n_vertices} "
+                f"configurations = {work} exceeds the enumeration cap of "
+                f"{MAX_CONFIG_PAIRS} configurations x ordered sector pairs"
             )
         self.sc = sc
         self.n_vert = sc.graph.n_vertices

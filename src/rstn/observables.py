@@ -127,9 +127,7 @@ def holographic_p(sc: Scenario) -> np.ndarray:
     return p / p.sum()
 
 
-def p_vector(
-    sc: Scenario, holographic: bool | None = None, max_vertices: int = 24
-) -> np.ndarray:
+def p_vector(sc: Scenario, holographic: bool | None = None) -> np.ndarray:
     """Sector weights for observable averages.
 
     Holographic scenarios concentrate the C reduction on the sector
@@ -139,7 +137,7 @@ def p_vector(
     """
     if holographic:
         return holographic_p(sc)
-    holo = analyze_holography(sc, max_vertices)
+    holo = analyze_holography(sc)
     if holographic is None and holo.holographic:
         return holographic_p(sc)
     p = np.diag(holo.distribution).copy()
@@ -150,24 +148,21 @@ def area_average(
     sc: Scenario,
     sqrt_convention: bool = False,
     holographic: bool | None = None,
-    max_vertices: int = 24,
 ) -> float:
     """<A_C> = sum_n p_n A_{C,n}."""
-    p = p_vector(sc, holographic, max_vertices)
+    p = p_vector(sc, holographic)
     areas = np.array(
         [sector_area(sc, n, sqrt_convention) for n in range(len(sc.sectors))]
     )
     return float(p @ areas)
 
-def area_average_partition(
-    sc: Scenario, sqrt_convention: bool = False, max_vertices: int = 24
-) -> float:
+def area_average_partition(sc: Scenario, sqrt_convention: bool = False) -> float:
     """<A_C> through the full insertion path.
 
     Inserts the (sector-constant) area observable on copy one of every
     pair term and normalizes; equals sum_{m,n} P(m,n) A_{C,m}.
     """
-    engine = IsingEngine(sc, max_vertices)
+    engine = IsingEngine(sc)
     p_mat = engine.distribution()
     areas = np.array(
         [sector_area(sc, m, sqrt_convention) for m in range(len(sc.sectors))]
@@ -179,10 +174,9 @@ def area_variance(
     sc: Scenario,
     sqrt_convention: bool = False,
     holographic: bool | None = None,
-    max_vertices: int = 24,
 ) -> float:
     """Var(A_C) = sum_n p_n A_n^2 - (sum_n p_n A_n)^2."""
-    p = p_vector(sc, holographic, max_vertices)
+    p = p_vector(sc, holographic)
     areas = np.array(
         [sector_area(sc, n, sqrt_convention) for n in range(len(sc.sectors))]
     )

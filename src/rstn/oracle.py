@@ -29,6 +29,7 @@ from rstn.state import Scenario
 
 AMPLITUDE_CAP = 10_000_000
 IMAG_TOL = 1e-9
+LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum indices
 
 
 # -- link and boundary traces ----------------------------------------------
@@ -233,8 +234,7 @@ def _sector_boundary_tensor(
     one index per boundary link (in boundary id order).
     """
     g = sc.graph
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    pool = iter(letters)
+    pool = iter(LETTERS)
     iota = {x: next(pool) for x in range(g.n_vertices)}
     leg: dict[tuple[int, int], str] = {}
     for x in range(g.n_vertices):
@@ -280,6 +280,13 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         raise SizeCapError(
             f"vertex space dimension {max(dims_x)} exceeds the sampling cap"
         )
+    # einsum indices of _sector_boundary_tensor and of rho_c below
+    indices = max(5 * nv, 2 * nv + 2 * len(c_pos) + len(rest))
+    if indices > len(LETTERS):
+        raise SizeCapError(
+            f"{indices} einsum indices exceed the {len(LETTERS)} the "
+            f"sampling contraction can name"
+        )
 
     def c_spins(s: int) -> tuple[int, ...]:
         return tuple(sc.spin(s, f"b{k}") for k in c_pos)
@@ -316,8 +323,7 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
             # rho_d[b, b'] = sum rho^I[(s_bra I1),(s_ket I2)]
             #                    A_{s_ket}[I2 b] conj(A_{s_bra}[I1 b'])
             r = blk(s_bra, s_ket)
-            letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-            pool = iter(letters)
+            pool = iter(LETTERS)
             i1 = [next(pool) for _ in range(nv)]
             i2 = [next(pool) for _ in range(nv)]
             cidx = [next(pool) for _ in c_pos]

@@ -324,7 +324,15 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ParseError(f"intertwiner block {key}: expected a matrix")
         blocks[(m, n)] = arr
 
-    region_C = [str(x) for x in data["region_C"]]
+    region_C = data["region_C"]
+    if not isinstance(region_C, list) or not all(isinstance(x, str)
+                                                 for x in region_C):
+        raise ParseError(f"region_C: expected a list of link ids, got "
+                         f"{region_C!r}")
+    vertex_product = idata.get("vertex_product", False)
+    if not isinstance(vertex_product, bool):
+        raise ParseError(f"intertwiner.vertex_product: expected true or "
+                         f"false, got {vertex_product!r}")
     mode = data.get("mode", "exact")
     core = data.get("core")
     cutoffs = data.get("cutoffs")
@@ -342,9 +350,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         sectors=sectors,
         amplitudes=amplitudes,
         blocks=blocks,
-        region_C=region_C,
+        region_C=list(region_C),
         mode=mode,
-        vertex_product=bool(idata.get("vertex_product", False)),
+        vertex_product=vertex_product,
         core=core,
         cutoffs=cutoffs,
     )

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 
 import rstn
+from rings import ring_dict
 from rstn.cli import main
 
 SCENARIOS = resources.files("rstn") / "scenarios"
@@ -53,6 +55,10 @@ def _set(path, value):
      "block 0,0"),
     (_set(["amplitudes", "i0"], {"x": 1.0}), "amplitudes[i0]"),
     (_set(["graph", "vertices"], "two"), "graph.vertices"),
+    (_set(["intertwiner", "vertex_product"], "no"),
+     "intertwiner.vertex_product"),
+    (_set(["region_C"], 5), "region_C"),
+    (_set(["region_C"], "b0"), "region_C"),
 ])
 def test_malformed_scenario_is_parse_error(runner, tmp_path, mutate, named):
     data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
@@ -73,15 +79,15 @@ def test_validation_error_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
-def test_size_cap_exit_4(runner):
-    res = runner.invoke(
-        main,
-        [
-            "analyze", scenario_path("tiny_oracle.json"),
-            "--max-vertices", "1",
-        ],
-    )
-    assert res.exit_code == 4
+def test_size_cap_exit_4(runner, tmp_path):
+    big = tmp_path / "ring.json"  # 4^2 pairs x 2^22 configurations
+    big.write_text(json.dumps(ring_dict(22, 4)))
+    for command in ("analyze", "solve-weights"):
+        start = time.perf_counter()
+        res = runner.invoke(main, [command, str(big)])
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 4, res.output
+        assert "67108864" in res.output and "16777216" in res.output
 
 
 def test_infeasible_exit_5(runner):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -18,6 +19,7 @@ from oracles import (
     fd_swapped_gradient,
     psd_safe_direction,
 )
+from rings import ring_dict
 from rstn.families import appendix_c, random_scenario, tiny_generic, two_sector
 from rstn.graph import BoundaryLink, ColoredGraph, Link
 from rstn.holography import analyze_holography, q_matrix
@@ -32,7 +34,7 @@ from rstn.ising import (
 from rstn.cli import main
 from rstn.observables import area_average, area_variance, p_vector
 from rstn.oracle import exact_purity
-from rstn.state import Scenario, Sector, load_scenario
+from rstn.state import Scenario, Sector, load_scenario, scenario_from_dict
 
 BLOCK_PARAMS = dict(
     a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j, v=0.07 + 0.02j
@@ -196,9 +198,21 @@ def test_high_spin_error_bound_honest():
 
 
 def test_size_cap():
-    sc = tiny_generic()
-    with pytest.raises(SizeCapError):
-        IsingEngine(sc, max_vertices=1)
+    IsingEngine(scenario_from_dict(ring_dict(24, 1)))  # 2^24: at the cap
+    with pytest.raises(SizeCapError, match="2\\^26 configurations"):
+        IsingEngine(scenario_from_dict(ring_dict(26, 1)))
+
+
+def test_size_cap_counts_sector_pairs():
+    """One 22-vertex ring: 2^22 configurations pass with one sector,
+    4^2 pairs x 2^22 = 2^26 are refused by the constructor at once."""
+    IsingEngine(scenario_from_dict(ring_dict(22, 1)))
+    sc = scenario_from_dict(ring_dict(22, 4))
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="67108864.*16777216") as info:
+        IsingEngine(sc)
+    assert time.perf_counter() - start < 1.0
+    assert info.traceback[-1].name == "__init__"
 
 
 def test_gradient_matches_finite_differences():

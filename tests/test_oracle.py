@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rings import ring_dict
 from rstn.families import appendix_c, random_scenario, tiny_generic
 from rstn.ising import IsingEngine, SizeCapError, down_set
 from rstn.oracle import (
@@ -13,6 +14,7 @@ from rstn.oracle import (
     mc_purity,
     schur_moment_error,
 )
+from rstn.state import scenario_from_dict
 
 BLOCK_PARAMS = dict(
     a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j, v=0.07 + 0.02j
@@ -120,3 +122,13 @@ def test_mc_zero_samples_rejected():
 
 def test_schur_second_moment():
     assert schur_moment_error(4) < 0.1
+
+
+def test_mc_einsum_index_cap():
+    """A 12-vertex ring needs 60 einsum indices, more than the 52
+    letters einsum has: refused before the first sample.  The
+    10-vertex ring needs 50 and runs."""
+    with pytest.raises(SizeCapError, match="60 einsum indices"):
+        mc_purity(scenario_from_dict(ring_dict(12, 1)), n_samples=1)
+    res = mc_purity(scenario_from_dict(ring_dict(10, 1)), n_samples=1)
+    assert res.purity == pytest.approx(1.0)
