@@ -7,10 +7,11 @@
     rstn oracle <file> [--method exact|mc] [--samples N] [--seed S]
     rstn global --n-outer N --n-a K [--core-purity q] [--jmin 2j] [--jmax 2J]
 
-Exit codes: 2 parse error, 3 validation error, 4 size cap exceeded,
-5 no holographic weights exist.  Reports are JSON (CSV for sweeps),
-deterministic for fixed input, flags and seed, and embed a SHA-256
-hash of the input file.
+Exit codes: 2 parse error, 3 validation error, 4 size cap exceeded
+(also `analyze --terms` beyond MAX_TERM_ROWS rows), 5 no holographic
+weights exist.  Reports are JSON (CSV for sweeps), deterministic for
+fixed input, flags and seed, and embed a SHA-256 hash of the input
+file.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SIZE = 4
 EXIT_INFEASIBLE = 5
+MAX_TERM_ROWS = 2**19  # `analyze --terms`: about 2.3 KB of memory per row
 
 
 def _fail(code: int, message: str):
@@ -124,6 +126,11 @@ def analyze(path, mode, terms, out):
     sc = load_scenario(path)
     if mode is not None and mode != sc.mode:
         sc = replace(sc, mode=mode)
+    rows = len(sc.sectors) ** 2 << sc.graph.n_vertices + 1
+    if terms and rows > MAX_TERM_ROWS:
+        raise SizeCapError(f"--terms lists up to {rows} rows (sector pairs x "
+                           f"configurations x 2), over the limit of "
+                           f"{MAX_TERM_ROWS}")
     holo = analyze_holography(sc)
     report = {
         "input_hash": content_hash(path),
@@ -151,12 +158,11 @@ def analyze(path, mode, terms, out):
     if terms:
         engine = IsingEngine(sc)
         report["terms"] = [
-            {"m": m, "n": n, "config": sorted(down_set(c, engine.n_vert)),
-             "variant": v, "energy": e}
+            {"m": m, "n": n, "variant": v, "energy": float(energy[v, i]),
+             "config": sorted(down_set(int(configs[i]), engine.n_vert))}
             for m in range(engine.n_sec) for n in range(engine.n_sec)
-            for c in range(1 << engine.n_vert) for v in (0, 1)
-            if engine.delta_ok(m, n, c, v)
-            and (e := engine.hamiltonian(m, n, c, v)) != math.inf
+            for configs, energy, keep in engine.terms(m, n)
+            for i, v in np.argwhere(keep.T).tolist()  # config-major
         ]
     _emit(report, out)
 

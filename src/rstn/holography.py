@@ -15,7 +15,6 @@ state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from rstn.ising import IsingEngine, PairResult
 from rstn.state import Scenario
-from rstn.spins import dim_rep, intertwiner_dimension
+from rstn.spins import dim_rep
 
 HOLO_TOL = {"exact": 1e-6, "high_spin": 1e-2}
 COND_CAP = 1e12
@@ -74,10 +73,9 @@ class FixedSpinReport:
 
 def q_matrix(engine: IsingEngine) -> np.ndarray:
     dim = engine.sc.dim_H_C()
-    n = engine.n_sec
-    q = np.zeros((n, n))
+    q = np.zeros((engine.n_sec, engine.n_sec))
     for r in engine.all_pairs():
-        if not r.z0.is_zero() and not r.z1.is_zero():
+        if -math.inf not in (r.z0.log, r.z1.log):
             q[r.m, r.n] = math.exp(r.z1.log - r.z0.log) * dim
     return q
 
@@ -89,12 +87,8 @@ def analyze_holography(sc: Scenario) -> HolographyReport:
     ratio = purity * dim
     tol = HOLO_TOL[sc.mode]
     q = q_matrix(engine)
-    singular = False
-    inverse_sum: float | None = None
-    if np.any(q == 0.0) or np.linalg.cond(q) > COND_CAP:
-        singular = True
-    else:
-        inverse_sum = float(np.linalg.inv(q).sum())
+    singular = bool(np.any(q == 0.0) or np.linalg.cond(q) > COND_CAP)
+    inverse_sum = None if singular else float(np.linalg.inv(q).sum())
     return HolographyReport(
         purity=purity,
         dim_H_C=dim,
@@ -270,31 +264,41 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     report also lists regions that already fail the weaker necessary
     condition with the full intertwiner dimensions in place of exp(S2).
     """
+    if not 0 <= sector < len(sc.sectors):
+        raise ValueError(f"sector {sector} out of range for a scenario "
+                         f"with {len(sc.sectors)} sectors")
     engine = IsingEngine(sc)
-    g = sc.graph
-    region = set(sc.region_C)
-    logd = {
-        lid: math.log(dim_rep(sc.spin(sector, lid))) for lid in g.link_ids()
-    }
-    log_D = [
-        math.log(intertwiner_dimension(sc.vertex_tuple(sector, x)))
-        for x in range(g.n_vertices)
-    ]
-    report = FixedSpinReport(sector=sector, passed=True)
-    for r in range(1, g.n_vertices + 1):
-        for xs in itertools.combinations(range(g.n_vertices), r):
-            x = frozenset(xs)
-            lhs = 0.0
-            for lid in g.cut(x):
-                lhs += -logd[lid] if lid in region else logd[lid]
-            rhs = engine.sigma_I(sector, sector, x)  # = S2 of the reduction
-            nec = sum(log_D[v] for v in xs)
-            if lhs <= nec:
-                report.necessary_failing.append(tuple(sorted(xs)))
-            if math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL):
-                report.degenerate.append((tuple(sorted(xs)), lhs, rhs))
-                report.passed = False
-            elif lhs < rhs:
-                report.failing.append((tuple(sorted(xs)), lhs, rhs))
-                report.passed = False
-    return report
+    nv = engine.n_vert
+    masks = np.arange(1, 1 << nv)
+    # regions by size, then lexicographically as vertex tuples: of two
+    # regions of one size the earlier has the larger bit-reversed mask
+    size = sum((masks >> x) & 1 for x in range(nv))
+    rev = sum(((masks >> x) & 1) << (nv - 1 - x) for x in range(nv))
+    masks = masks[np.lexsort((-rev, size))]
+    bits = [((masks >> x) & 1).astype(bool) for x in range(nv)]
+    logd = engine._logd[sector]
+    lhs = np.zeros(masks.size)  # summed in graph.cut order
+    for s, t, lid in engine._internal:
+        lhs += logd[lid] * (bits[s] ^ bits[t])
+    for v, lid in engine._boundary:
+        lhs += (-logd[lid] if lid in engine._region_C else logd[lid]) * bits[v]
+    nec = np.zeros(masks.size)
+    for x, dim in enumerate(engine._vdims[sector]):
+        nec += math.log(dim) * bits[x]
+    rhs = engine._sigma_array(sector, sector)[masks]  # = S2 of the reduction
+    # math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL), elementwise
+    tol = np.maximum(1e-9 * np.maximum(np.abs(lhs), np.abs(rhs)), EQUALITY_TOL)
+    degenerate = (lhs == rhs) | (np.isfinite(rhs) & (np.abs(rhs - lhs) <= tol))
+    failing = ~degenerate & (lhs < rhs)
+
+    def rows(flags: np.ndarray) -> list:  # (region, lhs, rhs), in order
+        return [(tuple(x for x in range(nv) if masks[i] >> x & 1),
+                 float(lhs[i]), float(rhs[i])) for i in np.flatnonzero(flags)]
+
+    return FixedSpinReport(
+        sector=sector,
+        passed=not (degenerate.any() or failing.any()),
+        failing=rows(failing),
+        degenerate=rows(degenerate),
+        necessary_failing=[row[0] for row in rows(lhs <= nec)],
+    )

@@ -15,14 +15,16 @@ Energies are natural logs; +inf marks an excluded configuration.
 
 An engine evaluates each ordered pair once and keeps the n_sec^2
 results as its pair table, which purity, P, Q and the error bound all
-read.  Per pair, the link energies and the Delta masks are numpy
-arrays over configurations, built in chunks of 2^CHUNK_BITS.  The bulk
-term sigma_I is one float array per pair over all 2^V swapped sets,
-built on first use: each sector block is written in a per-vertex
-operator basis whose element 0 is the identity, where a partial trace
-keeps only component 0, so Tr(A_S B_S) for every S is one elementwise
-product followed by a per-vertex reduction to [traced, kept]
-(Rains' quantum weight enumerators; Yates' subset transform).
+read.  `IsingEngine.terms` is the one place where Delta, the link
+energies and sigma_I meet: per pair it yields them as numpy arrays over
+chunks of 2^CHUNK_BITS configurations, which `partition_pair` reduces
+and `rstn analyze --terms` lists.  The bulk term sigma_I is one float
+array per pair over all 2^V swapped sets, built on first use: each
+sector block is written in a per-vertex operator basis whose element 0
+is the identity, where a partial trace keeps only component 0, so
+Tr(A_S B_S) for every S is one elementwise product followed by a
+per-vertex reduction to [traced, kept] (Rains' quantum weight
+enumerators; Yates' subset transform).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ MAX_CONFIG_PAIRS = 2**24  # 2^V configurations x n_sec^2 ordered pairs
 
 class SizeCapError(RuntimeError):
     """Input too large to evaluate: for the engine, more than 2^24
-    configurations x ordered sector pairs."""
+    configurations x ordered sector pairs (exit code 4)."""
 
 
 def down_set(config: int, n: int) -> frozenset[int]:
@@ -211,13 +213,9 @@ class IsingEngine:
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pairs: tuple[PairResult, ...] | None = None
         g = sc.graph
-        self._boundary = [
-            (k, b.vertex, f"b{k}") for k, b in enumerate(g.boundary)
-        ]
-        self._internal = [
-            (k, ln.source, ln.target, f"i{k}")
-            for k, ln in enumerate(g.internal)
-        ]
+        self._boundary = [(b.vertex, f"b{k}") for k, b in enumerate(g.boundary)]
+        self._internal = [(ln.source, ln.target, f"i{k}")
+                          for k, ln in enumerate(g.internal)]
         self._region_C = set(sc.region_C)
         # log(2j+1) per sector and link
         self._logd = [
@@ -245,9 +243,9 @@ class IsingEngine:
         """log of the sector weight without the bulk-state norm c_m."""
         sc = self.sc
         total = 0.0
-        for _, _, lid in self._boundary:
+        for _, lid in self._boundary:
             total += self._logd[m][lid]
-        for _, _, _, lid in self._internal:
+        for _, _, lid in self._internal:
             g = sc.amplitude(lid, sc.spin(m, lid))
             a2 = abs(g) ** 2
             if a2 == 0.0:
@@ -276,14 +274,14 @@ class IsingEngine:
             return (0, 0), (0, 0)
         up, down = [0, 0], [0, 0]
         sc = self.sc
-        for _, v, lid in self._boundary:
+        for v, lid in self._boundary:
             if sc.spin(m, lid) != sc.spin(n, lid):
                 up[0] |= 1 << v
                 if lid in self._region_C:  # h = -1 in variant 1
                     down[1] |= 1 << v
                 else:
                     up[1] |= 1 << v
-        for _, s, t, lid in self._internal:
+        for s, t, lid in self._internal:
             if sc.spin(m, lid) != sc.spin(n, lid):
                 up[0] |= 1 << s | 1 << t
                 up[1] |= 1 << s | 1 << t
@@ -367,8 +365,9 @@ class IsingEngine:
 
     # -- energies ------------------------------------------------------------
 
-    def _link_energies(self, m: int, configs: np.ndarray):
-        """Boundary plus internal energy of each configuration, per variant.
+    def _link_energies(self, m: int, configs: np.ndarray) -> np.ndarray:
+        """Boundary plus internal energy of each configuration, (2, k):
+        one row per variant.
 
         Boundary half-edges pay log(2j+1) when swapped relative to
         their pinning (h = -1 on C for variant 1), internal links pay
@@ -377,17 +376,14 @@ class IsingEngine:
         forced agreement.  Terms are added in link order.
         """
         bits = [(configs >> x) & 1 for x in range(self.n_vert)]
-        e0 = np.zeros(configs.shape)
-        e1 = np.zeros(configs.shape)
+        e = np.zeros((2, configs.size))
         logd = self._logd[m]
-        for _, v, lid in self._boundary:
-            e0 += logd[lid] * bits[v]
-            e1 += logd[lid] * (bits[v] ^ 1 if lid in self._region_C else bits[v])
-        for _, s, t, lid in self._internal:
-            cut = logd[lid] * (bits[s] ^ bits[t])
-            e0 += cut
-            e1 += cut
-        return e0, e1
+        for v, lid in self._boundary:
+            e[0] += logd[lid] * bits[v]
+            e[1] += logd[lid] * (bits[v] ^ 1 if lid in self._region_C else bits[v])
+        for s, t, lid in self._internal:
+            e += logd[lid] * (bits[s] ^ bits[t])  # both variants
+        return e
 
     def hamiltonian(self, m: int, n: int, config: int, variant: int) -> float:
         """Energy of a configuration for the ordered pair (m, n).
@@ -401,7 +397,7 @@ class IsingEngine:
     def hamiltonian_difference_region(self, m: int, config: int) -> float:
         """H_1 - H_0 for a diagonal pair: sum of sigma_s * log d over C."""
         total = 0.0
-        for _, v, lid in self._boundary:
+        for v, lid in self._boundary:
             if lid in self._region_C:
                 sigma = -1 if config >> v & 1 else 1
                 total += sigma * self._logd[m][lid]
@@ -409,25 +405,35 @@ class IsingEngine:
 
     # -- partition sums ------------------------------------------------------
 
-    def partition_pair(self, m: int, n: int) -> PairResult:
-        exact = self.sc.mode == "exact"
+    def terms(self, m: int, n: int):
+        """Yields (configs, energy, keep) per chunk of configurations:
+        energy (2, k) is link energy plus sigma_I per variant, keep
+        marks where Delta survives and the energy is finite.  Raises
+        ValueError at the chunk where Delta first admits a swapped set
+        whose bulk trace is not real."""
         masks = self._delta_masks(m, n)
-        logs: list[list[np.ndarray]] = [[], []]
-        scans = (_GroundScan(), _GroundScan())
+        sigma_all = self._sigma_array(m, n)
         n_conf = 1 << self.n_vert
         for start in range(0, n_conf, 1 << CHUNK_BITS):
             configs = np.arange(start, min(n_conf, start + (1 << CHUNK_BITS)))
-            ok = [_survives(configs, pins) for pins in masks]
-            sigma = self._sigma_array(m, n)[configs]
+            ok = np.array([_survives(configs, pins) for pins in masks])
+            sigma = sigma_all[configs]
             bad = configs[np.isnan(sigma) & (ok[0] | ok[1])]
             if bad.size:
                 self.sigma_I(m, n, int(bad[0]))  # raises: trace not real
-            for variant, link in enumerate(self._link_energies(m, configs)):
-                energy = link + sigma
-                keep = ok[variant] & (energy != math.inf)
+            energy = self._link_energies(m, configs) + sigma
+            yield configs, energy, ok & (energy != math.inf)
+
+    def partition_pair(self, m: int, n: int) -> PairResult:
+        exact = self.sc.mode == "exact"
+        logs: list[list[np.ndarray]] = [[], []]
+        scans = (_GroundScan(), _GroundScan())
+        for configs, energy, keep in self.terms(m, n):
+            for variant in (0, 1):
+                e = energy[variant][keep[variant]]
                 if exact:
-                    logs[variant].append(-energy[keep])
-                scans[variant].feed(energy[keep], configs[keep])
+                    logs[variant].append(-e)
+                scans[variant].feed(e, configs[keep[variant]])
         if exact:
             z0, z1 = (LogWeight(log_sum_tree(np.concatenate(parts)))
                       for parts in logs)
@@ -461,49 +467,33 @@ class IsingEngine:
 
     # -- observable quotients ------------------------------------------------
 
-    def distribution(self) -> np.ndarray:
-        """P(m, n) proportional to K_m K_n Z_0^{(m,n)}, normalized."""
-        results = self.all_pairs()
-        logK = [self.log_K(m) for m in range(self.n_sec)]
-        logs = np.full((self.n_sec, self.n_sec), -math.inf)
-        for r in results:
-            if not r.z0.is_zero() and logK[r.m] != -math.inf \
-                    and logK[r.n] != -math.inf:
-                logs[r.m, r.n] = logK[r.m] + logK[r.n] + r.z0.log
-        total = log_sum_tree(logs.ravel())
+    def _log_weights(self) -> tuple[np.ndarray, float]:
+        """log K_m K_n Z_v^{(m,n)} as a (2, n_sec, n_sec) table (-inf
+        for a vanishing term), and the log of the variant-0 total."""
+        logK = np.array([self.log_K(m) for m in range(self.n_sec)])
+        z = np.array([[r.z0.log, r.z1.log] for r in self.all_pairs()])
+        table = (logK[:, None] + logK) + z.T.reshape(2, self.n_sec, self.n_sec)
+        total = log_sum_tree(table[0].ravel())
         if total == -math.inf:
             raise ValueError("normalization sum vanishes")
-        return np.exp(logs - total)
+        return table, total
+
+    def distribution(self) -> np.ndarray:
+        """P(m, n) proportional to K_m K_n Z_0^{(m,n)}, normalized."""
+        table, total = self._log_weights()
+        return np.exp(table[0] - total)
 
     def log_purity(self) -> float:
-        results = self.all_pairs()
-        logK = [self.log_K(m) for m in range(self.n_sec)]
-        num, den = [], []
-        for r in results:
-            base = logK[r.m] + logK[r.n]
-            if base == -math.inf:
-                continue
-            if not r.z1.is_zero():
-                num.append(base + r.z1.log)
-            if not r.z0.is_zero():
-                den.append(base + r.z0.log)
-        log_num = log_sum_tree(num)
-        log_den = log_sum_tree(den)
-        if log_den == -math.inf:
-            raise ValueError("normalization sum vanishes")
-        return log_num - log_den
+        table, total = self._log_weights()
+        return log_sum_tree(table[1].ravel()) - total
 
     def purity(self) -> float:
         return math.exp(self.log_purity())
 
     def error_bound(self) -> float:
         """Crude bound on the relative weight of excited configurations."""
-        gap = math.inf
-        for r in self.all_pairs():
-            gap = min(gap, min(r.gap))
-        if gap == math.inf:
-            return 0.0
-        return ((1 << self.n_vert) - 1) * math.exp(-gap)
+        gap = min(min(r.gap) for r in self.all_pairs())
+        return ((1 << self.n_vert) - 1) * math.exp(-gap)  # 0.0 if no gap
 
 
 def _reduce_square(mat: np.ndarray, dims: list[int],

@@ -20,9 +20,6 @@ class LogWeight:
 
     log: float
 
-    def is_zero(self) -> bool:
-        return self.log == -math.inf
-
 
 def log_sum_tree(logs) -> float:
     """log(sum(exp(logs))) by pairwise tree reduction in index order.

@@ -5,8 +5,9 @@ package code: invariant-subspace dimensions by weight counting and by
 a Casimir null space, the two-vertex benchmark partition sums as
 frozen closed forms, the two-sector area variance in exact rational
 arithmetic, gradients by central finite differences, partial traces
-by one np.einsum per subset (and sigma_I from them), and the pairwise
-log-sum as a scalar loop.
+by one np.einsum per subset (and sigma_I from them), the pairwise
+log-sum as a scalar loop, and the fixed-spin flip criteria and the
+`analyze --terms` rows by one Python pass per region or configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from rstn.ising import IsingEngine
+from rstn.holography import EQUALITY_TOL, FixedSpinReport
+from rstn.ising import IsingEngine, down_set
+from rstn.spins import dim_rep
 from rstn.state import Scenario
 
 
@@ -267,3 +270,49 @@ def sequential_ground_scan(
         elif e < second:
             second = e
     return best, second, index, degen
+
+
+# -- per-region and per-configuration loops -----------------------------------
+
+
+def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
+    """The flip criteria of one sector, region by region.
+
+    Regions come from itertools.combinations, cut links from
+    `graph.cut` and S2 of each reduction from `einsum_sigma`.
+    """
+    g = sc.graph
+    logd = {
+        lid: math.log(dim_rep(sc.spin(sector, lid))) for lid in g.link_ids()
+    }
+    log_D = [math.log(d) for d in sc.vertex_dims(sector)]
+    report = FixedSpinReport(sector=sector, passed=True)
+    for r in range(1, g.n_vertices + 1):
+        for xs in itertools.combinations(range(g.n_vertices), r):
+            lhs = 0.0
+            for lid in g.cut(set(xs)):
+                lhs += -logd[lid] if lid in sc.region_C else logd[lid]
+            rhs = einsum_sigma(sc, sector, sector, sum(1 << x for x in xs))
+            if lhs <= sum(log_D[x] for x in xs):
+                report.necessary_failing.append(xs)
+            if math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL):
+                report.degenerate.append((xs, lhs, rhs))
+                report.passed = False
+            elif lhs < rhs:
+                report.failing.append((xs, lhs, rhs))
+                report.passed = False
+    return report
+
+
+def terms_reference(sc: Scenario) -> list[dict]:
+    """The rows of `rstn analyze --terms`: one `delta_ok` and one
+    `hamiltonian` call per (pair, configuration, variant)."""
+    engine = IsingEngine(sc)
+    return [
+        {"m": m, "n": n, "config": sorted(down_set(c, engine.n_vert)),
+         "variant": v, "energy": e}
+        for m in range(engine.n_sec) for n in range(engine.n_sec)
+        for c in range(1 << engine.n_vert) for v in (0, 1)
+        if engine.delta_ok(m, n, c, v)
+        and (e := engine.hamiltonian(m, n, c, v)) != math.inf
+    ]

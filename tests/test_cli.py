@@ -90,6 +90,21 @@ def test_size_cap_exit_4(runner, tmp_path):
         assert "67108864" in res.output and "16777216" in res.output
 
 
+def test_terms_size_cap_exit_4(runner, tmp_path):
+    big = tmp_path / "ring20.json"  # 1^2 pairs x 2^20 configurations x 2
+    big.write_text(json.dumps(ring_dict(20, 1)))
+    start = time.perf_counter()
+    res = runner.invoke(main, ["analyze", str(big), "--terms"])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 4, res.output
+    assert "2097152" in res.output and "524288" in res.output
+    small = tmp_path / "ring12.json"
+    small.write_text(json.dumps(ring_dict(12, 1)))
+    res = runner.invoke(main, ["analyze", str(small), "--terms"])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["terms"]) == 2 * 2**12
+
+
 def test_infeasible_exit_5(runner):
     res = runner.invoke(
         main, ["solve-weights", scenario_path("tiny_oracle.json")]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fixed_spin_reference
 from rstn.families import (
     appendix_c,
     once_fine_grained,
@@ -123,6 +124,39 @@ def test_fixed_spin_small_spin_degenerates():
     sc = appendix_c(2, 0.3, 0.25, 0.45)
     rep = fixed_spin_criteria(sc, 0)
     assert not rep.failing or rep.degenerate or rep.passed
+
+
+def _fixed_spin_cases():
+    yield once_fine_grained(1)
+    yield appendix_c(2, 0.3, 0.25, 0.45)
+    yield appendix_c(20, 0.3, 0.25, 0.45)
+    yield tiny_generic()
+    rng = np.random.default_rng(8)
+    for template in ("one", "two", "chain"):
+        for n_sectors in (1, 2):
+            yield random_scenario(rng, template, n_sectors, max_twice=4)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_fixed_spin_matches_per_region_reference(k):
+    sc = list(_fixed_spin_cases())[k]
+    for sector in range(len(sc.sectors)):
+        got = fixed_spin_criteria(sc, sector)
+        ref = fixed_spin_reference(sc, sector)
+        assert got.passed == ref.passed
+        assert got.necessary_failing == ref.necessary_failing
+        for rows, ref_rows in ((got.failing, ref.failing),
+                               (got.degenerate, ref.degenerate)):
+            assert [r[0] for r in rows] == [r[0] for r in ref_rows]
+            for (_, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(rows, ref_rows):
+                assert lhs == ref_lhs
+                assert rhs == pytest.approx(ref_rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("sector", [-1, 2])
+def test_fixed_spin_sector_out_of_range(sector):
+    with pytest.raises(ValueError, match=f"sector {sector} .* 2 sectors"):
+        fixed_spin_criteria(appendix_c(2, 0.3, 0.25, 0.45), sector)
 
 
 def test_purity_floor_on_random_scenarios():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from oracles import (
     einsum_sigma,
     fd_swapped_gradient,
     psd_safe_direction,
+    terms_reference,
 )
 from rings import ring_dict
 from rstn.families import appendix_c, random_scenario, tiny_generic, two_sector
@@ -34,7 +36,13 @@ from rstn.ising import (
 from rstn.cli import main
 from rstn.observables import area_average, area_variance, p_vector
 from rstn.oracle import exact_purity
-from rstn.state import Scenario, Sector, load_scenario, scenario_from_dict
+from rstn.state import (
+    Scenario,
+    Sector,
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 BLOCK_PARAMS = dict(
     a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j, v=0.07 + 0.02j
@@ -367,6 +375,22 @@ def test_nonreal_traces_count_only_where_delta_admits():
     assert nonreal
     with pytest.raises(ValueError, match="not real"):
         engine.sigma_I(*nonreal[0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: appendix_c(4, 0.3, 0.25, 0.45, u=0.1, v=0.05),
+    lambda: random_scenario(np.random.default_rng(5), "chain", n_sectors=3,
+                            vertex_product=True),
+    onoff_ring,  # non-real traces only where Delta excludes them
+])
+def test_analyze_terms_match_per_configuration_calls(build, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_dict(build())))
+    res = CliRunner().invoke(main, ["analyze", str(path), "--terms"])
+    assert res.exit_code == 0, res.output
+    terms = json.loads(res.output)["terms"]
+    assert terms == terms_reference(load_scenario(str(path)))
+    assert {t["variant"] for t in terms} == {0, 1}
 
 
 def test_engine_reductions_match_einsum_partial_trace():
