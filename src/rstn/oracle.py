@@ -11,25 +11,29 @@ Two flavors:
 
 * `exact_term` / `exact_purity` contract the swap-operator expression
   one configuration at a time;
-* `mc_purity` draws explicit Haar-random vertex states (counter-based
-  streams, reproducible under any parallel schedule) and estimates the
-  purity as a quotient of sample means.
+* `mc_purity` draws explicit Haar-random vertex states and estimates
+  the purity as a quotient of sample means.  Each (vertex, sample)
+  state comes from its own Philox stream keyed by (seed, vertex,
+  sample), so the estimate does not depend on how samples are grouped
+  into blocks for contraction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rstn.ising import SizeCapError, down_set
-from rstn.spins import dim_rep
+from rstn.spins import dim_rep, intertwiner_dimension
 from rstn.state import Scenario
 
 AMPLITUDE_CAP = 10_000_000
 IMAG_TOL = 1e-9
 LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum indices
+BLOCK_BYTES = 1 << 19  # arrays held per block of Monte Carlo samples
 
 
 # -- link and boundary traces ----------------------------------------------
@@ -85,78 +89,106 @@ def boundary_trace(twice_j: int, twice_k: int, swapped: bool) -> float:
 
 # -- exact configuration terms ---------------------------------------------
 
-def _hybrid_sector(sc: Scenario, m: int, n: int, down: frozenset[int]) -> int | None:
-    """Sector whose vertex tuples match m outside `down` and n inside."""
-    want = [
-        sc.vertex_tuple(n if x in down else m, x)
-        for x in range(sc.graph.n_vertices)
-    ]
-    for q in range(len(sc.sectors)):
-        if all(
-            sc.vertex_tuple(q, x) == want[x]
-            for x in range(sc.graph.n_vertices)
-        ):
-            return q
-    return None
+class _RawTerms:
+    """One scenario's tables for the raw configuration terms.
 
+    Vertex tuples, intertwiner shapes and the hybrid-sector lookup are
+    built once, and the boundary and link trace factors are memoised
+    by their spins and swap flags, so a term costs one two-operand
+    einsum plus lookups.
+    """
 
-def _intertwiner_trace(
-    sc: Scenario, m: int, n: int, down: frozenset[int]
-) -> complex:
-    """Raw trace of (rho^I x rho^I) with per-vertex swaps on `down`."""
-    h1 = _hybrid_sector(sc, m, n, down)
-    h2 = _hybrid_sector(sc, n, m, down)
-    if h1 is None or h2 is None:
-        return 0.0
-    nv = sc.graph.n_vertices
-    b1 = sc.block(m, h1)
-    b2 = sc.block(n, h2)
-    dm = sc.vertex_dims(m)
-    dn = sc.vertex_dims(n)
-    d1c = sc.vertex_dims(h1)
-    d2c = sc.vertex_dims(h2)
-    a1 = b1.reshape(tuple(dm) + tuple(d1c))
-    a2 = b2.reshape(tuple(dn) + tuple(d2c))
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * nv > len(letters):
-        raise SizeCapError("too many vertices for the reference contraction")
-    r1 = [letters[x] for x in range(nv)]
-    r2 = [letters[nv + x] for x in range(nv)]
-    c1 = [r2[x] if x in down else r1[x] for x in range(nv)]
-    c2 = [r1[x] if x in down else r2[x] for x in range(nv)]
-    sub = "".join(r1) + "".join(c1) + "," + "".join(r2) + "".join(c2) + "->"
-    return np.einsum(sub, a1, a2)
+    def __init__(self, sc: Scenario):
+        g = sc.graph
+        self.sc, self.nv = sc, g.n_vertices
+        self.tuples = [
+            tuple(sc.vertex_tuple(s, x) for x in range(self.nv))
+            for s in range(len(sc.sectors))
+        ]
+        self.shapes = [
+            tuple(intertwiner_dimension(t) for t in tup) for tup in self.tuples
+        ]
+        self.sector_of: dict[tuple, int] = {}
+        for q, tup in enumerate(self.tuples):
+            self.sector_of.setdefault(tup, q)
+        region = set(sc.region_C)
+        self.bounds = [
+            (f"b{k}", b.vertex, f"b{k}" in region)
+            for k, b in enumerate(g.boundary)
+        ]
+        self.links = [
+            (f"i{k}", ln.source, ln.target) for k, ln in enumerate(g.internal)
+        ]
+        self.boundary_trace = functools.cache(boundary_trace)
+        self.link_trace = functools.cache(link_swap_trace)
+
+    def hybrid(self, m: int, n: int, down: frozenset[int]) -> int | None:
+        """Sector whose vertex tuples match m outside `down` and n inside."""
+        want = tuple(
+            self.tuples[n if x in down else m][x] for x in range(self.nv)
+        )
+        return self.sector_of.get(want)
+
+    def intertwiner(self, m: int, n: int, down: frozenset[int]) -> complex:
+        """Raw trace of (rho^I x rho^I) with per-vertex swaps on `down`."""
+        h1 = self.hybrid(m, n, down)
+        h2 = self.hybrid(n, m, down)
+        if h1 is None or h2 is None:
+            return 0.0
+        nv, sc, shapes = self.nv, self.sc, self.shapes
+        if 2 * nv > 26:  # rows and columns take lowercase letters
+            raise SizeCapError("too many vertices for the reference contraction")
+        r1, r2 = LETTERS[:nv], LETTERS[nv:2 * nv]
+        c1 = "".join(r2[x] if x in down else r1[x] for x in range(nv))
+        c2 = "".join(r1[x] if x in down else r2[x] for x in range(nv))
+        # two operands: a path would add dispatch cost, not save work
+        return np.einsum(
+            f"{r1}{c1},{r2}{c2}->",
+            sc.block(m, h1).reshape(shapes[m] + shapes[h1]),
+            sc.block(n, h2).reshape(shapes[n] + shapes[h2]),
+        )
+
+    def terms(
+        self, m: int, n: int, config: int, variants: tuple[int, ...] = (0, 1)
+    ) -> list[float]:
+        """One configuration's contributions to Z_variant^{(m,n)}, raw."""
+        down = down_set(config, self.nv)
+        itw = self.intertwiner(m, n, down)
+        return [self._dressed(itw, m, n, down, v) for v in variants]
+
+    def _dressed(
+        self, total: complex, m: int, n: int, down: frozenset[int], variant: int
+    ) -> float:
+        """An intertwiner trace times the boundary and link traces."""
+        if total == 0.0:
+            return 0.0
+        sc = self.sc
+        for lid, vertex, in_c in self.bounds:
+            swapped = (vertex in down) != (variant == 1 and in_c)
+            total *= self.boundary_trace(
+                sc.spin(m, lid), sc.spin(n, lid), swapped
+            )
+            if total == 0.0:
+                return 0.0
+        for lid, source, target in self.links:
+            tj, tk = sc.spin(m, lid), sc.spin(n, lid)
+            total *= self.link_trace(
+                tj, tk,
+                sc.amplitude(lid, tj), sc.amplitude(lid, tk),
+                source in down, target in down,
+            )
+            if total == 0.0:
+                return 0.0
+        if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
+            raise ValueError(f"configuration term is not real: {total}")
+        return float(total.real)
 
 
 def exact_term(
     sc: Scenario, m: int, n: int, config: int, variant: int
 ) -> float:
     """One configuration's contribution to Z_variant^{(m,n)}, raw."""
-    g = sc.graph
-    down = down_set(config, g.n_vertices)
-    total = _intertwiner_trace(sc, m, n, down)
-    if total == 0.0:
-        return 0.0
-    region = set(sc.region_C)
-    for k, b in enumerate(g.boundary):
-        lid = f"b{k}"
-        swapped = (b.vertex in down) != (variant == 1 and lid in region)
-        total *= boundary_trace(sc.spin(m, lid), sc.spin(n, lid), swapped)
-        if total == 0.0:
-            return 0.0
-    for k, ln in enumerate(g.internal):
-        lid = f"i{k}"
-        tj, tk = sc.spin(m, lid), sc.spin(n, lid)
-        total *= link_swap_trace(
-            tj, tk,
-            sc.amplitude(lid, tj), sc.amplitude(lid, tk),
-            ln.source in down, ln.target in down,
-        )
-        if total == 0.0:
-            return 0.0
-    if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
-        raise ValueError(f"configuration term is not real: {total}")
-    return float(total.real)
+    return _RawTerms(sc).terms(m, n, config, (variant,))[0]
 
 
 def _amplitude_cost(sc: Scenario) -> int:
@@ -174,14 +206,15 @@ def exact_purity(sc: Scenario) -> tuple[float, float, float]:
     """Purity and the two weighted sums, by raw term-by-term contraction."""
     if _amplitude_cost(sc) > AMPLITUDE_CAP:
         raise SizeCapError("scenario too large for the reference contraction")
+    raw = _RawTerms(sc)
     n_sec = len(sc.sectors)
-    nv = sc.graph.n_vertices
     z0 = z1 = 0.0
     for m in range(n_sec):
         for n in range(n_sec):
-            for config in range(1 << nv):
-                z0 += exact_term(sc, m, n, config, 0)
-                z1 += exact_term(sc, m, n, config, 1)
+            for config in range(1 << sc.graph.n_vertices):
+                t0, t1 = raw.terms(m, n, config)
+                z0 += t0
+                z1 += t1
     return z1 / z0, z1, z0
 
 
@@ -196,16 +229,17 @@ class MCResult:
     mean_den: float
 
 
-def _vertex_layout(sc: Scenario, x: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Distinct (intertwiner dim, leg dims) slices of one vertex space.
+def _vertex_layout(
+    sc: Scenario, x: int
+) -> tuple[list[tuple[int, tuple[int, ...]]], list[tuple[int, ...]]]:
+    """Distinct (intertwiner dim, leg dims) slices of one vertex space,
+    and the vertex tuple of each.
 
     Sectors sharing a vertex tuple share the slice; the order is the
     order of first appearance over sectors.
     """
     seen: list[tuple[int, tuple[int, ...]]] = []
     tuples: list[tuple[int, ...]] = []
-    from rstn.spins import intertwiner_dimension
-
     for s in range(len(sc.sectors)):
         tup = sc.vertex_tuple(s, x)
         if tup in tuples:
@@ -225,34 +259,14 @@ def _draw_vertex_state(
     return v / np.linalg.norm(v)
 
 
-def _sector_boundary_tensor(
-    sc: Scenario, s: int, psi: list[dict[tuple[int, ...], np.ndarray]]
+def _contract(
+    paths: dict, subscripts: str, *operands: np.ndarray
 ) -> np.ndarray:
-    """Contract one sector's vertex states over the internal links.
-
-    Returns a tensor with one intertwiner index per vertex followed by
-    one index per boundary link (in boundary id order).
-    """
-    g = sc.graph
-    pool = iter(LETTERS)
-    iota = {x: next(pool) for x in range(g.n_vertices)}
-    leg: dict[tuple[int, int], str] = {}
-    for x in range(g.n_vertices):
-        for c in range(1, 5):
-            leg[(x, c)] = next(pool)
-    operands, subs = [], []
-    for x in range(g.n_vertices):
-        tup = sc.vertex_tuple(s, x)
-        operands.append(psi[x][tup])
-        subs.append(iota[x] + "".join(leg[(x, c)] for c in range(1, 5)))
-    for k, ln in enumerate(g.internal):
-        tj = sc.spin(s, f"i{k}")
-        e = _pair_state(tj, sc.amplitude(f"i{k}", tj)).conj()
-        operands.append(e)
-        subs.append(leg[(ln.source, ln.color)] + leg[(ln.target, ln.color)])
-    out = "".join(iota[x] for x in range(g.n_vertices))
-    out += "".join(leg[(b.vertex, b.color)] for b in g.boundary)
-    return np.einsum(",".join(subs) + "->" + out, *operands)
+    """np.einsum on a greedy path found once per subscripts and shapes."""
+    key = (subscripts,) + tuple(op.shape for op in operands)
+    if key not in paths:
+        paths[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+    return np.einsum(subscripts, *operands, optimize=paths[key])
 
 
 def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
@@ -262,110 +276,129 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     with rho^I, reduce to the boundary, and record Tr[rho_C^2] and
     (Tr rho)^2.  The estimate is mean(num)/mean(den) with a jackknife
     standard error, NaN for a single sample.
+
+    Samples are contracted in blocks along a leading sample axis, each
+    block holding about BLOCK_BYTES of vertex states, boundary tensors
+    and rho_C blocks, on einsum paths found once per block shape.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     g = sc.graph
     n_sec = len(sc.sectors)
     nv = g.n_vertices
-    c_pos = [k for k, _ in enumerate(g.boundary) if f"b{k}" in set(sc.region_C)]
+    region = set(sc.region_C)
+    c_pos = [k for k in range(len(g.boundary)) if f"b{k}" in region]
     rest = [k for k in range(len(g.boundary)) if k not in c_pos]
 
     layouts = [_vertex_layout(sc, x) for x in range(nv)]
     dims_x = [
-        sum(di * int(np.prod(legs)) for di, legs in layouts[x][0])
+        sum(di * math.prod(legs) for di, legs in layouts[x][0])
         for x in range(nv)
     ]
     if max(dims_x) > 512:
         raise SizeCapError(
             f"vertex space dimension {max(dims_x)} exceeds the sampling cap"
         )
-    # einsum indices of _sector_boundary_tensor and of rho_c below
-    indices = max(5 * nv, 2 * nv + 2 * len(c_pos) + len(rest))
-    if indices > len(LETTERS):
+    # einsum indices per sample of the network contraction: one
+    # intertwiner index and four legs per vertex
+    indices = 5 * nv
+    if indices + 1 > len(LETTERS):
         raise SizeCapError(
-            f"{indices} einsum indices exceed the {len(LETTERS)} the "
-            f"sampling contraction can name"
+            f"{indices} einsum indices and a sample axis exceed the "
+            f"{len(LETTERS)} the sampling contraction can name"
         )
 
-    def c_spins(s: int) -> tuple[int, ...]:
-        return tuple(sc.spin(s, f"b{k}") for k in c_pos)
+    c_spins = [tuple(sc.spin(s, f"b{k}") for k in c_pos) for s in range(n_sec)]
+    rest_spins = [tuple(sc.spin(s, f"b{k}") for k in rest) for s in range(n_sec)]
+    n_c = [math.prod(dim_rep(t) for t in c_spins[s]) for s in range(n_sec)]
+    n_rest = [math.prod(dim_rep(t) for t in rest_spins[s]) for s in range(n_sec)]
+    n_i = [sc.block_dim(s) for s in range(n_sec)]
+    # rho^I blocks (rows s_bra, columns s_ket) of the (s_ket, s_bra)
+    # pairs whose rest spins agree
+    rho = {
+        (sk, sb): sc.block(sb, sk)
+        for sk in range(n_sec) for sb in range(n_sec)
+        if rest_spins[sk] == rest_spins[sb]
+    }
+    trace_pairs = [(sk, sb) for sk, sb in rho if c_spins[sk] == c_spins[sb]]
+    # Tr rho_C^2 pairs blocks whose C spin profiles line up crosswise
+    cross_pairs = [
+        ((sk, sb), (sk2, sb2))
+        for sk, sb in rho for sk2, sb2 in rho
+        if c_spins[sb] == c_spins[sk2] and c_spins[sb2] == c_spins[sk]
+    ]
 
-    def rest_spins(s: int) -> tuple[int, ...]:
-        return tuple(sc.spin(s, f"b{k}") for k in rest)
-
-    def blk(srow: int, scol: int) -> np.ndarray:
-        b = sc.block(srow, scol)
-        return b.reshape(
-            tuple(sc.vertex_dims(srow)) + tuple(sc.vertex_dims(scol))
+    # network: vertex states and conjugated link pair states -> sector
+    # boundary tensor A_s[sample, C legs, intertwiner indices, rest legs]
+    pool = iter(LETTERS)
+    smp = next(pool)
+    iota = "".join(next(pool) for _ in range(nv))
+    leg = {(x, c): next(pool) for x in range(nv) for c in range(1, 5)}
+    bleg = [leg[b.vertex, b.color] for b in g.boundary]
+    network = (
+        ",".join(
+            [smp + iota[x] + "".join(leg[x, c] for c in range(1, 5))
+             for x in range(nv)]
+            + [leg[ln.source, ln.color] + leg[ln.target, ln.color]
+               for ln in g.internal]
         )
+        + "->" + smp + "".join(bleg[k] for k in c_pos)
+        + iota + "".join(bleg[k] for k in rest)
+    )
+    tuples = [[sc.vertex_tuple(s, x) for x in range(nv)] for s in range(n_sec)]
+    link_states = [
+        [_pair_state(sc.spin(s, f"i{k}"),
+                     sc.amplitude(f"i{k}", sc.spin(s, f"i{k}"))).conj()
+         for k in range(len(g.internal))]
+        for s in range(n_sec)
+    ]
 
+    per_sample = 16 * (
+        sum(dims_x)
+        + sum(n_c[s] * n_i[s] * n_rest[s] for s in range(n_sec))
+        + sum(n_c[sk] * n_c[sb] for sk, sb in rho)
+    )
+    block = max(1, BLOCK_BYTES // per_sample)
+    paths: dict = {}
     nums = np.empty(n_samples)
     dens = np.empty(n_samples)
-    for it in range(n_samples):
+    for start in range(0, n_samples, block):
+        stop = min(start + block, n_samples)
+        size = stop - start
         psi: list[dict[tuple[int, ...], np.ndarray]] = []
         for x in range(nv):
-            slices, tuples = layouts[x]
-            vec = _draw_vertex_state(seed, x, it, dims_x[x])
-            parts = {}
-            off = 0
-            for (di, legs), tup in zip(slices, tuples):
-                size = di * int(np.prod(legs))
-                parts[tup] = vec[off:off + size].reshape((di,) + legs)
-                off += size
+            vecs = np.array([
+                _draw_vertex_state(seed, x, it, dims_x[x])
+                for it in range(start, stop)
+            ])
+            parts, off = {}, 0
+            for (di, legs), tup in zip(*layouts[x]):
+                width = di * math.prod(legs)
+                parts[tup] = vecs[:, off:off + width].reshape((size, di) + legs)
+                off += width
             psi.append(parts)
-        a = [_sector_boundary_tensor(sc, s, psi) for s in range(n_sec)]
-
-        def rho_c(s_ket: int, s_bra: int) -> np.ndarray | None:
-            """C-block of the boundary state from sector pair, or None."""
-            if rest_spins(s_ket) != rest_spins(s_bra):
-                return None
-            # rho_d[b, b'] = sum rho^I[(s_bra I1),(s_ket I2)]
-            #                    A_{s_ket}[I2 b] conj(A_{s_bra}[I1 b'])
-            r = blk(s_bra, s_ket)
-            pool = iter(LETTERS)
-            i1 = [next(pool) for _ in range(nv)]
-            i2 = [next(pool) for _ in range(nv)]
-            cidx = [next(pool) for _ in c_pos]
-            cpidx = [next(pool) for _ in c_pos]
-            eidx = [next(pool) for _ in rest]
-            bidx_ket = [None] * len(g.boundary)
-            bidx_bra = [None] * len(g.boundary)
-            for j, k in enumerate(c_pos):
-                bidx_ket[k] = cidx[j]
-                bidx_bra[k] = cpidx[j]
-            for j, k in enumerate(rest):
-                bidx_ket[k] = eidx[j]
-                bidx_bra[k] = eidx[j]
-            sub = (
-                "".join(i1) + "".join(i2) + ","
-                + "".join(i2) + "".join(bidx_ket) + ","
-                + "".join(i1) + "".join(bidx_bra)
-                + "->" + "".join(cidx) + "".join(cpidx)
-            )
-            val = np.einsum(sub, r, a[s_ket], a[s_bra].conj())
-            nc = int(np.prod([dim_rep(t) for t in c_spins(s_ket)])) if c_pos else 1
-            ncp = int(np.prod([dim_rep(t) for t in c_spins(s_bra)])) if c_pos else 1
-            return val.reshape(nc, ncp)
-
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-        for sk in range(n_sec):
-            for sb in range(n_sec):
-                rc = rho_c(sk, sb)
-                if rc is not None:
-                    blocks[(sk, sb)] = rc
-        tr = 0.0
-        for (sk, sb), rc in blocks.items():
-            if c_spins(sk) == c_spins(sb) and rc.shape[0] == rc.shape[1]:
-                tr += np.trace(rc).real
-        # Tr rho_C^2 pairs blocks whose C spin profiles line up crosswise
-        num = 0.0
-        for (sk, sb), rc in blocks.items():
-            for (sk2, sb2), rc2 in blocks.items():
-                if c_spins(sb) == c_spins(sk2) and c_spins(sb2) == c_spins(sk):
-                    num += np.einsum("ab,ba->", rc, rc2).real
-        dens[it] = tr * tr
-        nums[it] = num
+        a = [
+            _contract(paths, network,
+                      *(psi[x][tuples[s][x]] for x in range(nv)),
+                      *link_states[s])
+            .reshape(size, n_c[s], n_i[s], n_rest[s])
+            for s in range(n_sec)
+        ]
+        # rho_C[c, c'] = sum rho^I[I1, I2] A_ket[c, I2, e] conj(A_bra[c', I1, e])
+        bra = [x.reshape(size, n_c[s], -1).conj().transpose(0, 2, 1)
+               for s, x in enumerate(a)]
+        rc = {
+            (sk, sb): (r @ a[sk]).reshape(size, n_c[sk], -1) @ bra[sb]
+            for (sk, sb), r in rho.items()
+        }
+        tr = np.zeros(size)
+        for key in trace_pairs:
+            tr += np.trace(rc[key], axis1=1, axis2=2).real
+        num = np.zeros(size)
+        for k1, k2 in cross_pairs:
+            num += np.einsum("sab,sba->s", rc[k1], rc[k2]).real
+        dens[start:stop] = tr * tr
+        nums[start:stop] = num
     mean_num = nums.mean()
     mean_den = dens.mean()
     ratio = mean_num / mean_den

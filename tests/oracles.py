@@ -6,8 +6,9 @@ a Casimir null space, the two-vertex benchmark partition sums as
 frozen closed forms, the two-sector area variance in exact rational
 arithmetic, gradients by central finite differences, partial traces
 by one np.einsum per subset (and sigma_I from them), the pairwise
-log-sum as a scalar loop, and the fixed-spin flip criteria and the
-`analyze --terms` rows by one Python pass per region or configuration.
+log-sum as a scalar loop, the fixed-spin flip criteria and the
+`analyze --terms` rows by one Python pass per region or configuration,
+and the Monte Carlo purity by one unordered einsum per sample.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from rstn.holography import EQUALITY_TOL, FixedSpinReport
-from rstn.ising import IsingEngine, down_set
+from rstn.ising import IsingEngine, SizeCapError, down_set
+from rstn.oracle import (
+    LETTERS,
+    MCResult,
+    _draw_vertex_state,
+    _pair_state,
+    _vertex_layout,
+)
 from rstn.spins import dim_rep
 from rstn.state import Scenario
 
@@ -316,3 +324,156 @@ def terms_reference(sc: Scenario) -> list[dict]:
         if engine.delta_ok(m, n, c, v)
         and (e := engine.hamiltonian(m, n, c, v)) != math.inf
     ]
+
+
+def _sector_boundary_tensor(
+    sc: Scenario, s: int, psi: list[dict[tuple[int, ...], np.ndarray]]
+) -> np.ndarray:
+    """Contract one sector's vertex states over the internal links.
+
+    Returns a tensor with one intertwiner index per vertex followed by
+    one index per boundary link (in boundary id order).
+    """
+    g = sc.graph
+    pool = iter(LETTERS)
+    iota = {x: next(pool) for x in range(g.n_vertices)}
+    leg: dict[tuple[int, int], str] = {}
+    for x in range(g.n_vertices):
+        for c in range(1, 5):
+            leg[(x, c)] = next(pool)
+    operands, subs = [], []
+    for x in range(g.n_vertices):
+        tup = sc.vertex_tuple(s, x)
+        operands.append(psi[x][tup])
+        subs.append(iota[x] + "".join(leg[(x, c)] for c in range(1, 5)))
+    for k, ln in enumerate(g.internal):
+        tj = sc.spin(s, f"i{k}")
+        e = _pair_state(tj, sc.amplitude(f"i{k}", tj)).conj()
+        operands.append(e)
+        subs.append(leg[(ln.source, ln.color)] + leg[(ln.target, ln.color)])
+    out = "".join(iota[x] for x in range(g.n_vertices))
+    out += "".join(leg[(b.vertex, b.color)] for b in g.boundary)
+    return np.einsum(",".join(subs) + "->" + out, *operands)
+
+
+def mc_purity_reference(
+    sc: Scenario, n_samples: int = 5000, seed: int = 7
+) -> MCResult:
+    """`rstn.oracle.mc_purity` one sample at a time, as it was written
+    before samples were batched: per sample, contract the network with
+    an unordered np.einsum per sector, weight the intertwiner indices
+    with rho^I, reduce to the boundary, and record Tr[rho_C^2] and
+    (Tr rho)^2.  Same Philox streams, same caps, same jackknife.
+    """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+    g = sc.graph
+    n_sec = len(sc.sectors)
+    nv = g.n_vertices
+    c_pos = [k for k, _ in enumerate(g.boundary) if f"b{k}" in set(sc.region_C)]
+    rest = [k for k in range(len(g.boundary)) if k not in c_pos]
+
+    layouts = [_vertex_layout(sc, x) for x in range(nv)]
+    dims_x = [
+        sum(di * int(np.prod(legs)) for di, legs in layouts[x][0])
+        for x in range(nv)
+    ]
+    if max(dims_x) > 512:
+        raise SizeCapError(
+            f"vertex space dimension {max(dims_x)} exceeds the sampling cap"
+        )
+    # einsum indices of _sector_boundary_tensor and of rho_c below
+    indices = max(5 * nv, 2 * nv + 2 * len(c_pos) + len(rest))
+    if indices > len(LETTERS):
+        raise SizeCapError(
+            f"{indices} einsum indices exceed the {len(LETTERS)} the "
+            f"sampling contraction can name"
+        )
+
+    def c_spins(s: int) -> tuple[int, ...]:
+        return tuple(sc.spin(s, f"b{k}") for k in c_pos)
+
+    def rest_spins(s: int) -> tuple[int, ...]:
+        return tuple(sc.spin(s, f"b{k}") for k in rest)
+
+    def blk(srow: int, scol: int) -> np.ndarray:
+        b = sc.block(srow, scol)
+        return b.reshape(
+            tuple(sc.vertex_dims(srow)) + tuple(sc.vertex_dims(scol))
+        )
+
+    nums = np.empty(n_samples)
+    dens = np.empty(n_samples)
+    for it in range(n_samples):
+        psi: list[dict[tuple[int, ...], np.ndarray]] = []
+        for x in range(nv):
+            slices, tuples = layouts[x]
+            vec = _draw_vertex_state(seed, x, it, dims_x[x])
+            parts = {}
+            off = 0
+            for (di, legs), tup in zip(slices, tuples):
+                size = di * int(np.prod(legs))
+                parts[tup] = vec[off:off + size].reshape((di,) + legs)
+                off += size
+            psi.append(parts)
+        a = [_sector_boundary_tensor(sc, s, psi) for s in range(n_sec)]
+
+        def rho_c(s_ket: int, s_bra: int) -> np.ndarray | None:
+            """C-block of the boundary state from sector pair, or None."""
+            if rest_spins(s_ket) != rest_spins(s_bra):
+                return None
+            # rho_d[b, b'] = sum rho^I[(s_bra I1),(s_ket I2)]
+            #                    A_{s_ket}[I2 b] conj(A_{s_bra}[I1 b'])
+            r = blk(s_bra, s_ket)
+            pool = iter(LETTERS)
+            i1 = [next(pool) for _ in range(nv)]
+            i2 = [next(pool) for _ in range(nv)]
+            cidx = [next(pool) for _ in c_pos]
+            cpidx = [next(pool) for _ in c_pos]
+            eidx = [next(pool) for _ in rest]
+            bidx_ket = [None] * len(g.boundary)
+            bidx_bra = [None] * len(g.boundary)
+            for j, k in enumerate(c_pos):
+                bidx_ket[k] = cidx[j]
+                bidx_bra[k] = cpidx[j]
+            for j, k in enumerate(rest):
+                bidx_ket[k] = eidx[j]
+                bidx_bra[k] = eidx[j]
+            sub = (
+                "".join(i1) + "".join(i2) + ","
+                + "".join(i2) + "".join(bidx_ket) + ","
+                + "".join(i1) + "".join(bidx_bra)
+                + "->" + "".join(cidx) + "".join(cpidx)
+            )
+            val = np.einsum(sub, r, a[s_ket], a[s_bra].conj())
+            nc = int(np.prod([dim_rep(t) for t in c_spins(s_ket)])) if c_pos else 1
+            ncp = int(np.prod([dim_rep(t) for t in c_spins(s_bra)])) if c_pos else 1
+            return val.reshape(nc, ncp)
+
+        blocks: dict[tuple[int, int], np.ndarray] = {}
+        for sk in range(n_sec):
+            for sb in range(n_sec):
+                rc = rho_c(sk, sb)
+                if rc is not None:
+                    blocks[(sk, sb)] = rc
+        tr = 0.0
+        for (sk, sb), rc in blocks.items():
+            if c_spins(sk) == c_spins(sb) and rc.shape[0] == rc.shape[1]:
+                tr += np.trace(rc).real
+        # Tr rho_C^2 pairs blocks whose C spin profiles line up crosswise
+        num = 0.0
+        for (sk, sb), rc in blocks.items():
+            for (sk2, sb2), rc2 in blocks.items():
+                if c_spins(sb) == c_spins(sk2) and c_spins(sb2) == c_spins(sk):
+                    num += np.einsum("ab,ba->", rc, rc2).real
+        dens[it] = tr * tr
+        nums[it] = num
+    mean_num = nums.mean()
+    mean_den = dens.mean()
+    ratio = mean_num / mean_den
+    n = n_samples
+    stderr = math.nan  # a single sample leaves the jackknife undefined
+    if n > 1:
+        jack = (nums.sum() - nums) / (dens.sum() - dens)
+        stderr = math.sqrt((n - 1) / n * ((jack - jack.mean()) ** 2).sum())
+    return MCResult(ratio, stderr, n, mean_num, mean_den)

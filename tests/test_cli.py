@@ -288,6 +288,19 @@ def test_oracle_single_sample_is_strict_json(runner):
     assert rep["samples"] == 1 and rep["oracle_purity"] > 0.0
 
 
+def test_oracle_mc_once_fine_grained_finishes(runner):
+    """The bundled 5-vertex file at the default 2000 samples: this ran
+    for hours when each sample took an unordered einsum (about 8 s)."""
+    res = runner.invoke(
+        main,
+        ["oracle", scenario_path("once_fine_grained.json"), "--method", "mc"],
+    )
+    assert res.exit_code == 0
+    rep = strict_json(res.output)
+    assert rep["samples"] == 2000
+    assert rep["z_score"] <= 5.0
+
+
 def test_cli_import_skips_scipy_optimize():
     code = "import sys, rstn.cli; print('scipy.optimize' in sys.modules)"
     src = os.path.dirname(os.path.dirname(os.path.abspath(rstn.__file__)))

@@ -1,10 +1,18 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from oracles import mc_purity_reference
 from rings import ring_dict
-from rstn.families import appendix_c, random_scenario, tiny_generic
+from rstn import oracle
+from rstn.families import (
+    appendix_c,
+    once_fine_grained,
+    random_scenario,
+    tiny_generic,
+)
 from rstn.ising import IsingEngine, SizeCapError, down_set
 from rstn.oracle import (
     boundary_trace,
@@ -14,7 +22,9 @@ from rstn.oracle import (
     mc_purity,
     schur_moment_error,
 )
-from rstn.state import scenario_from_dict
+from rstn.state import load_scenario, scenario_from_dict
+
+SCENARIOS = resources.files("rstn") / "scenarios"
 
 BLOCK_PARAMS = dict(
     a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j, v=0.07 + 0.02j
@@ -132,3 +142,71 @@ def test_mc_einsum_index_cap():
         mc_purity(scenario_from_dict(ring_dict(12, 1)), n_samples=1)
     res = mc_purity(scenario_from_dict(ring_dict(10, 1)), n_samples=1)
     assert res.purity == pytest.approx(1.0)
+
+
+def assert_matches_reference(got, want):
+    """Batched and per-sample estimates agree to 1e-12 relative; the
+    contraction order moves only the last bits."""
+    assert got.n_samples == want.n_samples
+    for field in ("purity", "stderr", "mean_num", "mean_den"):
+        g, w = getattr(got, field), getattr(want, field)
+        if math.isnan(w):
+            assert math.isnan(g), field
+        else:
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0), field
+
+
+def block_sizes(monkeypatch, sc, n_samples):
+    """Sample-axis length of each network contraction in one run: one
+    per block on a single-sector scenario."""
+    sizes = []
+    contract = oracle._contract
+
+    def spy(paths, subscripts, *operands):
+        sizes.append(len(operands[0]))
+        return contract(paths, subscripts, *operands)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_contract", spy)
+        mc_purity(sc, n_samples, seed=3)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["tiny_generic", "tiny_oracle.json"])
+def test_mc_matches_per_sample_reference_at_block_edges(monkeypatch, name):
+    sc = (tiny_generic() if name == "tiny_generic"
+          else load_scenario(str(SCENARIOS / name)))
+    assert len(sc.sectors) == 1
+    sizes = block_sizes(monkeypatch, sc, 300)
+    block = sizes[0]
+    assert 1 < block < 300 and sum(sizes) == 300
+    for n in (1, block - 1, block, block + 1, 2 * block + 5):
+        got = mc_purity(sc, n, seed=3)
+        assert_matches_reference(got, mc_purity_reference(sc, n, seed=3))
+    assert math.isnan(mc_purity(sc, 1, seed=3).stderr)
+
+
+@pytest.mark.parametrize(
+    "make, n_samples",
+    [(lambda: appendix_c(2, **BLOCK_PARAMS), 7),
+     # one reference sample here costs several seconds
+     (lambda: once_fine_grained(1), 1)],
+    ids=["appendix_c2", "once_fine_grained1"],
+)
+def test_mc_matches_per_sample_reference(make, n_samples):
+    sc = make()
+    assert_matches_reference(
+        mc_purity(sc, n_samples, seed=5),
+        mc_purity_reference(sc, n_samples, seed=5),
+    )
+
+
+@pytest.mark.parametrize("name", ["appendix_c.json", "two_sector_nu.json"])
+def test_mc_vertex_space_cap_matches_reference(name):
+    sc = load_scenario(str(SCENARIOS / name))
+    with pytest.raises(SizeCapError) as got:
+        mc_purity(sc, 3)
+    with pytest.raises(SizeCapError) as want:
+        mc_purity_reference(sc, 3)
+    assert str(got.value) == str(want.value)
+    assert "exceeds the sampling cap" in str(got.value)
