@@ -4,7 +4,7 @@
     rstn analyze <file> [--mode ...] [--terms] [--out report.json]
     rstn solve-weights <file> [--out ...]
     rstn sweep <file> --param <name> --grid <values> [--out sweep.csv]
-    rstn oracle <file> [--method exact|mc] [--samples N] [--seed S]
+    rstn oracle <file> [--method exact|mc] [--samples N] [--seed 0..2^63-1]
     rstn global --n-outer N --n-a K [--core-purity q] [--jmin 2j] [--jmax 2J]
 
 Exit codes: 2 parse error, 3 validation error, 4 size cap exceeded
@@ -31,7 +31,7 @@ from rstn.graph import GraphError
 from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
 from rstn.holography import InfeasibleError, analyze_holography, solve_weights
 from rstn.ising import IsingEngine, SizeCapError, down_set
-from rstn.oracle import exact_purity, mc_purity
+from rstn.oracle import SEED_MAX, exact_purity, mc_purity
 from rstn.state import (
     ParseError,
     Scenario,
@@ -305,7 +305,7 @@ def sweep(path, param, grid, out):
 @click.option("--method", type=click.Choice(["exact", "mc"]),
               default="exact")
 @click.option("--samples", type=int, default=2000)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(0, SEED_MAX), default=0)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guarded
 def oracle(path, method, samples, seed, out):

@@ -115,19 +115,9 @@ def closed_form_weights(sc: Scenario) -> np.ndarray:
     dim(H_{C,n}), which pins c_n up to one normalization.  The result
     depends only on the complement dims and internal amplitudes.
     """
-    n = len(sc.sectors)
-    x = np.empty(n)
-    for m in range(n):
-        prod = 1.0
-        for lid in sc.graph.link_ids():
-            if lid in sc.region_C or sc.graph.is_internal(lid):
-                continue
-            prod *= dim_rep(sc.spin(m, lid))
-        for k in range(len(sc.graph.internal)):
-            lid = f"i{k}"
-            prod *= abs(sc.amplitude(lid, sc.spin(m, lid))) ** 2
-        x[m] = 1.0 / prod
-    return x / x.sum()
+    p = np.array([math.prod(dim_rep(sc.spin(m, lid)) for lid in sc.region_C)
+                  for m in range(len(sc.sectors))], dtype=float)
+    return _p_to_c(IsingEngine(sc), p / p.sum())
 
 
 def _p_to_c(engine: IsingEngine, p: np.ndarray) -> np.ndarray:
@@ -275,16 +265,9 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     size = sum((masks >> x) & 1 for x in range(nv))
     rev = sum(((masks >> x) & 1) << (nv - 1 - x) for x in range(nv))
     masks = masks[np.lexsort((-rev, size))]
-    bits = [((masks >> x) & 1).astype(bool) for x in range(nv)]
-    logd = engine._logd[sector]
-    lhs = np.zeros(masks.size)  # summed in graph.cut order
-    for s, t, lid in engine._internal:
-        lhs += logd[lid] * (bits[s] ^ bits[t])
-    for v, lid in engine._boundary:
-        lhs += (-logd[lid] if lid in engine._region_C else logd[lid]) * bits[v]
-    nec = np.zeros(masks.size)
-    for x, dim in enumerate(engine._vdims[sector]):
-        nec += math.log(dim) * bits[x]
+    lhs = engine.cut_weight(sector, masks)
+    nec = sum(math.log(dim) * ((masks >> x) & 1)
+              for x, dim in enumerate(engine._vdims[sector]))
     rhs = engine._sigma_array(sector, sector)[masks]  # = S2 of the reduction
     # math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL), elementwise
     tol = np.maximum(1e-9 * np.maximum(np.abs(lhs), np.abs(rhs)), EQUALITY_TOL)

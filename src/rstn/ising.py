@@ -13,6 +13,10 @@ Purity of C is then a quotient of K-weighted sums of these.
 Configurations are ints; bit x set means sigma_x = -1 (swapped).
 Energies are natural logs; +inf marks an excluded configuration.
 
+Links of both kinds share one table, their ends a vertex bitmask (two
+bits internal, one for a half-edge), and one rule: a swapped set cuts
+a link when it holds an odd number of its ends.
+
 An engine evaluates each ordered pair once and keeps the n_sec^2
 results as its pair table, which purity, P, Q and the error bound all
 read.  `IsingEngine.terms` is the one place where Delta, the link
@@ -196,6 +200,11 @@ class IsingEngine:
     sector pairs, each one enumeration step and 8 bytes of sigma_I;
     more than MAX_CONFIG_PAIRS (2^24) configurations x ordered sector
     pairs raises SizeCapError before anything is built.
+
+    The link table, in `graph.link_ids()` order: `_ends`, `_on_C`,
+    and per sector `_twice`, `_logd` = log(2j+1) and `_log_g2` =
+    log|g|^2 (internal links).  `_agree[p][q]` masks the vertices at no
+    end of a link whose spins differ between sectors p and q.
     """
 
     def __init__(self, sc: Scenario):
@@ -213,25 +222,25 @@ class IsingEngine:
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pairs: tuple[PairResult, ...] | None = None
         g = sc.graph
-        self._boundary = [(b.vertex, f"b{k}") for k, b in enumerate(g.boundary)]
-        self._internal = [(ln.source, ln.target, f"i{k}")
-                          for k, ln in enumerate(g.internal)]
-        self._region_C = set(sc.region_C)
-        # log(2j+1) per sector and link
-        self._logd = [
-            {lid: math.log(dim_rep(tj)) for lid, tj in sec.spins.items()}
-            for sec in sc.sectors
-        ]
-        tuples = [
-            [sc.vertex_tuple(s, x) for x in range(self.n_vert)]
-            for s in range(self.n_sec)
-        ]
-        # bitmask of the vertices where sectors p and q carry equal spins
-        self._agree = [
-            [_mask(x for x in range(self.n_vert) if tp[x] == tq[x])
-             for tq in tuples]
-            for tp in tuples
-        ]
+        ids = g.link_ids()
+        self._ends = np.array(
+            [1 << ln.source | 1 << ln.target for ln in g.internal]
+            + [1 << b.vertex for b in g.boundary], dtype=np.int64)
+        self._on_C = np.isin(ids, sc.region_C)
+        self._twice = np.array([[sec.spins[lid] for lid in ids]
+                                for sec in sc.sectors])
+        rows = self._twice.tolist()
+        self._logd = np.array([[math.log(dim_rep(tj)) for tj in row]
+                               for row in rows])
+        g2 = np.array([[abs(sc.amplitude(lid, tj)) ** 2
+                        for lid, tj in zip(ids, row)] for row in rows])
+        self._log_g2 = np.log(g2, out=np.full(g2.shape, -math.inf),
+                              where=g2 > 0.0)
+        # per link and variant: C is pinned swapped in variant 1
+        self._flips = np.array([[[0], [c]] for c in self._on_C], np.uint8)
+        differ = self._twice[:, None, :] != self._twice[None, :, :]
+        split = np.bitwise_or.reduce(np.where(differ, self._ends, 0), axis=-1)
+        self._agree = (self._full & ~split).tolist()
         self._vdims = [sc.vertex_dims(s) for s in range(self.n_sec)]
         # (row, col) of every block given, either way round
         self._present = {k for key in sc.blocks for k in (key, key[::-1])}
@@ -240,18 +249,10 @@ class IsingEngine:
     # -- sector weights ------------------------------------------------------
 
     def log_K_tilde(self, m: int) -> float:
-        """log of the sector weight without the bulk-state norm c_m."""
-        sc = self.sc
-        total = 0.0
-        for _, lid in self._boundary:
-            total += self._logd[m][lid]
-        for _, _, lid in self._internal:
-            g = sc.amplitude(lid, sc.spin(m, lid))
-            a2 = abs(g) ** 2
-            if a2 == 0.0:
-                return -math.inf
-            total += math.log(a2)
-        return total
+        """log of the sector weight without the bulk-state norm c_m:
+        log(2j+1) per half-edge plus log|g|^2 per internal link."""
+        half_edge = np.bitwise_count(self._ends) == 1
+        return float(np.where(half_edge, self._logd[m], self._log_g2[m]).sum())
 
     def log_K(self, m: int) -> float:
         c = self._c[m]
@@ -265,30 +266,18 @@ class IsingEngine:
         """Per variant, the vertices Delta pins (up, down) for pair (m, n).
 
         A link needs equal spins in both sectors whenever the two
-        copies are swapped on (at least one of) its ends: boundary
-        half-edges with sigma_s * h = -1, internal links with a
-        swapped endpoint.  A vertex-product bulk state additionally
-        forces full vertex agreement on every swapped vertex.
+        copies are swapped on one of its ends (for a half-edge: sigma_s
+        * h = -1), so the ends of differing links are pinned up, those
+        of differing C half-edges down in variant 1 (h = -1 on C).  A
+        vertex-product bulk state also pins the split vertices up.
         """
-        if m == n:
-            return (0, 0), (0, 0)
-        up, down = [0, 0], [0, 0]
-        sc = self.sc
-        for v, lid in self._boundary:
-            if sc.spin(m, lid) != sc.spin(n, lid):
-                up[0] |= 1 << v
-                if lid in self._region_C:  # h = -1 in variant 1
-                    down[1] |= 1 << v
-                else:
-                    up[1] |= 1 << v
-        for s, t, lid in self._internal:
-            if sc.spin(m, lid) != sc.spin(n, lid):
-                up[0] |= 1 << s | 1 << t
-                up[1] |= 1 << s | 1 << t
-        if sc.vertex_product:
-            up[0] |= self._full & ~self._agree[m][n]
-            up[1] |= self._full & ~self._agree[m][n]
-        return (up[0], down[0]), (up[1], down[1])
+        split = self._full & ~self._agree[m][n]
+        differ = self._twice[m] != self._twice[n]
+        up = int(np.bitwise_or.reduce(self._ends[differ & ~self._on_C]))
+        down = int(np.bitwise_or.reduce(self._ends[differ & self._on_C]))
+        if self.sc.vertex_product:
+            up |= split
+        return (split, 0), (up, down)
 
     def delta_ok(self, m: int, n: int, config: int, variant: int) -> bool:
         """Whether the sector-matching deltas of a configuration survive."""
@@ -365,25 +354,34 @@ class IsingEngine:
 
     # -- energies ------------------------------------------------------------
 
-    def _link_energies(self, m: int, configs: np.ndarray) -> np.ndarray:
-        """Boundary plus internal energy of each configuration, (2, k):
-        one row per variant.
+    def _cuts(self, configs: np.ndarray) -> np.ndarray:
+        """0/1 per link (rows, link-id order) and configuration: a swapped
+        set cuts a link when it holds an odd number of the link's ends."""
+        return np.bitwise_count(configs & self._ends[:, None]) & 1
 
-        Boundary half-edges pay log(2j+1) when swapped relative to
-        their pinning (h = -1 on C for variant 1), internal links pay
-        when cut.  Spins are read from sector m; wherever the two
-        sectors could disagree on a paying link, Delta has already
-        forced agreement.  Terms are added in link order.
+    def _link_energies(self, m: int, configs: np.ndarray) -> np.ndarray:
+        """Link energy of each configuration, (2, k): one row per variant.
+
+        A link pays log(2j+1) when cut; in variant 1 the C half-edges
+        are pinned swapped, so there the cut flips.  Spins are read
+        from sector m; wherever the two sectors could disagree on a
+        paying link, Delta has already forced agreement.  Terms are
+        added in link order.
         """
-        bits = [(configs >> x) & 1 for x in range(self.n_vert)]
         e = np.zeros((2, configs.size))
-        logd = self._logd[m]
-        for v, lid in self._boundary:
-            e[0] += logd[lid] * bits[v]
-            e[1] += logd[lid] * (bits[v] ^ 1 if lid in self._region_C else bits[v])
-        for s, t, lid in self._internal:
-            e += logd[lid] * (bits[s] ^ bits[t])  # both variants
+        for cut, logd, flip in zip(self._cuts(configs), self._logd[m],
+                                   self._flips):
+            e += logd * (cut ^ flip)
         return e
+
+    def cut_weight(self, m: int, configs: np.ndarray) -> np.ndarray:
+        """Sum of log(2j+1) of sector m over the links each configuration
+        cuts, weighted -1 on C, added in `graph.cut` order."""
+        total = np.zeros(configs.size)
+        for cut, logd, on_c in zip(self._cuts(configs), self._logd[m],
+                                   self._on_C):
+            total += (-logd if on_c else logd) * cut
+        return total
 
     def hamiltonian(self, m: int, n: int, config: int, variant: int) -> float:
         """Energy of a configuration for the ordered pair (m, n).
@@ -396,12 +394,8 @@ class IsingEngine:
 
     def hamiltonian_difference_region(self, m: int, config: int) -> float:
         """H_1 - H_0 for a diagonal pair: sum of sigma_s * log d over C."""
-        total = 0.0
-        for v, lid in self._boundary:
-            if lid in self._region_C:
-                sigma = -1 if config >> v & 1 else 1
-                total += sigma * self._logd[m][lid]
-        return total
+        swapped = self._ends[self._on_C] & config != 0
+        return float(np.where(swapped, -1.0, 1.0) @ self._logd[m][self._on_C])
 
     # -- partition sums ------------------------------------------------------
 

@@ -34,6 +34,8 @@ AMPLITUDE_CAP = 10_000_000
 IMAG_TOL = 1e-9
 LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum indices
 BLOCK_BYTES = 1 << 19  # arrays held per block of Monte Carlo samples
+VERTEX_SPACE_CAP = 512  # largest vertex space the sampler draws states in
+SEED_MAX = 2**63 - 1  # seeds 0..SEED_MAX key the Philox streams exactly
 
 
 # -- link and boundary traces ----------------------------------------------
@@ -137,7 +139,8 @@ class _RawTerms:
             return 0.0
         nv, sc, shapes = self.nv, self.sc, self.shapes
         if 2 * nv > 26:  # rows and columns take lowercase letters
-            raise SizeCapError("too many vertices for the reference contraction")
+            raise SizeCapError(f"{2 * nv} einsum letters exceed the 26 the "
+                               f"reference contraction can name")
         r1, r2 = LETTERS[:nv], LETTERS[nv:2 * nv]
         c1 = "".join(r2[x] if x in down else r1[x] for x in range(nv))
         c2 = "".join(r1[x] if x in down else r2[x] for x in range(nv))
@@ -204,8 +207,9 @@ def _amplitude_cost(sc: Scenario) -> int:
 
 def exact_purity(sc: Scenario) -> tuple[float, float, float]:
     """Purity and the two weighted sums, by raw term-by-term contraction."""
-    if _amplitude_cost(sc) > AMPLITUDE_CAP:
-        raise SizeCapError("scenario too large for the reference contraction")
+    if (cost := _amplitude_cost(sc)) > AMPLITUDE_CAP:
+        raise SizeCapError(f"scenario too large for the reference contraction: "
+                           f"{cost} amplitudes exceed the cap of {AMPLITUDE_CAP}")
     raw = _RawTerms(sc)
     n_sec = len(sc.sectors)
     z0 = z1 = 0.0
@@ -249,12 +253,22 @@ def _vertex_layout(
     return seen, tuples
 
 
+@functools.cache
+def _philox():
+    """A Philox to re-key per draw, its fresh state and a Generator on it;
+    seeded (reads no OS entropy), built on first use (imports stay lean)."""
+    bits = np.random.Philox(0)
+    return bits, bits.state, np.random.Generator(bits)
+
+
 def _draw_vertex_state(
     seed: int, vertex: int, sample: int, dim: int
 ) -> np.ndarray:
-    """Haar state from a counter-based stream keyed by (vertex, sample)."""
-    bits = np.random.Philox(key=[seed, (vertex << 32) | sample])
-    rng = np.random.Generator(bits)
+    """Haar state from the counter-based stream keyed by (seed, vertex,
+    sample): that of Philox(key=[seed, (vertex << 32) | sample])."""
+    bits, fresh, rng = _philox()
+    key = np.array([seed, (vertex << 32) | sample], np.uint64)
+    bits.state = {**fresh, "state": {**fresh["state"], "key": key}}
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
@@ -283,6 +297,8 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed {seed} outside 0..{SEED_MAX}")
     g = sc.graph
     n_sec = len(sc.sectors)
     nv = g.n_vertices
@@ -295,9 +311,10 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         sum(di * math.prod(legs) for di, legs in layouts[x][0])
         for x in range(nv)
     ]
-    if max(dims_x) > 512:
+    if max(dims_x) > VERTEX_SPACE_CAP:
         raise SizeCapError(
-            f"vertex space dimension {max(dims_x)} exceeds the sampling cap"
+            f"vertex space dimension {max(dims_x)} exceeds the sampling cap "
+            f"of {VERTEX_SPACE_CAP}"
         )
     # einsum indices per sample of the network contraction: one
     # intertwiner index and four legs per vertex

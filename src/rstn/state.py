@@ -121,6 +121,10 @@ class Scenario:
         if not self.sectors:
             raise ValidationError("need at least one spin sector")
         all_ids = set(g.link_ids())
+        for lid in self.amplitudes:
+            if lid not in all_ids or not g.is_internal(lid):
+                raise ValidationError(
+                    f"amplitudes[{lid}]: not an internal link id")
         for s, sec in enumerate(self.sectors):
             if set(sec.spins) != all_ids:
                 missing = all_ids - set(sec.spins)

@@ -8,7 +8,8 @@ arithmetic, gradients by central finite differences, partial traces
 by one np.einsum per subset (and sigma_I from them), the pairwise
 log-sum as a scalar loop, the fixed-spin flip criteria and the
 `analyze --terms` rows by one Python pass per region or configuration,
-and the Monte Carlo purity by one unordered einsum per sample.
+Delta and the link energies link by link from `graph.cut`, and the
+Monte Carlo purity by one unordered einsum per sample.
 """
 
 from __future__ import annotations
@@ -312,6 +313,36 @@ def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
     return report
 
 
+def link_terms_reference(
+    sc: Scenario, m: int, n: int, config: int, variant: int
+) -> tuple[bool, float]:
+    """Delta and the link energy of one configuration, link by link.
+
+    S is the set of swapped vertices; in variant 1 the C half-edges are
+    pinned swapped.  Delta needs equal spins in m and n on every link
+    with a swapped end: an internal link with an end in S, a half-edge
+    whose vertex is swapped against its pinning (sigma * h = -1).  A
+    vertex-product state also needs every vertex in S to carry equal
+    spins on all its links.  The energy is log(2j+1) of sector m
+    summed over the links cut, `graph.cut(S)` with C toggled in
+    variant 1.
+    """
+    g = sc.graph
+    down = {x for x in range(g.n_vertices) if config >> x & 1}
+    cut = set(g.cut(down)) ^ (set(sc.region_C) if variant else set())
+    touched = {lid for lid in cut if not g.is_internal(lid)} | {
+        f"i{k}" for k, ln in enumerate(g.internal)
+        if {ln.source, ln.target} & down
+    }
+    ok = all(sc.spin(m, lid) == sc.spin(n, lid) for lid in touched)
+    if sc.vertex_product:
+        ok = ok and all(sc.vertex_tuple(m, x) == sc.vertex_tuple(n, x)
+                        for x in down)
+    energy = sum(math.log(dim_rep(sc.spin(m, lid)))
+                 for lid in g.link_ids() if lid in cut)
+    return ok, energy
+
+
 def terms_reference(sc: Scenario) -> list[dict]:
     """The rows of `rstn analyze --terms`: one `delta_ok` and one
     `hamiltonian` call per (pair, configuration, variant)."""
@@ -380,7 +411,8 @@ def mc_purity_reference(
     ]
     if max(dims_x) > 512:
         raise SizeCapError(
-            f"vertex space dimension {max(dims_x)} exceeds the sampling cap"
+            f"vertex space dimension {max(dims_x)} exceeds the sampling cap "
+            f"of 512"
         )
     # einsum indices of _sector_boundary_tensor and of rho_c below
     indices = max(5 * nv, 2 * nv + 2 * len(c_pos) + len(rest))

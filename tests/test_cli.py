@@ -79,6 +79,17 @@ def test_validation_error_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("lid", ["i9", "b0"])
+def test_amplitude_for_unknown_link_exit_3(runner, tmp_path, lid):
+    data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
+    data["amplitudes"][lid] = {"1": 0.5}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    res = runner.invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 3, res.output
+    assert f"amplitudes[{lid}]" in res.stderr
+
+
 def test_size_cap_exit_4(runner, tmp_path):
     big = tmp_path / "ring.json"  # 4^2 pairs x 2^22 configurations
     big.write_text(json.dumps(ring_dict(22, 4)))
@@ -228,6 +239,17 @@ def test_oracle_mc_two_seeds(runner):
         reps.append(json.loads(res.output))
     for rep in reps:
         assert rep["z_score"] < 4.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+def test_oracle_seed_outside_philox_keys_exit_2(runner, seed):
+    res = runner.invoke(
+        main,
+        ["oracle", scenario_path("tiny_oracle.json"), "--method", "mc",
+         "--samples", "2", "--seed", str(seed)],
+    )
+    assert res.exit_code == 2, res.output
+    assert "--seed" in res.stderr
 
 
 def test_global_command(runner):

@@ -18,6 +18,7 @@ from oracles import (
     einsum_partial_trace,
     einsum_sigma,
     fd_swapped_gradient,
+    link_terms_reference,
     psd_safe_direction,
     terms_reference,
 )
@@ -150,6 +151,40 @@ def test_delta_internal_link_any_down_endpoint():
         assert not engine.delta_ok(0, 1, config, 0)
         assert not engine.delta_ok(0, 1, config, 1)
     assert engine.delta_ok(0, 1, 0b00, 0)
+
+
+def link_table_cases(vertex_product: bool):
+    """Random draws, whose sectors differ on most links, and scenarios
+    whose sectors differ on a few links, C among them."""
+    rng = np.random.default_rng(41)
+    for template in ("one", "two", "chain"):
+        for n_sectors in (1, 2, 3):
+            yield random_scenario(rng, template, n_sectors=n_sectors,
+                                  vertex_product=vertex_product)
+    for sc in (onoff_ring(), appendix_c(2, **BLOCK_PARAMS),
+               appendix_c(2, **BLOCK_PARAMS, region="s_link")):
+        yield dataclasses.replace(sc, vertex_product=vertex_product)
+
+
+@pytest.mark.parametrize("vertex_product", [False, True])
+def test_delta_and_energies_match_link_by_link_reference(vertex_product):
+    swapped_cross = 0  # admitted cross-pair terms with a swapped vertex
+    for sc in link_table_cases(vertex_product):
+        engine = IsingEngine(sc)
+        for m in range(len(sc.sectors)):
+            for n in range(len(sc.sectors)):
+                for config in range(1 << sc.graph.n_vertices):
+                    for variant in (0, 1):
+                        ok, link = link_terms_reference(sc, m, n, config,
+                                                        variant)
+                        assert engine.delta_ok(m, n, config, variant) == ok
+                        if not ok:
+                            continue
+                        swapped_cross += m != n and config != 0
+                        expect = link + einsum_sigma(sc, m, n, config)
+                        assert engine.hamiltonian(m, n, config, variant) == \
+                            pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert swapped_cross >= 100
 
 
 def test_hamiltonian_difference_supported_on_C():

@@ -1,4 +1,6 @@
+import cProfile
 import math
+import pstats
 from importlib import resources
 
 import numpy as np
@@ -15,6 +17,9 @@ from rstn.families import (
 )
 from rstn.ising import IsingEngine, SizeCapError, down_set
 from rstn.oracle import (
+    AMPLITUDE_CAP,
+    SEED_MAX,
+    _draw_vertex_state,
     boundary_trace,
     exact_purity,
     exact_term,
@@ -104,8 +109,15 @@ def test_exact_purity_random_scenarios():
 
 def test_exact_size_cap():
     sc = appendix_c(40, 0.3, 0.25, 0.45)
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError,
+                       match=rf"\d+ amplitudes exceed the cap of {AMPLITUDE_CAP}"):
         exact_purity(sc)
+
+
+def test_exact_letter_cap_names_count_and_limit():
+    ring = scenario_from_dict(ring_dict(14, 1))
+    with pytest.raises(SizeCapError, match="28 einsum letters .* the 26"):
+        exact_term(ring, 0, 0, 0, 0)
 
 
 def test_mc_agrees_with_exact():
@@ -128,6 +140,32 @@ def test_mc_seed_stability_and_reproducibility():
 def test_mc_zero_samples_rejected():
     with pytest.raises(ValueError):
         mc_purity(tiny_generic(), 0)
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_MAX + 1, 2**64])
+def test_mc_seed_outside_philox_keys_rejected(seed):
+    with pytest.raises(ValueError, match=f"seed {seed} outside"):
+        mc_purity(tiny_generic(), 2, seed=seed)
+
+
+def test_vertex_draws_match_keyed_philox_streams():
+    """Re-keying one generator gives each (seed, vertex, sample) the
+    stream of a Philox built with that key, whatever was drawn before."""
+    keys = [(0, 0, 0, 5), (7, 3, 5, 12), (SEED_MAX, 1, 2**32 - 1, 9),
+            (12345, 9, 77, 1), (7, 3, 5, 12)]
+    for seed, vertex, sample, dim in keys:
+        rng = np.random.Generator(
+            np.random.Philox(key=[seed, (vertex << 32) | sample]))
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        got = _draw_vertex_state(seed, vertex, sample, dim)
+        assert np.array_equal(got, v / np.linalg.norm(v))
+
+
+def test_mc_reads_no_os_entropy():
+    prof = cProfile.Profile()
+    prof.runcall(mc_purity, tiny_generic(), 50)
+    called = [name for _, _, name in pstats.Stats(prof).stats]
+    assert not [name for name in called if "urandom" in name]
 
 
 def test_schur_second_moment():
@@ -209,4 +247,4 @@ def test_mc_vertex_space_cap_matches_reference(name):
     with pytest.raises(SizeCapError) as want:
         mc_purity_reference(sc, 3)
     assert str(got.value) == str(want.value)
-    assert "exceeds the sampling cap" in str(got.value)
+    assert "exceeds the sampling cap of 512" in str(got.value)
