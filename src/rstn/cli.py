@@ -98,19 +98,9 @@ def main():
 def validate(path):
     """Parse and validate a scenario file."""
     sc = load_scenario(path)
-    click.echo(
-        json.dumps(
-            {
-                "ok": True,
-                "input_hash": content_hash(path),
-                "vertices": sc.graph.n_vertices,
-                "sectors": len(sc.sectors),
-                "mode": sc.mode,
-            },
-            indent=1,
-            sort_keys=True,
-        )
-    )
+    _emit({"ok": True, "input_hash": content_hash(path),
+           "vertices": sc.graph.n_vertices, "sectors": len(sc.sectors),
+           "mode": sc.mode}, None)
 
 
 @main.command()
@@ -132,6 +122,7 @@ def analyze(path, mode, terms, out):
                            f"configurations x 2), over the limit of "
                            f"{MAX_TERM_ROWS}")
     holo = analyze_holography(sc)
+    engine = IsingEngine.of(sc)
     report = {
         "input_hash": content_hash(path),
         "mode": sc.mode,
@@ -140,9 +131,9 @@ def analyze(path, mode, terms, out):
         "ratio": holo.ratio,
         "holographic": holo.holographic,
         "tolerance": holo.tolerance,
-        "P": _matrix(holo.distribution),
+        "P": _matrix(engine.distribution()),
         "Q": _matrix(holo.q_matrix),
-        "error_bound": holo.error_bound,
+        "error_bound": engine.error_bound(),
         "pairs": [
             {
                 "m": r.m,
@@ -152,11 +143,10 @@ def analyze(path, mode, terms, out):
                 "ground_config": list(r.ground_config),
                 "degeneracy": list(r.degeneracy),
             }
-            for r in holo.pairs
+            for r in engine.all_pairs()
         ],
     }
     if terms:
-        engine = IsingEngine(sc)
         report["terms"] = [
             {"m": m, "n": n, "variant": v, "energy": float(energy[v, i]),
              "config": sorted(down_set(int(configs[i]), engine.n_vert))}
@@ -311,7 +301,7 @@ def sweep(path, param, grid, out):
 def oracle(path, method, samples, seed, out):
     """Brute-force reference purity next to the engine value."""
     sc = load_scenario(path)
-    engine_value = IsingEngine(sc).purity()
+    engine_value = IsingEngine.of(sc).purity()
     report = {
         "input_hash": content_hash(path),
         "mode": sc.mode,

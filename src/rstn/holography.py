@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from rstn.ising import IsingEngine, PairResult
+from rstn.ising import IsingEngine
 from rstn.state import Scenario
 from rstn.spins import dim_rep
 
@@ -44,9 +44,6 @@ class HolographyReport:
     q_matrix: np.ndarray
     inverse_sum: float | None
     singular: bool
-    pairs: list[PairResult]  # the engine's pair table, m-major
-    distribution: np.ndarray  # P(m, n)
-    error_bound: float
 
 
 @dataclass
@@ -81,7 +78,7 @@ def q_matrix(engine: IsingEngine) -> np.ndarray:
 
 
 def analyze_holography(sc: Scenario) -> HolographyReport:
-    engine = IsingEngine(sc)
+    engine = IsingEngine.of(sc)
     purity = engine.purity()
     dim = sc.dim_H_C()
     ratio = purity * dim
@@ -98,26 +95,29 @@ def analyze_holography(sc: Scenario) -> HolographyReport:
         q_matrix=q,
         inverse_sum=inverse_sum,
         singular=singular,
-        pairs=engine.all_pairs(),
-        distribution=engine.distribution(),
-        error_bound=engine.error_bound(),
     )
 
 
 # -- weight solving ---------------------------------------------------------
 
 
+def holographic_p(sc: Scenario) -> np.ndarray:
+    """Sector distribution carried by C when the state is holographic:
+    p_n proportional to the dimension dim(H_{C,n}) of C in sector n."""
+    p = np.array([math.prod(dim_rep(sc.spin(m, lid)) for lid in sc.region_C)
+                  for m in range(len(sc.sectors))], dtype=float)
+    return p / p.sum()
+
+
 def closed_form_weights(sc: Scenario) -> np.ndarray:
     """Weights that equalize the sector distribution with the C dims.
 
     Valid when cross-sector pairs drop out (block-diagonal bulk state,
-    C carrying all sector differences): p_n must be proportional to
-    dim(H_{C,n}), which pins c_n up to one normalization.  The result
-    depends only on the complement dims and internal amplitudes.
+    C carrying all sector differences): p must be `holographic_p`,
+    which pins c_n up to one normalization.  The result depends only
+    on the complement dims and internal amplitudes.
     """
-    p = np.array([math.prod(dim_rep(sc.spin(m, lid)) for lid in sc.region_C)
-                  for m in range(len(sc.sectors))], dtype=float)
-    return _p_to_c(IsingEngine(sc), p / p.sum())
+    return _p_to_c(IsingEngine.of(sc), holographic_p(sc))
 
 
 def _p_to_c(engine: IsingEngine, p: np.ndarray) -> np.ndarray:
@@ -135,7 +135,7 @@ def solve_weights(sc: Scenario) -> WeightSolution:
     an exact root on a segment between extreme diagonal directions,
     and a deterministic multi-start simplex minimization.
     """
-    engine = IsingEngine(sc)
+    engine = IsingEngine.of(sc)
     q = q_matrix(engine)
     n = q.shape[0]
     beta = q - 1.0
@@ -257,7 +257,7 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     if not 0 <= sector < len(sc.sectors):
         raise ValueError(f"sector {sector} out of range for a scenario "
                          f"with {len(sc.sectors)} sectors")
-    engine = IsingEngine(sc)
+    engine = IsingEngine.of(sc)
     nv = engine.n_vert
     masks = np.arange(1, 1 << nv)
     # regions by size, then lexicographically as vertex tuples: of two
@@ -267,7 +267,7 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     masks = masks[np.lexsort((-rev, size))]
     lhs = engine.cut_weight(sector, masks)
     nec = sum(math.log(dim) * ((masks >> x) & 1)
-              for x, dim in enumerate(engine._vdims[sector]))
+              for x, dim in enumerate(sc.vertex_dims(sector)))
     rhs = engine._sigma_array(sector, sector)[masks]  # = S2 of the reduction
     # math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL), elementwise
     tol = np.maximum(1e-9 * np.maximum(np.abs(lhs), np.abs(rhs)), EQUALITY_TOL)

@@ -192,9 +192,11 @@ class _GroundScan:
 class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
-    The pair table and the per-pair sigma_I arrays live on the engine
-    and die with it.  The Scenario is treated as immutable once the
-    engine is built: build a new engine after changing it.
+    The pair table and the per-pair sigma_I arrays (read-only) live on
+    the engine and die with it.  A Scenario is frozen with read-only
+    blocks, so the caches stay valid for its whole life:
+    `IsingEngine.of(sc)` is the one engine every consumer shares, while
+    the constructor builds a fresh, unshared one.
 
     The work is 2^V configurations for each of the n_sec^2 ordered
     sector pairs, each one enumeration step and 8 bytes of sigma_I;
@@ -245,6 +247,14 @@ class IsingEngine:
         # (row, col) of every block given, either way round
         self._present = {k for key in sc.blocks for k in (key, key[::-1])}
         self._c = [sc.c_norm(s) for s in range(self.n_sec)]
+
+    @staticmethod
+    def of(sc: Scenario) -> IsingEngine:
+        """The scenario's shared engine, built on first use and kept on
+        the scenario itself, so that it lives exactly as long."""
+        if "_engine" not in sc.__dict__:
+            object.__setattr__(sc, "_engine", IsingEngine(sc))
+        return sc._engine
 
     # -- sector weights ------------------------------------------------------
 
@@ -306,6 +316,7 @@ class IsingEngine:
         built on first use; NaN marks a trace that is not real."""
         if (m, n) not in self._sigma_cache:
             self._sigma_cache[m, n] = self._sigma_build(m, n)
+            self._sigma_cache[m, n].flags.writeable = False
         return self._sigma_cache[m, n]
 
     def _reduced(self, row: int, col: int, keep: int) -> np.ndarray:
@@ -521,8 +532,8 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
         raise ValueError(f"direction shape {x.shape} != state {rho.shape}")
     if not np.allclose(x, x.conj().T, atol=1e-12):
         raise ValueError("direction must be Hermitian")
-    engine = IsingEngine(sc)
-    dims = engine._vdims[0]
+    engine = IsingEngine.of(sc)
+    dims = sc.vertex_dims(0)
     alpha = np.exp(-engine._link_energies(0, np.arange(1 << engine.n_vert))[1])
     tr_rho = float(np.trace(rho).real)
     x = x - float(np.trace(x).real) / tr_rho * rho

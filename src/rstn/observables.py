@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rstn.holography import analyze_holography
+from rstn.holography import analyze_holography, holographic_p
 from rstn.ising import IsingEngine
-from rstn.logdomain import LogWeight
 from rstn.spins import dim_rep
 from rstn.state import Scenario
 
@@ -62,8 +61,8 @@ def boundary_factor(
     m: int,
     n: int,
     config: int,
-) -> LogWeight:
-    """Boundary part of one doubled-trace term with insertions.
+) -> float:
+    """Log of the boundary part of one doubled-trace term with insertions.
 
     Copy one (sector m) carries X, copy two (sector n) carries Y;
     boundary half-edges at swapped vertices glue the copies and pay
@@ -76,7 +75,7 @@ def boundary_factor(
     for k, b in enumerate(sc.graph.boundary):
         if config >> b.vertex & 1:
             log -= math.log(dim_rep(sc.spin(m, f"b{k}")))
-    return LogWeight(log)
+    return log
 
 
 # -- areas -------------------------------------------------------------------
@@ -113,20 +112,6 @@ def area_observable(
     )
 
 
-def holographic_p(sc: Scenario) -> np.ndarray:
-    """Sector distribution carried by C when the state is holographic:
-    p_n proportional to the dimension of C in sector n."""
-    p = np.array(
-        [
-            math.exp(sum(
-                math.log(dim_rep(sc.spin(n, lid))) for lid in sc.region_C
-            ))
-            for n in range(len(sc.sectors))
-        ]
-    )
-    return p / p.sum()
-
-
 def p_vector(sc: Scenario, holographic: bool | None = None) -> np.ndarray:
     """Sector weights for observable averages.
 
@@ -135,13 +120,23 @@ def p_vector(sc: Scenario, holographic: bool | None = None) -> np.ndarray:
     pair distribution P is used.  Pass `holographic` to skip the
     autodetection.
     """
-    if holographic:
+    if holographic or holographic is None and analyze_holography(sc).holographic:
         return holographic_p(sc)
-    holo = analyze_holography(sc)
-    if holographic is None and holo.holographic:
-        return holographic_p(sc)
-    p = np.diag(holo.distribution).copy()
+    p = np.diag(IsingEngine.of(sc).distribution())
     return p / p.sum()
+
+
+def _sector_areas(sc: Scenario, sqrt_convention: bool) -> np.ndarray:
+    return np.array([sector_area(sc, n, sqrt_convention)
+                     for n in range(len(sc.sectors))])
+
+
+def _area_moments(sc: Scenario, sqrt_convention: bool,
+                  holographic: bool | None) -> tuple[float, float]:
+    """<A_C> and <A_C^2> over the sector weights of `p_vector`."""
+    p = p_vector(sc, holographic)
+    areas = _sector_areas(sc, sqrt_convention)
+    return float(p @ areas), float(p @ areas**2)
 
 
 def area_average(
@@ -150,11 +145,8 @@ def area_average(
     holographic: bool | None = None,
 ) -> float:
     """<A_C> = sum_n p_n A_{C,n}."""
-    p = p_vector(sc, holographic)
-    areas = np.array(
-        [sector_area(sc, n, sqrt_convention) for n in range(len(sc.sectors))]
-    )
-    return float(p @ areas)
+    return _area_moments(sc, sqrt_convention, holographic)[0]
+
 
 def area_average_partition(sc: Scenario, sqrt_convention: bool = False) -> float:
     """<A_C> through the full insertion path.
@@ -162,12 +154,8 @@ def area_average_partition(sc: Scenario, sqrt_convention: bool = False) -> float
     Inserts the (sector-constant) area observable on copy one of every
     pair term and normalizes; equals sum_{m,n} P(m,n) A_{C,m}.
     """
-    engine = IsingEngine(sc)
-    p_mat = engine.distribution()
-    areas = np.array(
-        [sector_area(sc, m, sqrt_convention) for m in range(len(sc.sectors))]
-    )
-    return float(p_mat.sum(axis=1) @ areas)
+    p_mat = IsingEngine.of(sc).distribution()
+    return float(p_mat.sum(axis=1) @ _sector_areas(sc, sqrt_convention))
 
 
 def area_variance(
@@ -176,12 +164,8 @@ def area_variance(
     holographic: bool | None = None,
 ) -> float:
     """Var(A_C) = sum_n p_n A_n^2 - (sum_n p_n A_n)^2."""
-    p = p_vector(sc, holographic)
-    areas = np.array(
-        [sector_area(sc, n, sqrt_convention) for n in range(len(sc.sectors))]
-    )
-    mean = float(p @ areas)
-    return max(float(p @ areas**2) - mean**2, 0.0)
+    mean, square = _area_moments(sc, sqrt_convention, holographic)
+    return max(square - mean**2, 0.0)
 
 
 # -- sequence forms ----------------------------------------------------------

@@ -14,6 +14,10 @@ A scenario bundles everything one purity computation needs:
 
 JSON files use the same structure; complex entries are written as
 [re, im] pairs and spins always as twice their value (integers).
+
+A Scenario is frozen, compared by identity, and sets its block arrays
+read-only in place, so one engine (`IsingEngine.of`) serves it for
+life; `dataclasses.replace` makes a changed copy.
 """
 
 from __future__ import annotations
@@ -44,13 +48,13 @@ class ValidationError(ValueError):
     """Well-formed input that violates a physical constraint."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Sector:
     spins: dict[str, int]  # link id -> twice-spin
     name: str = ""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scenario:
     graph: ColoredGraph
     sectors: list[Sector]
@@ -63,6 +67,8 @@ class Scenario:
     cutoffs: dict | None = None
 
     def __post_init__(self):
+        for blk in self.blocks.values():
+            blk.flags.writeable = False
         self.validate()
 
     # -- per-sector geometry -------------------------------------------------
@@ -150,6 +156,10 @@ class Scenario:
                         )
             # a vertex with no invariant state is allowed: the sector
             # then carries weight zero and drops out of every sum
+        for lid, table in self.amplitudes.items():
+            if unused := set(table) - {sec.spins[lid] for sec in self.sectors}:
+                raise ValidationError(f"amplitudes[{lid}]: no sector carries "
+                                      f"twice-spin {min(unused)} on that link")
         # distinct sectors must differ somewhere
         seen = {}
         for s, sec in enumerate(self.sectors):

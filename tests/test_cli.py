@@ -90,6 +90,17 @@ def test_amplitude_for_unknown_link_exit_3(runner, tmp_path, lid):
     assert f"amplitudes[{lid}]" in res.stderr
 
 
+def test_amplitude_for_spin_no_sector_carries_exit_3(runner, tmp_path):
+    data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
+    data["amplitudes"]["i0"]["7"] = 0.01  # its one sector carries 1 on i0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ("validate", "analyze"):
+        res = runner.invoke(main, [command, str(bad)])
+        assert res.exit_code == 3, res.output
+        assert "amplitudes[i0]" in res.stderr and "twice-spin 7" in res.stderr
+
+
 def test_size_cap_exit_4(runner, tmp_path):
     big = tmp_path / "ring.json"  # 4^2 pairs x 2^22 configurations
     big.write_text(json.dumps(ring_dict(22, 4)))

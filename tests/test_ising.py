@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -25,7 +27,14 @@ from oracles import (
 from rings import ring_dict
 from rstn.families import appendix_c, random_scenario, tiny_generic, two_sector
 from rstn.graph import BoundaryLink, ColoredGraph, Link
-from rstn.holography import analyze_holography, q_matrix
+from rstn.holography import (
+    InfeasibleError,
+    analyze_holography,
+    closed_form_weights,
+    fixed_spin_criteria,
+    q_matrix,
+    solve_weights,
+)
 from rstn.ising import (
     IsingEngine,
     SizeCapError,
@@ -35,7 +44,12 @@ from rstn.ising import (
     purity_gradient,
 )
 from rstn.cli import main
-from rstn.observables import area_average, area_variance, p_vector
+from rstn.observables import (
+    area_average,
+    area_average_partition,
+    area_variance,
+    p_vector,
+)
 from rstn.oracle import exact_purity
 from rstn.state import (
     Scenario,
@@ -453,7 +467,9 @@ def test_engine_reductions_match_einsum_partial_trace():
     assert checked > 100
 
 
-def test_each_pair_evaluated_once_per_engine(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """Counts engines built and partition_pair calls per ordered pair."""
     calls = Counter()
     engines = []
     evaluate = IsingEngine.partition_pair
@@ -471,15 +487,20 @@ def test_each_pair_evaluated_once_per_engine(monkeypatch):
     monkeypatch.setattr(IsingEngine, "__init__", counting_init)
 
     def check(sc, run, n_engines=1):
+        """`run()` builds `n_engines` engines (0 or 1), which evaluate
+        every ordered pair once."""
         run()
-        assert calls == Counter(
-            (m, n) for m in range(len(sc.sectors))
-            for n in range(len(sc.sectors))
-        )
+        pairs = [(m, n) for m in range(len(sc.sectors))
+                 for n in range(len(sc.sectors))]
+        assert calls == Counter(pairs * n_engines)
         assert len(engines) == n_engines
         calls.clear()
         engines.clear()
 
+    return check
+
+
+def test_each_pair_evaluated_once_per_engine(built):
     def engine_quotients(sc):
         engine = IsingEngine(sc)
         engine.purity()
@@ -493,24 +514,81 @@ def test_each_pair_evaluated_once_per_engine(monkeypatch):
     rng = np.random.default_rng(31)
     for sc in (appendix_c(4, **BLOCK_PARAMS),
                random_scenario(rng, "chain", n_sectors=3, max_twice=4)):
-        check(sc, lambda: engine_quotients(sc))
-        check(sc, lambda: analyze_holography(sc))
+        built(sc, lambda: engine_quotients(sc))
+        built(sc, lambda: engine_quotients(sc))  # the constructor never shares
+        built(sc, lambda: analyze_holography(sc))
+        built(sc, lambda: analyze_holography(sc), n_engines=0)
 
     path = str(resources.files("rstn") / "scenarios" / "appendix_c.json")
     sc = load_scenario(path)
-    for flags, n_engines in (([], 1), (["--terms"], 2)):
+    for flags in ([], ["--terms"]):  # --terms reads the same engine
         def analyze():
             res = CliRunner().invoke(main, ["analyze", path] + flags)
             assert res.exit_code == 0, res.output
-        check(sc, analyze, n_engines)
+        built(sc, analyze)
 
     sc = two_sector(9, 5, 0.4)
+    built(sc, lambda: analyze_holography(sc))
     assert not analyze_holography(sc).holographic
-    calls.clear()
-    engines.clear()
-    check(sc, lambda: p_vector(sc))
-    check(sc, lambda: area_average(sc))
-    check(sc, lambda: area_variance(sc))
+    built(sc, lambda: p_vector(sc), n_engines=0)
+    built(sc, lambda: area_average(sc), n_engines=0)
+    built(sc, lambda: area_variance(sc), n_engines=0)
+
+
+def test_one_engine_per_scenario(built):
+    multi = two_sector(9, 5, 0.4)
+
+    def consumers():
+        analyze_holography(multi)
+        solve_weights(multi)
+        closed_form_weights(multi)
+        fixed_spin_criteria(multi, 1)
+        p_vector(multi)
+        area_average(multi)
+        area_variance(multi)
+        area_average_partition(multi)
+
+    built(multi, consumers)
+    built(multi, consumers, n_engines=0)
+
+    single = tiny_generic()
+
+    def sequence():
+        analyze_holography(single)
+        with pytest.raises(InfeasibleError):  # one sector, ratio != 1
+            solve_weights(single)
+        area_variance(single)
+        fixed_spin_criteria(single)
+        purity_gradient(single, single.block(0, 0))
+
+    built(single, sequence)
+    built(single, sequence, n_engines=0)
+
+
+def test_shared_engine_belongs_to_one_scenario():
+    sc = appendix_c(4, **BLOCK_PARAMS)
+    engine = IsingEngine.of(sc)
+    assert IsingEngine.of(sc) is engine and engine.sc is sc
+    assert IsingEngine(sc) is not engine
+    high = dataclasses.replace(sc, mode="high_spin")
+    assert IsingEngine.of(high) is not engine
+    assert IsingEngine.of(high).sc is high
+
+
+def test_shared_engine_dies_with_its_scenario():
+    sc = appendix_c(4, **BLOCK_PARAMS)
+    IsingEngine.of(sc).purity()
+    alive = weakref.ref(sc)
+    del sc
+    gc.collect()
+    assert alive() is None
+
+
+def test_sigma_arrays_are_read_only():
+    engine = IsingEngine.of(tiny_generic())
+    sigma = engine._sigma_array(0, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        sigma[0] = 1.0
 
 
 def test_pair_results_are_frozen():
@@ -582,6 +660,15 @@ def test_perfbench_tracer_installs():
         "engine.sigma_I(0, 0, 1)\n"
         "purity_gradient(sc, sc.block(0, 0))\n"
         "assert spans.layer_metrics(tracer, 1)['ising.reduction_bytes'] > 0\n"
+        "from rstn.holography import analyze_holography, fixed_spin_criteria\n"
+        "tracer.reset()\n"
+        "sc = tiny_generic()\n"
+        "analyze_holography(sc)\n"
+        "fixed_spin_criteria(sc)\n"
+        "metrics = spans.layer_metrics(tracer, 1)\n"
+        "assert metrics['ising.engines_built'] == 1, metrics\n"
+        "assert metrics['ising.partition_pair_calls'] == 1, metrics\n"
+        "assert tracer.calls('holography.fixed_spin') == 1\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -174,4 +175,28 @@ def test_bad_complex_entry():
     data = scenario_to_dict(tiny_generic())
     data["amplitudes"]["i0"]["1"] = [1.0, 2.0, 3.0]
     with pytest.raises(ParseError, match="re, im"):
+        scenario_from_dict(data)
+
+
+def test_scenario_is_frozen_with_read_only_blocks():
+    sc = tiny_generic()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.mode = "high_spin"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.sectors[0].name = "renamed"
+    with pytest.raises(ValueError, match="read-only"):
+        sc.block(0, 0)[0, 0] = 0.5
+
+
+def test_blocks_are_flagged_in_place():
+    sc = tiny_generic()
+    blk = np.array(sc.block(0, 0))  # a writable copy
+    again = dataclasses.replace(sc, blocks={(0, 0): blk})
+    assert again.blocks[(0, 0)] is blk and not blk.flags.writeable
+
+
+def test_amplitude_for_spin_no_sector_carries():
+    data = scenario_to_dict(tiny_generic())
+    data["amplitudes"]["i0"]["7"] = 0.01
+    with pytest.raises(ValidationError, match=r"amplitudes\[i0\].* 7 "):
         scenario_from_dict(data)
