@@ -222,7 +222,7 @@ def _pinwheel_params(sc: Scenario) -> dict:
         "u": complex(cross[0, 0]) if cross.size >= 1 else 0.0,
         "v": complex(cross[1, 0]) if cross.size >= 2 else 0.0,
         "w": float(sc.block(1, 1)[0, 0].real),
-        "region": "s_link" if sc.region_C == ["b3"] else "x",
+        "region": "s_link" if sc.region_C == ("b3",) else "x",
         "c0": sc.c_norm(0),
     }
 

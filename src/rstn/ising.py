@@ -17,25 +17,28 @@ Links of both kinds share one table, their ends a vertex bitmask (two
 bits internal, one for a half-edge), and one rule: a swapped set cuts
 a link when it holds an odd number of its ends.
 
-An engine evaluates each ordered pair once and keeps the n_sec^2
-results as its pair table, which purity, P, Q and the error bound all
-read.  `IsingEngine.terms` is the one place where Delta, the link
-energies and sigma_I meet: per pair it yields them as numpy arrays over
-chunks of 2^CHUNK_BITS configurations, which `partition_pair` reduces
-and `rstn analyze --terms` lists.  The bulk term sigma_I is one float
-array per pair over all 2^V swapped sets, built on first use: each
-sector block is written in a per-vertex operator basis whose element 0
-is the identity, where a partial trace keeps only component 0, so
-Tr(A_S B_S) for every S is one elementwise product followed by a
-per-vertex reduction to [traced, kept] (Rains' quantum weight
-enumerators; Yates' subset transform).
+Z_v^{(m,n)} = Z_v^{(n,m)} (Delta's pins are symmetric in m and n, a
+link whose spins differ pays nothing where Delta admits, Tr(A_S B_S) =
+Tr(B_S A_S)), so an engine evaluates each unordered pair once and keeps
+the n_sec^2 results, mirrored, as its pair table, which purity, P, Q
+and the error bound read.  `IsingEngine.terms` is the one place where
+Delta, the link energies (held per sector for its later pairs) and
+sigma_I meet: per pair it yields them as numpy arrays over chunks of
+2^CHUNK_BITS configurations, which `partition_pair` reduces and `rstn
+analyze --terms` lists.  The bulk term sigma_I is one float array per
+pair over all 2^V swapped sets, built on first use: each sector block
+is written in a per-vertex operator basis whose element 0 is the
+identity, where a partial trace keeps only component 0, so Tr(A_S B_S)
+for every S is one elementwise product followed by a per-vertex
+reduction to [traced, kept] (Rains' quantum weight enumerators; Yates'
+subset transform) that skips the vertices of dimension 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,7 +78,7 @@ def _partial_trace(mat: np.ndarray, row_dims, col_dims, keep: int):
     outside `keep`, which need equal row and column dims."""
     arr = mat.reshape(*row_dims, *col_dims)
     for x in reversed(range(len(row_dims))):  # lower axes stay in place
-        if not keep >> x & 1:
+        if not keep >> x & 1 and row_dims[x] > 1:  # dim 1: nothing to trace
             arr = arr.trace(axis1=x, axis2=arr.ndim // 2 + x)
     return arr.reshape(math.prod(arr.shape[:arr.ndim // 2]), -1)
 
@@ -108,23 +111,29 @@ def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
     all whose dims differ) are never traced: sets missing one get 0.
     A and B^T go to the operator basis of `_vertex_maps` at every
     vertex, are multiplied elementwise and reduced vertex by vertex.
+    A unit vertex (row and col dim 1) outside `whole` leaves every trace
+    unchanged: it skips the transform, and the result is broadcast.
     """
     n = len(row_dims)
-    verts = range(n - 1, -1, -1)  # so that vertex 0 is the lowest bit
+    live = [x for x in range(n) if row_dims[x] * col_dims[x] > 1 or whole >> x & 1]
     maps = [_vertex_maps(row_dims[x], col_dims[x], bool(whole >> x & 1))
-            for x in verts]
+            for x in reversed(live)]  # so that vertex 0 is the lowest bit
 
     def per_vertex(arr, k):  # each step maps the leading axis to the back
         for mat in (pair[k] for pair in maps):
             arr = (mat @ arr.reshape(len(mat[0]), -1)).T
         return arr.reshape(-1)
 
-    order = [k for x in verts for k in (x, n + x)]
-    alpha = per_vertex(a.reshape(*row_dims, *col_dims).transpose(order), 0)
+    n_live = len(live)
+    shape = [row_dims[x] for x in live] + [col_dims[x] for x in live]
+    order = [j for i in reversed(range(n_live)) for j in (i, n_live + i)]
+    alpha = per_vertex(a.reshape(shape).transpose(order), 0)
     if b is None:  # B^T = conj(A)
-        return per_vertex(np.square(alpha.real) + np.square(alpha.imag), 1)
-    beta = per_vertex(b.T.reshape(*row_dims, *col_dims).transpose(order), 0)
-    return per_vertex(alpha * beta, 1)
+        prod = np.square(alpha.real) + np.square(alpha.imag)
+    else:
+        prod = alpha * per_vertex(b.T.reshape(shape).transpose(order), 0)
+    bits = [2 if x in live else 1 for x in reversed(range(n))]
+    return np.broadcast_to(per_vertex(prod, 1).reshape(bits), (2,) * n).ravel()
 
 
 @dataclass(frozen=True)
@@ -198,10 +207,10 @@ class IsingEngine:
     `IsingEngine.of(sc)` is the one engine every consumer shares, while
     the constructor builds a fresh, unshared one.
 
-    The work is 2^V configurations for each of the n_sec^2 ordered
-    sector pairs, each one enumeration step and 8 bytes of sigma_I;
-    more than MAX_CONFIG_PAIRS (2^24) configurations x ordered sector
-    pairs raises SizeCapError before anything is built.
+    The work is 2^V enumeration steps and 8 bytes of sigma_I for each
+    of the n_sec(n_sec+1)/2 unordered pairs; the cap counts ordered
+    ones: more than MAX_CONFIG_PAIRS (2^24) configurations x ordered
+    sector pairs raises SizeCapError before anything is built.
 
     The link table, in `graph.link_ids()` order: `_ends`, `_on_C`,
     and per sector `_twice`, `_logd` = log(2j+1) and `_log_g2` =
@@ -223,6 +232,7 @@ class IsingEngine:
         self._full = (1 << self.n_vert) - 1
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pairs: tuple[PairResult, ...] | None = None
+        self._held: tuple[int, list[np.ndarray]] = (-1, [])
         g = sc.graph
         ids = g.link_ids()
         self._ends = np.array(
@@ -385,6 +395,20 @@ class IsingEngine:
             e += logd * (cut ^ flip)
         return e
 
+    def _link_chunks(self, m: int, release: bool):
+        """(configs, `_link_energies`) per chunk of configurations.  The
+        engine holds one sector's for its later pairs; `release` (at the
+        last pair of m in m-major order) drops them."""
+        held = self._held[1] if self._held[0] == m else []
+        self._held = (-1, []) if release else (m, held)
+        size = min(1 << self.n_vert, 1 << CHUNK_BITS)
+        for k, start in enumerate(range(0, 1 << self.n_vert, size)):
+            configs = np.arange(start, start + size)
+            link = held[k] if k < len(held) else self._link_energies(m, configs)
+            if k == len(held) and not release:
+                held.append(link)
+            yield configs, link
+
     def cut_weight(self, m: int, configs: np.ndarray) -> np.ndarray:
         """Sum of log(2j+1) of sector m over the links each configuration
         cuts, weighted -1 on C, added in `graph.cut` order."""
@@ -418,15 +442,13 @@ class IsingEngine:
         whose bulk trace is not real."""
         masks = self._delta_masks(m, n)
         sigma_all = self._sigma_array(m, n)
-        n_conf = 1 << self.n_vert
-        for start in range(0, n_conf, 1 << CHUNK_BITS):
-            configs = np.arange(start, min(n_conf, start + (1 << CHUNK_BITS)))
+        for configs, link in self._link_chunks(m, n == self.n_sec - 1):
             ok = np.array([_survives(configs, pins) for pins in masks])
             sigma = sigma_all[configs]
             bad = configs[np.isnan(sigma) & (ok[0] | ok[1])]
             if bad.size:
                 self.sigma_I(m, n, int(bad[0]))  # raises: trace not real
-            energy = self._link_energies(m, configs) + sigma
+            energy = link + sigma
             yield configs, energy, ok & (energy != math.inf)
 
     def partition_pair(self, m: int, n: int) -> PairResult:
@@ -462,10 +484,12 @@ class IsingEngine:
         )
 
     def all_pairs(self) -> list[PairResult]:
-        """The pair table: every ordered pair, m-major, evaluated once."""
+        """The pair table, m-major: each unordered pair evaluated once."""
         if self._pairs is None:
+            upper = {(m, n): self.partition_pair(m, n)
+                     for m in range(self.n_sec) for n in range(m, self.n_sec)}
             self._pairs = tuple(
-                self.partition_pair(m, n)
+                upper[m, n] if m <= n else replace(upper[n, m], m=m, n=n)
                 for m in range(self.n_sec) for n in range(self.n_sec)
             )
         return list(self._pairs)
@@ -534,7 +558,8 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
         raise ValueError("direction must be Hermitian")
     engine = IsingEngine.of(sc)
     dims = sc.vertex_dims(0)
-    alpha = np.exp(-engine._link_energies(0, np.arange(1 << engine.n_vert))[1])
+    alpha = np.exp(-np.concatenate(
+        [link[1] for _, link in engine._link_chunks(0, release=True)]))
     tr_rho = float(np.trace(rho).real)
     x = x - float(np.trace(x).real) / tr_rho * rho
     traces = _subset_traces(rho, x, dims, dims).real

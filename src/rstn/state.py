@@ -15,16 +15,19 @@ A scenario bundles everything one purity computation needs:
 JSON files use the same structure; complex entries are written as
 [re, im] pairs and spins always as twice their value (integers).
 
-A Scenario is frozen, compared by identity, and sets its block arrays
-read-only in place, so one engine (`IsingEngine.of`) serves it for
-life; `dataclasses.replace` makes a changed copy.
+A Scenario is frozen all the way down (tuples, read-only mappings,
+read-only block arrays) and compared by identity, so one engine
+(`IsingEngine.of`) serves it for life; `dataclasses.replace` makes a
+changed copy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,23 +53,31 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Sector:
-    spins: dict[str, int]  # link id -> twice-spin
+    spins: Mapping[str, int]  # link id -> twice-spin
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "spins", MappingProxyType(dict(self.spins)))
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     graph: ColoredGraph
-    sectors: list[Sector]
-    amplitudes: dict[str, dict[int, complex]]  # link id -> twice -> g
-    blocks: dict[tuple[int, int], np.ndarray]  # (m, n) -> rho^I block
-    region_C: list[str]
+    sectors: tuple[Sector, ...]
+    amplitudes: Mapping[str, Mapping[int, complex]]  # link id -> twice -> g
+    blocks: Mapping[tuple[int, int], np.ndarray]  # (m, n) -> rho^I block
+    region_C: tuple[str, ...]
     mode: str = "exact"
     vertex_product: bool = False
     core: dict | None = None
     cutoffs: dict | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "sectors", tuple(self.sectors))
+        object.__setattr__(self, "region_C", tuple(self.region_C))
+        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+        object.__setattr__(self, "amplitudes", MappingProxyType({
+            lid: MappingProxyType(dict(t)) for lid, t in self.amplitudes.items()}))
         for blk in self.blocks.values():
             blk.flags.writeable = False
         self.validate()
@@ -230,6 +241,30 @@ def _complex_in(v, where: str) -> complex:
     raise ParseError(f"{where}: expected number or [re, im], got {v!r}")
 
 
+def _block_in(mat, key: str) -> np.ndarray:
+    """A bulk-state block, read by numpy at once when its cells are all
+    numbers or all [re, im] pairs, else cell by cell (naming a bad one)."""
+    if not isinstance(mat, list) or any(
+        not isinstance(row, list) or len(row) != len(mat[0]) for row in mat
+    ):
+        raise ParseError(f"intertwiner block {key}: expected a matrix "
+                         f"of equal-length rows")
+    try:
+        arr = np.array(mat)
+    except ValueError:  # mixed or ragged cells
+        arr = np.array(None)
+    if (arr.dtype.kind in "biuf" and arr.ndim in (2, 3)
+            and arr.shape[2:] in ((), (2,))):
+        return (arr.astype(float).view(complex)[..., 0] if arr.ndim == 3
+                else arr.astype(complex))
+    arr = np.array([[_complex_in(v, f"block {key}[{i}][{j}]")
+                     for j, v in enumerate(row)] for i, row in enumerate(mat)],
+                   dtype=complex)
+    if arr.ndim != 2:
+        raise ParseError(f"intertwiner block {key}: expected a matrix")
+    return arr
+
+
 def _int_in(v, where: str) -> int:
     try:
         return int(v)
@@ -321,22 +356,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ParseError(
                 f"intertwiner block key {key!r} must be 'm,n'"
             ) from exc
-        if not isinstance(mat, list) or any(
-            not isinstance(row, list) or len(row) != len(mat[0]) for row in mat
-        ):
-            raise ParseError(f"intertwiner block {key}: expected a matrix "
-                             f"of equal-length rows")
-        arr = np.array(
-            [
-                [_complex_in(v, f"block {key}[{i}][{j}]")
-                 for j, v in enumerate(row)]
-                for i, row in enumerate(mat)
-            ],
-            dtype=complex,
-        )
-        if arr.ndim != 2:
-            raise ParseError(f"intertwiner block {key}: expected a matrix")
-        blocks[(m, n)] = arr
+        blocks[(m, n)] = _block_in(mat, key)
 
     region_C = data["region_C"]
     if not isinstance(region_C, list) or not all(isinstance(x, str)
@@ -364,7 +384,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         sectors=sectors,
         amplitudes=amplitudes,
         blocks=blocks,
-        region_C=list(region_C),
+        region_C=region_C,
         mode=mode,
         vertex_product=vertex_product,
         core=core,

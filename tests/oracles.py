@@ -9,7 +9,7 @@ by one np.einsum per subset (and sigma_I from them), the pairwise
 log-sum as a scalar loop, the fixed-spin flip criteria and the
 `analyze --terms` rows by one Python pass per region or configuration,
 Delta and the link energies link by link from `graph.cut`, and the
-Monte Carlo purity by one unordered einsum per sample.
+Monte Carlo purity one sample at a time.
 """
 
 from __future__ import annotations
@@ -358,7 +358,8 @@ def terms_reference(sc: Scenario) -> list[dict]:
 
 
 def _sector_boundary_tensor(
-    sc: Scenario, s: int, psi: list[dict[tuple[int, ...], np.ndarray]]
+    sc: Scenario, s: int, psi: list[dict[tuple[int, ...], np.ndarray]],
+    contract=np.einsum,
 ) -> np.ndarray:
     """Contract one sector's vertex states over the internal links.
 
@@ -384,7 +385,7 @@ def _sector_boundary_tensor(
         subs.append(leg[(ln.source, ln.color)] + leg[(ln.target, ln.color)])
     out = "".join(iota[x] for x in range(g.n_vertices))
     out += "".join(leg[(b.vertex, b.color)] for b in g.boundary)
-    return np.einsum(",".join(subs) + "->" + out, *operands)
+    return contract(",".join(subs) + "->" + out, *operands)
 
 
 def mc_purity_reference(
@@ -392,9 +393,10 @@ def mc_purity_reference(
 ) -> MCResult:
     """`rstn.oracle.mc_purity` one sample at a time, as it was written
     before samples were batched: per sample, contract the network with
-    an unordered np.einsum per sector, weight the intertwiner indices
-    with rho^I, reduce to the boundary, and record Tr[rho_C^2] and
-    (Tr rho)^2.  Same Philox streams, same caps, same jackknife.
+    an np.einsum per sector, weight the intertwiner indices with rho^I,
+    reduce to the boundary, and record Tr[rho_C^2] and (Tr rho)^2.
+    Same Philox streams, same caps, same jackknife.  Each contraction
+    path is found on the first sample and reused.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -434,6 +436,15 @@ def mc_purity_reference(
             tuple(sc.vertex_dims(srow)) + tuple(sc.vertex_dims(scol))
         )
 
+    paths: dict[tuple, list] = {}
+
+    def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+        key = (subscripts,) + tuple(op.shape for op in operands)
+        if key not in paths:
+            paths[key] = np.einsum_path(subscripts, *operands,
+                                        optimize="greedy")[0]
+        return np.einsum(subscripts, *operands, optimize=paths[key])
+
     nums = np.empty(n_samples)
     dens = np.empty(n_samples)
     for it in range(n_samples):
@@ -448,7 +459,8 @@ def mc_purity_reference(
                 parts[tup] = vec[off:off + size].reshape((di,) + legs)
                 off += size
             psi.append(parts)
-        a = [_sector_boundary_tensor(sc, s, psi) for s in range(n_sec)]
+        a = [_sector_boundary_tensor(sc, s, psi, contract)
+             for s in range(n_sec)]
 
         def rho_c(s_ket: int, s_bra: int) -> np.ndarray | None:
             """C-block of the boundary state from sector pair, or None."""
@@ -477,7 +489,7 @@ def mc_purity_reference(
                 + "".join(i1) + "".join(bidx_bra)
                 + "->" + "".join(cidx) + "".join(cpidx)
             )
-            val = np.einsum(sub, r, a[s_ket], a[s_bra].conj())
+            val = contract(sub, r, a[s_ket], a[s_bra].conj())
             nc = int(np.prod([dim_rep(t) for t in c_spins(s_ket)])) if c_pos else 1
             ncp = int(np.prod([dim_rep(t) for t in c_spins(s_bra)])) if c_pos else 1
             return val.reshape(nc, ncp)

@@ -36,6 +36,7 @@ from rstn.holography import (
     solve_weights,
 )
 from rstn.ising import (
+    CHUNK_BITS,
     IsingEngine,
     SizeCapError,
     _subset_traces,
@@ -80,12 +81,36 @@ def test_partition_sums_match_frozen_forms(twice_s):
         assert got == pytest.approx(expect, rel=1e-12)
 
 
+def symmetry_cases() -> list[Scenario]:
+    rng = np.random.default_rng(53)
+    cases = [appendix_c(4, **BLOCK_PARAMS), onoff_ring(),
+             dataclasses.replace(onoff_ring(1), mode="high_spin")]
+    for template in ("chain", "two", "one"):
+        for n_sectors in (2, 3):
+            for mode in ("exact", "high_spin"):
+                for vertex_product in (False, True):
+                    cases += [random_scenario(
+                        rng, template, n_sectors=n_sectors, max_twice=5,
+                        mode=mode, vertex_product=vertex_product)
+                        for _ in range(2)]
+    return cases
+
+
 def test_pair_symmetry():
-    sc = appendix_c(4, **BLOCK_PARAMS)
-    engine = IsingEngine(sc)
-    a, b = engine.partition_pair(0, 1), engine.partition_pair(1, 0)
-    assert a.z0.log == pytest.approx(b.z0.log, rel=1e-12)
-    assert a.z1.log == pytest.approx(b.z1.log, rel=1e-12)
+    # the pair table evaluates m <= n only and mirrors the rest
+    checked = 0
+    for sc in symmetry_cases():
+        for m in range(len(sc.sectors)):
+            for n in range(m + 1, len(sc.sectors)):
+                a = IsingEngine(sc).partition_pair(m, n)
+                b = IsingEngine(sc).partition_pair(n, m)
+                assert (a.ground_config, a.degeneracy) \
+                    == (b.ground_config, b.degeneracy)
+                for x, y in zip((a.z0.log, a.z1.log, *a.ground_energy, *a.gap),
+                                (b.z0.log, b.z1.log, *b.ground_energy, *b.gap)):
+                    assert x == y or abs(x - y) <= 1e-14 * max(1.0, abs(x))
+                checked += 1
+    assert checked >= 100
 
 
 def test_sigma_I_diagonal_is_renyi_of_reduction():
@@ -344,6 +369,23 @@ def test_subset_traces_match_einsum_with_unequal_dims():
         assert got_herm[mask] == pytest.approx(np.trace(h @ h).real, rel=1e-12)
 
 
+def test_subset_traces_broadcast_over_unit_vertices():
+    rng = np.random.default_rng(30)
+    row_dims, col_dims = [2, 1, 1, 3, 1], [4, 1, 1, 3, 1]
+    mat = rng.normal(size=(6, 12)) + 1j * rng.normal(size=(6, 12))
+    back = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))
+    whole = 0b00101  # vertex 2 is a unit vertex kept whole
+    got = _subset_traces(mat, back, row_dims, col_dims, whole=whole)
+    for mask in range(32):
+        if mask & whole == whole:
+            a = einsum_partial_trace(mat, row_dims, col_dims, mask)
+            b = einsum_partial_trace(back, col_dims, row_dims, mask)
+            expect = np.trace(a @ b)
+            assert abs(got[mask] - expect) <= 1e-12 * abs(expect)
+        else:
+            assert got[mask] == 0.0
+
+
 def test_sigma_arrays_match_einsum_reference():
     rng = np.random.default_rng(47)
     scenarios = [
@@ -376,33 +418,63 @@ def test_sigma_arrays_match_einsum_reference():
     assert n_inf > 0
 
 
-def onoff_ring(seed: int = 0) -> Scenario:
-    """A 4-vertex spin-1/2 ring whose sectors switch vertices 0-2 on or
-    off (both boundary legs spin 1/2 or 0), with a coherent random
-    bulk state over all 17 dimensions and C the colour-3 legs of
-    vertices 0 and 1."""
-    n = 4
+def onoff_ring(seed: int = 0, n: int = 4,
+               words=("000", "010", "100", "110", "111"),
+               region_C=("b0", "b2")) -> Scenario:
+    """A spin-1/2 ring whose sectors switch the vertices of each word on
+    or off (both boundary legs spin 1/2 or 0), with a coherent random
+    bulk state over all dimensions.  By default 4 vertices, 0-2
+    switched, 17 dimensions and C the colour-3 legs of vertices 0 and
+    1."""
     graph = ColoredGraph(
         n, [Link(x, (x + 1) % n, 1 + x % 2) for x in range(n)],
         [BoundaryLink(x, c) for x in range(n) for c in (3, 4)],
     )
-    words = ("000", "010", "100", "110", "111")
     sectors = []
     for word in words:
         spins = {f"i{x}": 1 for x in range(n)}
         for x in range(n):
-            on = int(x < 3 and word[x] == "1")
+            on = int(x < len(word) and word[x] == "1")
             spins[f"b{2 * x}"] = spins[f"b{2 * x + 1}"] = on
         sectors.append(Sector(spins, word))
     offs = np.cumsum([0] + [2 ** w.count("1") for w in words])
     rng = np.random.default_rng(seed)
-    h = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
+    h = rng.normal(size=(offs[-1],) * 2) + 1j * rng.normal(size=(offs[-1],) * 2)
     full = h @ h.conj().T
     full /= np.trace(full).real
     blocks = {(m, q): full[offs[m]:offs[m + 1], offs[q]:offs[q + 1]]
-              for m in range(5) for q in range(m, 5)}
+              for m in range(len(words)) for q in range(m, len(words))}
     return Scenario(graph=graph, sectors=sectors, amplitudes={},
-                    blocks=blocks, region_C=["b0", "b2"])
+                    blocks=blocks, region_C=region_C)
+
+
+def perfbench_style_ring() -> Scenario:
+    """6 vertices, 6 sectors switching vertices 0-4 with no hybrid among
+    them (as in the many-sectors benchmark), C both legs of 0-4."""
+    words = ("00000", "00011", "00101", "01001", "10001", "11110")
+    return onoff_ring(3, 6, words, [f"b{k}" for k in range(10)])
+
+
+@pytest.mark.parametrize("build", [onoff_ring, perfbench_style_ring])
+def test_sigma_arrays_match_einsum_on_admitted_sets(build):
+    # unit (dimension-1) vertices skip the transform and are broadcast
+    sc = build()
+    engine = IsingEngine(sc)
+    checked = 0
+    for m in range(len(sc.sectors)):
+        for n in range(len(sc.sectors)):
+            got = engine._sigma_array(m, n)
+            for mask in range(1 << sc.graph.n_vertices):
+                if not (engine.delta_ok(m, n, mask, 0)
+                        or engine.delta_ok(m, n, mask, 1)):
+                    continue
+                expect = einsum_sigma(sc, m, n, mask)
+                if math.isinf(expect):
+                    assert got[mask] == expect
+                else:
+                    assert abs(got[mask] - expect) <= 1e-12 * max(1.0, abs(expect))
+                checked += 1
+    assert checked > 100
 
 
 def test_nonreal_traces_count_only_where_delta_admits():
@@ -469,7 +541,7 @@ def test_engine_reductions_match_einsum_partial_trace():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts engines built and partition_pair calls per ordered pair."""
+    """Counts engines built and partition_pair calls per sector pair."""
     calls = Counter()
     engines = []
     evaluate = IsingEngine.partition_pair
@@ -488,10 +560,10 @@ def built(monkeypatch):
 
     def check(sc, run, n_engines=1):
         """`run()` builds `n_engines` engines (0 or 1), which evaluate
-        every ordered pair once."""
+        every unordered pair once, as (m, n) with m <= n."""
         run()
         pairs = [(m, n) for m in range(len(sc.sectors))
-                 for n in range(len(sc.sectors))]
+                 for n in range(m, len(sc.sectors))]
         assert calls == Counter(pairs * n_engines)
         assert len(engines) == n_engines
         calls.clear()
@@ -563,6 +635,22 @@ def test_one_engine_per_scenario(built):
 
     built(single, sequence)
     built(single, sequence, n_engines=0)
+
+
+def test_link_energies_once_per_sector_and_chunk(monkeypatch):
+    calls = Counter()
+    link_energies = IsingEngine._link_energies
+
+    def counting(self, m, configs):
+        calls[m, int(configs[0])] += 1
+        return link_energies(self, m, configs)
+
+    monkeypatch.setattr(IsingEngine, "_link_energies", counting)
+    engine = IsingEngine(scenario_from_dict(ring_dict(16, 3)))
+    engine.all_pairs()
+    starts = range(0, 1 << 16, 1 << CHUNK_BITS)
+    assert calls == Counter((m, s) for m in range(3) for s in starts)
+    assert engine._held == (-1, [])  # released with the last pair of m
 
 
 def test_shared_engine_belongs_to_one_scenario():

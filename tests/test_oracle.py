@@ -227,8 +227,7 @@ def test_mc_matches_per_sample_reference_at_block_edges(monkeypatch, name):
 @pytest.mark.parametrize(
     "make, n_samples",
     [(lambda: appendix_c(2, **BLOCK_PARAMS), 7),
-     # one reference sample here costs several seconds
-     (lambda: once_fine_grained(1), 1)],
+     (lambda: once_fine_grained(1), 7)],
     ids=["appendix_c2", "once_fine_grained1"],
 )
 def test_mc_matches_per_sample_reference(make, n_samples):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from rstn.families import tiny_generic, appendix_c
+from rstn.ising import IsingEngine
 from rstn.state import (
     ParseError,
     Scenario,
     Sector,
     ValidationError,
+    _block_in,
     link_state_purity,
     load_scenario,
     scenario_from_dict,
@@ -178,6 +180,41 @@ def test_bad_complex_entry():
         scenario_from_dict(data)
 
 
+def _per_cell(mat):
+    return np.array([[complex(*v) if isinstance(v, list) else complex(v)
+                      for v in row] for row in mat], dtype=complex)
+
+
+def test_block_parse_is_bit_identical_to_per_cell_parse():
+    rng = np.random.default_rng(3)
+    numbers = [0, 1, -2, True, 0.5, -0.0, 1e-300, -7.25, 2**60 + 1]
+
+    def cell():
+        return numbers[rng.integers(len(numbers))]
+
+    for shape in ((1, 1), (3, 4), (6, 2)):
+        plain = [[cell() for _ in range(shape[1])] for _ in range(shape[0])]
+        pairs = [[[cell(), cell()] for _ in row] for row in plain]
+        mixed = [[v if (i + j) % 2 else [v, cell()] for j, v in enumerate(row)]
+                 for i, row in enumerate(plain)]
+        for mat in (plain, pairs, mixed):
+            got, want = _block_in(mat, "0,0"), _per_cell(mat)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["1.5", None, [1.0], [1.0, 2.0, 3.0],
+                                 [[1.0, 2.0]], ["1", 2.0]])
+@pytest.mark.parametrize("kind", ["numbers", "pairs"])
+def test_block_parse_error_names_the_cell(bad, kind):
+    mat = [[0.25, 0.0], [0.0, 0.75]]
+    if kind == "pairs":
+        mat = [[[v, 0.0] for v in row] for row in mat]
+    mat[1][0] = bad
+    with pytest.raises(ParseError, match=r"block 0,0\[1\]\[0\]: expected"):
+        _block_in(mat, "0,0")
+
+
 def test_scenario_is_frozen_with_read_only_blocks():
     sc = tiny_generic()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -186,6 +223,36 @@ def test_scenario_is_frozen_with_read_only_blocks():
         sc.sectors[0].name = "renamed"
     with pytest.raises(ValueError, match="read-only"):
         sc.block(0, 0)[0, 0] = 0.5
+
+
+def test_scenario_containers_are_read_only():
+    # a write into a container would skip validation and leave the
+    # shared engine's caches stale
+    sc = appendix_c(2, 0.3, 0.25, 0.45, u=0.1, v=0.05)
+    purity = IsingEngine.of(sc).purity()
+    with pytest.raises(TypeError):
+        sc.blocks[(1, 1)] = sc.block(1, 1) * 0.5
+    with pytest.raises(TypeError):
+        sc.amplitudes["i0"] = {2: 0.5}
+    with pytest.raises(TypeError):
+        sc.sectors[0] = sc.sectors[1]
+    with pytest.raises(TypeError):
+        sc.sectors[0].spins["b3"] = 0
+    with pytest.raises(TypeError):
+        sc.region_C[0] = "b3"
+    assert IsingEngine.of(sc).purity() == purity == IsingEngine(sc).purity()
+
+
+def test_scenario_copies_its_containers():
+    sc = tiny_generic()
+    blocks, spins = dict(sc.blocks), dict(sc.sectors[0].spins)
+    again = dataclasses.replace(
+        sc, blocks=blocks, sectors=[Sector(spins, "s")], region_C=["b0"])
+    blocks[(0, 0)] = np.eye(1)
+    spins["b0"] += 2
+    assert again.blocks[(0, 0)] is sc.blocks[(0, 0)]
+    assert again.sectors[0].spins == sc.sectors[0].spins
+    assert again.region_C == ("b0",)
 
 
 def test_blocks_are_flagged_in_place():
