@@ -69,8 +69,8 @@ class Scenario:
     region_C: tuple[str, ...]
     mode: str = "exact"
     vertex_product: bool = False
-    core: dict | None = None
-    cutoffs: dict | None = None
+    core: Mapping | None = None
+    cutoffs: Mapping[str, float | None] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
@@ -78,6 +78,9 @@ class Scenario:
         object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
         object.__setattr__(self, "amplitudes", MappingProxyType({
             lid: MappingProxyType(dict(t)) for lid, t in self.amplitudes.items()}))
+        for name in ("core", "cutoffs"):
+            if (table := getattr(self, name)) is not None:
+                object.__setattr__(self, name, MappingProxyType(dict(table)))
         for blk in self.blocks.values():
             blk.flags.writeable = False
         self.validate()
@@ -230,14 +233,17 @@ _TOP_KEYS = {
 
 
 def _complex_in(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(x, (int, float)) for x in v)
-    ):
-        return complex(v[0], v[1])
+    try:
+        if isinstance(v, (int, float)):
+            return complex(v)
+        if (
+            isinstance(v, list)
+            and len(v) == 2
+            and all(isinstance(x, (int, float)) for x in v)
+        ):
+            return complex(v[0], v[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(f"{where}: number too large for a float") from exc
     raise ParseError(f"{where}: expected number or [re, im], got {v!r}")
 
 
@@ -369,6 +375,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                          f"false, got {vertex_product!r}")
     mode = data.get("mode", "exact")
     core = data.get("core")
+    if core is not None:
+        _object_in(core, "core")
     cutoffs = data.get("cutoffs")
     if cutoffs is not None and (
         not isinstance(cutoffs, dict) or set(cutoffs) - {"lower", "upper"}
@@ -426,9 +434,9 @@ def scenario_to_dict(sc: Scenario) -> dict:
     if sc.vertex_product:
         out["intertwiner"]["vertex_product"] = True
     if sc.core is not None:
-        out["core"] = sc.core
+        out["core"] = dict(sc.core)
     if sc.cutoffs is not None:
-        out["cutoffs"] = sc.cutoffs
+        out["cutoffs"] = dict(sc.cutoffs)
     return out
 
 

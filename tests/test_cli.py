@@ -59,6 +59,13 @@ def _set(path, value):
      "intertwiner.vertex_product"),
     (_set(["region_C"], 5), "region_C"),
     (_set(["region_C"], "b0"), "region_C"),
+    (_set(["core"], 5), "core"),
+    # integers beyond the float range
+    (_set(["intertwiner", "blocks", "0,0", 0], lambda row: [10**400] + row[1:]),
+     "block 0,0[0][0]"),
+    (_set(["intertwiner", "blocks", "0,0", 1], lambda row: [[0, 10**400]] + row[1:]),
+     "block 0,0[1][0]"),
+    (_set(["amplitudes", "i0", "1"], 10**400), "amplitudes[i0][1]"),
 ])
 def test_malformed_scenario_is_parse_error(runner, tmp_path, mutate, named):
     data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())

@@ -319,6 +319,34 @@ def test_gradient_requires_hermitian():
         purity_gradient(sc, bad)
 
 
+@pytest.mark.parametrize("skew, accepted", [(1e-13, True), (1e-3, False),
+                                           (math.nan, False)])
+def test_gradient_hermitian_tolerance(skew, accepted):
+    sc = tiny_generic()
+    x = psd_safe_direction(sc.block(0, 0), np.random.default_rng(12))
+    bent = x.copy()
+    bent[0, 1] += skew
+    if accepted:
+        assert purity_gradient(sc, bent) == pytest.approx(
+            purity_gradient(sc, x), rel=1e-9)
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            purity_gradient(sc, bent)
+
+
+def test_gradient_hermitian_tolerance_is_relative_for_large_entries():
+    # |X - X^H| <= 1e-12 + 1e-5 |X^H|: 1e-6 off on entries of 1e3 passes,
+    # an infinite entry does not
+    sc = tiny_generic()
+    x = 1e3 * psd_safe_direction(sc.block(0, 0), np.random.default_rng(13))
+    bent = x.copy()
+    bent[0, 1] += 1e-6 * abs(x[0, 1]) + 1e-10
+    purity_gradient(sc, bent)
+    bent[2, 2] = math.inf
+    with pytest.raises(ValueError, match="Hermitian"):
+        purity_gradient(sc, bent)
+
+
 def test_bulk_boundary_hamiltonian():
     sc = tiny_generic()
     g = sc.graph
@@ -384,6 +412,69 @@ def test_subset_traces_broadcast_over_unit_vertices():
             assert abs(got[mask] - expect) <= 1e-12 * abs(expect)
         else:
             assert got[mask] == 0.0
+
+
+def _einsum_traces(a, b, row_dims, col_dims, whole=0):
+    """Tr(A_S B_S) for every mask by `einsum_partial_trace` (b=None: B = A),
+    0 for the sets missing a vertex of `whole`."""
+    b = a if b is None else b
+    return np.array([
+        np.trace(einsum_partial_trace(a, row_dims, col_dims, mask)
+                 @ einsum_partial_trace(b, col_dims, row_dims, mask))
+        if mask & whole == whole else 0.0
+        for mask in range(1 << len(row_dims))])
+
+
+def _random_matrix(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def test_subset_traces_of_read_only_blocks():
+    rng = np.random.default_rng(31)
+    dims = [2, 3, 2]
+    x = _random_matrix(rng, 12, 12)
+    herm, back = x @ x.conj().T, _random_matrix(rng, 12, 12)
+    for arr in (herm, back):
+        arr.flags.writeable = False
+    for b in (None, back):
+        np.testing.assert_allclose(_subset_traces(herm, b, dims, dims),
+                                   _einsum_traces(herm, b, dims, dims),
+                                   rtol=1e-12)
+
+
+def test_subset_traces_of_a_transposed_view():
+    rng = np.random.default_rng(32)
+    row_dims, col_dims = [2, 3], [4, 3]
+    mat = _random_matrix(rng, 6, 12)
+    back = _random_matrix(rng, 6, 12).T  # (12, 6), not C-contiguous
+    assert not back.flags.c_contiguous
+    np.testing.assert_allclose(
+        _subset_traces(mat, back, row_dims, col_dims, whole=1),
+        _einsum_traces(mat, back, row_dims, col_dims, whole=1), rtol=1e-12)
+
+
+def test_subset_traces_of_float_input():
+    rng = np.random.default_rng(33)
+    dims = [3, 2]
+    x = rng.normal(size=(6, 6))
+    sym, back = x @ x.T, rng.normal(size=(6, 6))
+    got = _subset_traces(sym, None, dims, dims)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, _einsum_traces(sym, None, dims, dims).real,
+                               rtol=1e-12)
+    np.testing.assert_allclose(_subset_traces(sym, back, dims, dims),
+                               _einsum_traces(sym, back, dims, dims),
+                               rtol=1e-12)
+
+
+def test_subset_traces_without_a_live_vertex():
+    dims = [1, 1, 1]
+    a, b = np.array([[0.6 - 0.2j]]), np.array([[0.3 + 0.1j]])
+    for mat, back in ((a, b), (np.array([[0.4 + 0j]]), None)):
+        got = _subset_traces(mat, back, dims, dims)
+        assert got.shape == (8,)
+        np.testing.assert_allclose(got, _einsum_traces(mat, back, dims, dims),
+                                   rtol=1e-15)
 
 
 def test_sigma_arrays_match_einsum_reference():
