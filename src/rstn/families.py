@@ -10,6 +10,8 @@ test-suite and the CLI draw from the same pool.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from rstn.graph import BoundaryLink, ColoredGraph, Link
@@ -185,20 +187,13 @@ def tiny_generic(mode: str = "exact") -> Scenario:
 
 # -- randomized scenarios for property tests --------------------------------
 
-_TEMPLATES: dict[str, ColoredGraph] = {}
-
-
 def _template(name: str) -> ColoredGraph:
-    if name in _TEMPLATES:
-        return _TEMPLATES[name]
     if name == "one":
-        g = ColoredGraph(
-            1, [], [BoundaryLink(0, c) for c in range(1, 5)]
-        )
-    elif name == "two":
-        g = _pinwheel_graph()
-    elif name == "chain":
-        g = ColoredGraph(
+        return ColoredGraph(1, [], [BoundaryLink(0, c) for c in range(1, 5)])
+    if name == "two":
+        return _pinwheel_graph()
+    if name == "chain":
+        return ColoredGraph(
             3,
             [Link(0, 1, 1), Link(1, 2, 2)],
             [
@@ -207,10 +202,7 @@ def _template(name: str) -> ColoredGraph:
                 BoundaryLink(2, 1), BoundaryLink(2, 3), BoundaryLink(2, 4),
             ],
         )
-    else:
-        raise ValueError(f"unknown template {name!r}")
-    _TEMPLATES[name] = g
-    return g
+    raise ValueError(f"unknown template {name!r}")
 
 
 def random_scenario(
@@ -225,41 +217,30 @@ def random_scenario(
     graph = _template(template)
     ids = graph.link_ids()
 
-    def draw_sector() -> dict[str, int] | None:
+    def draw_sector() -> tuple[dict[str, int], int]:
+        """Random spins and their block dimension (0: inadmissible)."""
         spins = {lid: int(rng.integers(0, max_twice + 1)) for lid in ids}
-        for x in range(graph.n_vertices):
-            tup = tuple(spins[lid] for lid in graph.links_at(x))
-            if intertwiner_dimension(tup) == 0:
-                return None
-        return spins
+        return spins, math.prod(
+            intertwiner_dimension(tuple(spins[lid] for lid in graph.links_at(x)))
+            for x in range(graph.n_vertices))
 
     sectors: list[Sector] = []
+    dims: list[int] = []
     seen = set()
     attempts = 0
     while len(sectors) < n_sectors:
         attempts += 1
         if attempts > 2000:
             raise RuntimeError("could not draw admissible sectors")
-        spins = draw_sector()
-        if spins is None:
+        spins, dim = draw_sector()
+        if dim == 0:
             continue
         key = tuple(sorted(spins.items()))
         if key in seen:
             continue
         seen.add(key)
         sectors.append(Sector(spins, name=f"r{len(sectors)}"))
-
-    def vdims(sec: Sector) -> int:
-        return int(
-            np.prod([
-                intertwiner_dimension(
-                    tuple(sec.spins[lid] for lid in graph.links_at(x))
-                )
-                for x in range(graph.n_vertices)
-            ])
-        )
-
-    dims = [vdims(sec) for sec in sectors]
+        dims.append(dim)
     total = sum(dims)
     if vertex_product or n_sectors == 1:
         # block-diagonal (and per-sector product) state

@@ -12,7 +12,11 @@ the k-th boundary link, in their declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+
+MAX_VERTICES = 63  # a swapped vertex set is an int64 bitmask
 
 
 class GraphError(ValueError):
@@ -40,14 +44,24 @@ class BoundaryLink:
     side: str = "outer"  # "outer" | "inner"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColoredGraph:
+    """A frozen, validated graph and its link incidence: the slot table
+    (vertex, color) -> link id, and `ends`, one vertex bitmask per link
+    in `link_ids()` order (two bits internal, one for a half-edge)."""
+
     n_vertices: int
-    internal: list[Link] = field(default_factory=list)
-    boundary: list[BoundaryLink] = field(default_factory=list)
+    internal: tuple[Link, ...] = ()
+    boundary: tuple[BoundaryLink, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "internal", tuple(self.internal))
+        object.__setattr__(self, "boundary", tuple(self.boundary))
         self.validate()
+        ends = np.array([1 << ln.source | 1 << ln.target for ln in self.internal]
+                        + [1 << b.vertex for b in self.boundary], dtype=np.int64)
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
 
     # -- ids ----------------------------------------------------------------
 
@@ -64,16 +78,12 @@ class ColoredGraph:
             f"b{k}" for k, b in enumerate(self.boundary) if b.side == "outer"
         ]
 
-    def inner_boundary_ids(self) -> list[str]:
-        return [
-            f"b{k}" for k, b in enumerate(self.boundary) if b.side == "inner"
-        ]
-
     # -- structure ----------------------------------------------------------
 
     def validate(self) -> None:
-        if self.n_vertices < 1:
-            raise GraphError("graph needs at least one vertex")
+        if not 1 <= self.n_vertices <= MAX_VERTICES:
+            raise GraphError(f"graph needs 1 to {MAX_VERTICES} vertices, got "
+                             f"{self.n_vertices}")
         slots: dict[tuple[int, int], str] = {}
 
         def claim(vertex: int, color: int, what: str) -> None:
@@ -110,51 +120,17 @@ class ColoredGraph:
                 raise GraphError(
                     f"vertex {v} has unfilled color slots {missing}"
                 )
+        object.__setattr__(self, "_slots", slots)
 
     def links_at(self, vertex: int) -> list[str]:
         """Ids of the four links incident to a vertex, by color."""
-        out: list[tuple[int, str]] = []
-        for k, ln in enumerate(self.internal):
-            if vertex in (ln.source, ln.target):
-                out.append((ln.color, f"i{k}"))
-        for k, b in enumerate(self.boundary):
-            if b.vertex == vertex:
-                out.append((b.color, f"b{k}"))
-        return [lid for _, lid in sorted(out)]
+        return [self._slots[vertex, c] for c in range(1, 5)]
 
-    def cut(self, region: frozenset[int] | set[int]) -> list[str]:
-        """Links with exactly one endpoint inside `region`.
-
-        Boundary links count as cut when their vertex is in the region.
-        """
-        out = []
-        for k, ln in enumerate(self.internal):
-            if (ln.source in region) != (ln.target in region):
-                out.append(f"i{k}")
-        for k, b in enumerate(self.boundary):
-            if b.vertex in region:
-                out.append(f"b{k}")
-        return out
-
-    def boundary_counts(
-        self, region: frozenset[int] | set[int], region_C: list[str]
-    ) -> tuple[set[str], set[str], set[str]]:
-        """Split the links cut by a vertex region against the C region.
-
-        Returns (cut internal links, boundary links in C, boundary
-        links not in C); the flip conditions compare the last two
-        cardinalities against the region size.
-        """
-        c_set = set(region_C)
-        cut_internal, in_c, not_in_c = set(), set(), set()
-        for lid in self.cut(region):
-            if self.is_internal(lid):
-                cut_internal.add(lid)
-            elif lid in c_set:
-                in_c.add(lid)
-            else:
-                not_in_c.add(lid)
-        return cut_internal, in_c, not_in_c
+    def cuts(self, configs):
+        """0/1 per link (rows, link-id order) and configuration (an int
+        or an int array of swapped vertex sets): a swapped set cuts a
+        link when it holds an odd number of the link's ends."""
+        return np.bitwise_count(np.bitwise_and.outer(self.ends, configs)) & 1
 
     def check_region_C(self, region_C: list[str]) -> None:
         """The marked boundary region must consist of outer half-edges."""

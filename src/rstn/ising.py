@@ -13,9 +13,8 @@ Purity of C is then a quotient of K-weighted sums of these.
 Configurations are ints; bit x set means sigma_x = -1 (swapped).
 Energies are natural logs; +inf marks an excluded configuration.
 
-Links of both kinds share one table, their ends a vertex bitmask (two
-bits internal, one for a half-edge), and one rule: a swapped set cuts
-a link when it holds an odd number of its ends.
+Links of both kinds share one table in `graph.link_ids()` order; their
+ends and the one cut rule are the graph's (`ColoredGraph.ends`, `.cuts`).
 
 Z_v^{(m,n)} = Z_v^{(n,m)} (Delta's pins are symmetric in m and n, a
 link whose spins differ pays nothing where Delta admits, Tr(A_S B_S) =
@@ -240,10 +239,11 @@ class IsingEngine:
     ones: more than MAX_CONFIG_PAIRS (2^24) configurations x ordered
     sector pairs raises SizeCapError before anything is built.
 
-    The link table, in `graph.link_ids()` order: `_ends`, `_on_C`,
-    and per sector `_twice`, `_logd` = log(2j+1) and `_log_g2` =
-    log|g|^2 (internal links).  `_agree[p][q]` masks the vertices at no
-    end of a link whose spins differ between sectors p and q.
+    The link table, in `graph.link_ids()` order beside the graph's
+    `ends`: `_on_C`, and per sector `_twice`, `_logd` = log(2j+1) and
+    `_log_g2` = log|g|^2 (internal links).  `_agree[p][q]` masks the
+    vertices at no end of a link whose spins differ between sectors p
+    and q.
     """
 
     def __init__(self, sc: Scenario):
@@ -261,11 +261,7 @@ class IsingEngine:
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pairs: tuple[PairResult, ...] | None = None
         self._held: tuple[int, list[np.ndarray]] = (-1, [])
-        g = sc.graph
-        ids = g.link_ids()
-        self._ends = np.array(
-            [1 << ln.source | 1 << ln.target for ln in g.internal]
-            + [1 << b.vertex for b in g.boundary], dtype=np.int64)
+        ids = sc.graph.link_ids()
         self._on_C = np.isin(ids, sc.region_C)
         self._twice = np.array([[sec.spins[lid] for lid in ids]
                                 for sec in sc.sectors])
@@ -279,7 +275,7 @@ class IsingEngine:
         # per link and variant: C is pinned swapped in variant 1
         self._flips = np.array([[[0], [c]] for c in self._on_C], np.uint8)
         differ = self._twice[:, None, :] != self._twice[None, :, :]
-        split = np.bitwise_or.reduce(np.where(differ, self._ends, 0), axis=-1)
+        split = np.bitwise_or.reduce(np.where(differ, sc.graph.ends, 0), axis=-1)
         self._agree = (self._full & ~split).tolist()
         self._vdims = [sc.vertex_dims(s) for s in range(self.n_sec)]
         # (row, col) of every block given, either way round
@@ -299,7 +295,7 @@ class IsingEngine:
     def log_K_tilde(self, m: int) -> float:
         """log of the sector weight without the bulk-state norm c_m:
         log(2j+1) per half-edge plus log|g|^2 per internal link."""
-        half_edge = np.bitwise_count(self._ends) == 1
+        half_edge = np.bitwise_count(self.sc.graph.ends) == 1
         return float(np.where(half_edge, self._logd[m], self._log_g2[m]).sum())
 
     def log_K(self, m: int) -> float:
@@ -321,8 +317,8 @@ class IsingEngine:
         """
         split = self._full & ~self._agree[m][n]
         differ = self._twice[m] != self._twice[n]
-        up = int(np.bitwise_or.reduce(self._ends[differ & ~self._on_C]))
-        down = int(np.bitwise_or.reduce(self._ends[differ & self._on_C]))
+        up = int(np.bitwise_or.reduce(self.sc.graph.ends[differ & ~self._on_C]))
+        down = int(np.bitwise_or.reduce(self.sc.graph.ends[differ & self._on_C]))
         if self.sc.vertex_product:
             up |= split
         return (split, 0), (up, down)
@@ -403,11 +399,6 @@ class IsingEngine:
 
     # -- energies ------------------------------------------------------------
 
-    def _cuts(self, configs: np.ndarray) -> np.ndarray:
-        """0/1 per link (rows, link-id order) and configuration: a swapped
-        set cuts a link when it holds an odd number of the link's ends."""
-        return np.bitwise_count(configs & self._ends[:, None]) & 1
-
     def _link_energies(self, m: int, configs: np.ndarray) -> np.ndarray:
         """Link energy of each configuration, (2, k): one row per variant.
 
@@ -418,7 +409,7 @@ class IsingEngine:
         added in link order.
         """
         e = np.zeros((2, configs.size))
-        for cut, logd, flip in zip(self._cuts(configs), self._logd[m],
+        for cut, logd, flip in zip(self.sc.graph.cuts(configs), self._logd[m],
                                    self._flips):
             e += logd * (cut ^ flip)
         return e
@@ -439,9 +430,9 @@ class IsingEngine:
 
     def cut_weight(self, m: int, configs: np.ndarray) -> np.ndarray:
         """Sum of log(2j+1) of sector m over the links each configuration
-        cuts, weighted -1 on C, added in `graph.cut` order."""
+        cuts, weighted -1 on C, added in link order."""
         total = np.zeros(configs.size)
-        for cut, logd, on_c in zip(self._cuts(configs), self._logd[m],
+        for cut, logd, on_c in zip(self.sc.graph.cuts(configs), self._logd[m],
                                    self._on_C):
             total += (-logd if on_c else logd) * cut
         return total
@@ -457,8 +448,8 @@ class IsingEngine:
 
     def hamiltonian_difference_region(self, m: int, config: int) -> float:
         """H_1 - H_0 for a diagonal pair: sum of sigma_s * log d over C."""
-        swapped = self._ends[self._on_C] & config != 0
-        return float(np.where(swapped, -1.0, 1.0) @ self._logd[m][self._on_C])
+        link = self._link_energies(m, np.array([config]))
+        return float(link[1, 0] - link[0, 0])
 
     # -- partition sums ------------------------------------------------------
 
@@ -612,13 +603,8 @@ def hamiltonian_bulk_boundary(
     intertwiner dimension when swapped against its bulk field b_x
     (b_x = -1 models the bulk as input).
     """
-    total = 0.0
-    for k, b in enumerate(graph.boundary):
-        if config >> b.vertex & 1:
-            total += math.log(dim_rep(spins[f"b{k}"]))
-    for k, ln in enumerate(graph.internal):
-        if (config >> ln.source & 1) != (config >> ln.target & 1):
-            total += math.log(dim_rep(spins[f"i{k}"]))
+    logd = [math.log(dim_rep(spins[lid])) for lid in graph.link_ids()]
+    total = float(np.dot(logd, graph.cuts(config)))
     for x in range(graph.n_vertices):
         bx = bulk_field if isinstance(bulk_field, int) else bulk_field.get(x, 1)
         sigma = -1 if config >> x & 1 else 1

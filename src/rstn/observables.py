@@ -71,11 +71,9 @@ def boundary_factor(
     With X = Y = identity this is exactly the variant-0 boundary
     weight of the plain Hamiltonian.
     """
-    log = x_obs.log_eval(sc, m) + y_obs.log_eval(sc, n)
-    for k, b in enumerate(sc.graph.boundary):
-        if config >> b.vertex & 1:
-            log -= math.log(dim_rep(sc.spin(m, f"b{k}")))
-    return log
+    cut = sc.graph.cuts(config)[len(sc.graph.internal):]  # the half-edges
+    logd = [math.log(dim_rep(sc.spin(m, f"b{k}"))) for k in range(len(cut))]
+    return x_obs.log_eval(sc, m) + y_obs.log_eval(sc, n) - float(np.dot(logd, cut))
 
 
 # -- areas -------------------------------------------------------------------

@@ -23,8 +23,10 @@ changed copy.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -198,21 +200,25 @@ class Scenario:
                     f"block ({m},{n}) has shape {blk.shape}, expected "
                     f"({dims[m]}, {dims[n]})"
                 )
+            if not np.isfinite(blk).all():
+                raise ValidationError(f"block ({m},{n}) has a non-finite entry")
             if (n, m) in self.blocks and not np.allclose(
                 self.blocks[(n, m)], blk.conj().T, atol=PSD_TOL
             ):
                 raise ValidationError(
                     f"blocks ({m},{n}) and ({n},{m}) are not adjoints"
                 )
+        # absent blocks stay zero
         full = np.zeros((sum(dims), sum(dims)), dtype=complex)
         offs = np.concatenate([[0], np.cumsum(dims)])
-        for m in range(n_sec):
-            for n in range(n_sec):
-                full[offs[m]:offs[m + 1], offs[n]:offs[n + 1]] = self.block(m, n)
-        tr = np.trace(full).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"bulk state trace {tr} != 1")
-        if np.abs(np.trace(full).imag) > TRACE_TOL:
+        for (m, n), blk in self.blocks.items():
+            full[offs[m]:offs[m + 1], offs[n]:offs[n + 1]] = blk
+            if (n, m) not in self.blocks:
+                full[offs[n]:offs[n + 1], offs[m]:offs[m + 1]] = blk.conj().T
+        tr = np.trace(full)
+        if abs(tr.real - 1.0) > TRACE_TOL:
+            raise ValidationError(f"bulk state trace {tr.real} != 1")
+        if abs(tr.imag) > TRACE_TOL:
             raise ValidationError("bulk state trace is not real")
         if not np.allclose(full, full.conj().T, atol=PSD_TOL):
             raise ValidationError("bulk state is not Hermitian")
@@ -233,23 +239,23 @@ _TOP_KEYS = {
 
 
 def _complex_in(v, where: str) -> complex:
+    pair = [v, 0] if isinstance(v, (int, float)) else v
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, (int, float)) for x in pair)):
+        raise ParseError(f"{where}: expected number or [re, im], got {v!r}")
     try:
-        if isinstance(v, (int, float)):
-            return complex(v)
-        if (
-            isinstance(v, list)
-            and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)
-        ):
-            return complex(v[0], v[1])
+        z = complex(*pair)
     except OverflowError as exc:  # an integer beyond the float range
         raise ParseError(f"{where}: number too large for a float") from exc
-    raise ParseError(f"{where}: expected number or [re, im], got {v!r}")
+    if not cmath.isfinite(z):  # json reads NaN, Infinity and -Infinity
+        raise ParseError(f"{where}: expected a finite number, got {v!r}")
+    return z
 
 
 def _block_in(mat, key: str) -> np.ndarray:
     """A bulk-state block, read by numpy at once when its cells are all
-    numbers or all [re, im] pairs, else cell by cell (naming a bad one)."""
+    finite numbers or all finite [re, im] pairs, else cell by cell
+    (naming a bad one)."""
     if not isinstance(mat, list) or any(
         not isinstance(row, list) or len(row) != len(mat[0]) for row in mat
     ):
@@ -260,7 +266,7 @@ def _block_in(mat, key: str) -> np.ndarray:
     except ValueError:  # mixed or ragged cells
         arr = np.array(None)
     if (arr.dtype.kind in "biuf" and arr.ndim in (2, 3)
-            and arr.shape[2:] in ((), (2,))):
+            and arr.shape[2:] in ((), (2,)) and np.isfinite(arr).all()):
         return (arr.astype(float).view(complex)[..., 0] if arr.ndim == 3
                 else arr.astype(complex))
     arr = np.array([[_complex_in(v, f"block {key}[{i}][{j}]")
@@ -384,8 +390,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ParseError("cutoffs: expected keys lower/upper")
     for key, v in (cutoffs or {}).items():
         if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                or key == "upper" and v is None):
-            raise ParseError(f"cutoffs.{key}: expected a number, got {v!r}")
+                and abs(v) < math.inf or key == "upper" and v is None):
+            raise ParseError(f"cutoffs.{key}: expected a finite number, got {v!r}")
 
     return Scenario(
         graph=graph,

@@ -8,8 +8,10 @@ arithmetic, gradients by central finite differences, partial traces
 by one np.einsum per subset (and sigma_I from them), the pairwise
 log-sum as a scalar loop, the fixed-spin flip criteria and the
 `analyze --terms` rows by one Python pass per region or configuration,
-Delta and the link energies link by link from `graph.cut`, and the
-Monte Carlo purity one sample at a time.
+Delta and the link energies link by link from `cut_reference` (the
+cut rule on Python sets), the bulk-boundary energy and the boundary
+factor by one pass over the links, and the Monte Carlo purity one
+sample at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from rings import ring_dict
+from rstn.families import (
+    appendix_c,
+    once_fine_grained,
+    random_scenario,
+    tiny_generic,
+    two_sector,
+)
+from rstn.graph import ColoredGraph
 from rstn.holography import EQUALITY_TOL, FixedSpinReport
 from rstn.ising import IsingEngine, SizeCapError, down_set
 from rstn.oracle import (
@@ -29,8 +40,8 @@ from rstn.oracle import (
     _pair_state,
     _vertex_layout,
 )
-from rstn.spins import dim_rep
-from rstn.state import Scenario
+from rstn.spins import dim_rep, intertwiner_dimension
+from rstn.state import Scenario, scenario_from_dict
 
 
 def weight_counting_invariant_dim(twice: tuple[int, ...]) -> int:
@@ -284,11 +295,37 @@ def sequential_ground_scan(
 # -- per-region and per-configuration loops -----------------------------------
 
 
+def graph_scenarios() -> list[Scenario]:
+    """One scenario on every graph the suite builds: the random_scenario
+    templates, the pinwheel families, the once-fine-grained vertex and
+    the rings of 4 to 10 vertices."""
+    rng = np.random.default_rng(14)
+    return ([random_scenario(rng, t, n_sectors=2) for t in ("one", "two", "chain")]
+            + [appendix_c(2), two_sector(1, 2), tiny_generic(),
+               once_fine_grained(1)]
+            + [scenario_from_dict(ring_dict(n, 1)) for n in (4, 6, 8, 10)])
+
+
+def cut_reference(g: ColoredGraph, region) -> list[str]:
+    """Links with exactly one endpoint inside `region`, in link-id order.
+
+    Boundary links count as cut when their vertex is in the region.
+    """
+    out = []
+    for k, ln in enumerate(g.internal):
+        if (ln.source in region) != (ln.target in region):
+            out.append(f"i{k}")
+    for k, b in enumerate(g.boundary):
+        if b.vertex in region:
+            out.append(f"b{k}")
+    return out
+
+
 def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
     """The flip criteria of one sector, region by region.
 
     Regions come from itertools.combinations, cut links from
-    `graph.cut` and S2 of each reduction from `einsum_sigma`.
+    `cut_reference` and S2 of each reduction from `einsum_sigma`.
     """
     g = sc.graph
     logd = {
@@ -299,7 +336,7 @@ def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
     for r in range(1, g.n_vertices + 1):
         for xs in itertools.combinations(range(g.n_vertices), r):
             lhs = 0.0
-            for lid in g.cut(set(xs)):
+            for lid in cut_reference(g, set(xs)):
                 lhs += -logd[lid] if lid in sc.region_C else logd[lid]
             rhs = einsum_sigma(sc, sector, sector, sum(1 << x for x in xs))
             if lhs <= sum(log_D[x] for x in xs):
@@ -313,6 +350,44 @@ def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
     return report
 
 
+def bulk_boundary_reference(
+    g: ColoredGraph, spins: dict[str, int], config: int,
+    bulk_field: dict[int, int] | int = 1,
+) -> float:
+    """`hamiltonian_bulk_boundary` by one pass over each kind of link:
+    half-edges at swapped vertices, internal links with one swapped end,
+    then log D at the vertices swapped against their bulk field."""
+    total = 0.0
+    for k, b in enumerate(g.boundary):
+        if config >> b.vertex & 1:
+            total += math.log(dim_rep(spins[f"b{k}"]))
+    for k, ln in enumerate(g.internal):
+        if (config >> ln.source & 1) != (config >> ln.target & 1):
+            total += math.log(dim_rep(spins[f"i{k}"]))
+    for x in range(g.n_vertices):
+        bx = bulk_field if isinstance(bulk_field, int) else bulk_field.get(x, 1)
+        if (-1 if config >> x & 1 else 1) * bx == -1:
+            slots = {ln.color: f"i{k}" for k, ln in enumerate(g.internal)
+                     if x in (ln.source, ln.target)}
+            slots.update({b.color: f"b{k}" for k, b in enumerate(g.boundary)
+                          if b.vertex == x})
+            dim = intertwiner_dimension(tuple(spins[slots[c]] for c in range(1, 5)))
+            if dim == 0:
+                return math.inf
+            total += math.log(dim)
+    return total
+
+
+def boundary_factor_reference(sc: Scenario, x_obs, y_obs, m: int, n: int,
+                              config: int) -> float:
+    """`observables.boundary_factor` half-edge by half-edge."""
+    log = x_obs.log_eval(sc, m) + y_obs.log_eval(sc, n)
+    for k, b in enumerate(sc.graph.boundary):
+        if config >> b.vertex & 1:
+            log -= math.log(dim_rep(sc.spin(m, f"b{k}")))
+    return log
+
+
 def link_terms_reference(
     sc: Scenario, m: int, n: int, config: int, variant: int
 ) -> tuple[bool, float]:
@@ -324,12 +399,12 @@ def link_terms_reference(
     whose vertex is swapped against its pinning (sigma * h = -1).  A
     vertex-product state also needs every vertex in S to carry equal
     spins on all its links.  The energy is log(2j+1) of sector m
-    summed over the links cut, `graph.cut(S)` with C toggled in
+    summed over the links cut, `cut_reference(S)` with C toggled in
     variant 1.
     """
     g = sc.graph
     down = {x for x in range(g.n_vertices) if config >> x & 1}
-    cut = set(g.cut(down)) ^ (set(sc.region_C) if variant else set())
+    cut = set(cut_reference(g, down)) ^ (set(sc.region_C) if variant else set())
     touched = {lid for lid in cut if not g.is_internal(lid)} | {
         f"i{k}" for k, ln in enumerate(g.internal)
         if {ln.source, ln.target} & down

@@ -77,6 +77,37 @@ def test_malformed_scenario_is_parse_error(runner, tmp_path, mutate, named):
     assert named in res.output
 
 
+def _non_finite_at(where: str, value: float):
+    eye = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    if where == "cell":  # an all-number block: numpy's fast path first
+        eye[0][1] = value
+        return _set(["intertwiner", "blocks", "0,0"], eye)
+    if where in ("re", "im"):  # an all-pair block
+        pairs = [[[v, 0.0] for v in row] for row in eye]
+        pairs[1][0] = [value, 0.0] if where == "re" else [0.0, value]
+        return _set(["intertwiner", "blocks", "0,0"], pairs)
+    if where == "upper":
+        return _set(["cutoffs"], {"upper": value})
+    return _set(["amplitudes", "i0", "1"], value)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where, named", [
+    ("cell", "block 0,0[0][1]"), ("re", "block 0,0[1][0]"),
+    ("im", "block 0,0[1][0]"), ("amplitude", "amplitudes[i0][1]"),
+    ("upper", "cutoffs.upper"),
+])
+def test_non_finite_number_is_parse_error(runner, tmp_path, literal, where, named):
+    data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
+    _non_finite_at(where, float(literal))(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert literal in bad.read_text()
+    res = runner.invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert f"{named}: expected a finite number" in res.output
+
+
 def test_validation_error_exit_3(runner, tmp_path):
     data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
     data["intertwiner"]["blocks"]["0,0"][0][0] = 5.0  # breaks the trace

@@ -17,9 +17,11 @@ from click.testing import CliRunner
 
 from oracles import (
     benchmark_partition_sums,
+    bulk_boundary_reference,
     einsum_partial_trace,
     einsum_sigma,
     fd_swapped_gradient,
+    graph_scenarios,
     link_terms_reference,
     psd_safe_direction,
     terms_reference,
@@ -362,6 +364,18 @@ def test_bulk_boundary_hamiltonian():
     # bulk field -1 at vertex 0 instead rewards the flip
     got = hamiltonian_bulk_boundary(g, spins, 0b01, {0: -1, 1: 1})
     assert got == pytest.approx(4 * math.log(2))
+
+
+@pytest.mark.parametrize("sc", graph_scenarios())
+def test_bulk_boundary_hamiltonian_matches_link_loops(sc):
+    g = sc.graph
+    fields = [1, -1, {x: -1 for x in range(0, g.n_vertices, 2)}]
+    for spins in (sec.spins for sec in sc.sectors):
+        for config in range(1 << g.n_vertices):
+            for field in fields:
+                want = bulk_boundary_reference(g, spins, config, field)
+                got = hamiltonian_bulk_boundary(g, spins, config, field)
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_random_scenarios_have_unit_distribution_sum():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import boundary_factor_reference, graph_scenarios
 from rstn.families import appendix_c, tiny_generic, two_sector
 from rstn.holography import reweighted_scenario, solve_weights
 from rstn.ising import IsingEngine
@@ -50,6 +51,17 @@ def test_identity_boundary_factor_is_variant0_weight():
             math.log(2) if (config in (0b01, 0b10)) else 0.0
         )
         assert fac == pytest.approx(-(pay - internal_pay), abs=1e-12)
+
+
+@pytest.mark.parametrize("sc", graph_scenarios())
+def test_boundary_factor_matches_half_edge_loop(sc):
+    for m in range(len(sc.sectors)):
+        obs = area_observable(sc, m)
+        for config in range(1 << sc.graph.n_vertices):
+            for x_obs in (IDENTITY, obs):
+                want = boundary_factor_reference(sc, x_obs, IDENTITY, m, m, config)
+                got = boundary_factor(sc, x_obs, IDENTITY, m, m, config)
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_constant_observable_factors_out():

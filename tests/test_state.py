@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -213,6 +214,15 @@ def test_block_parse_error_names_the_cell(bad, kind):
     mat[1][0] = bad
     with pytest.raises(ParseError, match=r"block 0,0\[1\]\[0\]: expected"):
         _block_in(mat, "0,0")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_block_is_named_before_the_eigenvalues(value):
+    sc = tiny_generic()
+    blk = sc.block(0, 0).copy()
+    blk[1, 1] = value
+    with pytest.raises(ValidationError, match=r"block \(0,0\) has a non-finite"):
+        dataclasses.replace(sc, blocks={(0, 0): blk})
 
 
 def test_scenario_is_frozen_with_read_only_blocks():
