@@ -32,7 +32,11 @@ for every S is one elementwise product followed by a per-vertex
 reduction to [traced, kept] (Rains' quantum weight enumerators; Yates'
 subset transform) that skips the vertices of dimension 1.  The basis
 maps are real, so the transform runs on a block's real and imaginary
-planes side by side: one real matrix product per vertex.
+planes side by side: one real matrix product per vertex.  Run
+backwards (`_subset_adjoint`), it gives the operator G = sum_S alpha_S
+rho_S (x) 1 whose dot with a direction X is the sum over S of alpha_S
+Tr(rho_S X_S): `purity_gradient` reads it from the engine, which
+builds it once.
 """
 
 from __future__ import annotations
@@ -103,6 +107,39 @@ def _vertex_maps(r: int, c: int, whole: bool):
     return basis, np.vstack([np.eye(1, r * r), kept])
 
 
+def _live_maps(row_dims, col_dims, whole: int = 0):
+    """The vertices the transform visits (all but those of dim 1 on both
+    sides outside `whole`) and their `_vertex_maps`, highest vertex
+    first, so that vertex 0 ends up as the lowest bit."""
+    live = [x for x in range(len(row_dims))
+            if row_dims[x] * col_dims[x] > 1 or whole >> x & 1]
+    return live, [_vertex_maps(row_dims[x], col_dims[x], bool(whole >> x & 1))
+                  for x in reversed(live)]
+
+
+def _per_vertex(arr: np.ndarray, mats) -> np.ndarray:
+    """One map per live vertex; each step maps the leading axis to the
+    back, so that its output is laid out for the next step."""
+    for mat in mats:
+        arr = arr.reshape(len(mat[0]), -1).T @ mat.T
+    return arr
+
+
+def _planes(mat: np.ndarray, dims, maps, t: int) -> np.ndarray:
+    """(re, im) of `mat` in the operator basis, of mat^T for t = 1;
+    `dims` are the live (row, col) dims of the untransposed matrix.
+
+    The maps are real, so the transform runs on the float view of the
+    complex matrix: its re/im axis rides along as the trailing axis and
+    ends up leading, as two real planes."""
+    n = len(dims[0])
+    view = np.ascontiguousarray(mat, dtype=complex).view(float)
+    order = [j for i in reversed(range(n)) for j in (i + t * n, i + (1 - t) * n)]
+    arr = view.reshape(dims[t] + dims[1 - t] + [2])
+    return _per_vertex(arr.transpose(order + [2 * n]),
+                       [pair[0] for pair in maps]).reshape(2, -1)
+
+
 def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
                    whole: int = 0) -> np.ndarray:
     """Tr(A_S B_S) for every vertex set S, indexed by bitmask.
@@ -115,45 +152,54 @@ def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
     A unit vertex (row and col dim 1) outside `whole` leaves every trace
     unchanged: it skips the transform, and the result is broadcast.
 
-    The maps are real, so the forward transform runs on the float view
-    of a complex matrix: its re/im axis rides along as the trailing
-    axis and ends up leading, as two real planes.  `b=None` multiplies
-    them to |alpha|^2; otherwise both transforms are interleaved again
-    and multiplied as complex numbers, which keeps numpy's rounding of
-    the complex product.  Each vertex step is one real matmul whose
-    output is already laid out for the next step.
+    `b=None` multiplies the real planes of `_planes` to |alpha|^2;
+    otherwise both transforms are interleaved again and multiplied as
+    complex numbers, which keeps numpy's rounding of the complex
+    product.  Each vertex step is one real matmul.
     """
-    n = len(row_dims)
-    live = [x for x in range(n) if row_dims[x] * col_dims[x] > 1 or whole >> x & 1]
-    maps = [_vertex_maps(row_dims[x], col_dims[x], bool(whole >> x & 1))
-            for x in reversed(live)]  # so that vertex 0 is the lowest bit
-
-    def per_vertex(arr, k):  # each step maps the leading axis to the back
-        for mat in (pair[k] for pair in maps):
-            arr = arr.reshape(len(mat[0]), -1).T @ mat.T
-        return arr
-
-    n_live = len(live)
+    live, maps = _live_maps(row_dims, col_dims, whole)
     dims = ([row_dims[x] for x in live], [col_dims[x] for x in live])
-
-    def planes(mat, t):  # (re, im) of mat transformed, of mat^T for t = 1
-        view = np.ascontiguousarray(mat, dtype=complex).view(float)
-        order = [j for i in reversed(range(n_live))
-                 for j in (i + t * n_live, i + (1 - t) * n_live)]
-        arr = view.reshape(dims[t] + dims[1 - t] + [2])
-        return per_vertex(arr.transpose(order + [2 * n_live]), 0).reshape(2, -1)
-
+    reduce = [pair[1] for pair in maps]
     if b is None:  # B^T = conj(A)
-        alpha = planes(a, 0)
+        alpha = _planes(a, dims, maps, 0)
         prod = np.square(alpha[0])
         prod += np.square(alpha[1])
-        out = per_vertex(prod, 1)
+        out = _per_vertex(prod, reduce)
     else:
-        prod = _interleave(planes(a, 0))
-        prod *= _interleave(planes(b, 1))
-        out = _interleave(per_vertex(prod.view(float), 1).reshape(2, -1))
-    bits = [2 if x in live else 1 for x in reversed(range(n))]
-    return np.broadcast_to(out.reshape(bits), (2,) * n).ravel()
+        prod = _interleave(_planes(a, dims, maps, 0))
+        prod *= _interleave(_planes(b, dims, maps, 1))
+        out = _interleave(_per_vertex(prod.view(float), reduce).reshape(2, -1))
+    bits = [2 if x in live else 1 for x in reversed(range(len(row_dims)))]
+    return np.broadcast_to(out.reshape(bits), (2,) * len(row_dims)).ravel()
+
+
+def _subset_adjoint(a: np.ndarray, weights: np.ndarray, dims) -> np.ndarray:
+    """G^H for G = sum_S w_S A_S (x) 1 over all vertex sets S of a square
+    A with per-vertex dims `dims` (w indexed by bitmask), so that
+    np.vdot(G^H, B) = Tr(G B) = sum_S w_S Tr(A_S B_S) for every B.
+
+    `_subset_traces` run backwards in B: A goes to the operator basis,
+    the transposed [traced, kept] reductions take w (summed over the
+    bits of the vertices of dim 1, which the transform skips) to one
+    weight per basis element, and their product goes back through the
+    transposed basis maps, with the re/im planes held apart as a batch
+    axis.  Peak memory: two and a half times the size of A beside A.
+    """
+    n = len(dims)
+    live, maps = _live_maps(dims, dims)
+    d = [dims[x] for x in live]
+    w = np.reshape(weights, (2,) * n).sum(axis=tuple(n - 1 - x for x in range(n)
+                                                     if x not in live))
+    arr = _planes(a, (d, d), maps, 0)
+    arr = arr * _per_vertex(w, [pair[1].T for pair in maps]).ravel()
+    for basis, _ in maps:
+        arr = arr.reshape(2, len(basis), -1).transpose(0, 2, 1) @ basis
+    # re/im, then (row, col) per live vertex, highest first: to G^H
+    arr = arr.reshape([2] + [k for x in reversed(d) for k in (x, x)])
+    pos = [2 * (len(d) - x) for x in range(len(d))]  # col axis of live[x]
+    arr[1] *= -1.0
+    out = np.ascontiguousarray(arr.transpose(pos + [p - 1 for p in pos] + [0]))
+    return out.view(complex).reshape(math.prod(d), -1)
 
 
 def _interleave(planes: np.ndarray) -> np.ndarray:
@@ -228,8 +274,8 @@ class _GroundScan:
 class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
-    The pair table and the per-pair sigma_I arrays (read-only) live on
-    the engine and die with it.  A Scenario is frozen with read-only
+    The pair table, the per-pair sigma_I arrays and the gradient
+    operator (both read-only) live on the engine and die with it.  A Scenario is frozen with read-only
     blocks, so the caches stay valid for its whole life:
     `IsingEngine.of(sc)` is the one engine every consumer shares, while
     the constructor builds a fresh, unshared one.
@@ -261,6 +307,7 @@ class IsingEngine:
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pairs: tuple[PairResult, ...] | None = None
         self._held: tuple[int, list[np.ndarray]] = (-1, [])
+        self._gradient: tuple[np.ndarray, float] | None = None
         ids = sc.graph.link_ids()
         self._on_C = np.isin(ids, sc.region_C)
         self._twice = np.array([[sec.spins[lid] for lid in ids]
@@ -513,6 +560,26 @@ class IsingEngine:
             )
         return list(self._pairs)
 
+    def gradient_operator(self) -> tuple[np.ndarray, float]:
+        """(G^H, Re Tr(G rho)) of a single-sector scenario, built on first
+        use; G^H is read-only.
+
+        G = sum_S alpha_S rho_S (x) 1 over all vertex sets S, alpha_S =
+        exp(-variant-1 link energy of S), is the operator with Tr(G X) =
+        sum_S alpha_S Tr(rho_S X_S) (`_subset_adjoint`); np.vdot(G^H, X)
+        is Tr(G X).  It takes 16 bytes per entry of the block.
+        """
+        if self.n_sec != 1:
+            raise ValueError("gradient is defined for single-sector scenarios")
+        if self._gradient is None:
+            alpha = np.exp(-np.concatenate(
+                [link[1] for _, link in self._link_chunks(0, release=True)]))
+            rho = self.sc.block(0, 0)
+            op = _subset_adjoint(rho, alpha, self._vdims[0])
+            op.flags.writeable = False
+            self._gradient = (op, float(np.vdot(op, rho).real))
+        return self._gradient
+
     # -- observable quotients ------------------------------------------------
 
     def _log_weights(self) -> tuple[np.ndarray, float]:
@@ -562,10 +629,15 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
     over vertex subsets S, with alpha_S the product of 1/(2j+1) over
     the links cut by S xor marked as C (but not both): exp of minus
     the variant-1 link energy.  This returns d/d eps F(rho + eps X) at
-    eps = 0 for a Hermitian direction X: 2 / (Tr rho)^2 times the sum
-    over S of alpha_S Tr(rho_S X'_S), X' = X - (Tr X / Tr rho) rho, with
-    the traces from the transform that gives sigma_I.  The derivative
-    along X = rho itself vanishes: F is scale invariant.
+    eps = 0 for a Hermitian direction X,
+
+        2 / (Tr rho)^2 (Tr(G X) - Tr X / Tr rho Tr(G rho)),
+
+    with G = sum_S alpha_S rho_S (x) 1 the scenario's gradient operator
+    (`IsingEngine.gradient_operator`): built once per scenario, so each
+    direction costs the checks below and one dot product over the block.
+    The derivative along X = rho itself is exactly 0: F is scale
+    invariant, and Tr(G rho) is taken by the same dot.
     """
     if len(sc.sectors) != 1:
         raise ValueError("gradient is defined for single-sector scenarios")
@@ -580,14 +652,11 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
     skew = np.abs(x - x.conj().T)
     if not (skew.max() <= 1e-12 or (skew <= 1e-12 + 1e-5 * np.abs(x).T).all()):
         raise ValueError("direction must be Hermitian")
-    engine = IsingEngine.of(sc)
-    dims = sc.vertex_dims(0)
-    alpha = np.exp(-np.concatenate(
-        [link[1] for _, link in engine._link_chunks(0, release=True)]))
+    del skew  # half the block, freed before a first call builds the operator
+    op, c0 = IsingEngine.of(sc).gradient_operator()
     tr_rho = float(np.trace(rho).real)
-    x = x - float(np.trace(x).real) / tr_rho * rho
-    traces = _subset_traces(rho, x, dims, dims).real
-    return 2.0 / tr_rho**2 * float(alpha @ traces)
+    along = float(np.vdot(op, x).real)
+    return 2.0 / tr_rho**2 * (along - float(np.trace(x).real) / tr_rho * c0)
 
 
 def hamiltonian_bulk_boundary(

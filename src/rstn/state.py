@@ -176,6 +176,11 @@ class Scenario:
             if unused := set(table) - {sec.spins[lid] for sec in self.sectors}:
                 raise ValidationError(f"amplitudes[{lid}]: no sector carries "
                                       f"twice-spin {min(unused)} on that link")
+            for tj, g_val in table.items():
+                if not cmath.isfinite(g_val):
+                    raise ValidationError(f"amplitudes[{lid}]: amplitude "
+                                          f"{g_val!r} of twice-spin {tj} "
+                                          f"is not finite")
         # distinct sectors must differ somewhere
         seen = {}
         for s, sec in enumerate(self.sectors):

@@ -4,7 +4,9 @@ Everything here is deliberately derived by a different route than the
 package code: invariant-subspace dimensions by weight counting and by
 a Casimir null space, the two-vertex benchmark partition sums as
 frozen closed forms, the two-sector area variance in exact rational
-arithmetic, gradients by central finite differences, partial traces
+arithmetic, gradients by central finite differences and by three
+subset transforms per direction, the gradient operator term by term
+from einsum partial traces, partial traces
 by one np.einsum per subset (and sigma_I from them), the pairwise
 log-sum as a scalar loop, the fixed-spin flip criteria and the
 `analyze --terms` rows by one Python pass per region or configuration,
@@ -32,7 +34,7 @@ from rstn.families import (
 )
 from rstn.graph import ColoredGraph
 from rstn.holography import EQUALITY_TOL, FixedSpinReport
-from rstn.ising import IsingEngine, SizeCapError, down_set
+from rstn.ising import IsingEngine, SizeCapError, _subset_traces, down_set
 from rstn.oracle import (
     LETTERS,
     MCResult,
@@ -179,6 +181,51 @@ def fd_swapped_gradient(
         return swapped_sum_of(perturbed)
 
     return (value(step) - value(-step)) / (2 * step)
+
+
+def gradient_reference(sc: Scenario, direction: np.ndarray) -> tuple[float, float]:
+    """`purity_gradient` by three operator-basis transforms per call:
+    Tr(rho_S X'_S) for every S from `_subset_traces`, X' = X - (Tr X /
+    Tr rho) rho, weighted by alpha_S = exp(-variant-1 link energy).
+
+    Also returns the scale of the rounding error, the same sum over the
+    absolute values of the two parts of each term."""
+    rho, dims = sc.block(0, 0), sc.vertex_dims(0)
+    configs = np.arange(1 << sc.graph.n_vertices)
+    alpha = np.exp(-IsingEngine(sc)._link_energies(0, configs)[1])
+    tr_rho = float(np.trace(rho).real)
+    ratio = float(np.trace(direction).real) / tr_rho
+    traces = _subset_traces(rho, direction - ratio * rho, dims, dims).real
+    parts = (np.abs(_subset_traces(rho, direction, dims, dims))
+             + abs(ratio) * _subset_traces(rho, None, dims, dims))
+    return (2.0 / tr_rho**2 * float(alpha @ traces),
+            2.0 / tr_rho**2 * float(alpha @ parts))
+
+
+def gradient_operator_reference(sc: Scenario) -> np.ndarray:
+    """G = sum_S alpha_S rho_S (x) 1 of a single-sector scenario, term by
+    term: rho_S from `einsum_partial_trace`, alpha_S = exp(-energy) of
+    `link_terms_reference` in variant 1, the identity on the vertices
+    outside S, and the factors put back in vertex order."""
+    rho, dims = sc.block(0, 0), sc.vertex_dims(0)
+    n = len(dims)
+    g = np.zeros(rho.shape, dtype=complex)
+    for mask in range(1 << n):
+        kept = [x for x in range(n) if mask >> x & 1]
+        out = [x for x in range(n) if not mask >> x & 1]
+        red = einsum_partial_trace(rho, dims, dims, mask)
+        eye = np.eye(math.prod(dims[x] for x in out))
+        term = np.multiply.outer(red.reshape([dims[x] for x in kept] * 2),
+                                 eye.reshape([dims[x] for x in out] * 2))
+        # axes: kept rows, kept cols, other rows, other cols
+        k, t = len(kept), len(out)
+        rows = [kept.index(x) if x in kept else 2 * k + out.index(x)
+                for x in range(n)]
+        cols = [k + kept.index(x) if x in kept else 2 * k + t + out.index(x)
+                for x in range(n)]
+        alpha = math.exp(-link_terms_reference(sc, 0, 0, mask, 1)[1])
+        g += alpha * term.transpose(rows + cols).reshape(rho.shape)
+    return g
 
 
 def psd_safe_direction(

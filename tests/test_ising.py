@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from importlib import resources
@@ -21,12 +22,14 @@ from oracles import (
     einsum_partial_trace,
     einsum_sigma,
     fd_swapped_gradient,
+    gradient_operator_reference,
+    gradient_reference,
     graph_scenarios,
     link_terms_reference,
     psd_safe_direction,
     terms_reference,
 )
-from rings import ring_dict
+from rings import dense_ring_dict, ring_dict
 from rstn.families import appendix_c, random_scenario, tiny_generic, two_sector
 from rstn.graph import BoundaryLink, ColoredGraph, Link
 from rstn.holography import (
@@ -347,6 +350,85 @@ def test_gradient_hermitian_tolerance_is_relative_for_large_entries():
     bent[2, 2] = math.inf
     with pytest.raises(ValueError, match="Hermitian"):
         purity_gradient(sc, bent)
+
+
+def gradient_scenarios() -> list[Scenario]:
+    """Single-sector scenarios for the gradient operator: tiny_generic,
+    dense product-mixture spin-1/2 rings of 4 to 8 vertices and
+    random_scenario draws over every template."""
+    rng = np.random.default_rng(47)
+    return ([tiny_generic()]
+            + [scenario_from_dict(dense_ring_dict(n, rng)) for n in range(4, 9)]
+            + [random_scenario(rng, t, n_sectors=1, max_twice=4)
+               for t in ("one", "two", "chain") for _ in range(4)])
+
+
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (h + h.conj().T) / 2.0
+
+
+def test_gradient_matches_three_transform_reference():
+    rng = np.random.default_rng(48)
+    cases = gradient_scenarios()
+    dims = [sc.vertex_dims(0) for sc in cases]
+    assert any(1 in d and max(d) > 1 for d in dims)  # a vertex the transform skips
+    assert any(len(set(d) - {1}) > 1 for d in dims)  # unequal vertex dims
+    for sc in cases:
+        rho = sc.block(0, 0)
+        dim = rho.shape[0]
+        for x in (random_hermitian(dim, rng), np.eye(dim), rho):
+            ref, scale = gradient_reference(sc, x)
+            assert abs(purity_gradient(sc, x) - ref) <= 1e-12 * scale
+        assert purity_gradient(sc, rho) == 0.0
+
+
+def test_gradient_operator_matches_closed_form():
+    for sc in gradient_scenarios():
+        rho = sc.block(0, 0)
+        op, c0 = IsingEngine.of(sc).gradient_operator()
+        ref = gradient_operator_reference(sc)
+        assert not op.flags.writeable
+        # op is G^H, so that np.vdot(op, X) = Tr(G X)
+        assert np.abs(op - ref.conj().T).max() <= 1e-12 * np.abs(ref).max()
+        assert c0 == pytest.approx(np.trace(ref @ rho).real, rel=1e-12)
+        assert IsingEngine.of(sc).gradient_operator()[0] is op
+
+
+def test_gradient_operator_needs_one_sector():
+    with pytest.raises(ValueError, match="single-sector"):
+        IsingEngine(appendix_c(2)).gradient_operator()
+
+
+def test_gradient_first_and_later_calls_are_bit_identical():
+    rng = np.random.default_rng(49)
+    data = dense_ring_dict(6, rng)
+    x = random_hermitian(64, rng)
+    firsts = [purity_gradient(scenario_from_dict(data), x) for _ in range(2)]
+    sc = scenario_from_dict(data)
+    later = [purity_gradient(sc, x) for _ in range(3)]
+    assert len({v.hex() for v in firsts + later}) == 1
+
+
+def test_gradient_memory_peaks():
+    """tracemalloc peaks on a dense 9-vertex ring (a 512 x 512 block):
+    the first call, which builds the operator, stays within three times
+    the block, and a later call (the Hermitian check and one dot) within
+    two and a half."""
+    rng = np.random.default_rng(50)
+    sc = scenario_from_dict(dense_ring_dict(9, rng))
+    x = random_hermitian(512, rng)
+    IsingEngine.of(sc)  # the engine's own tables are not the gradient's
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            purity_gradient(sc, x)
+            peaks.append(tracemalloc.get_traced_memory()[1] / x.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 3.0
+    assert peaks[1] <= 2.5
 
 
 def test_bulk_boundary_hamiltonian():

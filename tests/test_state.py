@@ -291,3 +291,12 @@ def test_amplitude_for_spin_no_sector_carries():
     data["amplitudes"]["i0"]["7"] = 0.01
     with pytest.raises(ValidationError, match=r"amplitudes\[i0\].* 7 "):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                   complex(0.0, math.inf)])
+def test_non_finite_amplitude_is_refused(value):
+    # a library-built scenario: the JSON path refuses these as it parses
+    with pytest.raises(ValidationError,
+                       match=r"amplitudes\[i0\]: .* twice-spin 1 is not finite"):
+        dataclasses.replace(tiny_generic(), amplitudes={"i0": {1: value}})
