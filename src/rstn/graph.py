@@ -126,11 +126,11 @@ class ColoredGraph:
         """Ids of the four links incident to a vertex, by color."""
         return [self._slots[vertex, c] for c in range(1, 5)]
 
-    def cuts(self, configs):
-        """0/1 per link (rows, link-id order) and configuration (an int
-        or an int array of swapped vertex sets): a swapped set cuts a
-        link when it holds an odd number of the link's ends."""
-        return np.bitwise_count(np.bitwise_and.outer(self.ends, configs)) & 1
+    def cuts(self, configs, links=slice(None)):
+        """0/1 per link (rows, link-id order, of `links` only if given) and
+        configuration (an int or an int array of swapped vertex sets): a
+        swapped set cuts a link when it holds an odd number of its ends."""
+        return np.bitwise_count(np.bitwise_and.outer(self.ends[links], configs)) & 1
 
     def check_region_C(self, region_C: list[str]) -> None:
         """The marked boundary region must consist of outer half-edges."""

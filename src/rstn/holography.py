@@ -274,9 +274,11 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     degenerate = (lhs == rhs) | (np.isfinite(rhs) & (np.abs(rhs - lhs) <= tol))
     failing = ~degenerate & (lhs < rhs)
 
+    found = [(tuple(x for x in range(nv) if mask >> x & 1), a, b)
+             for mask, a, b in zip(masks.tolist(), lhs.tolist(), rhs.tolist())]
+
     def rows(flags: np.ndarray) -> list:  # (region, lhs, rhs), in order
-        return [(tuple(x for x in range(nv) if masks[i] >> x & 1),
-                 float(lhs[i]), float(rhs[i])) for i in np.flatnonzero(flags)]
+        return [found[i] for i in np.flatnonzero(flags).tolist()]
 
     return FixedSpinReport(
         sector=sector,

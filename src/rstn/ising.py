@@ -18,25 +18,27 @@ ends and the one cut rule are the graph's (`ColoredGraph.ends`, `.cuts`).
 
 Z_v^{(m,n)} = Z_v^{(n,m)} (Delta's pins are symmetric in m and n, a
 link whose spins differ pays nothing where Delta admits, Tr(A_S B_S) =
-Tr(B_S A_S)), so an engine evaluates each unordered pair once and keeps
-the n_sec^2 results, mirrored, as its pair table, which purity, P, Q
-and the error bound read.  `IsingEngine.terms` is the one place where
-Delta, the link energies (held per sector for its later pairs) and
-sigma_I meet: per pair it yields them as numpy arrays over chunks of
-2^CHUNK_BITS configurations, which `partition_pair` reduces and `rstn
-analyze --terms` lists.  The bulk term sigma_I is one float array per
-pair over all 2^V swapped sets, built on first use: each sector block
-is written in a per-vertex operator basis whose element 0 is the
-identity, where a partial trace keeps only component 0, so Tr(A_S B_S)
-for every S is one elementwise product followed by a per-vertex
-reduction to [traced, kept] (Rains' quantum weight enumerators; Yates'
-subset transform) that skips the vertices of dimension 1.  The basis
-maps are real, so the transform runs on a block's real and imaginary
-planes side by side: one real matrix product per vertex.  Run
-backwards (`_subset_adjoint`), it gives the operator G = sum_S alpha_S
-rho_S (x) 1 whose dot with a direction X is the sum over S of alpha_S
-Tr(rho_S X_S): `purity_gradient` reads it from the engine, which
-builds it once.
+Tr(B_S A_S)), so an engine evaluates each unordered pair once and
+keeps the n_sec^2 results, mirrored, as its pair table, which purity,
+P, Q and the error bound read.  It is built on first use in one pass
+over tiles of at most 2^TILE_BITS configurations x pairs:
+`IsingEngine._terms`, where Delta, the link energies of all sectors
+and sigma_I meet, fills a (pairs, 2, configs) energy/keep table, one
+row per pair and variant, and row-wise reductions carry their state
+across chunks (segmented reductions: Blelloch, "Prefix Sums and Their
+Applications", 1990).  `rstn analyze --terms` lists it by pair.
+The bulk term sigma_I is one float array per pair over all 2^V swapped
+sets, built on first use: each sector block is written in a per-vertex
+operator basis whose element 0 is the identity, where a partial trace
+keeps only component 0, so Tr(A_S B_S) for every S is one elementwise
+product followed by a per-vertex reduction to [traced, kept] (Rains'
+quantum weight enumerators; Yates' subset transform) that skips the
+vertices of dimension 1.  The basis maps are real, so the transform
+runs on a block's real and imaginary planes side by side: one real
+matrix product per vertex.  Run backwards (`_subset_adjoint`), it
+gives the operator G = sum_S alpha_S rho_S (x) 1 whose dot with a
+direction X is the sum over S of alpha_S Tr(rho_S X_S):
+`purity_gradient` reads it from the engine, which builds it once.
 """
 
 from __future__ import annotations
@@ -47,14 +49,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rstn.logdomain import LogWeight, log_sum_tree
+from rstn.logdomain import LogSums, LogWeight, log_sum_tree
 from rstn.spins import dim_rep, intertwiner_dimension
 from rstn.state import Scenario
 from rstn.graph import ColoredGraph
 
 SIGMA_IMAG_TOL = 1e-9
 TIE_TOL = 1e-12
-CHUNK_BITS = 14
+CHUNK_BITS = 14  # configurations per chunk, at most
+TILE_BITS = 18  # configurations x pairs per pair-table tile, at most
 MAX_CONFIG_PAIRS = 2**24  # 2^V configurations x n_sec^2 ordered pairs
 
 
@@ -224,61 +227,57 @@ class PairResult:
 
 
 class _GroundScan:
-    """The ground-state update over energies in configuration order.
-
-    Fed chunk by chunk, it ends in the state of the sequential loop
+    """The ground-state update of rows of energies (+inf: excluded), fed
+    chunk by chunk in configuration order, some `rows` at a time; each
+    row ends in the state of the sequential loop over its finite energies
 
         if e < best * (1 - TIE_TOL) - TIE_TOL:  second, best, degen = best, e, 1
         elif isclose(e, best):                   degen += 1
         elif e < second:                         second = e
 
-    Only a new best moves `best`.  While every energy is non-negative
+    Only a new best moves `best`.  While a row's energies are non-negative
     the threshold never exceeds `best`, so a new best undercuts every
-    earlier energy and only running minima need the Python test (after
-    a negative energy no non-negative one can be a new best).  After
-    the last new best the loop is a count and a min.
-    """
+    earlier energy and only running minima (below `floor`, the least
+    energy fed so far) need the Python test (after a negative energy no
+    non-negative one can be a new best).  After the last new best the
+    loop is a count and a min."""
 
-    def __init__(self):
-        self.best = math.inf
-        self.second = math.inf
-        self.config = 0
-        self.degen = 1
-        self.floor = math.inf  # least energy fed so far
+    def __init__(self, rows: int):
+        self.best, self.second, self.floor = np.full((3, rows), math.inf)
+        self.config, self.degen = np.zeros(rows, np.int64), np.ones(rows, np.int64)
 
-    def feed(self, e: np.ndarray, configs: np.ndarray) -> None:
-        if not e.size:
-            return
-        if e.min() >= 0.0:
-            before = np.minimum.accumulate(np.concatenate(([self.floor], e[:-1])))
-            tries = np.flatnonzero(e < before).tolist()
-        else:
-            tries = range(e.size)
-        last = -1
-        for i in tries:
-            x = float(e[i])
-            if x < self.best * (1 - TIE_TOL) - TIE_TOL:
-                self.second, self.best, last = self.best, x, i
-        if last >= 0:
-            self.config, self.degen = int(configs[last]), 1
-        tail = e[last + 1:]
-        diff = np.abs(self.best - tail)
-        close = ((tail == self.best) | (diff <= abs(TIE_TOL * self.best))
-                 | (diff <= np.abs(TIE_TOL * tail)) | (diff <= TIE_TOL))
-        self.degen += int(close.sum())
-        if not close.all():
-            self.second = min(self.second, float(tail[~close].min()))
-        self.floor = min(self.floor, float(e.min()))
+    def feed(self, e: np.ndarray, configs: np.ndarray, rows: np.ndarray) -> None:
+        best, second, floor = (a[rows] for a in (self.best, self.second, self.floor))
+        low = e.min(axis=1, initial=math.inf)
+        before = np.minimum.accumulate(np.c_[floor, e[:, :-1]], axis=1)
+        kept = e != math.inf
+        tries = np.nonzero((e < before) | (kept & (low < 0.0)[:, None]))
+        best, last = best.tolist(), [-1] * len(e)
+        for r, i, x in zip(*(a.tolist() for a in (*tries, e[tries]))):
+            if x < best[r] * (1 - TIE_TOL) - TIE_TOL:
+                second[r], best[r], last[r] = best[r], x, i
+        best, last = np.array(best), np.array(last, dtype=np.int64)
+        moved = last >= 0
+        self.config[rows[moved]] = configs[last[moved]]
+        tail = kept & (np.arange(e.shape[1]) > last[:, None])
+        e = np.where(tail, e, 0.0)  # a row without a best has no tail
+        diff = np.abs(best[:, None] - e)
+        close = tail & ((e == best[:, None]) | (diff <= np.abs(TIE_TOL * best)[:, None])
+                        | (diff <= np.abs(TIE_TOL * e)) | (diff <= TIE_TOL))
+        self.degen[rows] = np.where(moved, 1, self.degen[rows]) + close.sum(axis=1)
+        rest = np.where(tail & ~close, e, math.inf).min(axis=1, initial=math.inf)
+        self.best[rows], self.second[rows] = best, np.minimum(second, rest)
+        self.floor[rows] = np.minimum(floor, low)
 
 
 class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
     The pair table, the per-pair sigma_I arrays and the gradient
-    operator (both read-only) live on the engine and die with it.  A Scenario is frozen with read-only
-    blocks, so the caches stay valid for its whole life:
-    `IsingEngine.of(sc)` is the one engine every consumer shares, while
-    the constructor builds a fresh, unshared one.
+    operator (both read-only) live on the engine and die with it.  A
+    Scenario is frozen with read-only blocks, so the caches stay valid
+    for its whole life: `IsingEngine.of(sc)` is the one engine every
+    consumer shares, while the constructor builds a fresh, unshared one.
 
     The work is 2^V enumeration steps and 8 bytes of sigma_I for each
     of the n_sec(n_sec+1)/2 unordered pairs; the cap counts ordered
@@ -305,8 +304,7 @@ class IsingEngine:
         self.n_sec = len(sc.sectors)
         self._full = (1 << self.n_vert) - 1
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._pairs: tuple[PairResult, ...] | None = None
-        self._held: tuple[int, list[np.ndarray]] = (-1, [])
+        self._table: dict[tuple[int, int], PairResult] | None = None
         self._gradient: tuple[np.ndarray, float] | None = None
         ids = sc.graph.link_ids()
         self._on_C = np.isin(ids, sc.region_C)
@@ -446,34 +444,26 @@ class IsingEngine:
 
     # -- energies ------------------------------------------------------------
 
-    def _link_energies(self, m: int, configs: np.ndarray) -> np.ndarray:
-        """Link energy of each configuration, (2, k): one row per variant.
-
-        A link pays log(2j+1) when cut; in variant 1 the C half-edges
-        are pinned swapped, so there the cut flips.  Spins are read
-        from sector m; wherever the two sectors could disagree on a
-        paying link, Delta has already forced agreement.  Terms are
-        added in link order.
-        """
-        e = np.zeros((2, configs.size))
-        for cut, logd, flip in zip(self.sc.graph.cuts(configs), self._logd[m],
-                                   self._flips):
-            e += logd * (cut ^ flip)
+    def _link_energies(self, configs: np.ndarray) -> np.ndarray:
+        """Link energy of each configuration, (n_sec, 2, k), per sector and
+        variant.  A link pays log(2j+1) when cut; in variant 1 the C
+        half-edges are pinned swapped, so there the cut flips.  A pair
+        reads the spins of its first sector; wherever the two sectors
+        could disagree on a paying link, Delta has already forced
+        agreement.  Terms are added in link order, but for spin-0 links,
+        which pay 0.0 in every sector."""
+        pay = np.flatnonzero(self._logd.any(axis=0))
+        e = np.zeros((self.n_sec, 2, configs.size))
+        for cut, logd, flip in zip(self.sc.graph.cuts(configs, pay), self._logd.T[pay],
+                                   self._flips[pay]):
+            e += logd[:, None, None] * (cut ^ flip).astype(float)
         return e
 
-    def _link_chunks(self, m: int, release: bool):
-        """(configs, `_link_energies`) per chunk of configurations.  The
-        engine holds one sector's for its later pairs; `release` (at the
-        last pair of m in m-major order) drops them."""
-        held = self._held[1] if self._held[0] == m else []
-        self._held = (-1, []) if release else (m, held)
-        size = min(1 << self.n_vert, 1 << CHUNK_BITS)
-        for k, start in enumerate(range(0, 1 << self.n_vert, size)):
-            configs = np.arange(start, start + size)
-            link = held[k] if k < len(held) else self._link_energies(m, configs)
-            if k == len(held) and not release:
-                held.append(link)
-            yield configs, link
+    def _chunks(self, n_pairs: int = 1):
+        """Consecutive ranges of 2^k configurations (CHUNK_BITS, TILE_BITS)."""
+        size = min(1 << self.n_vert, 1 << CHUNK_BITS,
+                   max(1, (1 << TILE_BITS) >> (n_pairs - 1).bit_length()))
+        return (np.arange(lo, lo + size) for lo in range(0, 1 << self.n_vert, size))
 
     def cut_weight(self, m: int, configs: np.ndarray) -> np.ndarray:
         """Sum of log(2j+1) of sector m over the links each configuration
@@ -490,75 +480,73 @@ class IsingEngine:
         The link energies of `_link_energies` plus sigma_I of the
         swapped vertex set.
         """
-        link = self._link_energies(m, np.array([config]))[variant]
+        link = self._link_energies(np.array([config]))[m, variant]
         return float(link[0]) + self.sigma_I(m, n, config)
 
     def hamiltonian_difference_region(self, m: int, config: int) -> float:
         """H_1 - H_0 for a diagonal pair: sum of sigma_s * log d over C."""
-        link = self._link_energies(m, np.array([config]))
+        link = self._link_energies(np.array([config]))[m]
         return float(link[1, 0] - link[0, 0])
 
     # -- partition sums ------------------------------------------------------
 
-    def terms(self, m: int, n: int):
-        """Yields (configs, energy, keep) per chunk of configurations:
-        energy (2, k) is link energy plus sigma_I per variant, keep
-        marks where Delta survives and the energy is finite.  Raises
-        ValueError at the chunk where Delta first admits a swapped set
-        whose bulk trace is not real."""
-        masks = self._delta_masks(m, n)
-        sigma_all = self._sigma_array(m, n)
-        for configs, link in self._link_chunks(m, n == self.n_sec - 1):
-            ok = np.array([_survives(configs, pins) for pins in masks])
-            sigma = sigma_all[configs]
-            bad = configs[np.isnan(sigma) & (ok[0] | ok[1])]
-            if bad.size:
-                self.sigma_I(m, n, int(bad[0]))  # raises: trace not real
-            energy = link + sigma
+    def _terms(self, pairs: list[tuple[int, int]]):
+        """Yields (configs, energy, keep) per `_chunks` of the ordered
+        `pairs`: energy (pairs, 2, k) is link energy plus sigma_I per
+        variant, keep marks where Delta survives and the energy is finite.
+        Raises ValueError first if Delta admits a non-real bulk trace."""
+        pins = np.array([self._delta_masks(m, n) for m, n in pairs])
+        sigmas = [self._sigma_array(m, n) for m, n in pairs]
+        for (m, n), pin, sigma in zip(pairs, pins, sigmas):
+            if np.isnan(sigma).any():
+                bad = np.flatnonzero(np.isnan(sigma))
+                for config in bad[_survives(bad[:, None], pin.T).any(axis=1)].tolist():
+                    self.sigma_I(m, n, config)  # raises: trace not real
+        for configs in self._chunks(len(pairs)):
+            ok = _survives(configs, (pins[:, :, 0, None], pins[:, :, 1, None]))
+            sigma = np.stack([s[configs[0]:configs[-1] + 1] for s in sigmas])[:, None]
+            energy = self._link_energies(configs)[[p[0] for p in pairs]] + sigma
             yield configs, energy, ok & (energy != math.inf)
 
+    def terms(self, m: int, n: int):
+        """`_terms` of the ordered pair (m, n) alone, energy and keep (2, k)."""
+        return ((configs, e[0], k[0]) for configs, e, k in self._terms([(m, n)]))
+
+    def _pair_table(self) -> dict[tuple[int, int], PairResult]:
+        """The n_sec^2 rows, m-major: one `_GroundScan` over the rows of
+        `_terms`, Z from one `LogSums` (exact) or the ground state."""
+        pairs = [(m, n) for m in range(self.n_sec) for n in range(m, self.n_sec)]
+        scan, sums = _GroundScan(2 * len(pairs)), None
+        for configs, energy, keep in self._terms(pairs):
+            e = np.where(keep, energy, math.inf).reshape(2 * len(pairs), -1)
+            live = np.flatnonzero(keep.reshape(len(e), -1).any(axis=1))
+            scan.feed(e[live], configs, live)
+            if self.sc.mode == "exact":
+                sums = sums or LogSums(len(e), configs.size, 1 << self.n_vert)
+                sums.feed(-e)
+        best, second, degen = (a.tolist() for a in (scan.best, scan.second, scan.degen))
+        logz = sums.total() if sums else [-b + math.log(d) for b, d in zip(best, degen)]
+        gap = [s - b if b != math.inf else s for s, b in zip(second, best)]
+        fields = (np.reshape(a, (-1, 2)).tolist()
+                  for a in (logz, scan.config, best, degen, gap))
+        upper = {(m, n): PairResult(m, n, *map(LogWeight, z), *map(tuple, rest))
+                 for (m, n), z, *rest in zip(pairs, *fields)}
+        return {(m, n): upper[m, n] if m <= n else replace(upper[n, m], m=m, n=n)
+                for m in range(self.n_sec) for n in range(self.n_sec)}
+
     def partition_pair(self, m: int, n: int) -> PairResult:
-        exact = self.sc.mode == "exact"
-        logs: list[list[np.ndarray]] = [[], []]
-        scans = (_GroundScan(), _GroundScan())
-        for configs, energy, keep in self.terms(m, n):
-            for variant in (0, 1):
-                e = energy[variant][keep[variant]]
-                if exact:
-                    logs[variant].append(-e)
-                scans[variant].feed(e, configs[keep[variant]])
-        if exact:
-            z0, z1 = (LogWeight(log_sum_tree(np.concatenate(parts)))
-                      for parts in logs)
-        else:
-            # ground-state dominance: keep only the minimal energy,
-            # multiplied by its multiplicity
-            z0, z1 = (
-                LogWeight(-math.inf) if s.best == math.inf
-                else LogWeight(-s.best + math.log(s.degen))
-                for s in scans
-            )
-        return PairResult(
-            m=m, n=n, z0=z0, z1=z1,
-            ground_config=tuple(s.config for s in scans),
-            ground_energy=tuple(s.best for s in scans),
-            degeneracy=tuple(s.degen for s in scans),
-            gap=tuple(
-                s.second - s.best if s.best != math.inf else math.inf
-                for s in scans
-            ),
-        )
+        """The row of (m, n) in the pair table, which is built on first use."""
+        self._table = self._table or self._pair_table()
+        return self._table[m, n]
 
     def all_pairs(self) -> list[PairResult]:
-        """The pair table, m-major: each unordered pair evaluated once."""
-        if self._pairs is None:
-            upper = {(m, n): self.partition_pair(m, n)
-                     for m in range(self.n_sec) for n in range(m, self.n_sec)}
-            self._pairs = tuple(
-                upper[m, n] if m <= n else replace(upper[n, m], m=m, n=n)
-                for m in range(self.n_sec) for n in range(self.n_sec)
-            )
-        return list(self._pairs)
+        """The pair table, m-major: each unordered pair evaluated once, by
+        `partition_pair`."""
+        if self._table is None:
+            for m in range(self.n_sec):
+                for n in range(m, self.n_sec):
+                    self.partition_pair(m, n)
+        return list(self._table.values())
 
     def gradient_operator(self) -> tuple[np.ndarray, float]:
         """(G^H, Re Tr(G rho)) of a single-sector scenario, built on first
@@ -573,7 +561,7 @@ class IsingEngine:
             raise ValueError("gradient is defined for single-sector scenarios")
         if self._gradient is None:
             alpha = np.exp(-np.concatenate(
-                [link[1] for _, link in self._link_chunks(0, release=True)]))
+                [self._link_energies(configs)[0, 1] for configs in self._chunks()]))
             rho = self.sc.block(0, 0)
             op = _subset_adjoint(rho, alpha, self._vdims[0])
             op.flags.writeable = False
@@ -647,12 +635,14 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
         raise ValueError(f"direction shape {x.shape} != state {rho.shape}")
     if not np.isfinite(x).all():
         raise ValueError("direction must be finite and Hermitian")
-    # |X - X^H| <= 1e-12 + 1e-5 |X^H| entrywise, the first term alone
-    # settling the common case
-    skew = np.abs(x - x.conj().T)
-    if not (skew.max() <= 1e-12 or (skew <= 1e-12 + 1e-5 * np.abs(x).T).all()):
-        raise ValueError("direction must be Hermitian")
-    del skew  # half the block, freed before a first call builds the operator
+    # |X - X^H| <= 1e-12 + 1e-5 |X^H| entrywise, in row blocks (the first
+    # term alone settles the common case)
+    step = max(1, (1 << CHUNK_BITS) // len(x))
+    for lo in range(0, len(x), step):
+        adj = x[:, lo:lo + step].conj().T
+        skew = np.abs(x[lo:lo + step] - adj)
+        if not (skew.max() <= 1e-12 or (skew <= 1e-12 + 1e-5 * np.abs(adj)).all()):
+            raise ValueError("direction must be Hermitian")
     op, c0 = IsingEngine.of(sc).gradient_operator()
     tr_rho = float(np.trace(rho).real)
     along = float(np.vdot(op, x).real)

@@ -97,12 +97,13 @@ class Scenario:
         sp = self.sectors[sector].spins
         return tuple(sp[lid] for lid in self.graph.links_at(vertex))
 
-    def vertex_dims(self, sector: int) -> list[int]:
-        """Intertwiner dimension at each vertex for one sector."""
-        return [
-            intertwiner_dimension(self.vertex_tuple(sector, x))
-            for x in range(self.graph.n_vertices)
-        ]
+    def vertex_dims(self, sector: int) -> tuple[int, ...]:
+        """Intertwiner dimension at each vertex for one sector, kept."""
+        dims = self.__dict__.setdefault("_vertex_dims", {})
+        if sector not in dims:
+            dims[sector] = tuple(intertwiner_dimension(self.vertex_tuple(sector, x))
+                                 for x in range(self.graph.n_vertices))
+        return dims[sector]
 
     def block_dim(self, sector: int) -> int:
         return int(np.prod(self.vertex_dims(sector)))

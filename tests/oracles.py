@@ -8,8 +8,9 @@ arithmetic, gradients by central finite differences and by three
 subset transforms per direction, the gradient operator term by term
 from einsum partial traces, partial traces
 by one np.einsum per subset (and sigma_I from them), the pairwise
-log-sum as a scalar loop, the fixed-spin flip criteria and the
-`analyze --terms` rows by one Python pass per region or configuration,
+log-sum as a scalar loop, each pair's partition data by its own ground
+scan and log_sum_tree over its compacted chunks, the fixed-spin flip
+criteria and the `analyze --terms` rows by one Python pass per region or configuration,
 Delta and the link energies link by link from `cut_reference` (the
 cut rule on Python sets), the bulk-boundary energy and the boundary
 factor by one pass over the links, and the Monte Carlo purity one
@@ -34,7 +35,15 @@ from rstn.families import (
 )
 from rstn.graph import ColoredGraph
 from rstn.holography import EQUALITY_TOL, FixedSpinReport
-from rstn.ising import IsingEngine, SizeCapError, _subset_traces, down_set
+from rstn.ising import (
+    TIE_TOL,
+    IsingEngine,
+    PairResult,
+    SizeCapError,
+    _subset_traces,
+    down_set,
+)
+from rstn.logdomain import LogWeight, log_sum_tree
 from rstn.oracle import (
     LETTERS,
     MCResult,
@@ -192,7 +201,7 @@ def gradient_reference(sc: Scenario, direction: np.ndarray) -> tuple[float, floa
     absolute values of the two parts of each term."""
     rho, dims = sc.block(0, 0), sc.vertex_dims(0)
     configs = np.arange(1 << sc.graph.n_vertices)
-    alpha = np.exp(-IsingEngine(sc)._link_energies(0, configs)[1])
+    alpha = np.exp(-IsingEngine(sc)._link_energies(configs)[0, 1])
     tr_rho = float(np.trace(rho).real)
     ratio = float(np.trace(direction).real) / tr_rho
     traces = _subset_traces(rho, direction - ratio * rho, dims, dims).real
@@ -337,6 +346,79 @@ def sequential_ground_scan(
         elif e < second:
             second = e
     return best, second, index, degen
+
+
+class _PairGroundScan:
+    """The ground-state update of one pair and variant, fed the compacted
+    energies of one chunk at a time (the engine's scan before it ran on
+    rows of every pair at once).
+
+    It ends in the state of `sequential_ground_scan`.  Only a new best
+    moves `best`.  While every energy is non-negative the threshold never
+    exceeds `best`, so a new best undercuts every earlier energy and only
+    running minima need the Python test (after a negative energy no
+    non-negative one can be a new best).  After the last new best the
+    loop is a count and a min.
+    """
+
+    def __init__(self):
+        self.best = math.inf
+        self.second = math.inf
+        self.config = 0
+        self.degen = 1
+        self.floor = math.inf  # least energy fed so far
+
+    def feed(self, e: np.ndarray, configs: np.ndarray) -> None:
+        if not e.size:
+            return
+        if e.min() >= 0.0:
+            before = np.minimum.accumulate(np.concatenate(([self.floor], e[:-1])))
+            tries = np.flatnonzero(e < before).tolist()
+        else:
+            tries = range(e.size)
+        last = -1
+        for i in tries:
+            x = float(e[i])
+            if x < self.best * (1 - TIE_TOL) - TIE_TOL:
+                self.second, self.best, last = self.best, x, i
+        if last >= 0:
+            self.config, self.degen = int(configs[last]), 1
+        tail = e[last + 1:]
+        diff = np.abs(self.best - tail)
+        close = ((tail == self.best) | (diff <= abs(TIE_TOL * self.best))
+                 | (diff <= np.abs(TIE_TOL * tail)) | (diff <= TIE_TOL))
+        self.degen += int(close.sum())
+        if not close.all():
+            self.second = min(self.second, float(tail[~close].min()))
+        self.floor = min(self.floor, float(e.min()))
+
+
+def pair_reference(engine: IsingEngine, m: int, n: int) -> PairResult:
+    """The pair's row of the pair table by one reduction per pair: per
+    variant, each chunk of `engine.terms(m, n)` compacted to its kept
+    energies feeds one `_PairGroundScan`, and in exact mode log_sum_tree
+    sums the concatenated chunks."""
+    exact = engine.sc.mode == "exact"
+    logs: list[list[np.ndarray]] = [[], []]
+    scans = (_PairGroundScan(), _PairGroundScan())
+    for configs, energy, keep in engine.terms(m, n):
+        for variant in (0, 1):
+            e = energy[variant][keep[variant]]
+            logs[variant].append(-e)
+            scans[variant].feed(e, configs[keep[variant]])
+    if exact:
+        z0, z1 = (LogWeight(log_sum_tree(np.concatenate(parts))) for parts in logs)
+    else:
+        z0, z1 = (LogWeight(-math.inf) if s.best == math.inf
+                  else LogWeight(-s.best + math.log(s.degen)) for s in scans)
+    return PairResult(
+        m=m, n=n, z0=z0, z1=z1,
+        ground_config=tuple(s.config for s in scans),
+        ground_energy=tuple(s.best for s in scans),
+        degeneracy=tuple(s.degen for s in scans),
+        gap=tuple(s.second - s.best if s.best != math.inf else math.inf
+                  for s in scans),
+    )
 
 
 # -- per-region and per-configuration loops -----------------------------------

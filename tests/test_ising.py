@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ from oracles import (
     gradient_reference,
     graph_scenarios,
     link_terms_reference,
+    pair_reference,
     psd_safe_direction,
     terms_reference,
 )
@@ -42,6 +44,7 @@ from rstn.holography import (
 )
 from rstn.ising import (
     CHUNK_BITS,
+    TIE_TOL,
     IsingEngine,
     SizeCapError,
     _subset_traces,
@@ -116,6 +119,62 @@ def test_pair_symmetry():
                     assert x == y or abs(x - y) <= 1e-14 * max(1.0, abs(x))
                 checked += 1
     assert checked >= 100
+
+
+def edited_sigma_engines(rng: np.random.Generator) -> list[IsingEngine]:
+    """Engines whose cached sigma_I arrays are edited before the pair
+    table is built: negative energies (the scan tests every entry),
+    energies tied within TIE_TOL, and a pair with no admitted row."""
+    engines = []
+    for mode in ("exact", "high_spin"):
+        for edit in ("negative", "ties", "none admitted"):
+            sc = random_scenario(rng, "chain", n_sectors=3, max_twice=4, mode=mode)
+            engine = IsingEngine(sc)
+            link = engine._link_energies(np.arange(8))
+            for m in range(3):
+                for n in range(m, 3):
+                    sigma = engine._sigma_array(m, n).copy()
+                    picked = rng.random(8) < 0.5
+                    if edit == "negative":
+                        sigma[picked] = -1.0 - 4.0 * rng.random(picked.sum())
+                    elif edit == "ties":
+                        level = rng.choice([-2.0, 0.0, 1.5])
+                        jitter = rng.choice([0.0, 1e-13, -1e-13, 0.5 * TIE_TOL],
+                                            size=8)
+                        target = level * (1 + jitter) + jitter
+                        sigma[picked] = (target - link[m, rng.integers(2)])[picked]
+                    elif (m, n) == (0, 1):
+                        sigma[:] = math.inf
+                    engine._sigma_cache[m, n] = sigma
+            engines.append(engine)
+    return engines
+
+
+def test_pair_table_matches_per_pair_reference():
+    # the batched table against one reduction per pair, bit for bit
+    rng = np.random.default_rng(59)
+    engines = [IsingEngine(random_scenario(rng, template, n_sectors=n_sec,
+                                           max_twice=5, mode=mode))
+               for template in ("one", "two", "chain") for n_sec in range(1, 5)
+               for mode in ("exact", "high_spin")]
+    ring = scenario_from_dict(ring_dict(16, 3))  # 4 chunks in `terms`
+    # 36 pairs: the tile narrows the table's chunks to 2^12, `terms` keeps 2^14
+    tiled = scenario_from_dict(ring_dict(14, 8))
+    assert [c.size for c in IsingEngine(tiled)._chunks(36)] == [1 << 12] * 4
+    assert [c.size for c in IsingEngine(tiled)._chunks()] == [1 << 14]
+    engines += [IsingEngine(dataclasses.replace(sc, mode=mode))
+                for sc in (ring, tiled) for mode in ("exact", "high_spin")]
+    engines += edited_sigma_engines(rng)
+    seen = Counter()
+    for engine in engines:
+        for m in range(engine.n_sec):
+            for n in range(m, engine.n_sec):
+                got = engine.partition_pair(m, n)
+                assert repr(got) == repr(pair_reference(engine, m, n))
+                seen["no row"] += got.ground_energy[0] == math.inf
+                seen["negative"] += min(got.ground_energy) < 0.0
+                seen["tie"] += max(got.degeneracy) > 1
+    assert min(seen.values()) >= 2, seen
 
 
 def test_sigma_I_diagonal_is_renyi_of_reduction():
@@ -413,8 +472,8 @@ def test_gradient_first_and_later_calls_are_bit_identical():
 def test_gradient_memory_peaks():
     """tracemalloc peaks on a dense 9-vertex ring (a 512 x 512 block):
     the first call, which builds the operator, stays within three times
-    the block, and a later call (the Hermitian check and one dot) within
-    two and a half."""
+    the block, and a later call (the Hermitian check, in row blocks, and
+    one dot) within half of it."""
     rng = np.random.default_rng(50)
     sc = scenario_from_dict(dense_ring_dict(9, rng))
     x = random_hermitian(512, rng)
@@ -428,7 +487,7 @@ def test_gradient_memory_peaks():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 3.0
-    assert peaks[1] <= 2.5
+    assert peaks[1] <= 0.5, peaks
 
 
 def test_bulk_boundary_hamiltonian():
@@ -685,6 +744,44 @@ def test_nonreal_traces_count_only_where_delta_admits():
         engine.sigma_I(*nonreal[0])
 
 
+def nonreal_engine(sc: Scenario, bad: dict) -> IsingEngine:
+    """An engine whose cached sigma_I of each pair (m, n) in `bad` is
+    NaN (not real) at the listed configurations."""
+    engine = IsingEngine(sc)
+    for (m, n), configs in bad.items():
+        sigma = engine._sigma_array(m, n).copy()
+        sigma[configs] = math.nan
+        engine._sigma_cache[m, n] = sigma
+    return engine
+
+
+def test_nonreal_trace_that_delta_admits_is_refused():
+    # every path names the first admitted set of the first bad pair, m-major
+    ring = scenario_from_dict(ring_dict(16, 3))  # 4 chunks in `terms`
+    late = 3 * (1 << 14) + 5  # in the last chunk
+    cases = [
+        # Delta admits swapped set 0b1 of (0, 1) in variant 0 only
+        (onoff_ring(), {(0, 1): [1]}, (0, 1), 1),
+        # behind the clean pairs (0, 0), (0, 1), (0, 2)
+        (ring, {(1, 1): [late]}, (1, 1), late),
+        # two bad pairs: the table (also read for (2, 2)) names the
+        # first, `terms(2, 2)` its own
+        (ring, {(1, 1): [late, late + 1], (2, 2): [7]}, (1, 1), late),
+    ]
+    assert not IsingEngine(onoff_ring()).delta_ok(0, 1, 1, 1)
+    for sc, bad, (m, n), config in cases:
+        assert IsingEngine(sc).delta_ok(m, n, config, 0)
+        msg = f"pair ({m},{n}) and swapped set {config:#b} is not real"
+        for path in (lambda e: e.all_pairs(), lambda e: e.partition_pair(m, n),
+                     lambda e: e.partition_pair(*max(bad)),
+                     lambda e: next(e.terms(m, n)), lambda e: e.purity()):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                path(nonreal_engine(sc, bad))
+    msg = "pair (2,2) and swapped set 0b111 is not real"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        next(nonreal_engine(ring, cases[2][1]).terms(2, 2))
+
+
 @pytest.mark.parametrize("build", [
     lambda: appendix_c(4, 0.3, 0.25, 0.45, u=0.1, v=0.05),
     lambda: random_scenario(np.random.default_rng(5), "chain", n_sectors=3,
@@ -825,19 +922,26 @@ def test_one_engine_per_scenario(built):
 
 
 def test_link_energies_once_per_sector_and_chunk(monkeypatch):
-    calls = Counter()
+    """The pair table takes the link energies of all sectors from one
+    call per chunk of configurations, and keeps none of them."""
+    calls = []
     link_energies = IsingEngine._link_energies
 
-    def counting(self, m, configs):
-        calls[m, int(configs[0])] += 1
-        return link_energies(self, m, configs)
+    def counting(self, configs):
+        result = link_energies(self, configs)
+        calls.append((configs.copy(), result.shape, weakref.ref(result)))
+        return result
 
     monkeypatch.setattr(IsingEngine, "_link_energies", counting)
     engine = IsingEngine(scenario_from_dict(ring_dict(16, 3)))
     engine.all_pairs()
-    starts = range(0, 1 << 16, 1 << CHUNK_BITS)
-    assert calls == Counter((m, s) for m in range(3) for s in starts)
-    assert engine._held == (-1, [])  # released with the last pair of m
+    chunks = [configs for configs, _, _ in calls]
+    assert len(chunks) > 1  # the 2^16 configurations take several chunks
+    assert np.array_equal(np.concatenate(chunks), np.arange(1 << 16))
+    assert all(shape == (3, 2, len(configs)) and len(configs) <= 1 << CHUNK_BITS
+               for configs, shape, _ in calls)
+    gc.collect()
+    assert all(ref() is None for _, _, ref in calls)  # none held
 
 
 def test_shared_engine_belongs_to_one_scenario():

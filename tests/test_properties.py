@@ -109,12 +109,18 @@ _energies = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(_energies, st.lists(st.integers(0, 60), max_size=4))
 def test_ground_scan_matches_sequential_loop(energies, cuts):
-    scan = _GroundScan()
+    # rows of unequal length, +inf (an excluded configuration) after each
+    rows = [energies, energies[::2], energies[len(energies) // 3:][::-1], []]
+    e = np.full((len(rows), len(energies)), math.inf)
+    for r, row in enumerate(rows):
+        e[r, :len(row)] = row
+    scan = _GroundScan(len(rows))
     configs = np.arange(len(energies)) * 3  # configuration ids in order
     bounds = [0] + sorted(min(c, len(energies)) for c in cuts) + [len(energies)]
-    e = np.array(energies, dtype=float)
-    for lo, hi in zip(bounds, bounds[1:]):
-        scan.feed(e[lo:hi], configs[lo:hi])
-    best, second, index, degen = sequential_ground_scan(energies, TIE_TOL)
-    assert (scan.best, scan.second, scan.degen) == (best, second, degen)
-    assert scan.config == (int(configs[index]) if energies else 0)
+    for lo, hi in zip(bounds, bounds[1:]):  # the rows with energies in the chunk
+        live = np.flatnonzero((e[:, lo:hi] != math.inf).any(axis=1))
+        scan.feed(e[live, lo:hi], configs[lo:hi], live)
+    for r, row in enumerate(rows):
+        best, second, index, degen = sequential_ground_scan(row, TIE_TOL)
+        assert (scan.best[r], scan.second[r], scan.degen[r]) == (best, second, degen)
+        assert scan.config[r] == (int(configs[index]) if row else 0)

@@ -33,6 +33,25 @@ def test_vertex_tuple_color_order():
     assert sc.vertex_tuple(1, 1) == (2, 2, 2, 6)
 
 
+def test_vertex_dims_computed_once_per_sector(monkeypatch):
+    from rstn import state
+
+    sc = appendix_c(2, 0.3, 0.25, 0.45)
+    calls = []
+    dimension = state.intertwiner_dimension
+    monkeypatch.setattr(state, "intertwiner_dimension",
+                        lambda tup: calls.append(tup) or dimension(tup))
+    fresh = dataclasses.replace(sc)  # validation reads the dims once
+    assert len(calls) == 2 * fresh.graph.n_vertices
+    IsingEngine(fresh)
+    IsingEngine(fresh)
+    dims = fresh.vertex_dims(1)
+    assert len(calls) == 2 * fresh.graph.n_vertices
+    assert isinstance(dims, tuple) and dims is fresh.vertex_dims(1)
+    assert dims == tuple(dimension(fresh.vertex_tuple(1, x))
+                         for x in range(fresh.graph.n_vertices))
+
+
 def test_block_adjoint_fallback():
     sc = appendix_c(2, 0.3, 0.25, 0.45, u=0.1, v=0.05)
     assert np.allclose(sc.block(1, 0), sc.block(0, 1).conj().T)
