@@ -30,7 +30,7 @@ import numpy as np
 from rstn.graph import GraphError
 from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
 from rstn.holography import InfeasibleError, analyze_holography, solve_weights
-from rstn.ising import IsingEngine, SizeCapError, down_set
+from rstn.ising import IsingEngine, SizeCapError
 from rstn.oracle import SEED_MAX, exact_purity, mc_purity
 from rstn.state import (
     ParseError,
@@ -149,7 +149,7 @@ def analyze(path, mode, terms, out):
     if terms:
         report["terms"] = [
             {"m": m, "n": n, "variant": v, "energy": float(energy[v, i]),
-             "config": sorted(down_set(int(configs[i]), engine.n_vert))}
+             "config": [x for x in range(engine.n_vert) if int(configs[i]) >> x & 1]}
             for m in range(engine.n_sec) for n in range(engine.n_sec)
             for configs, energy, keep in engine.terms(m, n)
             for i, v in np.argwhere(keep.T).tolist()  # config-major

@@ -66,17 +66,9 @@ class SizeCapError(RuntimeError):
     configurations x ordered sector pairs (exit code 4)."""
 
 
-def down_set(config: int, n: int) -> frozenset[int]:
-    return frozenset(x for x in range(n) if config >> x & 1)
-
-
-def _mask(down) -> int:
-    return sum(1 << x for x in down)
-
-
 def _survives(configs, pins: tuple[int, int]):
-    """Delta test of configurations (an int or an int array) against
-    the (up, down) vertex pins of one pair and variant."""
+    """Delta test of an int array of configurations against the (up,
+    down) vertex pins of one pair and variant."""
     up, down = pins
     return ((configs & up) == 0) & ((configs & down) == down)
 
@@ -113,7 +105,7 @@ def _vertex_maps(r: int, c: int, whole: bool):
 def _live_maps(row_dims, col_dims, whole: int = 0):
     """The vertices the transform visits (all but those of dim 1 on both
     sides outside `whole`) and their `_vertex_maps`, highest vertex
-    first, so that vertex 0 ends up as the lowest bit."""
+    first, so that vertex 0 ends up on the last axis (the lowest bit)."""
     live = [x for x in range(len(row_dims))
             if row_dims[x] * col_dims[x] > 1 or whole >> x & 1]
     return live, [_vertex_maps(row_dims[x], col_dims[x], bool(whole >> x & 1))
@@ -145,7 +137,9 @@ def _planes(mat: np.ndarray, dims, maps, t: int) -> np.ndarray:
 
 def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
                    whole: int = 0) -> np.ndarray:
-    """Tr(A_S B_S) for every vertex set S, indexed by bitmask.
+    """Tr(A_S B_S) for every vertex set S, one axis per vertex: axis k
+    is vertex V-1-k, index 1 where it is in S, so that broadcast to
+    (2,)*V and raveled the traces are indexed by bitmask.
 
     A maps the col factors to the row factors and B back; `b=None`
     stands for B = A Hermitian.  The vertices in `whole` (it must hold
@@ -153,7 +147,7 @@ def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
     A and B^T go to the operator basis of `_vertex_maps` at every
     vertex, are multiplied elementwise and reduced vertex by vertex.
     A unit vertex (row and col dim 1) outside `whole` leaves every trace
-    unchanged: it skips the transform, and the result is broadcast.
+    unchanged: it skips the transform and its axis has length 1.
 
     `b=None` multiplies the real planes of `_planes` to |alpha|^2;
     otherwise both transforms are interleaved again and multiplied as
@@ -172,8 +166,7 @@ def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
         prod = _interleave(_planes(a, dims, maps, 0))
         prod *= _interleave(_planes(b, dims, maps, 1))
         out = _interleave(_per_vertex(prod.view(float), reduce).reshape(2, -1))
-    bits = [2 if x in live else 1 for x in reversed(range(len(row_dims)))]
-    return np.broadcast_to(out.reshape(bits), (2,) * len(row_dims)).ravel()
+    return out.reshape([2 if x in live else 1 for x in reversed(range(len(row_dims)))])
 
 
 def _subset_adjoint(a: np.ndarray, weights: np.ndarray, dims) -> np.ndarray:
@@ -368,26 +361,20 @@ class IsingEngine:
             up |= split
         return (split, 0), (up, down)
 
-    def delta_ok(self, m: int, n: int, config: int, variant: int) -> bool:
-        """Whether the sector-matching deltas of a configuration survive."""
-        return bool(_survives(config, self._delta_masks(m, n)[variant]))
-
     # -- bulk-state entropy term ---------------------------------------------
 
-    def sigma_I(self, m: int, n: int, down) -> float:
-        """Entropy-like energy of the bulk state for swapped set `down`.
+    def sigma_I(self, m: int, n: int, down: int) -> float:
+        """Entropy-like energy of the bulk state for swapped set `down`, a bitmask.
 
         -log of a normalized trace of two partially-traced,
         sector-projected reductions of rho^I; 0 when nothing is
         swapped, the Renyi-2 entropy of the reduction to `down` when
         m = n, +inf when the trace vanishes (excluded configuration).
-        `down` is a set of vertices or a configuration bitmask.
         """
-        mask = down if isinstance(down, int) else _mask(down)
-        val = float(self._sigma_array(m, n)[mask])
+        val = float(self._sigma_array(m, n)[down])
         if math.isnan(val):
             raise ValueError(f"bulk-state trace for pair ({m},{n}) and "
-                             f"swapped set {mask:#b} is not real")
+                             f"swapped set {down:#b} is not real")
         return val
 
     def _sigma_array(self, m: int, n: int) -> np.ndarray:
@@ -409,14 +396,17 @@ class IsingEngine:
         Swapping S pairs the blocks (m, q) and (n, q'), q with the tuples
         of m off S and of n on S, q' the other way round.  Only the part
         T of S where m and n differ fixes the pair, so each T is one
-        `_subset_traces` call: the split vertices outside T are traced up
-        front, T is kept whole.  Absent (zero) blocks are skipped.
+        `_subset_traces` call, written into its slab of the per-vertex
+        trace table t: the sets S with S & split = T, one index per split
+        axis.  The split vertices outside T are traced up front, T is kept
+        whole.  Absent (zero) blocks are skipped.  Beside t (complex) the
+        result is the one array of 2^V floats: the test for a trace that
+        is not real runs in t's own planes.
         """
         cm, cn = self._c[m], self._c[n]
-        configs = np.arange(1 << self.n_vert)
         if cm <= 0.0 or cn <= 0.0:
-            return np.full(configs.size, math.inf)
-        t = np.zeros(configs.size, dtype=complex)
+            return np.full(1 << self.n_vert, math.inf)
+        t = np.zeros((2,) * self.n_vert, dtype=complex)  # axis 0: vertex V-1
         split = self._full & ~self._agree[m][n]
         hybrids = [q for q in range(self.n_sec)  # m or n at every vertex
                    if self._agree[q][m] | self._agree[q][n] == self._full]
@@ -433,12 +423,19 @@ class IsingEngine:
             b = None if m == n else self._reduced(n, q2, keep)
             vals = _subset_traces(self._reduced(m, q, keep), b, rows, cols,
                                   whole=swapped)
-            group = (configs & split) == swapped
-            t[group] = vals[group]
-        val = t.real / (cm * cn)
-        sigma = -np.log(val, out=np.full(val.size, -math.inf), where=val > 0.0)
-        tol = SIGMA_IMAG_TOL * np.maximum(1.0, np.abs(t.real))
-        sigma[np.abs(t.imag) > tol] = math.nan
+            slab = tuple(swapped >> x & 1 if split >> x & 1 else slice(None)
+                         for x in reversed(range(self.n_vert)))
+            t[slab] = vals[slab]
+        t = t.reshape(-1)
+        re, im = t.real, t.imag
+        sigma = re / (cm * cn)
+        pos = sigma > 0.0
+        np.negative(np.log(sigma, out=sigma, where=pos), out=sigma)
+        sigma[np.invert(pos, out=pos)] = math.inf
+        # not real: |im| > SIGMA_IMAG_TOL * max(1, |re|)
+        tol = np.maximum(np.abs(re, out=re), 1.0, out=re)
+        tol *= SIGMA_IMAG_TOL
+        sigma[np.greater(np.abs(im, out=im), tol, out=pos)] = math.nan
         sigma[0] = 0.0  # nothing swapped: t = c_m c_n
         return sigma
 
@@ -473,20 +470,6 @@ class IsingEngine:
                                    self._on_C):
             total += (-logd if on_c else logd) * cut
         return total
-
-    def hamiltonian(self, m: int, n: int, config: int, variant: int) -> float:
-        """Energy of a configuration for the ordered pair (m, n).
-
-        The link energies of `_link_energies` plus sigma_I of the
-        swapped vertex set.
-        """
-        link = self._link_energies(np.array([config]))[m, variant]
-        return float(link[0]) + self.sigma_I(m, n, config)
-
-    def hamiltonian_difference_region(self, m: int, config: int) -> float:
-        """H_1 - H_0 for a diagonal pair: sum of sigma_s * log d over C."""
-        link = self._link_energies(np.array([config]))[m]
-        return float(link[1, 0] - link[0, 0])
 
     # -- partition sums ------------------------------------------------------
 
@@ -601,9 +584,10 @@ class IsingEngine:
 
 def _reduce_square(mat: np.ndarray, dims: list[int],
                    down: frozenset[int]) -> np.ndarray:
-    """Square `mat` traced over the vertices outside `down` (perfbench's
-    span tracer counts reduced bytes through it)."""
-    return _partial_trace(mat, dims, dims, _mask(down))
+    """Square `mat` traced over the vertices outside `down`.  Nothing in
+    rstn calls it; perfbench's span tracer wraps it by name, so its
+    `ising.reduction_bytes` counts the blocks of `_reduced` only."""
+    return _partial_trace(mat, dims, dims, sum(1 << x for x in down))
 
 
 def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:

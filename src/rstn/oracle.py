@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rstn.ising import SizeCapError, down_set
+from rstn.ising import SizeCapError
 from rstn.spins import dim_rep, intertwiner_dimension
 from rstn.state import Scenario
 
@@ -155,7 +155,7 @@ class _RawTerms:
         self, m: int, n: int, config: int, variants: tuple[int, ...] = (0, 1)
     ) -> list[float]:
         """One configuration's contributions to Z_variant^{(m,n)}, raw."""
-        down = down_set(config, self.nv)
+        down = frozenset(x for x in range(self.nv) if config >> x & 1)
         itw = self.intertwiner(m, n, down)
         return [self._dressed(itw, m, n, down, v) for v in variants]
 

@@ -10,11 +10,11 @@ from einsum partial traces, partial traces
 by one np.einsum per subset (and sigma_I from them), the pairwise
 log-sum as a scalar loop, each pair's partition data by its own ground
 scan and log_sum_tree over its compacted chunks, the fixed-spin flip
-criteria and the `analyze --terms` rows by one Python pass per region or configuration,
-Delta and the link energies link by link from `cut_reference` (the
-cut rule on Python sets), the bulk-boundary energy and the boundary
-factor by one pass over the links, and the Monte Carlo purity one
-sample at a time.
+criteria by one Python pass per region, Delta and the link energies
+link by link from `cut_reference` (the cut rule on Python sets), the
+`analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
+and the bulk-boundary energy and the boundary factor by one pass over
+the links, and the Monte Carlo purity one sample at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from rstn.ising import (
     PairResult,
     SizeCapError,
     _subset_traces,
-    down_set,
 )
 from rstn.logdomain import LogWeight, log_sum_tree
 from rstn.oracle import (
@@ -194,7 +193,7 @@ def fd_swapped_gradient(
 
 def gradient_reference(sc: Scenario, direction: np.ndarray) -> tuple[float, float]:
     """`purity_gradient` by three operator-basis transforms per call:
-    Tr(rho_S X'_S) for every S from `_subset_traces`, X' = X - (Tr X /
+    Tr(rho_S X'_S) for every S from `subset_traces`, X' = X - (Tr X /
     Tr rho) rho, weighted by alpha_S = exp(-variant-1 link energy).
 
     Also returns the scale of the rounding error, the same sum over the
@@ -204,9 +203,9 @@ def gradient_reference(sc: Scenario, direction: np.ndarray) -> tuple[float, floa
     alpha = np.exp(-IsingEngine(sc)._link_energies(configs)[0, 1])
     tr_rho = float(np.trace(rho).real)
     ratio = float(np.trace(direction).real) / tr_rho
-    traces = _subset_traces(rho, direction - ratio * rho, dims, dims).real
-    parts = (np.abs(_subset_traces(rho, direction, dims, dims))
-             + abs(ratio) * _subset_traces(rho, None, dims, dims))
+    traces = subset_traces(rho, direction - ratio * rho, dims, dims).real
+    parts = (np.abs(subset_traces(rho, direction, dims, dims))
+             + abs(ratio) * subset_traces(rho, None, dims, dims))
     return (2.0 / tr_rho**2 * float(alpha @ traces),
             2.0 / tr_rho**2 * float(alpha @ parts))
 
@@ -548,17 +547,35 @@ def link_terms_reference(
 
 
 def terms_reference(sc: Scenario) -> list[dict]:
-    """The rows of `rstn analyze --terms`: one `delta_ok` and one
-    `hamiltonian` call per (pair, configuration, variant)."""
-    engine = IsingEngine(sc)
+    """The rows of `rstn analyze --terms`, in its order: per (pair,
+    configuration, variant) that Delta admits with a finite energy,
+    Delta and the link energy from `link_terms_reference` and sigma_I
+    from `einsum_sigma`."""
+    nv, n_sec = sc.graph.n_vertices, len(sc.sectors)
     return [
-        {"m": m, "n": n, "config": sorted(down_set(c, engine.n_vert)),
+        {"m": m, "n": n, "config": [x for x in range(nv) if c >> x & 1],
          "variant": v, "energy": e}
-        for m in range(engine.n_sec) for n in range(engine.n_sec)
-        for c in range(1 << engine.n_vert) for v in (0, 1)
-        if engine.delta_ok(m, n, c, v)
-        and (e := engine.hamiltonian(m, n, c, v)) != math.inf
+        for m in range(n_sec) for n in range(n_sec)
+        for c in range(1 << nv) for v in (0, 1)
+        for ok, link in [link_terms_reference(sc, m, n, c, v)]
+        if ok and (e := link + einsum_sigma(sc, m, n, c)) != math.inf
     ]
+
+
+def region_difference_reference(sc: Scenario, m: int, config: int) -> float:
+    """H_1 - H_0 of a configuration of the pair (m, m): sigma_x log(2j+1)
+    of sector m summed over the C half-edges, sigma_x = -1 where their
+    vertex x is swapped."""
+    return sum((-1 if config >> b.vertex & 1 else 1)
+               * math.log(dim_rep(sc.spin(m, f"b{k}")))
+               for k, b in enumerate(sc.graph.boundary) if f"b{k}" in sc.region_C)
+
+
+def subset_traces(a, b, row_dims, col_dims, whole: int = 0) -> np.ndarray:
+    """`_subset_traces` broadcast over its length-1 axes and raveled, so
+    that it is indexed by bitmask."""
+    traces = _subset_traces(a, b, row_dims, col_dims, whole)
+    return np.broadcast_to(traces, (2,) * len(row_dims)).ravel()
 
 
 def _sector_boundary_tensor(

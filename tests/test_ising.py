@@ -29,6 +29,8 @@ from oracles import (
     link_terms_reference,
     pair_reference,
     psd_safe_direction,
+    region_difference_reference,
+    subset_traces,
     terms_reference,
 )
 from rings import dense_ring_dict, ring_dict
@@ -48,7 +50,7 @@ from rstn.ising import (
     IsingEngine,
     SizeCapError,
     _subset_traces,
-    down_set,
+    _survives,
     hamiltonian_bulk_boundary,
     purity_gradient,
 )
@@ -71,11 +73,6 @@ from rstn.state import (
 BLOCK_PARAMS = dict(
     a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j, v=0.07 + 0.02j
 )
-
-
-def test_down_set():
-    assert down_set(0b101, 3) == {0, 2}
-    assert down_set(0, 4) == frozenset()
 
 
 @pytest.mark.parametrize("twice_s", [2, 20])
@@ -186,10 +183,10 @@ def test_sigma_I_diagonal_is_renyi_of_reduction():
     arr = rho.reshape(dims[0], dims[1], dims[0], dims[1])
     red = np.trace(arr, axis1=1, axis2=3)
     expect = -math.log(np.trace(red @ red).real)
-    assert engine.sigma_I(0, 0, frozenset({0})) == pytest.approx(expect)
-    assert engine.sigma_I(0, 0, frozenset()) == 0.0
+    assert engine.sigma_I(0, 0, 0b01) == pytest.approx(expect)
+    assert engine.sigma_I(0, 0, 0b00) == 0.0
     full = -math.log(np.trace(rho @ rho).real)
-    assert engine.sigma_I(0, 0, frozenset({0, 1})) == pytest.approx(full)
+    assert engine.sigma_I(0, 0, 0b11) == pytest.approx(full)
 
 
 def test_sigma_I_benchmark_special_cases():
@@ -200,27 +197,31 @@ def test_sigma_I_benchmark_special_cases():
     q = (abs(u) ** 2 + abs(v) ** 2) / (w * (a + d))
     # cross pair: swapping the sector-splitting vertex (or both) hits
     # the cross block; swapping only the agreeing vertex costs nothing
-    assert math.exp(
-        -engine.sigma_I(0, 1, frozenset({1}))
-    ) == pytest.approx(q)
-    assert math.exp(
-        -engine.sigma_I(0, 1, frozenset({0, 1}))
-    ) == pytest.approx(q)
-    assert engine.sigma_I(0, 1, frozenset({0})) == pytest.approx(0.0)
+    assert math.exp(-engine.sigma_I(0, 1, 0b10)) == pytest.approx(q)
+    assert math.exp(-engine.sigma_I(0, 1, 0b11)) == pytest.approx(q)
+    assert engine.sigma_I(0, 1, 0b01) == pytest.approx(0.0)
+
+
+def delta_table(engine: IsingEngine, m: int, n: int) -> np.ndarray:
+    """Delta of the pair for every configuration, (variant, config): the
+    pins that `IsingEngine._terms` tests."""
+    configs = np.arange(1 << engine.n_vert)
+    return np.array([_survives(configs, pins) for pins in engine._delta_masks(m, n)])
 
 
 def test_delta_constraints_cross_pair():
     sc = appendix_c(4, **BLOCK_PARAMS)
     engine = IsingEngine(sc)
+    cross, diagonal = delta_table(engine, 0, 1), delta_table(engine, 0, 0)
     # sectors differ on b5 (vertex 1, in C for variant "x")
     # variant 0: swapping vertex 1 glues b5 across sectors -> excluded
-    assert not engine.delta_ok(0, 1, 0b10, 0)
+    assert not cross[0, 0b10]
     # variant 1: b5 is in C, pinning is flipped there; the swapped
     # configuration aligns with it
-    assert engine.delta_ok(0, 1, 0b10, 1)
-    assert engine.delta_ok(0, 1, 0b00, 0)
+    assert cross[1, 0b10]
+    assert cross[0, 0b00]
     # diagonal pairs never get constrained
-    assert engine.delta_ok(0, 0, 0b11, 0)
+    assert diagonal[0, 0b11]
 
 
 def test_delta_internal_link_any_down_endpoint():
@@ -249,11 +250,11 @@ def test_delta_internal_link_any_down_endpoint():
         },
         region_C=["b3"],
     )
-    engine = IsingEngine(sc)
+    delta = delta_table(IsingEngine(sc), 0, 1)
     for config in (0b01, 0b10, 0b11):
-        assert not engine.delta_ok(0, 1, config, 0)
-        assert not engine.delta_ok(0, 1, config, 1)
-    assert engine.delta_ok(0, 1, 0b00, 0)
+        assert not delta[0, config]
+        assert not delta[1, config]
+    assert delta[0, 0b00]
 
 
 def link_table_cases(vertex_product: bool):
@@ -271,33 +272,37 @@ def link_table_cases(vertex_product: bool):
 
 @pytest.mark.parametrize("vertex_product", [False, True])
 def test_delta_and_energies_match_link_by_link_reference(vertex_product):
+    # the keep masks and energies of `terms`, and the Delta pins
     swapped_cross = 0  # admitted cross-pair terms with a swapped vertex
     for sc in link_table_cases(vertex_product):
         engine = IsingEngine(sc)
         for m in range(len(sc.sectors)):
             for n in range(len(sc.sectors)):
+                (_, energy, keep), = engine.terms(m, n)
+                delta = delta_table(engine, m, n)
                 for config in range(1 << sc.graph.n_vertices):
                     for variant in (0, 1):
                         ok, link = link_terms_reference(sc, m, n, config,
                                                         variant)
-                        assert engine.delta_ok(m, n, config, variant) == ok
+                        assert delta[variant, config] == ok
                         if not ok:
+                            assert not keep[variant, config]
                             continue
                         swapped_cross += m != n and config != 0
                         expect = link + einsum_sigma(sc, m, n, config)
-                        assert engine.hamiltonian(m, n, config, variant) == \
+                        assert keep[variant, config] == (expect != math.inf)
+                        assert energy[variant, config] == \
                             pytest.approx(expect, rel=1e-12, abs=1e-12)
     assert swapped_cross >= 100
 
 
 def test_hamiltonian_difference_supported_on_C():
     sc = tiny_generic()
-    engine = IsingEngine(sc)
+    (_, energy, _), = IsingEngine(sc).terms(0, 0)
     for config in range(4):
-        h0 = engine.hamiltonian(0, 0, config, 0)
-        h1 = engine.hamiltonian(0, 0, config, 1)
+        h0, h1 = energy[:, config]
         assert h1 - h0 == pytest.approx(
-            engine.hamiltonian_difference_region(0, config), abs=1e-12
+            region_difference_reference(sc, 0, config), abs=1e-12
         )
 
 
@@ -536,10 +541,10 @@ def test_subset_traces_match_einsum_with_unequal_dims():
     mat = rng.normal(size=(36, 72)) + 1j * rng.normal(size=(36, 72))
     back = rng.normal(size=(72, 36)) + 1j * rng.normal(size=(72, 36))
     # vertex 0 has unequal dims, so it is kept whole
-    got = _subset_traces(mat, back, row_dims, col_dims, whole=1)
+    got = subset_traces(mat, back, row_dims, col_dims, whole=1)
     sq = [3, 1, 2, 3, 2]
     herm = mat[:, :36] @ mat[:, :36].conj().T
-    got_herm = _subset_traces(herm, None, sq, sq)
+    got_herm = subset_traces(herm, None, sq, sq)
     for mask in range(32):
         if mask & 1:
             a = einsum_partial_trace(mat, row_dims, col_dims, mask)
@@ -558,7 +563,10 @@ def test_subset_traces_broadcast_over_unit_vertices():
     mat = rng.normal(size=(6, 12)) + 1j * rng.normal(size=(6, 12))
     back = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))
     whole = 0b00101  # vertex 2 is a unit vertex kept whole
-    got = _subset_traces(mat, back, row_dims, col_dims, whole=whole)
+    # one axis per vertex, highest first; length 1 for unit vertices 1, 4
+    assert _subset_traces(mat, back, row_dims, col_dims,
+                          whole=whole).shape == (1, 2, 2, 1, 2)
+    got = subset_traces(mat, back, row_dims, col_dims, whole=whole)
     for mask in range(32):
         if mask & whole == whole:
             a = einsum_partial_trace(mat, row_dims, col_dims, mask)
@@ -592,7 +600,7 @@ def test_subset_traces_of_read_only_blocks():
     for arr in (herm, back):
         arr.flags.writeable = False
     for b in (None, back):
-        np.testing.assert_allclose(_subset_traces(herm, b, dims, dims),
+        np.testing.assert_allclose(subset_traces(herm, b, dims, dims),
                                    _einsum_traces(herm, b, dims, dims),
                                    rtol=1e-12)
 
@@ -604,7 +612,7 @@ def test_subset_traces_of_a_transposed_view():
     back = _random_matrix(rng, 6, 12).T  # (12, 6), not C-contiguous
     assert not back.flags.c_contiguous
     np.testing.assert_allclose(
-        _subset_traces(mat, back, row_dims, col_dims, whole=1),
+        subset_traces(mat, back, row_dims, col_dims, whole=1),
         _einsum_traces(mat, back, row_dims, col_dims, whole=1), rtol=1e-12)
 
 
@@ -613,11 +621,11 @@ def test_subset_traces_of_float_input():
     dims = [3, 2]
     x = rng.normal(size=(6, 6))
     sym, back = x @ x.T, rng.normal(size=(6, 6))
-    got = _subset_traces(sym, None, dims, dims)
+    got = subset_traces(sym, None, dims, dims)
     assert got.dtype == np.float64
     np.testing.assert_allclose(got, _einsum_traces(sym, None, dims, dims).real,
                                rtol=1e-12)
-    np.testing.assert_allclose(_subset_traces(sym, back, dims, dims),
+    np.testing.assert_allclose(subset_traces(sym, back, dims, dims),
                                _einsum_traces(sym, back, dims, dims),
                                rtol=1e-12)
 
@@ -626,7 +634,8 @@ def test_subset_traces_without_a_live_vertex():
     dims = [1, 1, 1]
     a, b = np.array([[0.6 - 0.2j]]), np.array([[0.3 + 0.1j]])
     for mat, back in ((a, b), (np.array([[0.4 + 0j]]), None)):
-        got = _subset_traces(mat, back, dims, dims)
+        assert _subset_traces(mat, back, dims, dims).shape == (1, 1, 1)
+        got = subset_traces(mat, back, dims, dims)
         assert got.shape == (8,)
         np.testing.assert_allclose(got, _einsum_traces(mat, back, dims, dims),
                                    rtol=1e-15)
@@ -662,6 +671,21 @@ def test_sigma_arrays_match_einsum_reference():
                               <= 1e-12 * np.maximum(1.0, np.abs(expect[finite])))
                 n_inf += int(np.isinf(expect).sum())
     assert n_inf > 0
+
+
+@pytest.mark.parametrize("n_vertices, n_sectors, pair",
+                         [(16, 1, (0, 0)), (14, 3, (0, 0)), (14, 3, (0, 1))])
+def test_sigma_build_memory_peak(n_vertices, n_sectors, pair):
+    # the complex trace table (twice the result), the result and one
+    # boolean mask: 3.125 times the result
+    engine = IsingEngine(scenario_from_dict(ring_dict(n_vertices, n_sectors)))
+    tracemalloc.start()
+    try:
+        sigma = engine._sigma_array(*pair)
+        peak = tracemalloc.get_traced_memory()[1] / sigma.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5
 
 
 def onoff_ring(seed: int = 0, n: int = 4,
@@ -710,9 +734,9 @@ def test_sigma_arrays_match_einsum_on_admitted_sets(build):
     for m in range(len(sc.sectors)):
         for n in range(len(sc.sectors)):
             got = engine._sigma_array(m, n)
+            admitted = delta_table(engine, m, n).any(axis=0)
             for mask in range(1 << sc.graph.n_vertices):
-                if not (engine.delta_ok(m, n, mask, 0)
-                        or engine.delta_ok(m, n, mask, 1)):
+                if not admitted[mask]:
                     continue
                 expect = einsum_sigma(sc, m, n, mask)
                 if math.isinf(expect):
@@ -733,9 +757,9 @@ def test_nonreal_traces_count_only_where_delta_admits():
     nonreal = []
     for m in range(5):
         for n in range(5):
+            admitted = delta_table(engine, m, n).any(axis=0)
             for config in range(16):
-                if engine.delta_ok(m, n, config, 0) \
-                        or engine.delta_ok(m, n, config, 1):
+                if admitted[config]:
                     engine.sigma_I(m, n, config)
                 elif math.isnan(engine._sigma_array(m, n)[config]):
                     nonreal.append((m, n, config))
@@ -768,9 +792,9 @@ def test_nonreal_trace_that_delta_admits_is_refused():
         # first, `terms(2, 2)` its own
         (ring, {(1, 1): [late, late + 1], (2, 2): [7]}, (1, 1), late),
     ]
-    assert not IsingEngine(onoff_ring()).delta_ok(0, 1, 1, 1)
+    assert not delta_table(IsingEngine(onoff_ring()), 0, 1)[1, 1]
     for sc, bad, (m, n), config in cases:
-        assert IsingEngine(sc).delta_ok(m, n, config, 0)
+        assert delta_table(IsingEngine(sc), m, n)[0, config]
         msg = f"pair ({m},{n}) and swapped set {config:#b} is not real"
         for path in (lambda e: e.all_pairs(), lambda e: e.partition_pair(m, n),
                      lambda e: e.partition_pair(*max(bad)),
@@ -789,12 +813,18 @@ def test_nonreal_trace_that_delta_admits_is_refused():
     onoff_ring,  # non-real traces only where Delta excludes them
 ])
 def test_analyze_terms_match_per_configuration_calls(build, tmp_path):
+    # rows, in order, against Delta and energies link by link and the
+    # einsum sigma_I
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_dict(build())))
     res = CliRunner().invoke(main, ["analyze", str(path), "--terms"])
     assert res.exit_code == 0, res.output
     terms = json.loads(res.output)["terms"]
-    assert terms == terms_reference(load_scenario(str(path)))
+    expect = terms_reference(load_scenario(str(path)))
+    assert len(terms) == len(expect)
+    for got, want in zip(terms, expect):
+        energy = pytest.approx(want["energy"], rel=1e-12, abs=1e-12)
+        assert got == {**want, "energy": energy}
     assert {t["variant"] for t in terms} == {0, 1}
 
 
@@ -1024,13 +1054,15 @@ def test_absent_blocks_equal_explicit_zero_blocks():
 
 
 def test_perfbench_tracer_installs():
-    # perfbench/spans.py wraps engine internals by name
+    # perfbench/spans.py wraps engine internals by name (`--trace 1`),
+    # `_reduce_square` among them, which nothing in rstn calls
     root = Path(__file__).resolve().parents[1]
     code = (
         "import spans\n"
         "tracer = spans.Tracer()\n"
         "spans.install(tracer)\n"
         "tracer.enabled = True\n"
+        "from rstn import ising\n"
         "from rstn.families import tiny_generic\n"
         "from rstn.ising import IsingEngine, purity_gradient\n"
         "sc = tiny_generic()\n"
@@ -1039,6 +1071,11 @@ def test_perfbench_tracer_installs():
         "engine.sigma_I(0, 0, 1)\n"
         "purity_gradient(sc, sc.block(0, 0))\n"
         "assert spans.layer_metrics(tracer, 1)['ising.reduction_bytes'] > 0\n"
+        "tracer.reset()\n"
+        "red = ising._reduce_square(sc.block(0, 0), sc.vertex_dims(0), {1})\n"
+        "metrics = spans.layer_metrics(tracer, 1)\n"
+        "assert metrics['ising.reduction_bytes'] == sc.block(0, 0).nbytes\n"
+        "assert (red == engine._reduced(0, 0, 0b10)).all()\n"
         "from rstn.holography import analyze_holography, fixed_spin_criteria\n"
         "tracer.reset()\n"
         "sc = tiny_generic()\n"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sequential_ground_scan
+from oracles import region_difference_reference, sequential_ground_scan
 from rstn.families import random_scenario
-from rstn.ising import TIE_TOL, IsingEngine, _GroundScan, down_set
+from rstn.ising import TIE_TOL, IsingEngine, _GroundScan
 from rstn.observables import area_variance
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -55,21 +55,12 @@ def test_distribution_symmetric_normalized(params):
 @given(scenario_params)
 def test_energy_difference_supported_on_C(params):
     sc = build(params)
-    engine = IsingEngine(sc)
     nv = sc.graph.n_vertices
-    logd = {
-        lid: math.log(sc.spin(0, lid) + 1) for lid in sc.region_C
-    }
+    link = IsingEngine(sc)._link_energies(np.arange(1 << nv))[0]
     for config in range(1 << nv):
-        h0 = engine.hamiltonian(0, 0, config, 0)
-        h1 = engine.hamiltonian(0, 0, config, 1)
-        expect = 0.0
-        for k, b in enumerate(sc.graph.boundary):
-            lid = f"b{k}"
-            if lid in logd:
-                sigma = -1 if config >> b.vertex & 1 else 1
-                expect += sigma * logd[lid]
-        assert h1 - h0 == pytest.approx(expect, abs=1e-12)
+        h0, h1 = link[:, config]
+        assert h1 - h0 == pytest.approx(
+            region_difference_reference(sc, 0, config), abs=1e-12)
 
 
 @SETTINGS
@@ -84,15 +75,6 @@ def test_area_variance_nonnegative(params):
 def test_run_to_run_determinism(params):
     sc = build(params)
     assert IsingEngine(sc).log_purity() == IsingEngine(sc).log_purity()
-
-
-@SETTINGS
-@given(scenario_params)
-def test_down_set_roundtrip(params):
-    nv = 6
-    config = params["seed"] % (1 << nv)
-    down = down_set(config, nv)
-    assert sum(1 << x for x in down) == config
 
 
 # energies from a few levels, with exact ties, ties inside the
