@@ -9,9 +9,10 @@
 
 Exit codes: 2 parse error, 3 validation error, 4 size cap exceeded
 (also `analyze --terms` beyond MAX_TERM_ROWS rows), 5 no holographic
-weights exist.  Reports are JSON (CSV for sweeps), deterministic for
-fixed input, flags and seed, and embed a SHA-256 hash of the input
-file.
+weights exist, 6 numerical failure (a bulk-state trace that Delta
+admits is not real, or the normalization sum vanishes).  Reports are
+JSON (CSV for sweeps), deterministic for fixed input, flags and seed,
+and embed a SHA-256 hash of the input file.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from rstn.graph import GraphError
 from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
 from rstn.holography import InfeasibleError, analyze_holography, solve_weights
-from rstn.ising import IsingEngine, SizeCapError
+from rstn.ising import IsingEngine, NumericalError, SizeCapError
 from rstn.oracle import SEED_MAX, exact_purity, mc_purity
 from rstn.state import (
     ParseError,
@@ -44,6 +45,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SIZE = 4
 EXIT_INFEASIBLE = 5
+EXIT_NUMERICAL = 6
 MAX_TERM_ROWS = 2**19  # `analyze --terms`: about 2.3 KB of memory per row
 
 
@@ -59,6 +61,8 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except ParseError as exc:
             _fail(EXIT_PARSE, str(exc))
+        except NumericalError as exc:  # a ValueError, but not the input's fault
+            _fail(EXIT_NUMERICAL, str(exc))
         except (ValidationError, GraphError, ValueError) as exc:
             _fail(EXIT_VALIDATION, str(exc))
         except SizeCapError as exc:

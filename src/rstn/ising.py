@@ -28,17 +28,18 @@ row per pair and variant, and row-wise reductions carry their state
 across chunks (segmented reductions: Blelloch, "Prefix Sums and Their
 Applications", 1990).  `rstn analyze --terms` lists it by pair.
 The bulk term sigma_I is one float array per pair over all 2^V swapped
-sets, built on first use: each sector block is written in a per-vertex
-operator basis whose element 0 is the identity, where a partial trace
-keeps only component 0, so Tr(A_S B_S) for every S is one elementwise
-product followed by a per-vertex reduction to [traced, kept] (Rains'
-quantum weight enumerators; Yates' subset transform) that skips the
-vertices of dimension 1.  The basis maps are real, so the transform
-runs on a block's real and imaginary planes side by side: one real
-matrix product per vertex.  Run backwards (`_subset_adjoint`), it
-gives the operator G = sum_S alpha_S rho_S (x) 1 whose dot with a
-direction X is the sum over S of alpha_S Tr(rho_S X_S):
-`purity_gradient` reads it from the engine, which builds it once.
+sets, built on first use for all pairs on that side of the diagonal,
+max(1, 2^TILE_BITS >> V) pairs a tile.  Each block is transformed once
+a tile and orientation to a per-vertex operator basis whose component
+0 is the trace (whole where its sectors differ), so Tr(A_S B_S) for
+all S reads component 0 at the traced vertices, multiplies and reduces
+per vertex to [traced, kept] (Rains' quantum weight enumerators; Yates'
+subset transform), skipping vertices of dimension 1; blocks, and
+products, whose vertex dims agree are stacked along a batch axis, and
+each vertex step is one real matrix product over both planes.  Run
+backwards (`_subset_adjoint`), the transform gives G = sum_S alpha_S
+rho_S (x) 1, whose dot with a direction X is sum_S alpha_S Tr(rho_S
+X_S): `purity_gradient` reads it from the engine, which builds it once.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ class SizeCapError(RuntimeError):
     configurations x ordered sector pairs (exit code 4)."""
 
 
+class NumericalError(ValueError):
+    """A numerical failure inside the engine (exit code 6): a bulk-state
+    trace that Delta admits is not real, or the normalization vanishes."""
+
+
 def _survives(configs, pins: tuple[int, int]):
     """Delta test of an int array of configurations against the (up,
     down) vertex pins of one pair and variant."""
@@ -84,16 +90,14 @@ def _partial_trace(mat: np.ndarray, row_dims, col_dims, keep: int):
 
 
 @functools.cache
-def _vertex_maps(r: int, c: int, whole: bool):
-    """Change of basis and [traced, kept] reduction at one vertex.
+def _vertex_maps(r: int):
+    """Change of basis and [traced, kept] reduction at a vertex of dim r.
 
     Basis row 0 is vec(I), so component 0 is the trace; rows 1.. are
     those of the Householder reflection taking vec(I)/sqrt(r) to e_0.
     Tracing keeps the product of the components 0, keeping sums all
-    products (component 0 weighted 1/r).  Whole vertices stay kept.
+    products (component 0 weighted 1/r).
     """
-    if whole:
-        return np.eye(r * c), np.outer([0.0, 1.0], np.ones(r * c))
     eye = np.eye(r).ravel()
     v = eye / math.sqrt(r) - np.eye(1, r * r)[0]
     basis = np.eye(r * r) - np.outer(v, v) * (2.0 / (v @ v or 1.0))
@@ -102,14 +106,18 @@ def _vertex_maps(r: int, c: int, whole: bool):
     return basis, np.vstack([np.eye(1, r * r), kept])
 
 
-def _live_maps(row_dims, col_dims, whole: int = 0):
-    """The vertices the transform visits (all but those of dim 1 on both
-    sides outside `whole`) and their `_vertex_maps`, highest vertex
-    first, so that vertex 0 ends up on the last axis (the lowest bit)."""
-    live = [x for x in range(len(row_dims))
-            if row_dims[x] * col_dims[x] > 1 or whole >> x & 1]
-    return live, [_vertex_maps(row_dims[x], col_dims[x], bool(whole >> x & 1))
-                  for x in reversed(live)]
+@functools.lru_cache(maxsize=1 << 12)
+def _layout(row_dims: tuple, col_dims: tuple, whole: int = 0, t: bool = False):
+    """The vertices a block's transform maps (dim above 1 outside `whole`),
+    highest first, their `_vertex_maps`, and the reshape and transpose of
+    `_planes` (given the block's transpose for t)."""
+    live = [x for x in range(len(row_dims)) if row_dims[x] * col_dims[x] > 1]
+    n, dims = len(live), [[d[x] for x in live] for d in (row_dims, col_dims)]
+    axes = [[1 + live.index(x) + j for x in reversed(live) if whole >> x & 1 == w
+             for j in ((n, 0) if t else (0, n))] for w in (0, 1)]
+    mapped = [x for x in reversed(live) if not whole >> x & 1]
+    return (mapped, [_vertex_maps(row_dims[x]) for x in mapped],
+            [-1] + dims[t] + dims[1 - t] + [2], axes[0] + [0] + axes[1] + [2 * n + 1])
 
 
 def _per_vertex(arr: np.ndarray, mats) -> np.ndarray:
@@ -120,53 +128,66 @@ def _per_vertex(arr: np.ndarray, mats) -> np.ndarray:
     return arr
 
 
-def _planes(mat: np.ndarray, dims, maps, t: int) -> np.ndarray:
-    """(re, im) of `mat` in the operator basis, of mat^T for t = 1;
-    `dims` are the live (row, col) dims of the untransposed matrix.
-
-    The maps are real, so the transform runs on the float view of the
-    complex matrix: its re/im axis rides along as the trailing axis and
-    ends up leading, as two real planes."""
-    n = len(dims[0])
-    view = np.ascontiguousarray(mat, dtype=complex).view(float)
-    order = [j for i in reversed(range(n)) for j in (i + t * n, i + (1 - t) * n)]
-    arr = view.reshape(dims[t] + dims[1 - t] + [2])
-    return _per_vertex(arr.transpose(order + [2 * n]),
-                       [pair[0] for pair in maps]).reshape(2, -1)
+def _planes(mat: np.ndarray, layout) -> np.ndarray:
+    """The float view of a block, its (row, col) factors of the mapped
+    vertices first, then one batch axis (the whole vertices and re/im)
+    that `_per_vertex` carries along and leaves leading."""
+    arr = np.ascontiguousarray(mat, dtype=complex).view(float)
+    arr = arr.reshape(layout[2]).transpose(layout[3])
+    return arr.reshape(arr.shape[:2 * len(layout[0])] + (-1,))
 
 
-def _subset_traces(a: np.ndarray, b: np.ndarray | None, row_dims, col_dims,
-                   whole: int = 0) -> np.ndarray:
-    """Tr(A_S B_S) for every vertex set S, one axis per vertex: axis k
-    is vertex V-1-k, index 1 where it is in S, so that broadcast to
-    (2,)*V and raveled the traces are indexed by bitmask.
-
-    A maps the col factors to the row factors and B back; `b=None`
-    stands for B = A Hermitian.  The vertices in `whole` (it must hold
-    all whose dims differ) are never traced: sets missing one get 0.
-    A and B^T go to the operator basis of `_vertex_maps` at every
-    vertex, are multiplied elementwise and reduced vertex by vertex.
-    A unit vertex (row and col dim 1) outside `whole` leaves every trace
-    unchanged: it skips the transform and its axis has length 1.
-
-    `b=None` multiplies the real planes of `_planes` to |alpha|^2;
-    otherwise both transforms are interleaved again and multiplied as
-    complex numbers, which keeps numpy's rounding of the complex
-    product.  Each vertex step is one real matmul.
-    """
-    live, maps = _live_maps(row_dims, col_dims, whole)
-    dims = ([row_dims[x] for x in live], [col_dims[x] for x in live])
-    reduce = [pair[1] for pair in maps]
-    if b is None:  # B^T = conj(A)
-        alpha = _planes(a, dims, maps, 0)
-        prod = np.square(alpha[0])
-        prod += np.square(alpha[1])
-        out = _per_vertex(prod, reduce)
-    else:
-        prod = _interleave(_planes(a, dims, maps, 0))
-        prod *= _interleave(_planes(b, dims, maps, 1))
-        out = _interleave(_per_vertex(prod.view(float), reduce).reshape(2, -1))
-    return out.reshape([2 if x in live else 1 for x in reversed(range(len(row_dims)))])
+def _fill_traces(t: np.ndarray, blocks: dict, pairs) -> None:
+    """Tr(A_S B_S) of the tasks (swapped, a, b) of each pair (row, split,
+    tasks) into their slabs S & split = swapped of t (rows, 2, ..., 2;
+    axis 1 is vertex V-1).  `blocks` maps a to (A, row dims, col dims,
+    whole = swapped) and b to the same of B^T, given as B (t=True last);
+    b=None stands for B = A^H (real traces).  Blocks whose mapped vertices
+    have the same dims are transformed as one stack; the products of
+    tasks whose free vertices (outside split) do are reduced as one,
+    whole components along the batch axis, summed at the end."""
+    stacks, alpha, groups, n = {}, {}, {}, t.ndim - 1
+    for key, (mat, *dims) in blocks.items():
+        mapped, maps, *_ = layout = _layout(*dims)
+        arr = _planes(mat, layout)
+        stacks.setdefault(arr.shape[:-1], (maps, []))[1].append((arr, key, mapped))
+    cplx = {k for _, _, tasks in pairs for _, a, b in tasks if b for k in (a, b)}
+    for maps, items in stacks.values():  # |alpha|^2, and complex where needed
+        arr = [item[0] for item in items]
+        arr = np.concatenate(arr, -1) if arr[1:] else arr[0]
+        for basis, _ in maps:  # `_per_vertex`, the input freed as it goes
+            arr = arr.reshape(len(basis), -1).T @ basis.T
+        arr = arr.reshape([-1, 2] + [len(b) for b, _ in maps]).swapaxes(0, 1)
+        z = _interleave(arr) if cplx & {item[1] for item in items} else None
+        arr = arr if z is None else (z.real, z.imag)  # drops the planes
+        parts = [z, np.square(arr[0])]
+        parts[1] += np.square(arr[1])  # re^2 + im^2, in place
+        ends = np.cumsum([0] + [item[0].shape[-1] // 2 for item in items])
+        for (_, key, mapped), lo, hi in zip(items, ends, ends[1:]):
+            alpha[key] = parts, slice(lo, hi), mapped, maps
+    for row, split, tasks in pairs:
+        *_, mapped, maps = alpha[tasks[0][1]]  # the free vertices of every task
+        free = [maps[k][1] for k, x in enumerate(mapped) if not split >> x & 1]
+        shape = [1 + (x in mapped) for x in reversed(range(n)) if not split >> x & 1]
+        for swapped, a, b in tasks:
+            traced = split & ~swapped  # read component 0 there: the trace
+            za, zb = (z[b is None][(span,) + tuple(0 if traced >> x & 1 else slice(None)
+                                                   for x in xs) if traced else span]
+                      for z, span, xs, _ in (alpha[a], alpha[b or a]))
+            prod = (za * zb).view(float) if b else za  # re/im trailing if complex
+            slab = (row,) + tuple(swapped >> x & 1 if split >> x & 1 else slice(None)
+                                  for x in reversed(range(n)))
+            groups.setdefault((b is None, za.shape[1:]), (free, []))[1].append(
+                (slab, shape, prod.reshape(len(za), -1, 2 if b else 1)))
+    stacks = arr = parts = alpha = z = za = zb = None  # free the transforms
+    for (real, _), (reduce, items) in groups.items():
+        prods = [item[2] for item in items]
+        stack = (np.concatenate(prods) if prods[1:] else prods[0]).swapaxes(0, 1)
+        out = _per_vertex(stack, reduce).reshape(stack.shape[1], stack.shape[2], -1)
+        out = np.add.reduceat(out, np.cumsum([0] + [len(p) for p in prods[:-1]]))
+        for (slab, shape, _), vals in zip(items, out[:, 0] if real
+                                          else _interleave(out.swapaxes(0, 1))):
+            t[slab] = vals.reshape(shape)
 
 
 def _subset_adjoint(a: np.ndarray, weights: np.ndarray, dims) -> np.ndarray:
@@ -174,7 +195,7 @@ def _subset_adjoint(a: np.ndarray, weights: np.ndarray, dims) -> np.ndarray:
     A with per-vertex dims `dims` (w indexed by bitmask), so that
     np.vdot(G^H, B) = Tr(G B) = sum_S w_S Tr(A_S B_S) for every B.
 
-    `_subset_traces` run backwards in B: A goes to the operator basis,
+    `_fill_traces` run backwards in B: A goes to the operator basis,
     the transposed [traced, kept] reductions take w (summed over the
     bits of the vertices of dim 1, which the transform skips) to one
     weight per basis element, and their product goes back through the
@@ -182,27 +203,25 @@ def _subset_adjoint(a: np.ndarray, weights: np.ndarray, dims) -> np.ndarray:
     axis.  Peak memory: two and a half times the size of A beside A.
     """
     n = len(dims)
-    live, maps = _live_maps(dims, dims)
-    d = [dims[x] for x in live]
+    mapped, maps, *_ = layout = _layout(tuple(dims), tuple(dims))
+    d = [dims[x] for x in reversed(mapped)]
     w = np.reshape(weights, (2,) * n).sum(axis=tuple(n - 1 - x for x in range(n)
-                                                     if x not in live))
-    arr = _planes(a, (d, d), maps, 0)
+                                                     if x not in mapped))
+    arr = _per_vertex(_planes(a, layout), [basis for basis, _ in maps]).reshape(2, -1)
     arr = arr * _per_vertex(w, [pair[1].T for pair in maps]).ravel()
     for basis, _ in maps:
         arr = arr.reshape(2, len(basis), -1).transpose(0, 2, 1) @ basis
     # re/im, then (row, col) per live vertex, highest first: to G^H
     arr = arr.reshape([2] + [k for x in reversed(d) for k in (x, x)])
-    pos = [2 * (len(d) - x) for x in range(len(d))]  # col axis of live[x]
+    pos = [2 * (len(d) - x) for x in range(len(d))]  # col axes, lowest vertex first
     arr[1] *= -1.0
     out = np.ascontiguousarray(arr.transpose(pos + [p - 1 for p in pos] + [0]))
     return out.view(complex).reshape(math.prod(d), -1)
 
 
 def _interleave(planes: np.ndarray) -> np.ndarray:
-    """The complex array of (re, im) planes."""
-    out = np.empty(planes.shape[1], complex)
-    out.real, out.imag = planes
-    return out
+    """The complex array of (re, im) planes along the leading axis."""
+    return planes.transpose([*range(1, planes.ndim), 0]).copy().view(complex)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -373,71 +392,78 @@ class IsingEngine:
         """
         val = float(self._sigma_array(m, n)[down])
         if math.isnan(val):
-            raise ValueError(f"bulk-state trace for pair ({m},{n}) and "
-                             f"swapped set {down:#b} is not real")
+            raise NumericalError(f"bulk-state trace for pair ({m},{n}) and "
+                                 f"swapped set {down:#b} is not real")
         return val
 
     def _sigma_array(self, m: int, n: int) -> np.ndarray:
-        """sigma_I of every swapped set of the pair, indexed by bitmask,
-        built on first use; NaN marks a trace that is not real."""
-        if (m, n) not in self._sigma_cache:
-            self._sigma_cache[m, n] = self._sigma_build(m, n)
-            self._sigma_cache[m, n].flags.writeable = False
-        return self._sigma_cache[m, n]
+        """sigma_I of every swapped set of the pair, indexed by bitmask;
+        NaN marks a trace that is not real.  Built on first use, in one
+        `_sigma_fill` of the uncached pairs on its side of the diagonal,
+        so that no value depends on the order of calls."""
+        cache = self._sigma_cache
+        if (m, n) not in cache:
+            self._sigma_fill([p for p in np.ndindex(self.n_sec, self.n_sec)
+                              if (p[0] <= p[1]) == (m <= n) and p not in cache])
+        return cache[m, n]
 
     def _reduced(self, row: int, col: int, keep: int) -> np.ndarray:
-        """Block rho_{row,col} traced over the vertices outside `keep`."""
+        """Block rho_{row,col} traced over the vertices outside `keep`;
+        kept for perfbench (see `_reduce_square`)."""
         return _partial_trace(self.sc.block(row, col), self._vdims[row],
                               self._vdims[col], keep)
 
-    def _sigma_build(self, m: int, n: int) -> np.ndarray:
-        """sigma_I of the pair for all 2^V swapped sets.
+    def _sigma_fill(self, pairs: list[tuple[int, int]]) -> None:
+        """sigma_I of the ordered `pairs`, read-only into `_sigma_cache`.
 
         Swapping S pairs the blocks (m, q) and (n, q'), q with the tuples
         of m off S and of n on S, q' the other way round.  Only the part
-        T of S where m and n differ fixes the pair, so each T is one
-        `_subset_traces` call, written into its slab of the per-vertex
-        trace table t: the sets S with S & split = T, one index per split
-        axis.  The split vertices outside T are traced up front, T is kept
-        whole.  Absent (zero) blocks are skipped.  Beside t (complex) the
-        result is the one array of 2^V floats: the test for a trace that
-        is not real runs in t's own planes.
-        """
-        cm, cn = self._c[m], self._c[n]
-        if cm <= 0.0 or cn <= 0.0:
-            return np.full(1 << self.n_vert, math.inf)
-        t = np.zeros((2,) * self.n_vert, dtype=complex)  # axis 0: vertex V-1
-        split = self._full & ~self._agree[m][n]
-        hybrids = [q for q in range(self.n_sec)  # m or n at every vertex
-                   if self._agree[q][m] | self._agree[q][n] == self._full]
-        partner = {split & ~self._agree[q][n]: q for q in hybrids}
-        for q in hybrids:
-            swapped = split & ~self._agree[q][m]
-            q2 = partner.get(swapped)
-            if not {(m, q), (n, q2)} <= self._present:
-                continue
-            keep = self._full & ~split | swapped
-            # traced vertices become factors of dim 1
-            rows, cols = ([d if keep >> x & 1 else 1 for x, d in
-                           enumerate(self._vdims[s])] for s in (m, q))
-            b = None if m == n else self._reduced(n, q2, keep)
-            vals = _subset_traces(self._reduced(m, q, keep), b, rows, cols,
-                                  whole=swapped)
-            slab = tuple(swapped >> x & 1 if split >> x & 1 else slice(None)
-                         for x in reversed(range(self.n_vert)))
-            t[slab] = vals[slab]
-        t = t.reshape(-1)
-        re, im = t.real, t.imag
-        sigma = re / (cm * cn)
-        pos = sigma > 0.0
-        np.negative(np.log(sigma, out=sigma, where=pos), out=sigma)
-        sigma[np.invert(pos, out=pos)] = math.inf
-        # not real: |im| > SIGMA_IMAG_TOL * max(1, |re|)
-        tol = np.maximum(np.abs(re, out=re), 1.0, out=re)
-        tol *= SIGMA_IMAG_TOL
-        sigma[np.greater(np.abs(im, out=im), tol, out=pos)] = math.nan
-        sigma[0] = 0.0  # nothing swapped: t = c_m c_n
-        return sigma
+        T of S where m and n differ fixes the pair: each hybrid q (m or n
+        at every vertex) whose blocks are given is one `_fill_traces` task,
+        whole at T; B = A^H when it is block (q, m) given one way only.
+        The test for a trace that is not real runs in the table's planes."""
+        step = max(1, (1 << TILE_BITS) >> self.n_vert)
+        for lo in range(0, len(pairs), step):
+            tile = pairs[lo:lo + step]
+            t = np.zeros((len(tile),) + (2,) * self.n_vert, dtype=complex)
+            tasks, blocks, sc, dims = [], {}, self.sc, self._vdims
+            for row, (m, n) in enumerate(tile):
+                if self._c[m] <= 0.0 or self._c[n] <= 0.0:
+                    continue
+                am, an = self._agree[m], self._agree[n]
+                split = self._full & ~am[n]
+                hybrids = [q for q in range(self.n_sec) if am[q] | an[q] == self._full]
+                partner = {split & ~an[q]: q for q in hybrids}
+                pair = []
+                for q in hybrids:
+                    swapped = split & ~am[q]
+                    q2 = partner.get(swapped)
+                    if (m, q) not in self._present or (n, q2) not in self._present:
+                        continue
+                    herm = m == n or ((q, q2) == (n, m)  # B = A^H exactly
+                                      and not {(m, n), (n, m)} <= sc.blocks.keys())
+                    a, b = (m, q, 0), None if herm else (n, q2, 1)
+                    if a not in blocks:
+                        blocks[a] = sc.block(m, q), dims[m], dims[q], swapped
+                    if b and b not in blocks:  # B^T, given as B
+                        blocks[b] = sc.block(n, q2), dims[q2], dims[n], swapped, True
+                    pair.append((swapped, a, b))
+                tasks.append((row, split, pair))
+            _fill_traces(t, blocks, [task for task in tasks if task[2]])
+            c = np.array([[self._c[m] * self._c[n] if min(self._c[m], self._c[n]) > 0.0
+                           else math.inf] for m, n in tile])  # inf: all sigma inf
+            re, im = (part.reshape(len(tile), -1) for part in (t.real, t.imag))
+            sigma = re / c
+            pos = sigma > 0.0
+            np.negative(np.log(sigma, out=sigma, where=pos), out=sigma)
+            sigma[np.invert(pos, out=pos)] = math.inf
+            tol = np.maximum(np.abs(re, out=re), 1.0, out=re)  # max(1, |re|)
+            tol *= SIGMA_IMAG_TOL
+            sigma[np.greater(np.abs(im, out=im), tol, out=pos)] = math.nan  # not real
+            sigma[:, 0] = np.where(c[:, 0] < math.inf, 0.0, math.inf)  # t = c_m c_n
+            sigma.flags.writeable = False
+            self._sigma_cache.update(zip(tile, sigma))
+            t = re = im = tol = pos = None  # free before the next tile
 
     # -- energies ------------------------------------------------------------
 
@@ -561,7 +587,7 @@ class IsingEngine:
         table = (logK[:, None] + logK) + z.T.reshape(2, self.n_sec, self.n_sec)
         total = log_sum_tree(table[0].ravel())
         if total == -math.inf:
-            raise ValueError("normalization sum vanishes")
+            raise NumericalError("normalization sum vanishes")
         return table, total
 
     def distribution(self) -> np.ndarray:
@@ -585,8 +611,8 @@ class IsingEngine:
 def _reduce_square(mat: np.ndarray, dims: list[int],
                    down: frozenset[int]) -> np.ndarray:
     """Square `mat` traced over the vertices outside `down`.  Nothing in
-    rstn calls it; perfbench's span tracer wraps it by name, so its
-    `ising.reduction_bytes` counts the blocks of `_reduced` only."""
+    rstn calls it or `IsingEngine._reduced`; perfbench's span tracer
+    wraps both by name for its `ising.reduction_bytes`."""
     return _partial_trace(mat, dims, dims, sum(1 << x for x in down))
 
 

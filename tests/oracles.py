@@ -7,7 +7,8 @@ frozen closed forms, the two-sector area variance in exact rational
 arithmetic, gradients by central finite differences and by three
 subset transforms per direction, the gradient operator term by term
 from einsum partial traces, partial traces
-by one np.einsum per subset (and sigma_I from them), the pairwise
+by one np.einsum per subset (and sigma_I from them), sigma_I one block
+pair at a time as the engine built it before its stacked fill, the pairwise
 log-sum as a scalar loop, each pair's partition data by its own ground
 scan and log_sum_tree over its compacted chunks, the fixed-spin flip
 criteria by one Python pass per region, Delta and the link energies
@@ -15,6 +16,8 @@ link by link from `cut_reference` (the cut rule on Python sets), the
 `analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
 and the bulk-boundary energy and the boundary factor by one pass over
 the links, and the Monte Carlo purity one sample at a time.
+`subset_traces` is no reference: it runs the engine's stacked fill on
+two given matrices, for the tests that pin that fill against einsum.
 """
 
 from __future__ import annotations
@@ -36,11 +39,15 @@ from rstn.families import (
 from rstn.graph import ColoredGraph
 from rstn.holography import EQUALITY_TOL, FixedSpinReport
 from rstn.ising import (
+    SIGMA_IMAG_TOL,
     TIE_TOL,
     IsingEngine,
     PairResult,
     SizeCapError,
-    _subset_traces,
+    _fill_traces,
+    _interleave,
+    _per_vertex,
+    _vertex_maps,
 )
 from rstn.logdomain import LogWeight, log_sum_tree
 from rstn.oracle import (
@@ -572,10 +579,110 @@ def region_difference_reference(sc: Scenario, m: int, config: int) -> float:
 
 
 def subset_traces(a, b, row_dims, col_dims, whole: int = 0) -> np.ndarray:
-    """`_subset_traces` broadcast over its length-1 axes and raveled, so
-    that it is indexed by bitmask."""
-    traces = _subset_traces(a, b, row_dims, col_dims, whole)
-    return np.broadcast_to(traces, (2,) * len(row_dims)).ravel()
+    """Tr(A_S B_S) for every vertex set S, indexed by bitmask, by the
+    engine's stacked fill (`_fill_traces` with one task): A maps the col
+    factors to the row factors and B back, b=None stands for B = A^H
+    (then the traces are real), and the sets missing a vertex of `whole`
+    (it must hold all whose dims differ) get 0."""
+    dims = tuple(row_dims), tuple(col_dims), whole
+    blocks = {"a": (a, *dims)}
+    if b is not None:
+        blocks["b"] = (b, *dims, True)  # B^T, given as B
+    t = np.zeros((1,) + (2,) * len(row_dims), float if b is None else complex)
+    _fill_traces(t, blocks, [(0, whole, [(whole, "a", None if b is None else "b")])])
+    return t.ravel()
+
+
+def _planes_reference(mat, dims, maps, t: int) -> np.ndarray:
+    """(re, im) of `mat` in the operator basis, of mat^T for t = 1;
+    `dims` are the live (row, col) dims of the untransposed matrix."""
+    n = len(dims[0])
+    view = np.ascontiguousarray(mat, dtype=complex).view(float)
+    order = [j for i in reversed(range(n)) for j in (i + t * n, i + (1 - t) * n)]
+    arr = view.reshape(dims[t] + dims[1 - t] + [2])
+    return _per_vertex(arr.transpose(order + [2 * n]),
+                       [pair[0] for pair in maps]).reshape(2, -1)
+
+
+def subset_traces_reference(a, b, row_dims, col_dims, whole: int = 0) -> np.ndarray:
+    """Tr(A_S B_S) for every vertex set S, one axis per vertex: axis k is
+    vertex V-1-k, index 1 where it is in S (length 1 for a unit vertex,
+    of row and col dim 1, outside `whole`), as the engine computed them
+    one call per block pair before its stacked fill.
+
+    A and B^T go to the operator basis at every vertex (the identity at
+    the vertices of `whole`, which are never traced: the sets missing
+    one get 0), are multiplied elementwise, as complex numbers or
+    (b=None) as |alpha|^2, and reduced vertex by vertex.
+    """
+    live = [x for x in range(len(row_dims))
+            if row_dims[x] * col_dims[x] > 1 or whole >> x & 1]
+    maps = [(np.eye(row_dims[x] * col_dims[x]),
+             np.outer([0.0, 1.0], np.ones(row_dims[x] * col_dims[x])))
+            if whole >> x & 1 else _vertex_maps(row_dims[x]) for x in reversed(live)]
+    dims = ([row_dims[x] for x in live], [col_dims[x] for x in live])
+    reduce = [pair[1] for pair in maps]
+    if b is None:  # B^T = conj(A)
+        alpha = _planes_reference(a, dims, maps, 0)
+        prod = np.square(alpha[0])
+        prod += np.square(alpha[1])
+        out = _per_vertex(prod, reduce)
+    else:
+        prod = _interleave(_planes_reference(a, dims, maps, 0))
+        prod *= _interleave(_planes_reference(b, dims, maps, 1))
+        out = _interleave(_per_vertex(prod.view(float), reduce).reshape(2, -1))
+    return out.reshape([2 if x in live else 1 for x in reversed(range(len(row_dims)))])
+
+
+def sigma_build_reference(engine: IsingEngine, m: int, n: int) -> np.ndarray:
+    """sigma_I of the pair (m, n) for all 2^V swapped sets, one block pair
+    at a time, as the engine built it before its stacked fill.
+
+    Swapping S pairs the blocks (m, q) and (n, q'), q with the tuples
+    of m off S and of n on S, q' the other way round.  Only the part T
+    of S where m and n differ fixes the pair, so each T is one
+    `subset_traces_reference` call on the blocks traced by
+    `engine._reduced` over the split vertices outside T, written into
+    its slab of the per-vertex trace table: the sets S with S & split =
+    T.  Absent (zero) blocks are skipped; NaN marks a trace that is not
+    real.
+    """
+    cm, cn = engine._c[m], engine._c[n]
+    if cm <= 0.0 or cn <= 0.0:
+        return np.full(1 << engine.n_vert, math.inf)
+    full, agree = engine._full, engine._agree
+    t = np.zeros((2,) * engine.n_vert, dtype=complex)  # axis 0: vertex V-1
+    split = full & ~agree[m][n]
+    hybrids = [q for q in range(engine.n_sec)  # m or n at every vertex
+               if agree[q][m] | agree[q][n] == full]
+    partner = {split & ~agree[q][n]: q for q in hybrids}
+    for q in hybrids:
+        swapped = split & ~agree[q][m]
+        q2 = partner.get(swapped)
+        if not {(m, q), (n, q2)} <= engine._present:
+            continue
+        keep = full & ~split | swapped
+        # traced vertices become factors of dim 1
+        rows, cols = ([d if keep >> x & 1 else 1 for x, d in
+                       enumerate(engine._vdims[s])] for s in (m, q))
+        b = None if m == n else engine._reduced(n, q2, keep)
+        vals = subset_traces_reference(engine._reduced(m, q, keep), b, rows, cols,
+                                       whole=swapped)
+        slab = tuple(swapped >> x & 1 if split >> x & 1 else slice(None)
+                     for x in reversed(range(engine.n_vert)))
+        t[slab] = vals[slab]
+    t = t.reshape(-1)
+    re, im = t.real, t.imag
+    sigma = re / (cm * cn)
+    pos = sigma > 0.0
+    np.negative(np.log(sigma, out=sigma, where=pos), out=sigma)
+    sigma[np.invert(pos, out=pos)] = math.inf
+    # not real: |im| > SIGMA_IMAG_TOL * max(1, |re|)
+    tol = np.maximum(np.abs(re, out=re), 1.0, out=re)
+    tol *= SIGMA_IMAG_TOL
+    sigma[np.greater(np.abs(im, out=im), tol, out=pos)] = math.nan
+    sigma[0] = 0.0  # nothing swapped: t = c_m c_n
+    return sigma
 
 
 def _sector_boundary_tensor(

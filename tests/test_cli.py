@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 import rstn
 from rings import ring_dict
+from rstn import ising
 from rstn.cli import main
 
 SCENARIOS = resources.files("rstn") / "scenarios"
@@ -137,6 +139,23 @@ def test_amplitude_for_spin_no_sector_carries_exit_3(runner, tmp_path):
         res = runner.invoke(main, [command, str(bad)])
         assert res.exit_code == 3, res.output
         assert "amplitudes[i0]" in res.stderr and "twice-spin 7" in res.stderr
+
+
+def test_nonreal_bulk_trace_exit_6(runner, monkeypatch):
+    # a tolerance below zero calls every bulk-state trace not real, those
+    # Delta admits among them: a numerical failure, not a bad input
+    monkeypatch.setattr(ising, "SIGMA_IMAG_TOL", -1.0)
+    res = runner.invoke(main, ["analyze", scenario_path("tiny_oracle.json")])
+    assert res.exit_code == 6, res.output
+    assert "bulk-state trace for pair (0,0)" in res.stderr
+    assert "is not real" in res.stderr
+
+
+def test_vanishing_normalization_exit_6(runner, monkeypatch):
+    monkeypatch.setattr(ising.IsingEngine, "log_K", lambda self, m: -math.inf)
+    res = runner.invoke(main, ["analyze", scenario_path("tiny_oracle.json")])
+    assert res.exit_code == 6, res.output
+    assert "error: normalization sum vanishes" in res.stderr
 
 
 def test_size_cap_exit_4(runner, tmp_path):

@@ -30,7 +30,9 @@ from oracles import (
     pair_reference,
     psd_safe_direction,
     region_difference_reference,
+    sigma_build_reference,
     subset_traces,
+    subset_traces_reference,
     terms_reference,
 )
 from rings import dense_ring_dict, ring_dict
@@ -47,9 +49,10 @@ from rstn.holography import (
 from rstn.ising import (
     CHUNK_BITS,
     TIE_TOL,
+    TILE_BITS,
     IsingEngine,
+    NumericalError,
     SizeCapError,
-    _subset_traces,
     _survives,
     hamiltonian_bulk_boundary,
     purity_gradient,
@@ -564,8 +567,8 @@ def test_subset_traces_broadcast_over_unit_vertices():
     back = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))
     whole = 0b00101  # vertex 2 is a unit vertex kept whole
     # one axis per vertex, highest first; length 1 for unit vertices 1, 4
-    assert _subset_traces(mat, back, row_dims, col_dims,
-                          whole=whole).shape == (1, 2, 2, 1, 2)
+    assert subset_traces_reference(mat, back, row_dims, col_dims,
+                                   whole=whole).shape == (1, 2, 2, 1, 2)
     got = subset_traces(mat, back, row_dims, col_dims, whole=whole)
     for mask in range(32):
         if mask & whole == whole:
@@ -634,7 +637,7 @@ def test_subset_traces_without_a_live_vertex():
     dims = [1, 1, 1]
     a, b = np.array([[0.6 - 0.2j]]), np.array([[0.3 + 0.1j]])
     for mat, back in ((a, b), (np.array([[0.4 + 0j]]), None)):
-        assert _subset_traces(mat, back, dims, dims).shape == (1, 1, 1)
+        assert subset_traces_reference(mat, back, dims, dims).shape == (1, 1, 1)
         got = subset_traces(mat, back, dims, dims)
         assert got.shape == (8,)
         np.testing.assert_allclose(got, _einsum_traces(mat, back, dims, dims),
@@ -674,18 +677,23 @@ def test_sigma_arrays_match_einsum_reference():
 
 
 @pytest.mark.parametrize("n_vertices, n_sectors, pair",
-                         [(16, 1, (0, 0)), (14, 3, (0, 0)), (14, 3, (0, 1))])
+                         [(16, 1, (0, 0)), (14, 3, (0, 0)), (14, 3, (0, 1)),
+                          (14, 3, None)])
 def test_sigma_build_memory_peak(n_vertices, n_sectors, pair):
-    # the complex trace table (twice the result), the result and one
-    # boolean mask: 3.125 times the result
+    # the complex trace table (twice the results), the results and one
+    # boolean mask: 3.125 times the results of one tile; pair=None fills
+    # every unordered pair at once, as the pair table does (one tile)
     engine = IsingEngine(scenario_from_dict(ring_dict(n_vertices, n_sectors)))
+    pairs = [pair] if pair else [(m, n) for m in range(n_sectors)
+                                 for n in range(m, n_sectors)]
+    assert len(pairs) <= max(1, (1 << TILE_BITS) >> n_vertices)
     tracemalloc.start()
     try:
-        sigma = engine._sigma_array(*pair)
-        peak = tracemalloc.get_traced_memory()[1] / sigma.nbytes
+        engine._sigma_fill(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5
+    assert peak <= 3.5 * sum(engine._sigma_array(*p).nbytes for p in pairs)
 
 
 def onoff_ring(seed: int = 0, n: int = 4,
@@ -747,6 +755,70 @@ def test_sigma_arrays_match_einsum_on_admitted_sets(build):
     assert checked > 100
 
 
+def stacked_fill_cases() -> tuple[list[Scenario], list[Scenario]]:
+    """Single-sector scenarios (the dense-bulk rings, `ring_dict(., 1)`,
+    `random_scenario` draws of one sector) and the rest."""
+    rng = np.random.default_rng(67)
+    single = [scenario_from_dict(dense_ring_dict(k, rng)) for k in (4, 6)]
+    single += [scenario_from_dict(ring_dict(k, 1)) for k in (6, 10)]
+    single += [random_scenario(rng, template, n_sectors=1, max_twice=6, mode=mode)
+               for template in ("one", "two", "chain")
+               for mode in ("exact", "high_spin") for _ in range(3)]
+    multi = [appendix_c(4, **BLOCK_PARAMS), onoff_ring(), perfbench_style_ring(),
+             scenario_from_dict(ring_dict(8, 3))]
+    multi += [random_scenario(rng, template, n_sectors=k, max_twice=5,
+                              vertex_product=vertex_product)
+              for template in ("one", "two", "chain") for k in (2, 3, 4)
+              for vertex_product in (False, True)]
+    base = multi[-1]  # sector 2 incoherent with the others: absent blocks
+    multi.append(dataclasses.replace(base, blocks={
+        k: v for k, v in base.blocks.items() if 2 not in k or k == (2, 2)}))
+    # every block given both ways round
+    multi += [dataclasses.replace(sc, blocks={
+        k: sc.block(*k) for key in sc.blocks for k in (key, key[::-1])})
+        for sc in multi[:3]]
+    return single, multi
+
+
+def test_stacked_fill_matches_per_pair_reference():
+    # bit for bit with one sector; otherwise the same inf/NaN pattern and
+    # finite values within 1e-15 (sigma is a log: relative error of the
+    # trace), or 1e-15 relative where |sigma| > 1
+    single, multi = stacked_fill_cases()
+    for sc in single + multi:
+        engine = IsingEngine(sc)
+        engine.all_pairs()  # the upper pairs, in the table's one fill
+        for m in range(engine.n_sec):
+            for n in range(engine.n_sec):
+                got = engine._sigma_array(m, n)
+                want = sigma_build_reference(IsingEngine(sc), m, n)
+                if sc in single:
+                    assert got.tobytes() == want.tobytes()
+                    continue
+                assert np.array_equal(np.isinf(got), np.isinf(want))
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                finite = np.isfinite(want)
+                err = np.abs(got[finite] - want[finite])
+                assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(want[finite])))
+    assert len(single) >= 20 and len(multi) >= 20
+
+
+def test_sigma_arrays_do_not_depend_on_the_order_of_calls():
+    # asking for one pair first fills its whole side of the diagonal, so
+    # the values are those of the pair table's fill
+    for sc in stacked_fill_cases()[1][:6]:
+        first, later = IsingEngine(sc), IsingEngine(sc)
+        first.all_pairs()
+        n_sec = len(sc.sectors)
+        for m, n in [(n_sec - 1, n_sec - 1), (n_sec - 1, 0)]:
+            later._sigma_array(m, n)
+        later.all_pairs()
+        for m in range(n_sec):
+            for n in range(n_sec):
+                assert (later._sigma_array(m, n).tobytes()
+                        == first._sigma_array(m, n).tobytes())
+
+
 def test_nonreal_traces_count_only_where_delta_admits():
     # some hybrid traces of swapped sets that Delta excludes are
     # complex; they must not stop the sums
@@ -764,7 +836,7 @@ def test_nonreal_traces_count_only_where_delta_admits():
                 elif math.isnan(engine._sigma_array(m, n)[config]):
                     nonreal.append((m, n, config))
     assert nonreal
-    with pytest.raises(ValueError, match="not real"):
+    with pytest.raises(NumericalError, match="not real"):
         engine.sigma_I(*nonreal[0])
 
 
@@ -777,6 +849,26 @@ def nonreal_engine(sc: Scenario, bad: dict) -> IsingEngine:
         sigma[configs] = math.nan
         engine._sigma_cache[m, n] = sigma
     return engine
+
+
+def test_stacked_fill_skips_cached_pairs():
+    # arrays planted in `_sigma_cache` (as `nonreal_engine` plants NaN)
+    # stay; one stacked fill builds the other pairs of the table
+    sc = onoff_ring()
+    planted, fresh = IsingEngine(sc), IsingEngine(sc)
+    nan = np.full(1 << sc.graph.n_vertices, math.nan)
+    planted._sigma_cache.update({(0, 1): nan, (2, 2): nan})
+    calls = []
+    fill = planted._sigma_fill
+    planted._sigma_fill = lambda pairs: (calls.append(pairs), fill(pairs))
+    with pytest.raises(NumericalError, match=re.escape("pair (0,1) and swapped set")):
+        planted.all_pairs()
+    upper = [(m, n) for m in range(5) for n in range(m, 5)]
+    assert calls == [[p for p in upper if p not in ((0, 1), (2, 2))]]
+    assert planted._sigma_cache[0, 1] is nan and planted._sigma_cache[2, 2] is nan
+    fresh._sigma_fill(calls[0])
+    for p in calls[0]:
+        assert planted._sigma_cache[p].tobytes() == fresh._sigma_cache[p].tobytes()
 
 
 def test_nonreal_trace_that_delta_admits_is_refused():
@@ -799,10 +891,10 @@ def test_nonreal_trace_that_delta_admits_is_refused():
         for path in (lambda e: e.all_pairs(), lambda e: e.partition_pair(m, n),
                      lambda e: e.partition_pair(*max(bad)),
                      lambda e: next(e.terms(m, n)), lambda e: e.purity()):
-            with pytest.raises(ValueError, match=re.escape(msg)):
+            with pytest.raises(NumericalError, match=re.escape(msg)):
                 path(nonreal_engine(sc, bad))
     msg = "pair (2,2) and swapped set 0b111 is not real"
-    with pytest.raises(ValueError, match=re.escape(msg)):
+    with pytest.raises(NumericalError, match=re.escape(msg)):
         next(nonreal_engine(ring, cases[2][1]).terms(2, 2))
 
 
@@ -1055,7 +1147,8 @@ def test_absent_blocks_equal_explicit_zero_blocks():
 
 def test_perfbench_tracer_installs():
     # perfbench/spans.py wraps engine internals by name (`--trace 1`),
-    # `_reduce_square` among them, which nothing in rstn calls
+    # `_reduced` and `_reduce_square` among them, which nothing in rstn
+    # calls
     root = Path(__file__).resolve().parents[1]
     code = (
         "import spans\n"
@@ -1070,12 +1163,17 @@ def test_perfbench_tracer_installs():
         "engine.purity()\n"
         "engine.sigma_I(0, 0, 1)\n"
         "purity_gradient(sc, sc.block(0, 0))\n"
-        "assert spans.layer_metrics(tracer, 1)['ising.reduction_bytes'] > 0\n"
-        "tracer.reset()\n"
-        "red = ising._reduce_square(sc.block(0, 0), sc.vertex_dims(0), {1})\n"
+        # the stacked sigma_I fill reads traces off its transforms and
+        # reduces no block through `_reduced`
+        "assert spans.layer_metrics(tracer, 1)['ising.reduction_bytes'] == 0\n"
+        "red = engine._reduced(0, 0, 0b10)\n"
         "metrics = spans.layer_metrics(tracer, 1)\n"
         "assert metrics['ising.reduction_bytes'] == sc.block(0, 0).nbytes\n"
-        "assert (red == engine._reduced(0, 0, 0b10)).all()\n"
+        "tracer.reset()\n"
+        "square = ising._reduce_square(sc.block(0, 0), sc.vertex_dims(0), {1})\n"
+        "metrics = spans.layer_metrics(tracer, 1)\n"
+        "assert metrics['ising.reduction_bytes'] == sc.block(0, 0).nbytes\n"
+        "assert (square == red).all()\n"
         "from rstn.holography import analyze_holography, fixed_spin_criteria\n"
         "tracer.reset()\n"
         "sc = tiny_generic()\n"

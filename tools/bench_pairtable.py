@@ -5,15 +5,19 @@
 
 Every `--root NAME=PATH` is a checkout of rstn whose `src/` is imported
 in fresh interpreters (one BLAS/OpenMP thread); the report keys its
-figures by NAME.  Each root's `src/` is compiled to bytecode first, so
-that no interpreter pays for compiling it.  Each of ROUNDS rounds
-measures every root once, the order alternating from round to round,
-so that drifts of a shared host hit both sides alike.
+figures by NAME.  Each root's `src/` is compiled to bytecode first,
+into one temporary PYTHONPYCACHEPREFIX that every interpreter reads and
+that is removed at the end, so that no interpreter pays for compiling
+and no checkout is left with `__pycache__` directories.  Each of ROUNDS
+rounds measures every root once, the order alternating from round to
+round, so that drifts of a shared host hit both sides alike.
 
 Stages, on perfbench's seed-1 many-sectors inputs (ms6 in exact mode,
 ms5 in high-spin mode), each on a fresh engine per repetition:
   init   `IsingEngine(sc)`;
-  sigma  `_sigma_array(m, n)` of every unordered pair m <= n;
+  sigma  sigma_I of every unordered pair m <= n: one `_sigma_fill` of
+         them all (one `_sigma_array(m, n)` per pair in a checkout
+         from before the stacked fill);
   table  `all_pairs()` once those arrays are cached.
 A round reports each stage's median over REPS repetitions, summed
 over the two inputs.  At the enumeration cap, CAP_ROUNDS times, one
@@ -28,9 +32,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -64,8 +70,11 @@ def stages() -> dict:
             t0 = time.perf_counter()
             engine = IsingEngine(sc)
             t1 = time.perf_counter()
-            for m, n in upper:
-                engine._sigma_array(m, n)
+            if hasattr(engine, "_sigma_fill"):
+                engine._sigma_fill(upper)
+            else:
+                for m, n in upper:
+                    engine._sigma_array(m, n)
             t2 = time.perf_counter()
             engine.all_pairs()
             t3 = time.perf_counter()
@@ -101,8 +110,8 @@ def src(root: str) -> str:
     return os.path.join(root.split("=", 1)[-1], "src")
 
 
-def child(root: str, task: list[str]) -> dict:
-    env = dict(os.environ, **THREADS, PYTHONPATH=src(root))
+def child(root: str, task: list[str], cache: str) -> dict:
+    env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
     res = subprocess.run([sys.executable, __file__, "--child", *task], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(res.stdout.splitlines()[-1])
@@ -125,17 +134,21 @@ def main() -> None:
         print(json.dumps(stages() if kind == "stages" else cap_case(*case)))
         return
     roots = args.root or [f"checkout={os.getcwd()}"]
-    for root in roots:
-        subprocess.run([sys.executable, "-m", "compileall", "-q", src(root)],
-                       check=True)
     runs = {root: {"stages": [], **{c: [] for c in CAP_CASES}} for root in roots}
-    for k in range(ROUNDS):
-        for root in roots if k % 2 == 0 else roots[::-1]:
-            runs[root]["stages"].append(child(root, ["stages"]))
-    for k in range(CAP_ROUNDS):
-        for root in roots if k % 2 == 0 else roots[::-1]:
-            for case in CAP_CASES:
-                runs[root][case].append(child(root, ["cap", case]))
+    cache = tempfile.mkdtemp(prefix="bench_pairtable_")
+    try:
+        for root in roots:
+            subprocess.run([sys.executable, "-m", "compileall", "-q", src(root)],
+                           env=dict(os.environ, PYTHONPYCACHEPREFIX=cache), check=True)
+        for k in range(ROUNDS):
+            for root in roots if k % 2 == 0 else roots[::-1]:
+                runs[root]["stages"].append(child(root, ["stages"], cache))
+        for k in range(CAP_ROUNDS):
+            for root in roots if k % 2 == 0 else roots[::-1]:
+                for case in CAP_CASES:
+                    runs[root][case].append(child(root, ["cap", case], cache))
+    finally:
+        shutil.rmtree(cache)
     from importlib.metadata import version
 
     report = {"machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
