@@ -10,9 +10,9 @@
 Exit codes: 2 parse error, 3 validation error, 4 size cap exceeded
 (also `analyze --terms` beyond MAX_TERM_ROWS rows), 5 no holographic
 weights exist, 6 numerical failure (a bulk-state trace that Delta
-admits is not real, or the normalization sum vanishes).  Reports are
-JSON (CSV for sweeps), deterministic for fixed input, flags and seed,
-and embed a SHA-256 hash of the input file.
+admits or an exact-oracle term is not real, or the normalization sum
+vanishes).  Reports are JSON (CSV for sweeps), deterministic for fixed
+input, flags and seed, and embed a SHA-256 hash of the input file.
 """
 
 from __future__ import annotations

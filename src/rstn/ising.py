@@ -68,8 +68,8 @@ class SizeCapError(RuntimeError):
 
 
 class NumericalError(ValueError):
-    """A numerical failure inside the engine (exit code 6): a bulk-state
-    trace that Delta admits is not real, or the normalization vanishes."""
+    """A numerical failure (exit code 6): a bulk-state trace that Delta
+    admits or an exact-oracle term is not real, or the normalization vanishes."""
 
 
 def _survives(configs, pins: tuple[int, int]):
@@ -325,8 +325,10 @@ class IsingEngine:
         rows = self._twice.tolist()
         self._logd = np.array([[math.log(dim_rep(tj)) for tj in row]
                                for row in rows])
-        g2 = np.array([[abs(sc.amplitude(lid, tj)) ** 2
-                        for lid, tj in zip(ids, row)] for row in rows])
+        g2 = np.ones(self._twice.shape)  # |g|^2 = 1 where no amplitude is given
+        for k, lid in enumerate(ids):
+            for tj, amp in sc.amplitudes.get(lid, {}).items():
+                g2[self._twice[:, k] == tj, k] = abs(amp) ** 2
         self._log_g2 = np.log(g2, out=np.full(g2.shape, -math.inf),
                               where=g2 > 0.0)
         # per link and variant: C is pinned swapped in variant 1

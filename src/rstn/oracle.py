@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rstn.ising import SizeCapError
+from rstn.ising import NumericalError, SizeCapError
 from rstn.spins import dim_rep, intertwiner_dimension
 from rstn.state import Scenario
 
@@ -183,7 +183,7 @@ class _RawTerms:
             if total == 0.0:
                 return 0.0
         if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
-            raise ValueError(f"configuration term is not real: {total}")
+            raise NumericalError(f"configuration term is not real: {total}")
         return float(total.real)
 
 
@@ -261,26 +261,34 @@ def _philox():
     return bits, bits.state, np.random.Generator(bits)
 
 
-def _draw_vertex_state(
-    seed: int, vertex: int, sample: int, dim: int
+def _draw_states(
+    seed: int, vertex: int, start: int, stop: int, dim: int
 ) -> np.ndarray:
-    """Haar state from the counter-based stream keyed by (seed, vertex,
-    sample): that of Philox(key=[seed, (vertex << 32) | sample])."""
+    """Haar states of samples start..stop-1 at one vertex, one row each,
+    from the counter-based stream keyed by (seed, vertex, sample): that of
+    Philox(key=[seed, (vertex << 32) | sample]), real parts drawn first."""
     bits, fresh, rng = _philox()
-    key = np.array([seed, (vertex << 32) | sample], np.uint64)
-    bits.state = {**fresh, "state": {**fresh["state"], "key": key}}
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    key = np.array([seed, 0], np.uint64)
+    state = {**fresh, "state": {**fresh["state"], "key": key}}
+    normals = np.empty((stop - start, 2, dim))
+    for sample, row in enumerate(normals.reshape(stop - start, -1), start):
+        key[1] = (vertex << 32) | sample
+        bits.state = state
+        rng.standard_normal(out=row)
+    v = normals[:, 0] + 1j * normals[:, 1]
+    # the strided dots of np.linalg.norm: rows are bit for bit v / norm(v)
+    v /= np.sqrt([re.dot(re) + im.dot(im) for re, im in zip(v.real, v.imag)])[:, None]
+    return v
 
 
 def _contract(
-    paths: dict, subscripts: str, *operands: np.ndarray
+    paths: dict, subscripts: str, *operands: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """np.einsum on a greedy path found once per subscripts and shapes."""
+    """np.einsum into `out`, on a greedy path found once per subscripts and shapes."""
     key = (subscripts,) + tuple(op.shape for op in operands)
     if key not in paths:
         paths[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
-    return np.einsum(subscripts, *operands, optimize=paths[key])
+    return np.einsum(subscripts, *operands, optimize=paths[key], out=out)
 
 
 def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
@@ -292,8 +300,14 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     standard error, NaN for a single sample.
 
     Samples are contracted in blocks along a leading sample axis, each
-    block holding about BLOCK_BYTES of vertex states, boundary tensors
-    and rho_C blocks, on einsum paths found once per block shape.
+    block holding about BLOCK_BYTES of vertex states, boundary tensors,
+    Gram products and rho_C, on einsum paths found once per block shape.
+    A vertex's states for a block fill one buffer, a keyed draw per row.
+    Sectors whose rest spins agree stack their boundary tensors as rows
+    (s, c, I) of one M; a Gram product G = M M^H holds every pair's sum
+    over the rest legs, and rho^I is read off it with one matrix-vector
+    product per pair.  Where G would be larger than M (more rows than
+    rest legs), rho^I weights the ket rows before the product instead.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -302,15 +316,11 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     g = sc.graph
     n_sec = len(sc.sectors)
     nv = g.n_vertices
-    region = set(sc.region_C)
-    c_pos = [k for k in range(len(g.boundary)) if f"b{k}" in region]
+    c_pos = [k for k in range(len(g.boundary)) if f"b{k}" in sc.region_C]
     rest = [k for k in range(len(g.boundary)) if k not in c_pos]
 
     layouts = [_vertex_layout(sc, x) for x in range(nv)]
-    dims_x = [
-        sum(di * math.prod(legs) for di, legs in layouts[x][0])
-        for x in range(nv)
-    ]
+    dims_x = [sum(di * math.prod(legs) for di, legs in lay[0]) for lay in layouts]
     if max(dims_x) > VERTEX_SPACE_CAP:
         raise SizeCapError(
             f"vertex space dimension {max(dims_x)} exceeds the sampling cap "
@@ -330,20 +340,19 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     n_c = [math.prod(dim_rep(t) for t in c_spins[s]) for s in range(n_sec)]
     n_rest = [math.prod(dim_rep(t) for t in rest_spins[s]) for s in range(n_sec)]
     n_i = [sc.block_dim(s) for s in range(n_sec)]
-    # rho^I blocks (rows s_bra, columns s_ket) of the (s_ket, s_bra)
-    # pairs whose rest spins agree
-    rho = {
-        (sk, sb): sc.block(sb, sk)
-        for sk in range(n_sec) for sb in range(n_sec)
-        if rest_spins[sk] == rest_spins[sb]
-    }
-    trace_pairs = [(sk, sb) for sk, sb in rho if c_spins[sk] == c_spins[sb]]
-    # Tr rho_C^2 pairs blocks whose C spin profiles line up crosswise
-    cross_pairs = [
-        ((sk, sb), (sk2, sb2))
-        for sk, sb in rho for sk2, sb2 in rho
-        if c_spins[sb] == c_spins[sk2] and c_spins[sb2] == c_spins[sk]
-    ]
+    # sectors whose rest spins agree form a group: its boundary tensors
+    # stack into one matrix M, sector s on rows span[s] = (c, I); rho_C
+    # has rows c_span[profile] = c per distinct C spin profile
+    groups, span, c_span = {}, {}, {}
+    for s in range(n_sec):
+        grp = groups.setdefault(rest_spins[s], [])
+        low = span[grp[-1]].stop if grp else 0
+        span[s] = slice(low, low + n_c[s] * n_i[s])
+        grp.append(s)
+        low = max((sl.stop for sl in c_span.values()), default=0)
+        c_span.setdefault(c_spins[s], slice(low, low + n_c[s]))
+    dim_c = max(sl.stop for sl in c_span.values())
+    stacks = [(grp, span[grp[-1]].stop, n_rest[grp[0]]) for grp in groups.values()]
 
     # network: vertex states and conjugated link pair states -> sector
     # boundary tensor A_s[sample, C legs, intertwiner indices, rest legs]
@@ -370,10 +379,15 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         for s in range(n_sec)
     ]
 
+    # einsum's output axes: sample, C legs, intertwiner indices, rest legs
+    out_shape = [(-1, *map(dim_rep, c_spins[s]), *sc.vertex_dims(s),
+                  *map(dim_rep, rest_spins[s])) for s in range(n_sec)]
+
     per_sample = 16 * (
         sum(dims_x)
         + sum(n_c[s] * n_i[s] * n_rest[s] for s in range(n_sec))
-        + sum(n_c[sk] * n_c[sb] for sk, sb in rho)
+        + sum(h * h for _, h, n_e in stacks if h <= n_e)  # Gram products
+        + dim_c ** 2
     )
     block = max(1, BLOCK_BYTES // per_sample)
     paths: dict = {}
@@ -384,47 +398,46 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         size = stop - start
         psi: list[dict[tuple[int, ...], np.ndarray]] = []
         for x in range(nv):
-            vecs = np.array([
-                _draw_vertex_state(seed, x, it, dims_x[x])
-                for it in range(start, stop)
-            ])
+            vecs = _draw_states(seed, x, start, stop, dims_x[x])
             parts, off = {}, 0
             for (di, legs), tup in zip(*layouts[x]):
                 width = di * math.prod(legs)
                 parts[tup] = vecs[:, off:off + width].reshape((size, di) + legs)
                 off += width
             psi.append(parts)
-        a = [
-            _contract(paths, network,
-                      *(psi[x][tuples[s][x]] for x in range(nv)),
-                      *link_states[s])
-            .reshape(size, n_c[s], n_i[s], n_rest[s])
-            for s in range(n_sec)
-        ]
-        # rho_C[c, c'] = sum rho^I[I1, I2] A_ket[c, I2, e] conj(A_bra[c', I1, e])
-        bra = [x.reshape(size, n_c[s], -1).conj().transpose(0, 2, 1)
-               for s, x in enumerate(a)]
-        rc = {
-            (sk, sb): (r @ a[sk]).reshape(size, n_c[sk], -1) @ bra[sb]
-            for (sk, sb), r in rho.items()
-        }
-        tr = np.zeros(size)
-        for key in trace_pairs:
-            tr += np.trace(rc[key], axis1=1, axis2=2).real
-        num = np.zeros(size)
-        for k1, k2 in cross_pairs:
-            num += np.einsum("sab,sba->s", rc[k1], rc[k2]).real
+        rho_c = np.zeros((size, dim_c, dim_c), complex)
+        for grp, height, n_e in stacks:
+            m = np.empty((size, height, n_e), complex)
+            for s in grp:
+                _contract(paths, network,
+                          *(psi[x][tuples[s][x]] for x in range(nv)),
+                          *link_states[s], out=m[:, span[s]].reshape(out_shape[s]))
+            # rho_C[c, c'] += sum r[I1, I2] A_ket[c, I2, e] conj(A_bra[c', I1, e]),
+            # r the rho^I block (s_bra, s_ket): read off G = M M^H as a vector
+            # where G is no larger than M, else applied before the product
+            gram = m @ m.conj().transpose(0, 2, 1) if height <= n_e else None
+            for sk in grp:
+                for sb in grp:
+                    r = sc.block(sb, sk)
+                    shape = (size, n_c[sk], n_i[sk], n_c[sb], n_i[sb])
+                    if gram is None:
+                        ket = r @ m[:, span[sk]].reshape(shape[:3] + (-1,))
+                        bra = m[:, span[sb]].reshape(size, n_c[sb], -1).conj()
+                        pair = ket.reshape(size, n_c[sk], -1) @ bra.transpose(0, 2, 1)
+                    else:
+                        pair = (gram[:, span[sk], span[sb]].reshape(shape)
+                                .transpose(0, 1, 3, 2, 4).reshape(-1, r.size)
+                                @ r.T.reshape(-1)).reshape(shape[:2] + shape[3:4])
+                    rho_c[:, c_span[c_spins[sk]], c_span[c_spins[sb]]] += pair
+        tr = np.trace(rho_c, axis1=1, axis2=2).real
         dens[start:stop] = tr * tr
-        nums[start:stop] = num
-    mean_num = nums.mean()
-    mean_den = dens.mean()
-    ratio = mean_num / mean_den
-    n = n_samples
+        nums[start:stop] = np.einsum("sab,sba->s", rho_c, rho_c).real
+    n, mean_num, mean_den = n_samples, nums.mean(), dens.mean()
     stderr = math.nan  # a single sample leaves the jackknife undefined
     if n > 1:
         jack = (nums.sum() - nums) / (dens.sum() - dens)
         stderr = math.sqrt((n - 1) / n * ((jack - jack.mean()) ** 2).sum())
-    return MCResult(ratio, stderr, n, mean_num, mean_den)
+    return MCResult(mean_num / mean_den, stderr, n, mean_num, mean_den)
 
 
 def schur_moment_error(dim: int, n_samples: int = 10_000, seed: int = 3) -> float:

@@ -53,8 +53,8 @@ from rstn.logdomain import LogWeight, log_sum_tree
 from rstn.oracle import (
     LETTERS,
     MCResult,
-    _draw_vertex_state,
     _pair_state,
+    _philox,
     _vertex_layout,
 )
 from rstn.spins import dim_rep, intertwiner_dimension
@@ -685,6 +685,20 @@ def sigma_build_reference(engine: IsingEngine, m: int, n: int) -> np.ndarray:
     return sigma
 
 
+def draw_vertex_state(
+    seed: int, vertex: int, sample: int, dim: int
+) -> np.ndarray:
+    """Haar state from the counter-based stream keyed by (seed, vertex,
+    sample): that of Philox(key=[seed, (vertex << 32) | sample]).  One
+    draw at a time, as `rstn.oracle.mc_purity` drew its states before
+    it filled one block of them at once (`rstn.oracle._draw_states`)."""
+    bits, fresh, rng = _philox()
+    key = np.array([seed, (vertex << 32) | sample], np.uint64)
+    bits.state = {**fresh, "state": {**fresh["state"], "key": key}}
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
 def _sector_boundary_tensor(
     sc: Scenario, s: int, psi: list[dict[tuple[int, ...], np.ndarray]],
     contract=np.einsum,
@@ -779,7 +793,7 @@ def mc_purity_reference(
         psi: list[dict[tuple[int, ...], np.ndarray]] = []
         for x in range(nv):
             slices, tuples = layouts[x]
-            vec = _draw_vertex_state(seed, x, it, dims_x[x])
+            vec = draw_vertex_state(seed, x, it, dims_x[x])
             parts = {}
             off = 0
             for (di, legs), tup in zip(slices, tuples):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import rstn
 from rings import ring_dict
-from rstn import ising
+from rstn import ising, oracle
 from rstn.cli import main
 
 SCENARIOS = resources.files("rstn") / "scenarios"
@@ -156,6 +156,14 @@ def test_vanishing_normalization_exit_6(runner, monkeypatch):
     res = runner.invoke(main, ["analyze", scenario_path("tiny_oracle.json")])
     assert res.exit_code == 6, res.output
     assert "error: normalization sum vanishes" in res.stderr
+
+
+def test_nonreal_oracle_term_exit_6(runner, monkeypatch):
+    monkeypatch.setattr(oracle._RawTerms, "intertwiner",
+                        lambda self, m, n, down: 1.0 + 0.5j)
+    res = runner.invoke(main, ["oracle", scenario_path("tiny_oracle.json")])
+    assert res.exit_code == 6, res.output
+    assert "configuration term is not real" in res.stderr
 
 
 def test_size_cap_exit_4(runner, tmp_path):

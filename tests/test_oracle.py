@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oracles import mc_purity_reference
+from oracles import draw_vertex_state, mc_purity_reference
 from rings import ring_dict
 from rstn import oracle
 from rstn.families import (
@@ -15,11 +15,11 @@ from rstn.families import (
     random_scenario,
     tiny_generic,
 )
-from rstn.ising import IsingEngine, SizeCapError
+from rstn.ising import IsingEngine, NumericalError, SizeCapError
 from rstn.oracle import (
     AMPLITUDE_CAP,
     SEED_MAX,
-    _draw_vertex_state,
+    _draw_states,
     boundary_trace,
     exact_purity,
     exact_term,
@@ -116,6 +116,17 @@ def test_exact_letter_cap_names_count_and_limit():
         exact_term(ring, 0, 0, 0, 0)
 
 
+def test_nonreal_term_is_a_numerical_error(monkeypatch):
+    """A configuration term with an imaginary part beyond IMAG_TOL is a
+    numerical failure (CLI exit 6), not a bad input."""
+    monkeypatch.setattr(oracle._RawTerms, "intertwiner",
+                        lambda self, m, n, down: 1.0 + 0.5j)
+    with pytest.raises(NumericalError, match="configuration term is not real"):
+        exact_term(tiny_generic(), 0, 0, 0, 0)
+    with pytest.raises(NumericalError, match="configuration term is not real"):
+        exact_purity(tiny_generic())
+
+
 def test_mc_agrees_with_exact():
     sc = tiny_generic()
     exact = IsingEngine(sc).purity()
@@ -146,15 +157,22 @@ def test_mc_seed_outside_philox_keys_rejected(seed):
 
 def test_vertex_draws_match_keyed_philox_streams():
     """Re-keying one generator gives each (seed, vertex, sample) the
-    stream of a Philox built with that key, whatever was drawn before."""
-    keys = [(0, 0, 0, 5), (7, 3, 5, 12), (SEED_MAX, 1, 2**32 - 1, 9),
-            (12345, 9, 77, 1), (7, 3, 5, 12)]
-    for seed, vertex, sample, dim in keys:
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed, (vertex << 32) | sample]))
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        got = _draw_vertex_state(seed, vertex, sample, dim)
-        assert np.array_equal(got, v / np.linalg.norm(v))
+    stream of a Philox built with that key, whatever was drawn before:
+    every row of a block of draws, wherever the block starts, is that
+    state bit for bit, and so is the one-draw reference."""
+    blocks = [(0, 0, 0, 3, 5), (7, 3, 5, 9, 12), (SEED_MAX, 1, 2**32 - 3, 2**32, 9),
+              (12345, 9, 77, 78, 1), (7, 3, 5, 9, 12), (3, 0, 0, 1, 1),
+              (3, 1, 40, 44, 1), (7, 1, 0, 5, 32), (7, 1, 97, 101, 32),
+              (5, 1, 0, 2, 459), (5, 0, 3, 6, 459)]
+    for seed, vertex, start, stop, dim in blocks:
+        got = _draw_states(seed, vertex, start, stop, dim)
+        assert got.shape == (stop - start, dim)
+        for row, sample in zip(got, range(start, stop)):
+            rng = np.random.Generator(
+                np.random.Philox(key=[seed, (vertex << 32) | sample]))
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            assert np.array_equal(row, v / np.linalg.norm(v))
+            assert np.array_equal(row, draw_vertex_state(seed, vertex, sample, dim))
 
 
 def test_mc_reads_no_os_entropy():
@@ -196,9 +214,9 @@ def block_sizes(monkeypatch, sc, n_samples):
     sizes = []
     contract = oracle._contract
 
-    def spy(paths, subscripts, *operands):
+    def spy(paths, subscripts, *operands, out):
         sizes.append(len(operands[0]))
-        return contract(paths, subscripts, *operands)
+        return contract(paths, subscripts, *operands, out=out)
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_contract", spy)
@@ -243,3 +261,31 @@ def test_mc_vertex_space_cap_matches_reference(name):
         mc_purity_reference(sc, 3)
     assert str(got.value) == str(want.value)
     assert "exceeds the sampling cap of 512" in str(got.value)
+
+
+@pytest.mark.parametrize(
+    "seed, template, n_sectors",
+    [(68, "two", 3), (16, "two", 3), (57, "chain", 4)],
+    ids=["two_groups_gram", "gram_and_ket_weighted", "three_groups"],
+)
+def test_mc_matches_reference_across_rest_spin_groups(
+    monkeypatch, seed, template, n_sectors
+):
+    """Sectors group by their rest-leg spins; a group with two sectors
+    holds cross-sector pairs, read off its Gram product (seed 68; the
+    single-sector group of seed 16 too) or weighted before the product
+    where the Gram would be larger than the stack (the two-sector groups
+    of seeds 16 and 57).  Off-diagonal blocks are given one way only."""
+    sc = random_scenario(np.random.default_rng(seed), template,
+                         n_sectors=n_sectors, max_twice=2)
+    rest = [lid for lid in sc.graph.link_ids()
+            if lid.startswith("b") and lid not in sc.region_C]
+    groups = {tuple(sc.spin(s, lid) for lid in rest) for s in range(n_sectors)}
+    assert 2 <= len(groups) < n_sectors
+    assert (0, 1) in sc.blocks and (1, 0) not in sc.blocks
+    sizes = block_sizes(monkeypatch, sc, 300)  # one contraction per sector
+    block = sizes[0]
+    assert 1 < block < 300 and sum(sizes) == 300 * n_sectors
+    for n in (1, block - 1, block, block + 1, 2 * block + 5):
+        got = mc_purity(sc, n, seed=3)
+        assert_matches_reference(got, mc_purity_reference(sc, n, seed=3))

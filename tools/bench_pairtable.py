@@ -1,7 +1,8 @@
-"""Stage timings of the pair table, and cost at the enumeration cap.
+"""Stage timings of the pair table, and cost at the enumeration cap;
+or, with `--stage mc`, of the Monte Carlo oracle.
 
     python3 tools/bench_pairtable.py --root parent=PATH --root change=PATH \
-        [--out BENCH_pairtable.json]
+        [--stage pairtable|mc] [--out BENCH_pairtable.json]
 
 Every `--root NAME=PATH` is a checkout of rstn whose `src/` is imported
 in fresh interpreters (one BLAS/OpenMP thread); the report keys its
@@ -24,6 +25,14 @@ over the two inputs.  At the enumeration cap, CAP_ROUNDS times, one
 interpreter per case times `IsingEngine(sc).purity()` and reads its peak RSS:
 `tests/rings.py:ring_dict(24, 1)` exact and high-spin, and
 `ring_dict(20, 4)` exact.
+
+The mc stage, ROUNDS rounds, reports per round the median over MC_REPS
+calls of `mc_purity(tiny_generic(), 400, 7)` and of
+`mc_purity(appendix_c(2), 100, 7)` (perfbench's oracle inputs), and the
+wall seconds of one fresh interpreter running `rstn oracle FILE
+--method mc` (2000 samples) on each of MC_FILES, after one untimed run
+per root has written the bytecode of everything the command imports
+into the cache.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ CAP_CASES = {"ring24_exact": (24, 1, "exact"),
              "ring20x4_exact": (20, 4, "exact")}
 STAGES = ("init", "sigma", "table")
 ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
+MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
+            "appendix_c2_100": ("appendix_c", (2,), 100)}
+MC_FILES = ("tiny_oracle.json", "once_fine_grained.json")
+MC_REPS = 15
 
 
 def stages() -> dict:
@@ -83,6 +96,45 @@ def stages() -> dict:
         for stage in STAGES:
             out[stage] += statistics.median(times[stage])
     return out
+
+
+def mc_stage() -> dict:
+    """Median seconds of each MC_CASES call over MC_REPS calls, after
+    one untimed call."""
+    import time
+
+    from rstn import families
+    from rstn.oracle import mc_purity
+
+    out = {}
+    for name, (family, args, samples) in MC_CASES.items():
+        sc = getattr(families, family)(*args)
+        mc_purity(sc, samples, 7)
+        times = []
+        for _ in range(MC_REPS):
+            t0 = time.perf_counter()
+            res = mc_purity(sc, samples, 7)
+            times.append(time.perf_counter() - t0)
+        out[name] = statistics.median(times)
+        out[name + "_purity"] = res.purity
+    return out
+
+
+def mc_cli(root: str, name: str, cache: str, write: bool = False) -> float:
+    """Wall seconds of `rstn oracle FILE --method mc` in a fresh
+    interpreter; with `write`, one that also writes the bytecode of all
+    it imports (numpy, click, ...) into the cache, which the timed runs
+    read."""
+    import time
+
+    path = os.path.join(src(root), "rstn", "scenarios", name)
+    env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
+    if write:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "rstn.cli", "oracle", path, "--method", "mc"],
+                   env=env, stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - t0
 
 
 def cap_case(name: str) -> dict:
@@ -126,24 +178,34 @@ def quartiles(values: list[float]) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", action="append", default=[])
+    ap.add_argument("--stage", choices=("pairtable", "mc"), default="pairtable")
     ap.add_argument("--out")
     ap.add_argument("--child", nargs="+")
     args = ap.parse_args()
     if args.child:
         kind, *case = args.child
-        print(json.dumps(stages() if kind == "stages" else cap_case(*case)))
+        run = {"stages": stages, "mc": mc_stage, "cap": cap_case}[kind]
+        print(json.dumps(run(*case)))
         return
     roots = args.root or [f"checkout={os.getcwd()}"]
-    runs = {root: {"stages": [], **{c: [] for c in CAP_CASES}} for root in roots}
+    runs = {root: {"stages": [], "mc": [], **{c: [] for c in CAP_CASES},
+                   **{f: [] for f in MC_FILES}} for root in roots}
     cache = tempfile.mkdtemp(prefix="bench_pairtable_")
     try:
         for root in roots:
             subprocess.run([sys.executable, "-m", "compileall", "-q", src(root)],
                            env=dict(os.environ, PYTHONPYCACHEPREFIX=cache), check=True)
+            if args.stage == "mc":
+                mc_cli(root, MC_FILES[0], cache, write=True)
         for k in range(ROUNDS):
             for root in roots if k % 2 == 0 else roots[::-1]:
-                runs[root]["stages"].append(child(root, ["stages"], cache))
-        for k in range(CAP_ROUNDS):
+                if args.stage == "mc":
+                    runs[root]["mc"].append(child(root, ["mc"], cache))
+                    for name in MC_FILES:
+                        runs[root][name].append(mc_cli(root, name, cache))
+                else:
+                    runs[root]["stages"].append(child(root, ["stages"], cache))
+        for k in range(CAP_ROUNDS if args.stage == "pairtable" else 0):
             for root in roots if k % 2 == 0 else roots[::-1]:
                 for case in CAP_CASES:
                     runs[root][case].append(child(root, ["cap", case], cache))
@@ -154,8 +216,17 @@ def main() -> None:
     report = {"machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                          f"{platform.python_version()}, numpy {version('numpy')}",
               "rounds": ROUNDS, "reps": REPS, "cap_rounds": CAP_ROUNDS}
+    if args.stage == "mc":
+        report.update(reps=MC_REPS, cap_rounds=0)
     for root in roots:
         r = runs[root]
+        if args.stage == "mc":
+            report[root.split("=", 1)[0]] = {
+                **{f"{c}_s": quartiles([x[c] for x in r["mc"]]) for c in MC_CASES},
+                **{f"cli_{f}_s": quartiles(r[f]) for f in MC_FILES},
+                "purity": {c: r["mc"][0][c + "_purity"] for c in MC_CASES},
+            }
+            continue
         report[root.split("=", 1)[0]] = {
             **{f"{s}_s": quartiles([x[s] for x in r["stages"]]) for s in STAGES},
             **{case: {key: quartiles([x[key] for x in r[case]])
