@@ -73,13 +73,16 @@ def _guarded(fn):
     return wrapper
 
 
-def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n"
+def _write(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _emit(report: dict, out: str | None):
+    _write(json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _finite(x: float) -> float | None:
@@ -286,12 +289,7 @@ def sweep(path, param, grid, out):
     writer.writerow([param, "purity", "ratio"])
     for row in rows:
         writer.writerow([repr(float(v)) for v in row])
-    text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(buf.getvalue(), out)
 
 
 @main.command()

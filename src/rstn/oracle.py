@@ -107,9 +107,7 @@ class _RawTerms:
             tuple(sc.vertex_tuple(s, x) for x in range(self.nv))
             for s in range(len(sc.sectors))
         ]
-        self.shapes = [
-            tuple(intertwiner_dimension(t) for t in tup) for tup in self.tuples
-        ]
+        self.shapes = [sc.vertex_dims(s) for s in range(len(sc.sectors))]
         self.sector_of: dict[tuple, int] = {}
         for q, tup in enumerate(self.tuples):
             self.sector_of.setdefault(tup, q)
@@ -266,7 +264,7 @@ def _draw_states(
 ) -> np.ndarray:
     """Haar states of samples start..stop-1 at one vertex, one row each,
     from the counter-based stream keyed by (seed, vertex, sample): that of
-    Philox(key=[seed, (vertex << 32) | sample]), real parts drawn first."""
+    the Philox keyed [seed, (vertex << 32) | sample], real parts drawn first."""
     bits, fresh, rng = _philox()
     key = np.array([seed, 0], np.uint64)
     state = {**fresh, "state": {**fresh["state"], "key": key}}
@@ -441,16 +439,13 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
 
 
 def schur_moment_error(dim: int, n_samples: int = 10_000, seed: int = 3) -> float:
-    """Operator-norm error of the empirical doubled second Haar moment.
-
-    The exact value is (identity + swap) / (D (D + 1)).
+    """Operator-norm error of the empirical doubled second Haar moment of
+    `mc_purity`'s sampler: the states `_draw_states` gives vertex 0,
+    samples 0..n_samples-1.  The exact value is (identity + swap) / (D (D + 1)).
     """
     if dim > 16:
         raise SizeCapError("second-moment check capped at dimension 16")
-    bits = np.random.Philox(key=[seed, 0])
-    rng = np.random.Generator(bits)
-    v = rng.normal(size=(n_samples, dim)) + 1j * rng.normal(size=(n_samples, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = _draw_states(seed, 0, 0, n_samples, dim)
     emp = np.einsum("ma,mb,mc,md->abcd", v, v.conj(), v, v.conj()) / n_samples
     ident = np.einsum(
         "ab,cd->abcd", np.eye(dim), np.eye(dim)

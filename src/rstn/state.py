@@ -45,6 +45,19 @@ def link_state_purity(twice_j: int) -> float:
     return 1.0 / dim_rep(twice_j)
 
 
+def adjoint_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """a = b^H by np.allclose's rule, |a - b^H| <= atol + 1e-5 |b^H|, taken over
+    row blocks of at most 2^14 entries; the atol test alone settles most blocks."""
+    step = max(1, (1 << 14) // max(1, a.shape[1]))
+    for lo in range(0, len(a), step):
+        adj = b[:, lo:lo + step].conj().T
+        diff = np.abs(a[lo:lo + step] - adj)  # empty for a zero-dimension sector
+        if not (diff.max(initial=0.0) <= atol
+                or (diff <= atol + 1e-5 * np.abs(adj)).all()):
+            return False
+    return True
+
+
 class ParseError(ValueError):
     """Malformed scenario input (bad JSON, unknown keys, wrong types)."""
 
@@ -208,12 +221,13 @@ class Scenario:
                 )
             if not np.isfinite(blk).all():
                 raise ValidationError(f"block ({m},{n}) has a non-finite entry")
-            if (n, m) in self.blocks and not np.allclose(
-                self.blocks[(n, m)], blk.conj().T, atol=PSD_TOL
-            ):
+        # each given (n, m) against (m, n), a diagonal block against itself:
+        # blocks given one way enter `full` as exact adjoints, so it is Hermitian
+        for (m, n), blk in self.blocks.items():
+            back = self.blocks.get((n, m))
+            if back is not None and not adjoint_close(back, blk, PSD_TOL):
                 raise ValidationError(
-                    f"blocks ({m},{n}) and ({n},{m}) are not adjoints"
-                )
+                    f"blocks ({m},{n}) and ({n},{m}) are not adjoints")
         # absent blocks stay zero
         full = np.zeros((sum(dims), sum(dims)), dtype=complex)
         offs = np.concatenate([[0], np.cumsum(dims)])
@@ -226,8 +240,6 @@ class Scenario:
             raise ValidationError(f"bulk state trace {tr.real} != 1")
         if abs(tr.imag) > TRACE_TOL:
             raise ValidationError("bulk state trace is not real")
-        if not np.allclose(full, full.conj().T, atol=PSD_TOL):
-            raise ValidationError("bulk state is not Hermitian")
         evals = np.linalg.eigvalsh(full)
         if evals.min() < -PSD_TOL:
             raise ValidationError(

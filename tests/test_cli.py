@@ -13,6 +13,8 @@ import rstn
 from rings import ring_dict
 from rstn import ising, oracle
 from rstn.cli import main
+from rstn.families import appendix_c
+from rstn.state import scenario_to_dict
 
 SCENARIOS = resources.files("rstn") / "scenarios"
 
@@ -117,6 +119,17 @@ def test_validation_error_exit_3(runner, tmp_path):
     bad.write_text(json.dumps(data))
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == 3
+
+
+def test_malformed_block_beside_its_adjoint_exit_3(runner, tmp_path):
+    # a (1,0) of the wrong shape beside a valid (0,1) is named as itself
+    data = scenario_to_dict(appendix_c(2, 0.3, 0.25, 0.45, u=0.1, v=0.05))
+    data["intertwiner"]["blocks"]["1,0"] = [[0.0, 0.0, 0.0]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    res = runner.invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 3
+    assert "block (1,0) has shape (1, 3), expected (1, 2)" in res.stderr
 
 
 @pytest.mark.parametrize("lid", ["i9", "b0"])
@@ -272,6 +285,18 @@ def test_sweep_range_grid_is_numeric_csv(runner):
     assert len(lines) == 22
     rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
     assert rows[1][0] == 0.05
+
+
+def test_sweep_out_writes_what_stdout_shows(runner, tmp_path):
+    args = ["sweep", scenario_path("appendix_c.json"), "--param", "w",
+            "--grid", "0.3,0.5"]
+    shown = runner.invoke(main, args)
+    out = tmp_path / "sweep.csv"
+    written = runner.invoke(main, args + ["--out", str(out)])
+    assert shown.exit_code == written.exit_code == 0
+    assert written.stdout_bytes == b""
+    assert out.read_bytes() == shown.stdout_bytes
+    assert shown.stdout_bytes.startswith(b"w,purity,ratio\r\n")
 
 
 def test_sweep_unknown_param_rejected(runner):

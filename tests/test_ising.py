@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -804,8 +805,8 @@ def test_stacked_fill_matches_per_pair_reference():
 
 
 def test_sigma_arrays_do_not_depend_on_the_order_of_calls():
-    # asking for one pair first fills its whole side of the diagonal, so
-    # the values are those of the pair table's fill
+    # asking for any pair first fills every uncached pair m <= n, so the
+    # values are those of the pair table's fill
     for sc in stacked_fill_cases()[1][:6]:
         first, later = IsingEngine(sc), IsingEngine(sc)
         first.all_pairs()
@@ -817,6 +818,32 @@ def test_sigma_arrays_do_not_depend_on_the_order_of_calls():
             for n in range(n_sec):
                 assert (later._sigma_array(m, n).tobytes()
                         == first._sigma_array(m, n).tobytes())
+
+
+def test_sigma_arrays_are_kept_per_unordered_pair():
+    # both orders read one array, kept under (min, max): n(n+1)/2 fills
+    for sc in stacked_fill_cases()[1]:
+        engine, n_sec = IsingEngine(sc), len(sc.sectors)
+        for m, n in np.ndindex(n_sec, n_sec):
+            assert engine._sigma_array(n, m) is engine._sigma_array(m, n)
+        assert len(engine._sigma_cache) == n_sec * (n_sec + 1) // 2
+        assert all(m <= n for m, n in engine._sigma_cache)
+
+
+def test_terms_keep_the_same_rows_in_both_orders():
+    # Delta's pins are symmetric, and a link whose spins differ is never
+    # cut where Delta admits, so (m, n) and (n, m) keep the same rows
+    # with the same energies
+    checked = 0
+    for sc in stacked_fill_cases()[1]:
+        engine = IsingEngine(sc)
+        for m, n in itertools.combinations(range(len(sc.sectors)), 2):
+            for (c1, e1, k1), (c2, e2, k2) in zip(engine.terms(m, n),
+                                                   engine.terms(n, m)):
+                assert np.array_equal(c1, c2) and np.array_equal(k1, k2)
+                assert e1[k1].tobytes() == e2[k2].tobytes()
+                checked += int(k1.sum())
+    assert checked > 500
 
 
 def test_nonreal_traces_count_only_where_delta_admits():

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rings import dense_ring_dict
 from rstn.families import tiny_generic, appendix_c
 from rstn.ising import IsingEngine
 from rstn.state import (
+    PSD_TOL,
     ParseError,
     Scenario,
     Sector,
@@ -319,3 +322,75 @@ def test_non_finite_amplitude_is_refused(value):
     with pytest.raises(ValidationError,
                        match=r"amplitudes\[i0\]: .* twice-spin 1 is not finite"):
         dataclasses.replace(tiny_generic(), amplitudes={"i0": {1: value}})
+
+
+def _with_block(sc: Scenario, key, blk) -> Scenario:
+    return dataclasses.replace(sc, blocks={**sc.blocks, key: np.asarray(blk, complex)})
+
+
+@pytest.mark.parametrize("blk, message", [
+    (np.zeros((2, 2)), r"block \(1,0\) has shape \(2, 2\), expected \(1, 2\)"),
+    (np.full((1, 2), math.nan), r"block \(1,0\) has a non-finite entry"),
+    (np.zeros((1, 3)), r"block \(1,0\) has shape \(1, 3\), expected \(1, 2\)"),
+])
+def test_bad_block_is_named_before_the_adjoint_check(blk, message):
+    # beside a valid (0,1), a malformed (1,0) is reported as itself, not
+    # as a pair that is not adjoint (nor as numpy's broadcast error)
+    sc = appendix_c(2, 0.3, 0.25, 0.45, u=0.1, v=0.05)
+    assert (0, 1) in sc.blocks and (1, 0) not in sc.blocks
+    with pytest.raises(ValidationError, match=message):
+        _with_block(sc, (1, 0), blk)
+
+
+def test_non_hermitian_diagonal_block_is_refused():
+    sc = tiny_generic()
+    rho = sc.block(0, 0).copy()
+    rho[0, 1] += 1e-3j  # the trace stays 1
+    rho[1, 0] += 1e-3j
+    with pytest.raises(ValidationError,
+                       match=r"blocks \(0,0\) and \(0,0\) are not adjoints"):
+        _with_block(sc, (0, 0), rho)
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+def test_block_pair_mismatch_beyond_the_tolerance_is_refused(scale, accepted):
+    # np.allclose's rule: |(1,0) - (0,1)^H| <= PSD_TOL + 1e-5 |(0,1)^H|
+    sc = appendix_c(2, 0.3, 0.25, 0.45, u=0.1, v=0.05)
+    back = sc.block(0, 1).conj().T.copy()
+    back[0, 1] += scale * (PSD_TOL + 1e-5 * abs(back[0, 1]))
+    if accepted:
+        _with_block(sc, (1, 0), back)
+        return
+    with pytest.raises(ValidationError,
+                       match=r"blocks \(0,1\) and \(1,0\) are not adjoints"):
+        _with_block(sc, (1, 0), back)
+
+
+def test_zero_dimension_sector_accepts_its_empty_blocks():
+    sc = tiny_generic()
+    dead = dict(sc.sectors[0].spins, b0=8)  # no invariant state at vertex 0
+    d = sc.block_dim(0)
+    two = Scenario(
+        graph=sc.graph,
+        sectors=[sc.sectors[0], Sector(dead, "dead")],
+        amplitudes=sc.amplitudes,
+        blocks={(0, 0): sc.block(0, 0), (1, 1): np.zeros((0, 0), complex),
+                (0, 1): np.zeros((d, 0), complex), (1, 0): np.zeros((0, d), complex)},
+        region_C=sc.region_C,
+    )
+    assert two.block_dim(1) == 0 and two.block(1, 0).shape == (0, d)
+
+
+def test_block_validation_memory_peak():
+    # the assembled sum prod D_x matrix once, and row blocks of the
+    # pairwise adjoint check beside it
+    sc = scenario_from_dict(dense_ring_dict(8, np.random.default_rng(3)))
+    full = 16 * sum(sc.block_dim(m) for m in range(len(sc.sectors))) ** 2
+    assert full == 16 * 256 ** 2
+    tracemalloc.start()
+    try:
+        sc._validate_blocks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * full

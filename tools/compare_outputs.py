@@ -1,0 +1,182 @@
+"""Compare rstn's outputs between two checkouts, byte for byte.
+
+    python3 tools/compare_outputs.py --root parent=PATH --root change=PATH
+
+Each `--root NAME=PATH` is a checkout of rstn whose `src/` is imported
+in fresh interpreters (one BLAS/OpenMP thread), all reading one
+temporary PYTHONPYCACHEPREFIX into which each root's `src/` is compiled
+first and which is removed at the end, so that no checkout is left with
+`__pycache__` directories.  For each root it collects:
+
+  analyze  the stdout, stderr and exit code of `rstn analyze FILE`,
+           plain and with `--terms`, with `--mode exact` and
+           `--mode high_spin`, for every bundled scenario file;
+  pairs    `repr(IsingEngine(sc).all_pairs())` on every corpus scenario;
+  sigma    the bytes of `_sigma_array(m, n)` for every pair m <= n, read
+           once the pair table is built;
+  lower    the same for every pair m > n.
+
+The corpus: the families (`appendix_c` at twice-spins 2 and 4, plain
+and with coherent blocks, `two_sector`, `tiny_generic` in both modes,
+`once_fine_grained(1)`); perfbench's seed-1 inputs (`dense_ring8`,
+`ms6`, `ms5`; the oracle workload's are families); and N_DRAWS
+`random_scenario` draws from one fixed generator.
+
+It prints one line per item that differs (for sigma and lower, with the
+largest difference relative to max(1, |sigma|) and whether the inf/NaN
+patterns agree), then a count per kind.  The exit status is 1 when an
+analyze, pairs or sigma item differs; lower only reports, since σ_I^{(m,n)}
+and σ_I^{(n,m)} agree only up to rounding when they are built apart.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+N_DRAWS = 40
+BLOCK_PARAMS = dict(a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j,
+                    v=0.07 + 0.02j)
+KINDS = ("analyze", "pairs", "sigma", "lower")
+
+
+def corpus(root: str) -> dict:
+    """Name -> Scenario; the families, perfbench's seed-1 inputs and the draws."""
+    import numpy as np
+
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    import inputs
+    from rstn import families
+    from rstn.state import scenario_from_dict
+
+    out = {
+        "appendix_c(2)": families.appendix_c(2),
+        "appendix_c(4, blocks)": families.appendix_c(4, **BLOCK_PARAMS),
+        "appendix_c(2, blocks, high_spin)": families.appendix_c(
+            2, **BLOCK_PARAMS, mode="high_spin"),
+        "two_sector(4, 6)": families.two_sector(4, 6, 0.3),
+        "tiny_generic": families.tiny_generic(),
+        "tiny_generic(high_spin)": families.tiny_generic("high_spin"),
+        "once_fine_grained(1)": families.once_fine_grained(1),
+    }
+    # perfbench/run.py seeds each workload with [seed, its index]
+    dense, _, _ = inputs.dense_bulk(np.random.default_rng([1, 1]))
+    ms6, ms5, _ = inputs.many_sectors(np.random.default_rng([1, 2]))
+    for name, data in (("dense_ring8", dense), ("ms6", ms6), ("ms5", ms5)):
+        out[f"perfbench:{name}"] = scenario_from_dict(data)
+    rng = np.random.default_rng(2024)
+    for k in range(N_DRAWS):
+        template = ("one", "two", "chain")[k % 3]
+        n_sec, mode = 1 + k % 4, ("exact", "high_spin")[k // 3 % 2]
+        out[f"random_scenario#{k}"] = families.random_scenario(
+            rng, template, n_sectors=n_sec, max_twice=5, mode=mode,
+            vertex_product=k % 5 == 4)
+    return out
+
+
+def engine_outputs(root: str) -> dict:
+    """pairs, sigma and lower items of one root, hex for the arrays."""
+    from rstn.ising import IsingEngine
+
+    items = {}
+    for name, sc in corpus(root).items():
+        engine = IsingEngine(sc)
+        items[f"pairs {name}"] = repr(engine.all_pairs())
+        for m in range(engine.n_sec):
+            for n in range(engine.n_sec):
+                kind = "sigma" if m <= n else "lower"
+                sigma = engine._sigma_array(m, n)
+                items[f"{kind} {name} ({m},{n})"] = sigma.tobytes().hex()
+    return items
+
+
+def analyze_outputs(root: str, cache: str) -> dict:
+    """analyze items of one root, one fresh interpreter per command."""
+    env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
+    items = {}
+    bundled = os.path.join(src(root), "rstn", "scenarios", "*.json")
+    for path in sorted(glob.glob(bundled)):
+        for mode in ("exact", "high_spin"):
+            for extra in ([], ["--terms"]):
+                args = ["analyze", path, "--mode", mode, *extra]
+                res = subprocess.run([sys.executable, "-m", "rstn.cli", *args],
+                                     env=env, capture_output=True)
+                key = " ".join(["analyze", os.path.basename(path), *args[2:]])
+                items[key] = (f"exit {res.returncode}\n" + res.stdout.decode()
+                              + res.stderr.decode().replace(src(root), "<src>"))
+    return items
+
+
+def src(root: str) -> str:
+    return os.path.join(root.split("=", 1)[-1], "src")
+
+
+def collect(root: str, cache: str) -> dict:
+    env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
+    with tempfile.NamedTemporaryFile(suffix=".json") as fh:
+        subprocess.run([sys.executable, __file__, "--child", root.split("=", 1)[-1],
+                        fh.name], env=env, check=True)
+        items = json.load(fh)
+    return {**analyze_outputs(root, cache), **items}
+
+
+def sigma_difference(a: str, b: str) -> str:
+    import numpy as np
+
+    x, y = (np.frombuffer(bytes.fromhex(h)) for h in (a, b))
+    if x.shape != y.shape:
+        return f"lengths {x.size} and {y.size}"
+    same = (np.array_equal(np.isinf(x), np.isinf(y))
+            and np.array_equal(np.isnan(x), np.isnan(y)))
+    fin = np.isfinite(x) & np.isfinite(y)
+    rel = np.abs(x[fin] - y[fin]) / np.maximum(1.0, np.abs(x[fin]))
+    return (f"max relative {rel.max(initial=0.0):.3g} on {int((rel > 0).sum())} of "
+            f"{x.size} sets; inf/NaN patterns {'equal' if same else 'DIFFER'}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--root", action="append", default=[])
+    ap.add_argument("--child", nargs=2)
+    args = ap.parse_args()
+    if args.child:
+        with open(args.child[1], "w", encoding="utf-8") as fh:
+            json.dump(engine_outputs(args.child[0]), fh)
+        return
+    if len(args.root) != 2:
+        ap.error("give exactly two --root NAME=PATH")
+    cache = tempfile.mkdtemp(prefix="compare_outputs_")
+    try:
+        for root in args.root:
+            subprocess.run([sys.executable, "-m", "compileall", "-q", src(root)],
+                           env=dict(os.environ, PYTHONPYCACHEPREFIX=cache), check=True)
+        first, second = (collect(root, cache) for root in args.root)
+    finally:
+        shutil.rmtree(cache)
+    if first.keys() != second.keys():
+        print(f"item sets differ: {sorted(first.keys() ^ second.keys())}")
+        sys.exit(1)
+    counts, differ = dict.fromkeys(KINDS, 0), dict.fromkeys(KINDS, 0)
+    for key in first:
+        kind = key.split(" ", 1)[0]
+        counts[kind] += 1
+        if first[key] != second[key]:
+            differ[kind] += 1
+            note = ("" if kind in ("analyze", "pairs")
+                    else sigma_difference(first[key], second[key]))
+            print(f"DIFFERS {key} {note}".rstrip())
+    for kind in KINDS:
+        print(f"{kind}: {counts[kind] - differ[kind]} of {counts[kind]} identical")
+    sys.exit(1 if differ["analyze"] or differ["pairs"] or differ["sigma"] else 0)
+
+
+if __name__ == "__main__":
+    main()
