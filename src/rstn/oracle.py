@@ -36,6 +36,7 @@ LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum indic
 BLOCK_BYTES = 1 << 19  # arrays held per block of Monte Carlo samples
 VERTEX_SPACE_CAP = 512  # largest vertex space the sampler draws states in
 SEED_MAX = 2**63 - 1  # seeds 0..SEED_MAX key the Philox streams exactly
+SAMPLE_MAX = 2**32  # sample numbers below it fit the key's 32 sample bits
 
 
 # -- link and boundary traces ----------------------------------------------
@@ -95,9 +96,9 @@ class _RawTerms:
     """One scenario's tables for the raw configuration terms.
 
     Vertex tuples, intertwiner shapes and the hybrid-sector lookup are
-    built once, and the boundary and link trace factors are memoised
-    by their spins and swap flags, so a term costs one two-operand
-    einsum plus lookups.
+    built once, and each ordered sector pair's boundary and link trace
+    factors once per pair (the traces memoised by spins and swap flags),
+    so a term costs one two-operand einsum and a product of table entries.
     """
 
     def __init__(self, sc: Scenario):
@@ -111,16 +112,28 @@ class _RawTerms:
         self.sector_of: dict[tuple, int] = {}
         for q, tup in enumerate(self.tuples):
             self.sector_of.setdefault(tup, q)
-        region = set(sc.region_C)
-        self.bounds = [
-            (f"b{k}", b.vertex, f"b{k}" in region)
-            for k, b in enumerate(g.boundary)
-        ]
-        self.links = [
-            (f"i{k}", ln.source, ln.target) for k, ln in enumerate(g.internal)
-        ]
         self.boundary_trace = functools.cache(boundary_trace)
         self.link_trace = functools.cache(link_swap_trace)
+        self.factors: dict[tuple[int, int], tuple[list, list]] = {}
+
+    def factor_table(self, m: int, n: int) -> tuple[list, list]:
+        """The pair's factors: per boundary leg its vertex, whether it lies on
+        C and its traces [unswapped, swapped]; per internal link its ends and
+        its traces [source swapped][target swapped]."""
+        if (m, n) not in self.factors:
+            sc, g, tf = self.sc, self.sc.graph, (False, True)
+            spins = {lid: (sc.spin(m, lid), sc.spin(n, lid)) for lid in g.link_ids()}
+            amps = {lid: [sc.amplitude(lid, t) for t in spins[lid]] for lid in spins
+                    if lid.startswith("i")}
+            links = {lid: [[self.link_trace(*spins[lid], *amps[lid], s, t) for t in tf]
+                           for s in tf] for lid in amps}
+            self.factors[m, n] = (
+                [(b.vertex, f"b{k}" in sc.region_C,
+                  [self.boundary_trace(*spins[f"b{k}"], s) for s in tf])
+                 for k, b in enumerate(g.boundary)],
+                [(ln.source, ln.target, links[f"i{k}"])
+                 for k, ln in enumerate(g.internal)])
+        return self.factors[m, n]
 
     def hybrid(self, m: int, n: int, down: frozenset[int]) -> int | None:
         """Sector whose vertex tuples match m outside `down` and n inside."""
@@ -154,35 +167,26 @@ class _RawTerms:
     ) -> list[float]:
         """One configuration's contributions to Z_variant^{(m,n)}, raw."""
         down = frozenset(x for x in range(self.nv) if config >> x & 1)
-        itw = self.intertwiner(m, n, down)
-        return [self._dressed(itw, m, n, down, v) for v in variants]
+        itw, table = self.intertwiner(m, n, down), self.factor_table(m, n)
+        return [_dressed(itw, table, down, v) for v in variants]
 
-    def _dressed(
-        self, total: complex, m: int, n: int, down: frozenset[int], variant: int
-    ) -> float:
-        """An intertwiner trace times the boundary and link traces."""
+
+def _dressed(total: complex, table: tuple, down: frozenset[int], variant: int) -> float:
+    """An intertwiner trace times its pair's boundary and link traces."""
+    if total == 0.0:
+        return 0.0
+    bounds, links = table
+    for vertex, in_c, traces in bounds:
+        total *= traces[(vertex in down) != (variant == 1 and in_c)]
         if total == 0.0:
             return 0.0
-        sc = self.sc
-        for lid, vertex, in_c in self.bounds:
-            swapped = (vertex in down) != (variant == 1 and in_c)
-            total *= self.boundary_trace(
-                sc.spin(m, lid), sc.spin(n, lid), swapped
-            )
-            if total == 0.0:
-                return 0.0
-        for lid, source, target in self.links:
-            tj, tk = sc.spin(m, lid), sc.spin(n, lid)
-            total *= self.link_trace(
-                tj, tk,
-                sc.amplitude(lid, tj), sc.amplitude(lid, tk),
-                source in down, target in down,
-            )
-            if total == 0.0:
-                return 0.0
-        if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
-            raise NumericalError(f"configuration term is not real: {total}")
-        return float(total.real)
+    for source, target, traces in links:
+        total *= traces[source in down][target in down]
+        if total == 0.0:
+            return 0.0
+    if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
+        raise NumericalError(f"configuration term is not real: {total}")
+    return float(total.real)
 
 
 def exact_term(
@@ -274,19 +278,74 @@ def _draw_states(
         bits.state = state
         rng.standard_normal(out=row)
     v = normals[:, 0] + 1j * normals[:, 1]
-    # the strided dots of np.linalg.norm: rows are bit for bit v / norm(v)
-    v /= np.sqrt([re.dot(re) + im.dot(im) for re, im in zip(v.real, v.imag)])[:, None]
+    # np.linalg.norm's strided dots, batched: rows are bit for bit v / norm(v)
+    re, im = v.real[:, None], v.imag[:, None]
+    v /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
     return v
 
 
-def _contract(
-    paths: dict, subscripts: str, *operands: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """np.einsum into `out`, on a greedy path found once per subscripts and shapes."""
+def _plan(subscripts: str, operands: tuple) -> list[tuple]:
+    """np.einsum's greedy path as batched-matmul steps: each operand has the
+    indices no later step reads summed and is transposed to (batch, free,
+    contracted) or (batch, contracted, free) and fused to 3 axes; one matmul
+    (a multiply where nothing is contracted, as numpy's step); its result
+    transposed to the step's indices (the output's on the last step).  A
+    step of one or of three or more operands, which numpy runs as one plain
+    einsum, keeps its subscripts.  An index has one size and no repeat
+    within an operand."""
+    path = np.einsum_path(subscripts, *operands, optimize="greedy")[0][1:]
+    *terms, output = subscripts.replace("->", ",").split(",")
+    size = {ix: d for t, op in zip(terms, operands) for ix, d in zip(t, op.shape)}
+
+    def prep(term, want, *groups):
+        drop = tuple(k for k, ix in enumerate(term) if ix not in want)
+        kept = [ix for ix in term if ix in want]
+        return (drop, list(map(kept.index, want)),
+                tuple(math.prod(size[ix] for ix in g) for g in groups))
+
+    steps = []
+    for num, pos in enumerate(path):
+        pos = sorted(pos, reverse=True)
+        ins = [terms.pop(k) for k in pos]
+        res = output if num == len(path) - 1 else "".join(sorted(
+            set("".join(ins)) & set(output).union(*terms),
+            key=lambda ix: (size[ix], ix)))
+        terms.append(res)
+        if len(ins) != 2:
+            steps.append((pos, ",".join(ins) + "->" + res))
+            continue
+        a, b = ins
+        bat, con = ([ix for ix in a if ix in b and (ix in res) == k] for k in (1, 0))
+        keep_a, keep_b = ([ix for ix in x if ix in res and ix not in y]
+                          for x, y in ((a, b), (b, a)))
+        made = bat + keep_a + keep_b
+        shape, perm = tuple(size[ix] for ix in made), tuple(map(made.index, res))
+        steps.append((pos, (prep(a, bat + keep_a + con, bat, keep_a, con),
+                            prep(b, bat + con + keep_b, bat, con, keep_b), shape, perm)))
+    return steps
+
+
+def _contract(plans: dict, subscripts: str, *operands: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """np.einsum on its greedy path into `out`, each step run as the array
+    operations `_plan` compiled once per subscripts and operand shapes."""
     key = (subscripts,) + tuple(op.shape for op in operands)
-    if key not in paths:
-        paths[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
-    return np.einsum(subscripts, *operands, optimize=paths[key], out=out)
+    if key not in plans:
+        plans[key] = _plan(subscripts, operands)
+    ops = list(operands)
+    for pos, step in plans[key]:
+        args = [ops.pop(k) for k in pos]
+        if isinstance(step, str):  # as numpy: one einsum, into `out` if last
+            ops.append(np.einsum(step, *args, out=None if ops else out))
+            continue
+        *preps, shape, perm = step
+        a, b = ((x.sum(drop) if drop else x).transpose(order).reshape(fused)
+                for x, (drop, order, fused) in zip(args, preps))
+        ab = a * b if a.shape[-1] == 1 else a @ b
+        ops.append(ab.reshape(shape).transpose(perm))
+    if ops[0] is not out:
+        out[...] = ops[0]
+    return out
 
 
 def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
@@ -299,16 +358,18 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
 
     Samples are contracted in blocks along a leading sample axis, each
     block holding about BLOCK_BYTES of vertex states, boundary tensors,
-    Gram products and rho_C, on einsum paths found once per block shape.
+    Gram products and rho_C, by `_contract` plans compiled once per shape.
     A vertex's states for a block fill one buffer, a keyed draw per row.
     Sectors whose rest spins agree stack their boundary tensors as rows
     (s, c, I) of one M; a Gram product G = M M^H holds every pair's sum
     over the rest legs, and rho^I is read off it with one matrix-vector
-    product per pair.  Where G would be larger than M (more rows than
-    rest legs), rho^I weights the ket rows before the product instead.
+    product per nonzero block.  Where G would be larger than M (more rows
+    than rest legs), rho^I weights the ket rows before the product instead.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
+    if n_samples > SAMPLE_MAX:
+        raise SizeCapError(f"{n_samples} samples exceed the cap of {SAMPLE_MAX}")
     if not 0 <= seed <= SEED_MAX:
         raise ValueError(f"seed {seed} outside 0..{SEED_MAX}")
     g = sc.graph
@@ -350,7 +411,14 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         low = max((sl.stop for sl in c_span.values()), default=0)
         c_span.setdefault(c_spins[s], slice(low, low + n_c[s]))
     dim_c = max(sl.stop for sl in c_span.values())
-    stacks = [(grp, span[grp[-1]].stop, n_rest[grp[0]]) for grp in groups.values()]
+    # per group, each nonzero rho^I block r of a (ket, bra) pair as the vector
+    # G is read with (r.T flat) or as the matrix that weights the ket rows
+    stacks = []
+    for grp in groups.values():
+        h, n_e = span[grp[-1]].stop, n_rest[grp[0]]
+        stacks.append((grp, h, n_e, [(sk, sb, r.T.reshape(-1) if h <= n_e else r)
+                                     for sk in grp for sb in grp
+                                     if (r := sc.block(sb, sk)).any()]))
 
     # network: vertex states and conjugated link pair states -> sector
     # boundary tensor A_s[sample, C legs, intertwiner indices, rest legs]
@@ -384,11 +452,11 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     per_sample = 16 * (
         sum(dims_x)
         + sum(n_c[s] * n_i[s] * n_rest[s] for s in range(n_sec))
-        + sum(h * h for _, h, n_e in stacks if h <= n_e)  # Gram products
+        + sum(h * h for _, h, n_e, _ in stacks if h <= n_e)  # Gram products
         + dim_c ** 2
     )
     block = max(1, BLOCK_BYTES // per_sample)
-    paths: dict = {}
+    plans: dict = {}
     nums = np.empty(n_samples)
     dens = np.empty(n_samples)
     for start in range(0, n_samples, block):
@@ -404,29 +472,27 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
                 off += width
             psi.append(parts)
         rho_c = np.zeros((size, dim_c, dim_c), complex)
-        for grp, height, n_e in stacks:
+        for grp, height, n_e, weights in stacks:
             m = np.empty((size, height, n_e), complex)
             for s in grp:
-                _contract(paths, network,
+                _contract(plans, network,
                           *(psi[x][tuples[s][x]] for x in range(nv)),
                           *link_states[s], out=m[:, span[s]].reshape(out_shape[s]))
             # rho_C[c, c'] += sum r[I1, I2] A_ket[c, I2, e] conj(A_bra[c', I1, e]),
             # r the rho^I block (s_bra, s_ket): read off G = M M^H as a vector
             # where G is no larger than M, else applied before the product
             gram = m @ m.conj().transpose(0, 2, 1) if height <= n_e else None
-            for sk in grp:
-                for sb in grp:
-                    r = sc.block(sb, sk)
-                    shape = (size, n_c[sk], n_i[sk], n_c[sb], n_i[sb])
-                    if gram is None:
-                        ket = r @ m[:, span[sk]].reshape(shape[:3] + (-1,))
-                        bra = m[:, span[sb]].reshape(size, n_c[sb], -1).conj()
-                        pair = ket.reshape(size, n_c[sk], -1) @ bra.transpose(0, 2, 1)
-                    else:
-                        pair = (gram[:, span[sk], span[sb]].reshape(shape)
-                                .transpose(0, 1, 3, 2, 4).reshape(-1, r.size)
-                                @ r.T.reshape(-1)).reshape(shape[:2] + shape[3:4])
-                    rho_c[:, c_span[c_spins[sk]], c_span[c_spins[sb]]] += pair
+            for sk, sb, r in weights:
+                shape = (size, n_c[sk], n_i[sk], n_c[sb], n_i[sb])
+                if gram is None:
+                    ket = r @ m[:, span[sk]].reshape(shape[:3] + (-1,))
+                    bra = m[:, span[sb]].reshape(size, n_c[sb], -1).conj()
+                    pair = ket.reshape(size, n_c[sk], -1) @ bra.transpose(0, 2, 1)
+                else:
+                    pair = (gram[:, span[sk], span[sb]].reshape(shape)
+                            .transpose(0, 1, 3, 2, 4).reshape(-1, r.size)
+                            @ r).reshape(shape[:2] + shape[3:4])
+                rho_c[:, c_span[c_spins[sk]], c_span[c_spins[sb]]] += pair
         tr = np.trace(rho_c, axis1=1, axis2=2).real
         dens[start:stop] = tr * tr
         nums[start:stop] = np.einsum("sab,sba->s", rho_c, rho_c).real

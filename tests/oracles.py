@@ -15,13 +15,15 @@ criteria by one Python pass per region, Delta and the link energies
 link by link from `cut_reference` (the cut rule on Python sets), the
 `analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
 and the bulk-boundary energy and the boundary factor by one pass over
-the links, and the Monte Carlo purity one sample at a time.
+the links, the Monte Carlo purity one sample at a time, and the exact
+oracle's terms dressed by looking every trace factor up again per term.
 `subset_traces` is no reference: it runs the engine's stacked fill on
 two given matrices, for the tests that pin that fill against einsum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -51,11 +53,16 @@ from rstn.ising import (
 )
 from rstn.logdomain import LogWeight, log_sum_tree
 from rstn.oracle import (
+    IMAG_TOL,
     LETTERS,
     MCResult,
+    NumericalError,
     _pair_state,
     _philox,
+    _RawTerms,
     _vertex_layout,
+    boundary_trace,
+    link_swap_trace,
 )
 from rstn.spins import dim_rep, intertwiner_dimension
 from rstn.state import Scenario, scenario_from_dict
@@ -863,3 +870,64 @@ def mc_purity_reference(
         jack = (nums.sum() - nums) / (dens.sum() - dens)
         stderr = math.sqrt((n - 1) / n * ((jack - jack.mean()) ** 2).sum())
     return MCResult(ratio, stderr, n, mean_num, mean_den)
+
+
+class DressedTermReference:
+    """The exact oracle's per-term dressing as `rstn.oracle._RawTerms`
+    ran it before its per-pair factor tables: every term looks up the
+    spins, amplitudes and (memoised) trace factors of its pair again."""
+
+    def __init__(self, sc: Scenario):
+        g = sc.graph
+        self.sc = sc
+        region = set(sc.region_C)
+        self.bounds = [
+            (f"b{k}", b.vertex, f"b{k}" in region)
+            for k, b in enumerate(g.boundary)
+        ]
+        self.links = [
+            (f"i{k}", ln.source, ln.target) for k, ln in enumerate(g.internal)
+        ]
+        self.boundary_trace = functools.cache(boundary_trace)
+        self.link_trace = functools.cache(link_swap_trace)
+
+    def _dressed(
+        self, total: complex, m: int, n: int, down: frozenset[int], variant: int
+    ) -> float:
+        """An intertwiner trace times the boundary and link traces."""
+        if total == 0.0:
+            return 0.0
+        sc = self.sc
+        for lid, vertex, in_c in self.bounds:
+            swapped = (vertex in down) != (variant == 1 and in_c)
+            total *= self.boundary_trace(
+                sc.spin(m, lid), sc.spin(n, lid), swapped
+            )
+            if total == 0.0:
+                return 0.0
+        for lid, source, target in self.links:
+            tj, tk = sc.spin(m, lid), sc.spin(n, lid)
+            total *= self.link_trace(
+                tj, tk,
+                sc.amplitude(lid, tj), sc.amplitude(lid, tk),
+                source in down, target in down,
+            )
+            if total == 0.0:
+                return 0.0
+        if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
+            raise NumericalError(f"configuration term is not real: {total}")
+        return float(total.real)
+
+
+def exact_purity_reference(sc: Scenario) -> tuple[float, float, float]:
+    """`rstn.oracle.exact_purity` with the package's intertwiner traces,
+    each term dressed by `DressedTermReference`, summed in the same order."""
+    raw, ref = _RawTerms(sc), DressedTermReference(sc)
+    n_sec, nv = len(sc.sectors), sc.graph.n_vertices
+    z0 = z1 = 0.0
+    for m, n, config in itertools.product(range(n_sec), range(n_sec), range(1 << nv)):
+        down = frozenset(x for x in range(nv) if config >> x & 1)
+        itw = raw.intertwiner(m, n, down)
+        z0 += ref._dressed(itw, m, n, down, 0)
+        z1 += ref._dressed(itw, m, n, down, 1)
+    return z1 / z0, z1, z0

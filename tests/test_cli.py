@@ -353,6 +353,20 @@ def test_oracle_seed_outside_philox_keys_exit_2(runner, seed):
     assert "--seed" in res.stderr
 
 
+def test_oracle_samples_beyond_philox_keys_exit_4(runner):
+    """2**32 + 1 samples would reuse the Philox key of sample 0 at the
+    next vertex: refused as a size cap, before anything is sampled."""
+    start = time.perf_counter()
+    res = runner.invoke(
+        main,
+        ["oracle", scenario_path("tiny_oracle.json"), "--method", "mc",
+         "--samples", str(2**32 + 1)],
+    )
+    assert time.perf_counter() - start < 5.0
+    assert res.exit_code == 4, res.output
+    assert f"{2**32 + 1} samples exceed the cap of {2**32}" in res.output
+
+
 def test_global_command(runner):
     res = runner.invoke(
         main,

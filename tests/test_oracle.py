@@ -1,13 +1,14 @@
 import cProfile
 import math
 import pstats
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from oracles import draw_vertex_state, mc_purity_reference
-from rings import ring_dict
+from oracles import draw_vertex_state, exact_purity_reference, mc_purity_reference
+from rings import dense_ring_dict, ring_dict
 from rstn import oracle
 from rstn.families import (
     appendix_c,
@@ -18,7 +19,9 @@ from rstn.families import (
 from rstn.ising import IsingEngine, NumericalError, SizeCapError
 from rstn.oracle import (
     AMPLITUDE_CAP,
+    SAMPLE_MAX,
     SEED_MAX,
+    _contract,
     _draw_states,
     boundary_trace,
     exact_purity,
@@ -103,6 +106,27 @@ def test_exact_purity_random_scenarios():
         assert got == pytest.approx(IsingEngine(sc).purity(), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: load_scenario(str(SCENARIOS / "tiny_oracle.json")),
+     lambda: load_scenario(str(SCENARIOS / "once_fine_grained.json")),
+     tiny_generic, lambda: appendix_c(2), lambda: appendix_c(2, **BLOCK_PARAMS),
+     lambda: once_fine_grained(1)]
+    + [lambda k=k: random_scenario(np.random.default_rng(300 + k),
+                                   ("one", "two", "chain")[k % 3],
+                                   n_sectors=1 + k % 3, max_twice=3)
+       for k in range(10)],
+    ids=["tiny_oracle.json", "once_fine_grained.json", "tiny_generic",
+         "appendix_c2", "appendix_c2_blocks", "once_fine_grained1"]
+    + [f"random{k}" for k in range(10)],
+)
+def test_exact_purity_matches_per_term_lookups(make):
+    """The per-pair factor tables multiply the same factors in the same
+    order as looking each one up again per term: bit for bit."""
+    sc = make()
+    assert exact_purity(sc) == exact_purity_reference(sc)
+
+
 def test_exact_size_cap():
     sc = appendix_c(40, 0.3, 0.25, 0.45)
     with pytest.raises(SizeCapError,
@@ -182,6 +206,21 @@ def test_mc_reads_no_os_entropy():
     assert not [name for name in called if "urandom" in name]
 
 
+def test_mc_sample_count_beyond_philox_keys_refused():
+    """Sample numbers take the low 32 bits of the Philox key, so sample
+    2**32 of vertex 0 would draw the state of sample 0 of vertex 1: more
+    than SAMPLE_MAX samples are refused before any array is allocated."""
+    assert np.array_equal(_draw_states(7, 0, 2**32, 2**32 + 1, 8),
+                          _draw_states(7, 1, 0, 1, 8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=f"{SAMPLE_MAX + 1} samples exceed"):
+            mc_purity(tiny_generic(), SAMPLE_MAX + 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_schur_second_moment():
     assert schur_moment_error(4) < 0.1
 
@@ -206,6 +245,16 @@ def assert_matches_reference(got, want):
             assert math.isnan(g), field
         else:
             assert g == pytest.approx(w, rel=1e-12, abs=0.0), field
+
+
+def ring3_spin1():
+    """A 3-vertex ring, internal legs of spin 1 and two spin-1/2 boundary
+    legs per vertex: every vertex-pair intermediate (576 per sample) is
+    larger than a vertex state (72) and the output (512), so numpy's greedy
+    path ends in one einsum over all three vertex states."""
+    data = dense_ring_dict(3, np.random.default_rng(1))
+    data["sectors"][0]["spins"].update({f"i{x}": 2 for x in range(3)})
+    return scenario_from_dict(data)
 
 
 def block_sizes(monkeypatch, sc, n_samples):
@@ -241,8 +290,11 @@ def test_mc_matches_per_sample_reference_at_block_edges(monkeypatch, name):
 @pytest.mark.parametrize(
     "make, n_samples",
     [(lambda: appendix_c(2, **BLOCK_PARAMS), 7),
-     (lambda: once_fine_grained(1), 7)],
-    ids=["appendix_c2", "once_fine_grained1"],
+     (lambda: once_fine_grained(1), 7),
+     (lambda: random_scenario(np.random.default_rng(0), "one", n_sectors=2,
+                              max_twice=2), 7),
+     (ring3_spin1, 7)],
+    ids=["appendix_c2", "once_fine_grained1", "one_vertex", "ring3_spin1"],
 )
 def test_mc_matches_per_sample_reference(make, n_samples):
     sc = make()
@@ -289,3 +341,103 @@ def test_mc_matches_reference_across_rest_spin_groups(
     for n in (1, block - 1, block, block + 1, 2 * block + 5):
         got = mc_purity(sc, n, seed=3)
         assert_matches_reference(got, mc_purity_reference(sc, n, seed=3))
+
+
+def mc_networks(sc, n_samples):
+    """Every distinct (subscripts, operands) `mc_purity` contracts."""
+    seen = {}
+    contract = oracle._contract
+
+    def spy(plans, subscripts, *operands, out):
+        seen.setdefault((subscripts,) + tuple(op.shape for op in operands),
+                        (subscripts, [op.copy() for op in operands]))
+        return contract(plans, subscripts, *operands, out=out)
+
+    oracle._contract = spy
+    try:
+        mc_purity(sc, n_samples, seed=3)
+    finally:
+        oracle._contract = contract
+    return list(seen.values())
+
+
+def random_operands(shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+
+
+def einsum_on_path(subscripts, operands):
+    path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+# numpy's einsum runs each pairwise step of a path as batched matmuls (its
+# `bmm_einsum`) only from a 2.x release on; there the plan does numpy's
+# arithmetic and matches bit for bit.  Releases that route steps through
+# tensordot or c_einsum sum in another order: within 1e-14 of the largest
+# entry (1.2e-15 measured against c_einsum on the networks below).
+BMM_EINSUM = "bmm_einsum" in getattr(np.einsum, "__wrapped__", np.einsum).__globals__
+
+
+def assert_same_contraction(got, want, subscripts):
+    if BMM_EINSUM:
+        assert np.array_equal(got, want), subscripts
+    else:
+        assert np.allclose(got, want, rtol=0, atol=1e-14 * abs(want).max()), subscripts
+
+
+@pytest.mark.parametrize(
+    "make, n_samples",
+    [(tiny_generic, 400), (lambda: appendix_c(2), 100),
+     (lambda: once_fine_grained(1), 3), (ring3_spin1, 3)],
+    ids=["tiny_generic", "appendix_c2", "once_fine_grained1", "ring3_spin1"],
+)
+def test_compiled_plan_matches_einsum_on_mc_networks(make, n_samples):
+    """Every network contraction of the Monte Carlo oracle is np.einsum on
+    the same greedy path: the plan runs the same matmuls on the same fused
+    operands, including size-1 intertwiner axes, and a step numpy takes
+    over three operands as the same einsum."""
+    networks = mc_networks(make(), n_samples)
+    assert networks
+    for subscripts, operands in networks:
+        want = einsum_on_path(subscripts, operands)
+        got = _contract({}, subscripts, *operands, out=np.empty_like(want))
+        assert_same_contraction(got, want, subscripts)
+
+
+@pytest.mark.parametrize(
+    "subscripts, shapes",
+    [("sab,sbc,scd->sad", [(4, 3, 5), (4, 5, 2), (4, 2, 3)]),  # batch carried
+     ("sab,sbc->sca", [(4, 3, 5), (4, 5, 2)]),  # result transposed
+     ("abx,bc->ac", [(3, 4, 6), (4, 5)]),  # x summed in one operand only
+     ("ab,bc,cd->ad", [(1, 4), (4, 1), (1, 3)]),  # contracting size-1 axes
+     ("ab,cd->abcd", [(3, 4), (5, 2)]),  # outer product
+     ("sab,sc->sabc", [(4, 1, 3), (4, 2)]),  # batched outer product
+     ("ab,cd,ef->fabdec", [(2, 3), (3, 2), (2, 2)]),  # one step, 3 operands
+     ("sabc->scb", [(4, 2, 3, 5)])],  # one operand
+)
+def test_compiled_plan_matches_einsum_on_synthetic_networks(subscripts, shapes):
+    """np.einsum on its greedy path, steps that contract nothing included
+    (a multiply, as in numpy's step) and steps numpy takes as one plain
+    einsum, into a fresh array and into a non-contiguous `out` view that is
+    written and nothing else."""
+    operands = random_operands(shapes)
+    want = einsum_on_path(subscripts, operands)
+    buf = np.zeros(want.shape + (2,), complex)
+    for out in (np.empty_like(want), buf[..., 1]):
+        got = _contract({}, subscripts, *operands, out=out)
+        assert got is out
+        assert_same_contraction(got, want, subscripts)
+    assert not buf[..., 0].any()
+
+
+def test_mc_finds_each_einsum_path_once_per_network_shape():
+    """appendix_c(2) at 100 samples contracts 68 networks of 4 distinct
+    shapes (2 sectors, a full and a last short block): einsum_path runs
+    once per shape, not once per contraction."""
+    sc = appendix_c(2)
+    assert len(mc_networks(sc, 100)) == 4
+    prof = cProfile.Profile()
+    prof.runcall(mc_purity, sc, 100, 7)
+    calls = {name: count for (_, _, name), (count, *_) in pstats.Stats(prof).stats.items()}
+    assert calls["einsum_path"] == 4

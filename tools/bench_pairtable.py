@@ -28,11 +28,12 @@ interpreter per case times `IsingEngine(sc).purity()` and reads its peak RSS:
 
 The mc stage, ROUNDS rounds, reports per round the median over MC_REPS
 calls of `mc_purity(tiny_generic(), 400, 7)` and of
-`mc_purity(appendix_c(2), 100, 7)` (perfbench's oracle inputs), and the
-wall seconds of one fresh interpreter running `rstn oracle FILE
---method mc` (2000 samples) on each of MC_FILES, after one untimed run
-per root has written the bytecode of everything the command imports
-into the cache.
+`mc_purity(appendix_c(2), 100, 7)` (perfbench's oracle inputs), and of
+`exact_purity` on `once_fine_grained(1)` and `appendix_c(2)` (the
+exact oracle's two largest perfbench inputs), and the wall seconds of
+one fresh interpreter running `rstn oracle FILE --method mc` (2000
+samples) on each of MC_FILES, after one untimed run per root has
+written the bytecode of everything the command imports into the cache.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ CAP_CASES = {"ring24_exact": (24, 1, "exact"),
 STAGES = ("init", "sigma", "table")
 ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
 MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
-            "appendix_c2_100": ("appendix_c", (2,), 100)}
+            "appendix_c2_100": ("appendix_c", (2,), 100),
+            "exact_once_fine_grained1": ("once_fine_grained", (1,), None),
+            "exact_appendix_c2": ("appendix_c", (2,), None)}
 MC_FILES = ("tiny_oracle.json", "once_fine_grained.json")
 MC_REPS = 15
 
@@ -100,23 +103,26 @@ def stages() -> dict:
 
 def mc_stage() -> dict:
     """Median seconds of each MC_CASES call over MC_REPS calls, after
-    one untimed call."""
+    one untimed call: `mc_purity` at the given samples, `exact_purity`
+    where there are none."""
     import time
 
     from rstn import families
-    from rstn.oracle import mc_purity
+    from rstn.oracle import exact_purity, mc_purity
 
     out = {}
     for name, (family, args, samples) in MC_CASES.items():
         sc = getattr(families, family)(*args)
-        mc_purity(sc, samples, 7)
+        call = ((lambda: exact_purity(sc)[0]) if samples is None
+                else (lambda: mc_purity(sc, samples, 7).purity))
+        call()
         times = []
         for _ in range(MC_REPS):
             t0 = time.perf_counter()
-            res = mc_purity(sc, samples, 7)
+            purity = call()
             times.append(time.perf_counter() - t0)
         out[name] = statistics.median(times)
-        out[name + "_purity"] = res.purity
+        out[name + "_purity"] = purity
     return out
 
 

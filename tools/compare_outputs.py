@@ -14,7 +14,14 @@ first and which is removed at the end, so that no checkout is left with
   pairs    `repr(IsingEngine(sc).all_pairs())` on every corpus scenario;
   sigma    the bytes of `_sigma_array(m, n)` for every pair m <= n, read
            once the pair table is built;
-  lower    the same for every pair m > n.
+  lower    the same for every pair m > n;
+  oracle   the repr of each field of `exact_purity` (purity, z1, z0) and
+           of `mc_purity` (purity, stderr, mean_num, mean_den), seed 7:
+           `tiny_generic()`, `appendix_c(2)` and `once_fine_grained(1)`
+           exactly and by Monte Carlo at perfbench's sample counts (400,
+           100, and 48 for `once_fine_grained(1)`), and the bundled
+           `tiny_oracle.json` and `once_fine_grained.json` exactly and at
+           2000 samples.
 
 The corpus: the families (`appendix_c` at twice-spins 2 and 4, plain
 and with coherent blocks, `two_sector`, `tiny_generic` in both modes,
@@ -24,9 +31,11 @@ and with coherent blocks, `two_sector`, `tiny_generic` in both modes,
 
 It prints one line per item that differs (for sigma and lower, with the
 largest difference relative to max(1, |sigma|) and whether the inf/NaN
-patterns agree), then a count per kind.  The exit status is 1 when an
-analyze, pairs or sigma item differs; lower only reports, since σ_I^{(m,n)}
-and σ_I^{(n,m)} agree only up to rounding when they are built apart.
+patterns agree; for oracle, each differing field with its relative
+difference), then a count per kind.  The exit status is 1 when an
+analyze, pairs, sigma or oracle item differs; lower only reports, since
+σ_I^{(m,n)} and σ_I^{(n,m)} agree only up to rounding when they are built
+apart.
 """
 
 from __future__ import annotations
@@ -45,7 +54,11 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 N_DRAWS = 40
 BLOCK_PARAMS = dict(a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j,
                     v=0.07 + 0.02j)
-KINDS = ("analyze", "pairs", "sigma", "lower")
+KINDS = ("analyze", "pairs", "sigma", "lower", "oracle")
+# Monte Carlo samples: perfbench's oracle workload, a few for the five-vertex
+# family, and the CLI default for the bundled files
+MC_SAMPLES = {"tiny_generic": 400, "appendix_c(2)": 100, "once_fine_grained(1)": 48,
+              "tiny_oracle.json": 2000, "once_fine_grained.json": 2000}
 
 
 def corpus(root: str) -> dict:
@@ -98,6 +111,28 @@ def engine_outputs(root: str) -> dict:
     return items
 
 
+def oracle_outputs(root: str) -> dict:
+    """oracle items of one root: the repr of every result field."""
+    from rstn import families
+    from rstn.oracle import exact_purity, mc_purity
+    from rstn.state import load_scenario
+
+    bundled = os.path.join(src(root), "rstn", "scenarios")
+    scenarios = {"tiny_generic": families.tiny_generic(),
+                 "appendix_c(2)": families.appendix_c(2),
+                 "once_fine_grained(1)": families.once_fine_grained(1),
+                 **{name: load_scenario(os.path.join(bundled, name))
+                    for name in ("tiny_oracle.json", "once_fine_grained.json")}}
+    fields = ("purity", "stderr", "mean_num", "mean_den")
+    items = {}
+    for name, sc in scenarios.items():
+        items[f"oracle {name} exact"] = [repr(float(v)) for v in exact_purity(sc)]
+        res = mc_purity(sc, MC_SAMPLES[name], 7)
+        items[f"oracle {name} mc {MC_SAMPLES[name]}"] = [
+            repr(float(getattr(res, f))) for f in fields]
+    return items
+
+
 def analyze_outputs(root: str, cache: str) -> dict:
     """analyze items of one root, one fresh interpreter per command."""
     env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
@@ -142,6 +177,16 @@ def sigma_difference(a: str, b: str) -> str:
             f"{x.size} sets; inf/NaN patterns {'equal' if same else 'DIFFER'}")
 
 
+def oracle_difference(a: list[str], b: list[str]) -> str:
+    """Relative difference of each field that differs, by position (to the
+    larger magnitude; absolute where both are zero, as 0.0 and -0.0)."""
+    def rel(x: float, y: float) -> float:
+        return abs(x - y) / (max(abs(x), abs(y)) or 1.0)
+
+    return "; ".join(f"field {k}: {x} vs {y}, relative {rel(float(x), float(y)):.3g}"
+                     for k, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", action="append", default=[])
@@ -149,7 +194,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.child:
         with open(args.child[1], "w", encoding="utf-8") as fh:
-            json.dump(engine_outputs(args.child[0]), fh)
+            json.dump({**engine_outputs(args.child[0]),
+                       **oracle_outputs(args.child[0])}, fh)
         return
     if len(args.root) != 2:
         ap.error("give exactly two --root NAME=PATH")
@@ -171,11 +217,13 @@ def main() -> None:
         if first[key] != second[key]:
             differ[kind] += 1
             note = ("" if kind in ("analyze", "pairs")
+                    else oracle_difference(first[key], second[key]) if kind == "oracle"
                     else sigma_difference(first[key], second[key]))
             print(f"DIFFERS {key} {note}".rstrip())
     for kind in KINDS:
         print(f"{kind}: {counts[kind] - differ[kind]} of {counts[kind]} identical")
-    sys.exit(1 if differ["analyze"] or differ["pairs"] or differ["sigma"] else 0)
+    sys.exit(1 if differ["analyze"] or differ["pairs"] or differ["sigma"]
+             or differ["oracle"] else 0)
 
 
 if __name__ == "__main__":
