@@ -7,12 +7,14 @@
     rstn oracle <file> [--method exact|mc] [--samples N] [--seed 0..2^63-1]
     rstn global --n-outer N --n-a K [--core-purity q] [--jmin 2j] [--jmax 2J]
 
-Exit codes: 2 parse error, 3 validation error, 4 size cap exceeded
-(also `analyze --terms` beyond MAX_TERM_ROWS rows), 5 no holographic
-weights exist, 6 numerical failure (a bulk-state trace that Delta
-admits or an exact-oracle term is not real, or the normalization sum
-vanishes).  Reports are JSON (CSV for sweeps), deterministic for fixed
-input, flags and seed, and embed a SHA-256 hash of the input file.
+Exit codes: 2 parse error, 3 validation error (also a sweep input that
+is not its parameter's family's output), 4 size cap exceeded (also
+`analyze --terms` beyond MAX_TERM_ROWS rows, a sweep grid beyond
+MAX_GRID_VALUES values), 5 no holographic weights exist, 6 numerical
+failure (a bulk-state trace that Delta admits or an exact-oracle term
+is not real, or the normalization sum vanishes).  Reports are JSON
+(CSV for sweeps), deterministic for fixed input, flags and seed, and
+embed a SHA-256 hash of the input file.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
 from rstn.holography import InfeasibleError, analyze_holography, solve_weights
 from rstn.ising import IsingEngine, NumericalError, SizeCapError
 from rstn.oracle import SEED_MAX, exact_purity, mc_purity
-from rstn.state import (
-    ParseError,
-    Scenario,
-    ValidationError,
-    content_hash,
-    load_scenario,
-)
+from rstn.state import ParseError, ValidationError, content_hash, load_scenario
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -47,6 +43,7 @@ EXIT_SIZE = 4
 EXIT_INFEASIBLE = 5
 EXIT_NUMERICAL = 6
 MAX_TERM_ROWS = 2**19  # `analyze --terms`: about 2.3 KB of memory per row
+MAX_GRID_VALUES = 10_000  # `sweep --grid`: one full analysis per value
 
 
 def _fail(code: int, message: str):
@@ -187,108 +184,85 @@ def solve_weights_cmd(path, out):
 
 
 def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        try:
+    ranged = ":" in text
+    try:
+        if ranged:
             lo, hi, num = text.split(":")
             lo, hi, num = float(lo), float(hi), int(num)
-        except ValueError as exc:
-            raise ParseError(f"grid {text!r}: expected lo:hi:count") from exc
-        if num < 1:
-            raise ParseError(f"grid {text!r}: count must be at least 1")
+        else:
+            values = [float(tok) for tok in text.split(",")]
+            num = len(values)
+    except ValueError as exc:
+        form = "lo:hi:count" if ranged else "comma list"
+        raise ParseError(f"grid {text!r}: expected {form}") from exc
+    if num < 1:
+        raise ParseError(f"grid {text!r}: count must be at least 1")
+    if num > MAX_GRID_VALUES:
+        raise SizeCapError(f"the grid has {num} values, over the limit of "
+                           f"{MAX_GRID_VALUES}")
+    if ranged:
         with np.errstate(all="ignore"):  # non-finite values fail below
             values = list(np.linspace(lo, hi, num))
-    else:
-        try:
-            values = [float(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"grid {text!r}: expected comma list") from exc
     if not all(math.isfinite(v) for v in values):
         raise ParseError(f"grid {text!r}: values must be finite")
     return values
 
 
-def _pinwheel_params(sc: Scenario) -> dict:
-    """Recover the benchmark family parameters from a scenario.
-
-    Sweeps rebuild the two-vertex benchmark families, so the input
-    must be one of them: two sectors on the pinwheel graph.
-    """
-    g = sc.graph
-    if g.n_vertices != 2 or len(g.internal) != 1 or len(sc.sectors) != 2:
-        raise ValidationError(
-            "sweeps need a two-sector scenario on the two-vertex "
-            "benchmark graph"
-        )
-    blk = sc.block(0, 0)
-    cross = sc.block(0, 1)
-    return {
-        "twice_s": sc.spin(0, "b3"),
-        "a": float(blk[0, 0].real) if blk.shape == (2, 2) else None,
-        "d": float(blk[1, 1].real) if blk.shape == (2, 2) else None,
-        "b": complex(blk[0, 1]) if blk.shape == (2, 2) else 0.0,
-        "u": complex(cross[0, 0]) if cross.size >= 1 else 0.0,
-        "v": complex(cross[1, 0]) if cross.size >= 2 else 0.0,
-        "w": float(sc.block(1, 1)[0, 0].real),
-        "region": "s_link" if sc.region_C == ("b3",) else "x",
-        "c0": sc.c_norm(0),
-    }
+def _nu_keywords(kw: dict, nu: float) -> dict:
+    t = round(nu * (kw["twice_s"] + 1)) - 1
+    if not 1 <= t <= kw["twice_s"]:
+        raise ValidationError(f"nu={nu} leaves no valid sector")
+    return {"twice_t": t}
 
 
-SWEEP_PARAMS = ("s-scale", "a", "d", "w", "b", "u", "v", "nu", "c_n")
-
-
-def _sweep_scenario(sc: Scenario, param: str, value: float) -> Scenario:
-    from rstn.families import appendix_c, two_sector
-
-    p = _pinwheel_params(sc)
-    if param in ("nu", "c_n"):
-        s = p["twice_s"]
-        if param == "nu":
-            t = round(value * (s + 1)) - 1
-            if not 1 <= t <= s:
-                raise ValidationError(f"nu={value} leaves no valid sector")
-            return two_sector(s, t, p["c0"], mode=sc.mode)
-        return two_sector(s, sc.spin(1, "b3"), value, mode=sc.mode)
-    kw = {
-        "a": p["a"], "d": p["d"], "w": p["w"],
-        "b": p["b"], "u": p["u"], "v": p["v"],
-    }
-    if param == "s-scale":
-        s = int(round(value))
-    else:
-        s = p["twice_s"]
-        if param == "w":
-            # diagonal sweeps keep the state block-diagonal
-            kw.update(w=value, a=(1 - value) / 2, d=(1 - value) / 2,
-                      b=0.0, u=0.0, v=0.0)
-        elif param in ("a", "d"):
-            kw[param] = value
-            kw.update(w=1.0 - (kw["a"] + kw["d"]), b=0.0, u=0.0, v=0.0)
-        else:
-            kw[param] = value
-    return appendix_c(s, region=p["region"], mode=sc.mode, **kw)
+_DIAGONAL = {"b": 0.0, "u": 0.0, "v": 0.0}  # no off-diagonal bulk entries
+# sweep parameter -> its family, and the keywords that a grid value x sets
+# in the input's own call `kw` of that family (`rstn.families.family_call`);
+# the sweeps of w, a and d keep the state block-diagonal
+SWEEPS = {
+    "s-scale": ("appendix_c", lambda kw, x: {"twice_s": int(round(x))}),
+    "a": ("appendix_c", lambda kw, x: {"a": x, "w": 1.0 - (x + kw["d"]), **_DIAGONAL}),
+    "d": ("appendix_c", lambda kw, x: {"d": x, "w": 1.0 - (kw["a"] + x), **_DIAGONAL}),
+    "w": ("appendix_c",
+          lambda kw, x: {"w": x, "a": (1 - x) / 2, "d": (1 - x) / 2, **_DIAGONAL}),
+    "b": ("appendix_c", lambda kw, x: {"b": x}),
+    "u": ("appendix_c", lambda kw, x: {"u": x}),
+    "v": ("appendix_c", lambda kw, x: {"v": x}),
+    "nu": ("two_sector", _nu_keywords),
+    "c_n": ("two_sector", lambda kw, x: {"c0": x}),
+}
 
 
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--param", type=click.Choice(SWEEP_PARAMS), required=True)
+@click.option("--param", type=click.Choice(list(SWEEPS)), required=True)
 @click.option("--grid", required=True,
               help="comma list of values, or lo:hi:count")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guarded
 def sweep(path, param, grid, out):
-    """Purity along a one-parameter family around a benchmark scenario."""
+    """Purity along a one-parameter family around a benchmark scenario.
+
+    The input must be the output of the family that PARAM belongs to.
+    """
+    from rstn.families import family_call  # only sweeps rebuild families
+
+    family, keywords = SWEEPS[param]
+    values = _parse_grid(grid)
     sc = load_scenario(path)
-    rows = []
-    for value in _parse_grid(grid):
-        swept = _sweep_scenario(sc, param, value)
-        holo = analyze_holography(swept)
-        rows.append((value, holo.purity, holo.ratio))
+    try:
+        builder, kw = family_call(sc)
+        if builder.__name__ != family:
+            raise ValidationError(f"it is {builder.__name__}'s output")
+    except ValidationError as exc:
+        raise ValidationError(f"--param {param} needs a scenario that "
+                              f"{family} builds; {exc}") from None
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([param, "purity", "ratio"])
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
+    for value in values:
+        holo = analyze_holography(builder(**{**kw, **keywords(kw, value)}))
+        writer.writerow([repr(float(v)) for v in (value, holo.purity, holo.ratio)])
     _write(buf.getvalue(), out)
 
 
@@ -311,19 +285,15 @@ def oracle(path, method, samples, seed, out):
         "engine_purity": engine_value,
     }
     if method == "exact":
-        value, _, _ = exact_purity(sc)
-        report["oracle_purity"] = value
-        report["discrepancy"] = abs(value - engine_value)
+        report["oracle_purity"] = exact_purity(sc)[0]
     else:
         res = mc_purity(sc, samples, seed)
-        report["oracle_purity"] = res.purity
-        report["stderr"] = _finite(res.stderr)
-        report["samples"] = samples
-        report["seed"] = seed
-        report["discrepancy"] = abs(res.purity - engine_value)
-        report["z_score"] = (
-            report["discrepancy"] / res.stderr if report["stderr"] else None
-        )
+        report.update(oracle_purity=res.purity, stderr=_finite(res.stderr),
+                      samples=samples, seed=seed)
+    report["discrepancy"] = abs(report["oracle_purity"] - engine_value)
+    if method == "mc":
+        report["z_score"] = (report["discrepancy"] / res.stderr
+                             if report["stderr"] else None)
     _emit(report, out)
 
 

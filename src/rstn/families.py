@@ -4,19 +4,23 @@ These builders produce `Scenario` objects for the recurring benchmark
 geometries: the two-vertex pinwheel with a high-spin third leg (in a
 single- and a two-sector variant), the once-fine-grained vertex, and
 a tiny generic two-vertex case used to pin down the brute-force
-reference.  Random scenarios for property tests live here too so the
-test-suite and the CLI draw from the same pool.
+reference.  `family_call` reads the two pinwheel families' parameters
+back from a scenario, and `random_scenario` draws scenarios for the
+property tests.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from rstn.graph import BoundaryLink, ColoredGraph, Link
 from rstn.spins import intertwiner_dimension
-from rstn.state import Scenario, Sector
+from rstn.state import Scenario, Sector, ValidationError, scenario_to_dict
+
+_APPENDIX_C_REGIONS = {"x": ("b5",), "s_link": ("b3",)}  # `appendix_c` region -> C
 
 
 def _pinwheel_graph() -> ColoredGraph:
@@ -33,6 +37,11 @@ def _pinwheel_graph() -> ColoredGraph:
             BoundaryLink(1, 2), BoundaryLink(1, 3), BoundaryLink(1, 4),
         ],
     )
+
+
+def _pinwheel_spins(tw: int, x: int) -> dict[str, int]:
+    """Twice-spins tw on i0 and the spin-s legs, 3 tw on b2 and x on b5."""
+    return {"i0": tw, "b0": tw, "b1": tw, "b2": 3 * tw, "b3": tw, "b4": tw, "b5": x}
 
 
 def appendix_c(
@@ -63,24 +72,15 @@ def appendix_c(
         a = d = (1.0 - w) / 2.0
     elif a is None or d is None:
         raise ValueError("give both a and d or neither")
-    graph = _pinwheel_graph()
-    base = {"i0": S, "b0": S, "b1": S, "b2": 3 * S, "b3": S, "b4": S}
-    sec_j = Sector({**base, "b5": 3 * S - 2}, name="j")
-    sec_k = Sector({**base, "b5": 3 * S}, name="k")
+    sectors = [Sector(_pinwheel_spins(S, 3 * S - 2), "j"),
+               Sector(_pinwheel_spins(S, 3 * S), "k")]
     blocks = {
         (0, 0): np.array([[a, b], [np.conj(b), d]], dtype=complex),
         (0, 1): np.array([[u], [v]], dtype=complex),
         (1, 1): np.array([[w]], dtype=complex),
     }
-    region_C = {"x": ["b5"], "s_link": ["b3"]}[region]
-    return Scenario(
-        graph=graph,
-        sectors=[sec_j, sec_k],
-        amplitudes={},
-        blocks=blocks,
-        region_C=region_C,
-        mode=mode,
-    )
+    return Scenario(graph=_pinwheel_graph(), sectors=sectors, amplitudes={},
+                    blocks=blocks, region_C=_APPENDIX_C_REGIONS[region], mode=mode)
 
 
 def two_sector(
@@ -98,26 +98,56 @@ def two_sector(
     """
     if not (0.0 <= c0 <= 1.0):
         raise ValueError("c0 must lie in [0, 1]")
-    graph = _pinwheel_graph()
-
-    def spins(tw: int) -> dict[str, int]:
-        return {
-            "i0": tw, "b0": tw, "b1": tw, "b2": 3 * tw,
-            "b3": tw, "b4": tw, "b5": 3 * tw - 2,
-        }
-
+    sectors = [Sector(_pinwheel_spins(tw, 3 * tw - 2), name)
+               for tw, name in ((twice_s, "s"), (twice_t, "t"))]
     blocks = {
         (0, 0): c0 / 2.0 * np.eye(2, dtype=complex),
         (1, 1): (1.0 - c0) / 2.0 * np.eye(2, dtype=complex),
     }
-    return Scenario(
-        graph=graph,
-        sectors=[Sector(spins(twice_s), "s"), Sector(spins(twice_t), "t")],
-        amplitudes={},
-        blocks=blocks,
-        region_C=["b5"],
-        mode=mode,
-    )
+    return Scenario(graph=_pinwheel_graph(), sectors=sectors, amplitudes={},
+                    blocks=blocks, region_C=["b5"], mode=mode)
+
+
+def family_call(sc: Scenario) -> tuple[Callable[..., Scenario], dict]:
+    """The `appendix_c` or `two_sector` call (builder, keywords) whose scenario
+    equals `sc` but for sector names; ValidationError if there is none."""
+    if len(sc.sectors) == 2 and sc.graph == _pinwheel_graph():
+        for builder, read in ((appendix_c, _appendix_c_kwargs),
+                              (two_sector, _two_sector_kwargs)):
+            try:  # blocks of other shapes, or a call the builder refuses
+                kwargs = read(sc)
+                rebuilt = builder(**kwargs)
+            except ValueError:
+                continue
+            if _layout(rebuilt) == _layout(sc):
+                return builder, kwargs
+    raise ValidationError("no appendix_c or two_sector call rebuilds it")
+
+
+def _appendix_c_kwargs(sc: Scenario) -> dict:
+    (a, b), (_, d) = sc.block(0, 0)
+    (u,), (v,) = sc.block(0, 1)
+    ((w,),) = sc.block(1, 1)
+    # a C that no region marks fails the comparison in family_call
+    region = {C: r for r, C in _APPENDIX_C_REGIONS.items()}.get(sc.region_C, "x")
+    return {"twice_s": sc.spin(0, "i0"), "a": float(a.real), "d": float(d.real),
+            "w": float(w.real), "b": complex(b), "u": complex(u), "v": complex(v),
+            "region": region, "mode": sc.mode}
+
+
+def _two_sector_kwargs(sc: Scenario) -> dict:
+    return {"twice_s": sc.spin(0, "i0"), "twice_t": sc.spin(1, "i0"),
+            "c0": sc.c_norm(0), "mode": sc.mode}
+
+
+def _layout(sc: Scenario) -> dict:
+    """`sc` as data but for sector names, with the blocks of every pair."""
+    data = scenario_to_dict(sc)
+    for sec in data["sectors"]:
+        del sec["name"]
+    n = len(sc.sectors)
+    data["intertwiner"]["blocks"] = [sc.block(*mn).tolist() for mn in np.ndindex(n, n)]
+    return data
 
 
 def once_fine_grained(twice_j: int = 1) -> Scenario:

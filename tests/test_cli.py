@@ -11,9 +11,10 @@ from click.testing import CliRunner
 
 import rstn
 from rings import ring_dict
-from rstn import ising, oracle
+from rstn import cli, ising, oracle
 from rstn.cli import main
-from rstn.families import appendix_c
+from rstn.families import appendix_c, two_sector
+from rstn.holography import analyze_holography
 from rstn.state import scenario_to_dict
 
 SCENARIOS = resources.files("rstn") / "scenarios"
@@ -321,6 +322,113 @@ def test_sweep_bad_grid_is_parse_error(runner, grid):
     assert res.stdout == ""
 
 
+# each sweep parameter on its family's bundled file: the grid, and the
+# family call that each grid value x should analyze
+APPENDIX_C_FILE = dict(twice_s=20, a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j,
+                       u=0.12 - 0.03j, v=0.07 + 0.02j)
+DIAGONAL = dict(b=0.0, u=0.0, v=0.0)
+SWEEP_CASES = {
+    "s-scale": ("appendix_c.json", "2,4",
+                lambda x: appendix_c(**{**APPENDIX_C_FILE, "twice_s": int(x)})),
+    "a": ("appendix_c.json", "0.2,0.35", lambda x: appendix_c(
+        20, a=x, d=0.25, w=0.75 - x, **DIAGONAL)),
+    "d": ("appendix_c.json", "0.1,0.4", lambda x: appendix_c(
+        20, a=0.3, d=x, w=0.7 - x, **DIAGONAL)),
+    "w": ("appendix_c.json", "0.3,0.6", lambda x: appendix_c(
+        20, a=(1 - x) / 2, d=(1 - x) / 2, w=x, **DIAGONAL)),
+    "b": ("appendix_c.json", "0.05,-0.1",
+          lambda x: appendix_c(**{**APPENDIX_C_FILE, "b": x})),
+    "u": ("appendix_c.json", "0.05,0.2",
+          lambda x: appendix_c(**{**APPENDIX_C_FILE, "u": x})),
+    "v": ("appendix_c.json", "0.0,0.1",
+          lambda x: appendix_c(**{**APPENDIX_C_FILE, "v": x})),
+    "nu": ("two_sector_nu.json", "0.25,0.5",
+           lambda x: two_sector(399, round(400 * x) - 1, 0.5)),
+    "c_n": ("two_sector_nu.json", "0.3,0.7", lambda x: two_sector(399, 199, x)),
+}
+FAMILY_OF = {"appendix_c.json": "appendix_c", "two_sector_nu.json": "two_sector"}
+
+
+@pytest.mark.parametrize("param", sorted(SWEEP_CASES))
+def test_sweep_analyzes_the_input_family_call(runner, param):
+    name, grid, call = SWEEP_CASES[param]
+    res = runner.invoke(
+        main, ["sweep", scenario_path(name), "--param", param, "--grid", grid])
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().splitlines()
+    assert lines[0] == f"{param},purity,ratio"
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [float(x) for x in grid.split(",")]
+    for x, purity, ratio in rows:
+        holo = analyze_holography(call(x))
+        assert purity == pytest.approx(holo.purity, rel=1e-12)
+        assert ratio == pytest.approx(holo.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", ["0.001", "1.5"])
+def test_sweep_nu_without_a_valid_sector_exit_3(runner, nu):
+    res = runner.invoke(main, ["sweep", scenario_path("two_sector_nu.json"),
+                               "--param", "nu", "--grid", f"0.5,{nu}"])
+    assert res.exit_code == 3, res.output
+    assert f"nu={float(nu)} leaves no valid sector" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("name, param", [
+    (name, param) for name in sorted(FAMILY_OF) for param in sorted(SWEEP_CASES)
+    if SWEEP_CASES[param][0] != name])
+def test_sweep_of_the_other_family_exit_3(runner, name, param):
+    needed = FAMILY_OF[SWEEP_CASES[param][0]]
+    res = runner.invoke(
+        main, ["sweep", scenario_path(name), "--param", param, "--grid", "0.5"])
+    assert res.exit_code == 3, res.output
+    assert f"--param {param} needs a scenario that {needed} builds" in res.stderr
+    assert f"it is {FAMILY_OF[name]}'s output" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("param", ["w", "nu"])
+def test_sweep_of_a_pinwheel_no_family_rebuilds_exit_3(runner, tmp_path, param):
+    data = scenario_to_dict(two_sector(9, 5))
+    data["intertwiner"]["blocks"]["0,0"] = [[0.3, 0.0], [0.0, 0.2]]
+    path = tmp_path / "pinwheel.json"
+    path.write_text(json.dumps(data))
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    res = runner.invoke(
+        main, ["sweep", str(path), "--param", param, "--grid", "0.5"])
+    assert res.exit_code == 3, res.output
+    needed = FAMILY_OF[SWEEP_CASES[param][0]]
+    assert f"needs a scenario that {needed} builds" in res.stderr
+    assert "no appendix_c or two_sector call rebuilds it" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("grid", ["0:1:1000000000000", "0:1:10001",
+                                  ",".join(["0.5"] * 10001)])
+def test_sweep_grid_over_the_cap_exit_4(runner, grid):
+    start = time.perf_counter()
+    res = runner.invoke(
+        main,
+        ["sweep", scenario_path("appendix_c.json"), "--param", "w",
+         "--grid", grid],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 4, res.output
+    assert str(cli.MAX_GRID_VALUES) in res.stderr
+    assert res.stdout == ""
+
+
+def test_sweep_grid_at_the_cap_runs(runner, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_VALUES", 3)
+    args = ["sweep", scenario_path("appendix_c.json"), "--param", "w", "--grid"]
+    for grid in ("0:1:3", "0.2,0.5,0.8"):
+        res = runner.invoke(main, args + [grid])
+        assert res.exit_code == 0, res.output
+        assert len(res.output.strip().splitlines()) == 4
+    for grid in ("0:1:4", "0.2,0.4,0.6,0.8"):
+        assert runner.invoke(main, args + [grid]).exit_code == 4
+
+
 def test_oracle_exact(runner):
     res = runner.invoke(main, ["oracle", scenario_path("tiny_oracle.json")])
     assert res.exit_code == 0
@@ -445,5 +553,16 @@ def test_cli_import_skips_scipy_optimize():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_skips_families():
+    # only `rstn sweep` rebuilds the benchmark families
+    code = "import sys, rstn.cli; print('rstn.families' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rstn.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"

@@ -11,7 +11,9 @@ from rstn.families import (
     tiny_generic,
     two_sector,
 )
+from rstn import holography
 from rstn.holography import (
+    WEIGHT_RESIDUAL_TOL,
     InfeasibleError,
     analyze_holography,
     closed_form_weights,
@@ -85,6 +87,64 @@ def test_reweighted_scenario_validates_weight_count():
     sc = two_sector(5, 3, 0.5, mode="exact")
     with pytest.raises(ValueError, match="per sector"):
         reweighted_scenario(sc, np.array([1.0]))
+
+
+def _solved_and_reweighted(sc):
+    """solve_weights on `sc`, checked, and the scenario at its weights."""
+    sol = solve_weights(sc)
+    assert sol.residual <= WEIGHT_RESIDUAL_TOL
+    assert sol.p.sum() == pytest.approx(1.0) and np.all(sol.p >= 0.0)
+    re = reweighted_scenario(sc, sol.c)
+    re.validate()
+    assert [re.c_norm(m) for m in range(len(sol.c))] == pytest.approx(sol.c)
+    return sol, re
+
+
+def test_segment_root_weights(monkeypatch):
+    # beta = diag(-1/2, 1): no null vector, a sign change on the segment
+    monkeypatch.setattr(holography, "q_matrix",
+                        lambda engine: np.array([[0.5, 1.0], [1.0, 2.0]]))
+    sol, _ = _solved_and_reweighted(two_sector(5, 3, 0.5, mode="exact"))
+    assert sol.method == "segment_root"
+    # -(1 - t)^2 / 2 + t^2 = 0 on the segment from e_0 to e_1
+    assert sol.p[1] / sol.p[0] == pytest.approx(math.sqrt(0.5), rel=1e-9)
+
+
+def test_simplex_search_weights(monkeypatch):
+    # beta has no null vector and a positive diagonal; the root lies inside
+    monkeypatch.setattr(holography, "q_matrix",
+                        lambda engine: np.array([[1.5, 0.2], [0.2, 1.5]]))
+    sol, _ = _solved_and_reweighted(two_sector(5, 3, 0.5, mode="exact"))
+    assert sol.method == "simplex_search"
+
+
+def test_simplex_search_weights_on_a_flat_q():
+    # C on a spin-1/2 leg both sectors share: Q = 1, beta = 0, whose
+    # eigenvectors are not single-signed and whose diagonal is zero
+    sc = appendix_c(1, region="s_link", mode="high_spin")
+    assert np.array_equal(q_matrix(IsingEngine(sc)), np.ones((2, 2)))
+    sol, _ = _solved_and_reweighted(sc)
+    assert sol.method == "simplex_search"
+
+
+def test_reweighting_fills_a_zero_weight_sector():
+    sc = appendix_c(4, a=0.5, d=0.5, w=0.0)  # sector 1 carries no weight
+    re = reweighted_scenario(sc, np.array([0.7, 0.3]))
+    re.validate()
+    assert np.allclose(re.block(0, 0), 0.7 * sc.block(0, 0))
+    assert np.array_equal(re.block(1, 1), [[0.3]])
+    assert (0, 1) not in re.blocks  # the cross block of a weightless sector
+
+
+def test_reweighting_rescales_cross_blocks():
+    sc = appendix_c(4, a=0.3, d=0.25, w=0.45, u=0.1, v=0.05j)
+    c = np.array([0.4, 0.6])
+    re = reweighted_scenario(sc, c)
+    re.validate()
+    scale = math.sqrt(c[0] / 0.55 * c[1] / 0.45)
+    assert np.allclose(re.block(0, 1), scale * sc.block(0, 1))
+    assert np.allclose(re.block(1, 0), scale * sc.block(1, 0))
+    assert re.c_norm(0) == pytest.approx(0.4) and re.c_norm(1) == pytest.approx(0.6)
 
 
 def test_infeasible_raises():

@@ -11,6 +11,10 @@ first and which is removed at the end, so that no checkout is left with
   analyze  the stdout, stderr and exit code of `rstn analyze FILE`,
            plain and with `--terms`, with `--mode exact` and
            `--mode high_spin`, for every bundled scenario file;
+  cli      the same for the other commands: `rstn sweep` of every
+           parameter on both family files (`appendix_c.json`,
+           `two_sector_nu.json`), and `validate`, `solve-weights` and
+           `oracle --method exact` on every bundled file, and `global`;
   pairs    `repr(IsingEngine(sc).all_pairs())` on every corpus scenario;
   sigma    the bytes of `_sigma_array(m, n)` for every pair m <= n, read
            once the pair table is built;
@@ -29,11 +33,12 @@ and with coherent blocks, `two_sector`, `tiny_generic` in both modes,
 `ms6`, `ms5`; the oracle workload's are families); and N_DRAWS
 `random_scenario` draws from one fixed generator.
 
-It prints one line per item that differs (for sigma and lower, with the
-largest difference relative to max(1, |sigma|) and whether the inf/NaN
-patterns agree; for oracle, each differing field with its relative
-difference), then a count per kind.  The exit status is 1 when an
-analyze, pairs, sigma or oracle item differs; lower only reports, since
+It prints each root's line count of `src/`, one line per item that
+differs (for sigma and lower, with the largest difference relative to
+max(1, |sigma|) and whether the inf/NaN patterns agree; for oracle, each
+differing field with its relative difference), then a count per kind.
+The exit status is 1 when an analyze, cli, pairs, sigma or oracle item
+differs; lower only reports, since
 σ_I^{(m,n)} and σ_I^{(n,m)} agree only up to rounding when they are built
 apart.
 """
@@ -54,7 +59,12 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 N_DRAWS = 40
 BLOCK_PARAMS = dict(a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j,
                     v=0.07 + 0.02j)
-KINDS = ("analyze", "pairs", "sigma", "lower", "oracle")
+KINDS = ("analyze", "cli", "pairs", "sigma", "lower", "oracle")
+# `rstn sweep` grids, each run on both family files
+SWEEP_GRIDS = {"s-scale": "2,5,20", "a": "0.1,0.3", "d": "0.1,0.3", "w": "0:1:21",
+               "b": "0,0.1", "u": "0,0.1", "v": "0,0.1", "nu": "0.25,0.5,0.75",
+               "c_n": "0:1:5"}
+GLOBAL_ARGS = (("8", "3", "0.5", "0", "3"), ("12", "5", "1.0", "1", "4"))
 # Monte Carlo samples: perfbench's oracle workload, a few for the five-vertex
 # family, and the CLI default for the bundled files
 MC_SAMPLES = {"tiny_generic": 400, "appendix_c(2)": 100, "once_fine_grained(1)": 48,
@@ -133,25 +143,52 @@ def oracle_outputs(root: str) -> dict:
     return items
 
 
-def analyze_outputs(root: str, cache: str) -> dict:
-    """analyze items of one root, one fresh interpreter per command."""
-    env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
+def command_args(bundled: str) -> dict:
+    """Item key -> rstn arguments, for the bundled files in `bundled`."""
     items = {}
-    bundled = os.path.join(src(root), "rstn", "scenarios", "*.json")
-    for path in sorted(glob.glob(bundled)):
+    for path in sorted(glob.glob(os.path.join(bundled, "*.json"))):
+        name = os.path.basename(path)
         for mode in ("exact", "high_spin"):
             for extra in ([], ["--terms"]):
-                args = ["analyze", path, "--mode", mode, *extra]
-                res = subprocess.run([sys.executable, "-m", "rstn.cli", *args],
-                                     env=env, capture_output=True)
-                key = " ".join(["analyze", os.path.basename(path), *args[2:]])
-                items[key] = (f"exit {res.returncode}\n" + res.stdout.decode()
-                              + res.stderr.decode().replace(src(root), "<src>"))
+                items[" ".join(["analyze", name, "--mode", mode, *extra])] = [
+                    "analyze", path, "--mode", mode, *extra]
+        for cmd, *extra in (["validate"], ["solve-weights"],
+                            ["oracle", "--method", "exact"]):
+            items[" ".join(["cli", cmd, name, *extra])] = [cmd, path, *extra]
+    for name in ("appendix_c.json", "two_sector_nu.json"):
+        for param, grid in SWEEP_GRIDS.items():
+            extra = ["--param", param, "--grid", grid]
+            items[" ".join(["cli sweep", name, *extra])] = [
+                "sweep", os.path.join(bundled, name), *extra]
+    for n_outer, n_a, q, jmin, jmax in GLOBAL_ARGS:
+        args = ["global", "--n-outer", n_outer, "--n-a", n_a, "--core-purity", q,
+                "--jmin", jmin, "--jmax", jmax]
+        items[" ".join(["cli", *args])] = args
+    return items
+
+
+def command_outputs(root: str, cache: str) -> dict:
+    """analyze and cli items of one root, one fresh interpreter per command."""
+    env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
+    items = {}
+    for key, args in command_args(os.path.join(src(root), "rstn", "scenarios")).items():
+        res = subprocess.run([sys.executable, "-m", "rstn.cli", *args],
+                             env=env, capture_output=True)
+        items[key] = (f"exit {res.returncode}\n" + res.stdout.decode()
+                      + res.stderr.decode().replace(src(root), "<src>"))
     return items
 
 
 def src(root: str) -> str:
     return os.path.join(root.split("=", 1)[-1], "src")
+
+
+def src_lines(root: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(src(root), "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def collect(root: str, cache: str) -> dict:
@@ -160,7 +197,7 @@ def collect(root: str, cache: str) -> dict:
         subprocess.run([sys.executable, __file__, "--child", root.split("=", 1)[-1],
                         fh.name], env=env, check=True)
         items = json.load(fh)
-    return {**analyze_outputs(root, cache), **items}
+    return {**command_outputs(root, cache), **items}
 
 
 def sigma_difference(a: str, b: str) -> str:
@@ -199,6 +236,8 @@ def main() -> None:
         return
     if len(args.root) != 2:
         ap.error("give exactly two --root NAME=PATH")
+    for root in args.root:
+        print(f"{root.split('=', 1)[0]}: src/ has {src_lines(root)} lines")
     cache = tempfile.mkdtemp(prefix="compare_outputs_")
     try:
         for root in args.root:
@@ -216,14 +255,13 @@ def main() -> None:
         counts[kind] += 1
         if first[key] != second[key]:
             differ[kind] += 1
-            note = ("" if kind in ("analyze", "pairs")
+            note = ("" if kind in ("analyze", "cli", "pairs")
                     else oracle_difference(first[key], second[key]) if kind == "oracle"
                     else sigma_difference(first[key], second[key]))
             print(f"DIFFERS {key} {note}".rstrip())
     for kind in KINDS:
         print(f"{kind}: {counts[kind] - differ[kind]} of {counts[kind]} identical")
-    sys.exit(1 if differ["analyze"] or differ["pairs"] or differ["sigma"]
-             or differ["oracle"] else 0)
+    sys.exit(1 if any(differ[kind] for kind in KINDS if kind != "lower") else 0)
 
 
 if __name__ == "__main__":
