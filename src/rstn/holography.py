@@ -15,6 +15,7 @@ state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +26,6 @@ from rstn.state import Scenario
 from rstn.spins import dim_rep
 
 HOLO_TOL = {"exact": 1e-6, "high_spin": 1e-2}
-COND_CAP = 1e12
 WEIGHT_RESIDUAL_TOL = 1e-9
 EQUALITY_TOL = 1e-9
 
@@ -69,33 +69,20 @@ class FixedSpinReport:
 
 
 def q_matrix(engine: IsingEngine) -> np.ndarray:
-    dim = engine.sc.dim_H_C()
-    q = np.zeros((engine.n_sec, engine.n_sec))
-    for r in engine.all_pairs():
-        if -math.inf not in (r.z0.log, r.z1.log):
-            q[r.m, r.n] = math.exp(r.z1.log - r.z0.log) * dim
-    return q
+    """A copy of the engine's Q (`IsingEngine.quotients`)."""
+    return engine.quotients().q.copy()
 
 
 def analyze_holography(sc: Scenario) -> HolographyReport:
     engine = IsingEngine.of(sc)
-    purity = engine.purity()
-    dim = sc.dim_H_C()
-    ratio = purity * dim
+    purity, rec = engine.purity(), engine.quotients()
+    ratio = purity * rec.dim_H_C
     tol = HOLO_TOL[sc.mode]
-    q = q_matrix(engine)
-    singular = bool(np.any(q == 0.0) or np.linalg.cond(q) > COND_CAP)
-    inverse_sum = None if singular else float(np.linalg.inv(q).sum())
     return HolographyReport(
-        purity=purity,
-        dim_H_C=dim,
-        ratio=ratio,
-        holographic=abs(ratio - 1.0) <= tol,
-        tolerance=tol,
-        q_matrix=q,
-        inverse_sum=inverse_sum,
-        singular=singular,
-    )
+        purity=purity, dim_H_C=rec.dim_H_C, ratio=ratio,
+        holographic=abs(ratio - 1.0) <= tol, tolerance=tol,
+        q_matrix=q_matrix(engine), inverse_sum=rec.inverse_sum,
+        singular=rec.singular)
 
 
 # -- weight solving ---------------------------------------------------------
@@ -205,6 +192,8 @@ def solve_weights(sc: Scenario) -> WeightSolution:
         )
         if best is None or res.fun < best.fun:
             best = res
+        if best.fun == 0.0:  # a square: no later start can beat it
+            break
     p = np.abs(best.x)
     p /= p.sum()
     if abs(residual(p)) > WEIGHT_RESIDUAL_TOL:
@@ -241,6 +230,19 @@ def reweighted_scenario(sc: Scenario, c: np.ndarray) -> Scenario:
 # -- fixed-spin flip criteria -----------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _regions(nv: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Masks (read-only) and tuples of the nonempty sets of nv vertices,
+    by size, then as tuples: the larger bit-reversed mask comes first."""
+    masks = np.arange(1, 1 << nv)
+    size = sum((masks >> x) & 1 for x in range(nv))
+    rev = sum(((masks >> x) & 1) << (nv - 1 - x) for x in range(nv))
+    masks = masks[np.lexsort((-rev, size))]
+    masks.flags.writeable = False
+    return masks, tuple(tuple(x for x in range(nv) if mask >> x & 1)
+                        for mask in masks.tolist())
+
+
 def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     """Region-flip stability of one sector's holographic ground state.
 
@@ -258,13 +260,7 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
         raise ValueError(f"sector {sector} out of range for a scenario "
                          f"with {len(sc.sectors)} sectors")
     engine = IsingEngine.of(sc)
-    nv = engine.n_vert
-    masks = np.arange(1, 1 << nv)
-    # regions by size, then lexicographically as vertex tuples: of two
-    # regions of one size the earlier has the larger bit-reversed mask
-    size = sum((masks >> x) & 1 for x in range(nv))
-    rev = sum(((masks >> x) & 1) << (nv - 1 - x) for x in range(nv))
-    masks = masks[np.lexsort((-rev, size))]
+    masks, regions = _regions(engine.n_vert)
     lhs = engine.cut_weight(sector, masks)
     nec = sum(math.log(dim) * ((masks >> x) & 1)
               for x, dim in enumerate(sc.vertex_dims(sector)))
@@ -274,8 +270,7 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     degenerate = (lhs == rhs) | (np.isfinite(rhs) & (np.abs(rhs - lhs) <= tol))
     failing = ~degenerate & (lhs < rhs)
 
-    found = [(tuple(x for x in range(nv) if mask >> x & 1), a, b)
-             for mask, a, b in zip(masks.tolist(), lhs.tolist(), rhs.tolist())]
+    found = list(zip(regions, lhs.tolist(), rhs.tolist()))
 
     def rows(flags: np.ndarray) -> list:  # (region, lhs, rhs), in order
         return [found[i] for i in np.flatnonzero(flags).tolist()]

@@ -60,6 +60,7 @@ TIE_TOL = 1e-12
 CHUNK_BITS = 14  # configurations per chunk, at most
 TILE_BITS = 18  # configurations x pairs per pair-table tile, at most
 MAX_CONFIG_PAIRS = 2**24  # 2^V configurations x n_sec^2 ordered pairs
+COND_CAP = 1e12  # Q is singular past this condition number
 
 
 class SizeCapError(RuntimeError):
@@ -238,6 +239,19 @@ class PairResult:
     gap: tuple[float, float] = (math.inf, math.inf)
 
 
+@dataclass(frozen=True)
+class Quotients:
+    """The quotients of an engine's pair table (`IsingEngine.quotients`)."""
+
+    table: np.ndarray  # log K_m K_n Z_v^{(m,n)}, (2, n_sec, n_sec), read-only
+    total: float  # log of the variant-0 total; -inf: the normalization vanishes
+    log_purity: float
+    q: np.ndarray  # Z_1/Z_0 dim(H_C), 0 where either vanishes; read-only
+    dim_H_C: int
+    singular: bool  # a zero entry in Q, or a condition number over COND_CAP
+    inverse_sum: float | None  # the sum of Q's inverse, where not singular
+
+
 class _GroundScan:
     """The ground-state update of rows of energies (+inf: excluded), fed
     chunk by chunk in configuration order, some `rows` at a time; each
@@ -285,8 +299,8 @@ class _GroundScan:
 class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
-    The pair table, the per-pair sigma_I arrays and the gradient
-    operator (both read-only) live on the engine and die with it.  A
+    The pair table, per-pair sigma_I arrays, gradient operator and
+    `Quotients` (all read-only) live on the engine and die with it.  A
     Scenario is frozen with read-only blocks, so the caches stay valid
     for its whole life: `IsingEngine.of(sc)` is the one engine every
     consumer shares, while the constructor builds a fresh, unshared one.
@@ -298,9 +312,9 @@ class IsingEngine:
 
     The link table, in `graph.link_ids()` order beside the graph's
     `ends`: `_on_C`, and per sector `_twice`, `_logd` = log(2j+1) and
-    `_log_g2` = log|g|^2 (internal links).  `_agree[p][q]` masks the
-    vertices at no end of a link whose spins differ between sectors p
-    and q.
+    `_log_g2` = log|g|^2 (internal links), and `_log_kt` = log Ktilde
+    (`log_K_tilde`).  `_agree[p][q]` masks the vertices at no end of a
+    link whose spins differ between sectors p and q.
     """
 
     def __init__(self, sc: Scenario):
@@ -318,6 +332,7 @@ class IsingEngine:
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._table: dict[tuple[int, int], PairResult] | None = None
         self._gradient: tuple[np.ndarray, float] | None = None
+        self._quotients: Quotients | None = None
         ids = sc.graph.link_ids()
         self._on_C = np.isin(ids, sc.region_C)
         self._twice = np.array([[sec.spins[lid] for lid in ids]
@@ -331,6 +346,8 @@ class IsingEngine:
                 g2[self._twice[:, k] == tj, k] = abs(amp) ** 2
         self._log_g2 = np.log(g2, out=np.full(g2.shape, -math.inf),
                               where=g2 > 0.0)
+        half_edge = np.bitwise_count(sc.graph.ends) == 1
+        self._log_kt = np.where(half_edge, self._logd, self._log_g2).sum(1).tolist()
         # per link and variant: C is pinned swapped in variant 1
         self._flips = np.array([[[0], [c]] for c in self._on_C], np.uint8)
         differ = self._twice[:, None, :] != self._twice[None, :, :]
@@ -354,8 +371,7 @@ class IsingEngine:
     def log_K_tilde(self, m: int) -> float:
         """log of the sector weight without the bulk-state norm c_m:
         log(2j+1) per half-edge plus log|g|^2 per internal link."""
-        half_edge = np.bitwise_count(self.sc.graph.ends) == 1
-        return float(np.where(half_edge, self._logd[m], self._log_g2[m]).sum())
+        return self._log_kt[m]
 
     def log_K(self, m: int) -> float:
         c = self._c[m]
@@ -581,16 +597,30 @@ class IsingEngine:
 
     # -- observable quotients ------------------------------------------------
 
+    def quotients(self) -> Quotients:
+        """The `Quotients` of the pair table, derived on first use and kept."""
+        if self._quotients is None:
+            n = self.n_sec
+            logK = np.array([self.log_K(m) for m in range(n)])
+            z = np.array([[r.z0.log, r.z1.log] for r in self.all_pairs()])
+            table = (logK[:, None] + logK) + z.T.reshape(2, n, n)
+            total = log_sum_tree(table[0].ravel())
+            dim = self.sc.dim_H_C()
+            q = np.reshape([math.exp(z1 - z0) * dim if -math.inf not in (z0, z1)
+                            else 0.0 for z0, z1 in z.tolist()], (n, n))
+            singular = bool(np.any(q == 0.0) or np.linalg.cond(q) > COND_CAP)
+            table.flags.writeable = q.flags.writeable = False
+            self._quotients = Quotients(
+                table, total, log_sum_tree(table[1].ravel()) - total, q, dim,
+                singular, None if singular else float(np.linalg.inv(q).sum()))
+        return self._quotients
+
     def _log_weights(self) -> tuple[np.ndarray, float]:
-        """log K_m K_n Z_v^{(m,n)} as a (2, n_sec, n_sec) table (-inf
-        for a vanishing term), and the log of the variant-0 total."""
-        logK = np.array([self.log_K(m) for m in range(self.n_sec)])
-        z = np.array([[r.z0.log, r.z1.log] for r in self.all_pairs()])
-        table = (logK[:, None] + logK) + z.T.reshape(2, self.n_sec, self.n_sec)
-        total = log_sum_tree(table[0].ravel())
-        if total == -math.inf:
+        """The quotients' table and total; NumericalError where it vanishes."""
+        rec = self.quotients()
+        if rec.total == -math.inf:
             raise NumericalError("normalization sum vanishes")
-        return table, total
+        return rec.table, rec.total
 
     def distribution(self) -> np.ndarray:
         """P(m, n) proportional to K_m K_n Z_0^{(m,n)}, normalized."""
@@ -598,8 +628,8 @@ class IsingEngine:
         return np.exp(table[0] - total)
 
     def log_purity(self) -> float:
-        table, total = self._log_weights()
-        return log_sum_tree(table[1].ravel()) - total
+        self._log_weights()
+        return self._quotients.log_purity
 
     def purity(self) -> float:
         return math.exp(self.log_purity())

@@ -127,6 +127,35 @@ def test_simplex_search_weights_on_a_flat_q():
     assert sol.method == "simplex_search"
 
 
+def test_simplex_search_stops_at_a_zero_objective(monkeypatch):
+    # the first start already reaches objective 0.0 on the flat Q; no
+    # later start can replace it, so the search ends there
+    from scipy import optimize
+
+    minimize, calls = optimize.minimize, []
+
+    def counting(*args, **kwargs):
+        calls.append(minimize(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(optimize, "minimize", counting)
+    sol = solve_weights(appendix_c(1, region="s_link", mode="high_spin"))
+    assert sol.method == "simplex_search"
+    assert [res.fun for res in calls] == [0.0]
+
+
+def test_fixed_spin_regions_are_cached_read_only():
+    # one ordered region list per vertex count, shared by every call
+    sc, other = once_fine_grained(1), appendix_c(2, 0.3, 0.25, 0.45)
+    first = fixed_spin_criteria(sc)
+    fixed_spin_criteria(other)
+    again = fixed_spin_criteria(sc)
+    assert again == first and again.failing[0][0] is first.failing[0][0]
+    masks, _ = holography._regions(IsingEngine.of(sc).n_vert)
+    with pytest.raises(ValueError, match="read-only"):
+        masks[0] = 0
+
+
 def test_reweighting_fills_a_zero_weight_sector():
     sc = appendix_c(4, a=0.5, d=0.5, w=0.0)  # sector 1 carries no weight
     re = reweighted_scenario(sc, np.array([0.7, 0.3]))

@@ -37,7 +37,14 @@ from oracles import (
     terms_reference,
 )
 from rings import dense_ring_dict, ring_dict
-from rstn.families import appendix_c, random_scenario, tiny_generic, two_sector
+from rstn.families import (
+    appendix_c,
+    once_fine_grained,
+    random_scenario,
+    tiny_generic,
+    two_sector,
+)
+from rstn import ising
 from rstn.graph import BoundaryLink, ColoredGraph, Link
 from rstn.holography import (
     InfeasibleError,
@@ -1068,6 +1075,118 @@ def test_one_engine_per_scenario(built):
 
     built(single, sequence)
     built(single, sequence, n_engines=0)
+
+
+def quotient_family_cases() -> list[Scenario]:
+    return [appendix_c(2), appendix_c(4, **BLOCK_PARAMS),
+            appendix_c(2, **BLOCK_PARAMS, mode="high_spin"),
+            appendix_c(1, region="s_link", mode="high_spin"),
+            two_sector(4, 6, 0.3), two_sector(9, 5, 0.4), tiny_generic(),
+            tiny_generic("high_spin"), once_fine_grained(1)]
+
+
+def test_each_quotient_derived_once_per_engine(monkeypatch):
+    # purity, P, Q, dim H_C and Q's conditioning are one record, derived
+    # from one pair table on an engine's first quotient call: two log
+    # sums (the variant-0 total and variant 1), one dim H_C, one
+    # condition number (none where Q has a zero entry) and one inverse
+    # where Q is not singular
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((ising, "log_sum_tree"), (Scenario, "dim_H_C"),
+                        (np.linalg, "cond"), (np.linalg, "inv"),
+                        (IsingEngine, "_pair_table")):
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+
+    def consumers(sc):
+        IsingEngine.of(sc).purity()
+        IsingEngine.of(sc).distribution()
+        analyze_holography(sc)
+        try:
+            solve_weights(sc)
+        except InfeasibleError:
+            pass
+        area_variance(sc)
+        p_vector(sc)
+
+    def fresh(sc):
+        engine = IsingEngine(sc)  # never shared: derives its own record
+        engine.distribution()
+        q_matrix(engine)
+        engine.log_purity()
+        engine.purity()
+
+    for sc in (two_sector(9, 5, 0.4), appendix_c(4, **BLOCK_PARAMS),
+               appendix_c(1, region="s_link", mode="high_spin"), tiny_generic()):
+        for run, builds in ((consumers, 1), (consumers, 0), (fresh, 1), (fresh, 1)):
+            run(sc)
+            rec = IsingEngine.of(sc).quotients()
+            cond = builds * (not np.any(rec.q == 0.0))
+            assert counts == Counter(log_sum_tree=2 * builds, dim_H_C=builds,
+                                     cond=cond, inv=builds * (not rec.singular),
+                                     _pair_table=builds)
+            counts.clear()
+
+
+def test_returned_quotients_leave_the_record_unchanged():
+    for sc in (two_sector(9, 5, 0.4), appendix_c(4, **BLOCK_PARAMS)):
+        engine, reference = IsingEngine.of(sc), IsingEngine(sc)
+        rec = engine.quotients()
+        for arr in (rec.table, rec.q):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 7.0
+        q_matrix(engine)[:] = 7.0
+        analyze_holography(sc).q_matrix[:] = 7.0
+        engine.distribution()[:] = 7.0
+        p_vector(sc, holographic=False)[:] = 7.0
+        assert q_matrix(engine).tobytes() == q_matrix(reference).tobytes()
+        assert (engine.distribution().tobytes()
+                == reference.distribution().tobytes())
+        assert analyze_holography(sc).q_matrix.tobytes() == q_matrix(reference).tobytes()
+        assert engine.purity() == reference.purity()
+        assert engine.quotients() is rec
+
+
+def test_vanishing_normalization_raises_on_every_call():
+    # a zero amplitude on the only sector's internal link: K = 0, so
+    # P and the purity are undefined, on every call; Q is not
+    data = ring_dict(4, 1)
+    data["amplitudes"] = {"i0": {"1": 0.0}}
+    sc = scenario_from_dict(data)
+    sc.validate()
+    engine = IsingEngine.of(sc)
+    for _ in range(3):
+        for call in (engine.purity, engine.log_purity, engine.distribution,
+                     lambda: analyze_holography(sc), lambda: p_vector(sc)):
+            with pytest.raises(NumericalError, match="normalization sum vanishes"):
+                call()
+        assert np.array_equal(q_matrix(engine), [[1.0]])
+
+
+def test_shared_and_fresh_engines_agree_bit_for_bit():
+    # the record read back equals one derived afresh, whichever
+    # quotient comes first
+    single, multi = stacked_fill_cases()
+    for sc in single + multi + quotient_family_cases():
+        shared = IsingEngine.of(sc)
+        rep = analyze_holography(sc)
+        fresh = IsingEngine(sc)
+        p = fresh.distribution()
+        for _ in range(2):
+            assert shared.distribution().tobytes() == p.tobytes()
+            assert shared.purity() == fresh.purity() == rep.purity
+            assert q_matrix(shared).tobytes() == q_matrix(fresh).tobytes()
+            assert rep.q_matrix.tobytes() == q_matrix(fresh).tobytes()
+            a, b = shared.quotients(), fresh.quotients()
+            assert a.table.tobytes() == b.table.tobytes()
+            assert (a.total, a.log_purity, a.dim_H_C, a.singular, a.inverse_sum) \
+                == (b.total, b.log_purity, b.dim_H_C, b.singular, b.inverse_sum)
 
 
 def test_link_energies_once_per_sector_and_chunk(monkeypatch):

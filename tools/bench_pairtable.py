@@ -1,8 +1,9 @@
 """Stage timings of the pair table, and cost at the enumeration cap;
-or, with `--stage mc`, of the Monte Carlo oracle.
+or, with `--stage mc`, of the Monte Carlo oracle; or, with `--stage
+quotients`, of the quotients read off a built pair table.
 
     python3 tools/bench_pairtable.py --root parent=PATH --root change=PATH \
-        [--stage pairtable|mc] [--out BENCH_pairtable.json]
+        [--stage pairtable|mc|quotients] [--out BENCH_pairtable.json]
 
 Every `--root NAME=PATH` is a checkout of rstn whose `src/` is imported
 in fresh interpreters (one BLAS/OpenMP thread); the report keys its
@@ -34,6 +35,15 @@ exact oracle's two largest perfbench inputs), and the wall seconds of
 one fresh interpreter running `rstn oracle FILE --method mc` (2000
 samples) on each of MC_FILES, after one untimed run per root has
 written the bytecode of everything the command imports into the cache.
+
+The quotients stage, ROUNDS rounds, reports per round the median over
+REPS calls of each quotient on the shared engine `IsingEngine.of(sc)`
+of ms6 and ms5 once its pair table is built, after one untimed call,
+summed over the two inputs: `purity()`, `distribution()`,
+`analyze_holography`, `area_variance`, and `solve_weights` on ms5 alone
+(ms6 has no weights; its failing search takes seconds).  `derive` is the
+first `purity()` of a fresh engine whose pair table is built: the cost
+of everything a checkout derives on first use.
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
             "exact_appendix_c2": ("appendix_c", (2,), None)}
 MC_FILES = ("tiny_oracle.json", "once_fine_grained.json")
 MC_REPS = 15
+QUOTIENT_CALLS = ("derive", "purity", "distribution", "analyze_holography",
+                  "solve_weights", "area_variance")
 
 
 def stages() -> dict:
@@ -98,6 +110,50 @@ def stages() -> dict:
                 times[stage].append(dt)
         for stage in STAGES:
             out[stage] += statistics.median(times[stage])
+    return out
+
+
+def quotient_stage() -> dict:
+    """Median seconds of each QUOTIENT_CALLS call, summed over ms6 and ms5."""
+    import time
+
+    import numpy as np
+
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+    import inputs
+    from rstn.holography import analyze_holography, solve_weights
+    from rstn.ising import IsingEngine
+    from rstn.observables import area_variance
+    from rstn.state import scenario_from_dict
+
+    def median_s(call, setup=lambda: None) -> float:
+        times = []
+        for _ in range(REPS):
+            arg = setup()
+            t0 = time.perf_counter()
+            call(arg)
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times)
+
+    def built(engine):
+        engine.all_pairs()
+        return engine
+
+    out = dict.fromkeys(QUOTIENT_CALLS, 0.0)
+    ms6, ms5, _ = inputs.many_sectors(np.random.default_rng([1, 2]))
+    for name, sc in zip(("ms6", "ms5"), map(scenario_from_dict, (ms6, ms5))):
+        engine = built(IsingEngine.of(sc))
+        calls = {"purity": lambda _: engine.purity(),
+                 "distribution": lambda _: engine.distribution(),
+                 "analyze_holography": lambda _: analyze_holography(sc),
+                 "area_variance": lambda _: area_variance(sc)}
+        if name == "ms5":
+            calls["solve_weights"] = lambda _: solve_weights(sc)
+        for key, call in calls.items():
+            call(None)
+            out[key] += median_s(call)
+        out["derive"] += median_s(lambda fresh: fresh.purity(),
+                                  lambda: built(IsingEngine(sc)))
     return out
 
 
@@ -184,17 +240,19 @@ def quartiles(values: list[float]) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", action="append", default=[])
-    ap.add_argument("--stage", choices=("pairtable", "mc"), default="pairtable")
+    ap.add_argument("--stage", choices=("pairtable", "mc", "quotients"),
+                    default="pairtable")
     ap.add_argument("--out")
     ap.add_argument("--child", nargs="+")
     args = ap.parse_args()
     if args.child:
         kind, *case = args.child
-        run = {"stages": stages, "mc": mc_stage, "cap": cap_case}[kind]
+        run = {"stages": stages, "mc": mc_stage, "cap": cap_case,
+               "quotients": quotient_stage}[kind]
         print(json.dumps(run(*case)))
         return
     roots = args.root or [f"checkout={os.getcwd()}"]
-    runs = {root: {"stages": [], "mc": [], **{c: [] for c in CAP_CASES},
+    runs = {root: {"stages": [], "mc": [], "quotients": [], **{c: [] for c in CAP_CASES},
                    **{f: [] for f in MC_FILES}} for root in roots}
     cache = tempfile.mkdtemp(prefix="bench_pairtable_")
     try:
@@ -209,6 +267,8 @@ def main() -> None:
                     runs[root]["mc"].append(child(root, ["mc"], cache))
                     for name in MC_FILES:
                         runs[root][name].append(mc_cli(root, name, cache))
+                elif args.stage == "quotients":
+                    runs[root]["quotients"].append(child(root, ["quotients"], cache))
                 else:
                     runs[root]["stages"].append(child(root, ["stages"], cache))
         for k in range(CAP_ROUNDS if args.stage == "pairtable" else 0):
@@ -222,10 +282,15 @@ def main() -> None:
     report = {"machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                          f"{platform.python_version()}, numpy {version('numpy')}",
               "rounds": ROUNDS, "reps": REPS, "cap_rounds": CAP_ROUNDS}
-    if args.stage == "mc":
-        report.update(reps=MC_REPS, cap_rounds=0)
+    if args.stage != "pairtable":
+        report.update(reps=MC_REPS if args.stage == "mc" else REPS, cap_rounds=0)
     for root in roots:
         r = runs[root]
+        if args.stage == "quotients":
+            report[root.split("=", 1)[0]] = {
+                f"{c}_s": quartiles([x[c] for x in r["quotients"]])
+                for c in QUOTIENT_CALLS}
+            continue
         if args.stage == "mc":
             report[root.split("=", 1)[0]] = {
                 **{f"{c}_s": quartiles([x[c] for x in r["mc"]]) for c in MC_CASES},

@@ -19,6 +19,12 @@ first and which is removed at the end, so that no checkout is left with
   sigma    the bytes of `_sigma_array(m, n)` for every pair m <= n, read
            once the pair table is built;
   lower    the same for every pair m > n;
+  quotients  on each corpus scenario's shared engine `IsingEngine.of(sc)`,
+           each quotient called twice, so that the value first computed
+           and the one read back are both compared: `purity` and the
+           bytes of `distribution()`, every field of `analyze_holography`,
+           `solve_weights` (c, p, residual, method, ratio) and
+           `area_variance`, each as a repr or the exception raised;
   oracle   the repr of each field of `exact_purity` (purity, z1, z0) and
            of `mc_purity` (purity, stderr, mean_num, mean_den), seed 7:
            `tiny_generic()`, `appendix_c(2)` and `once_fine_grained(1)`
@@ -37,8 +43,8 @@ It prints each root's line count of `src/`, one line per item that
 differs (for sigma and lower, with the largest difference relative to
 max(1, |sigma|) and whether the inf/NaN patterns agree; for oracle, each
 differing field with its relative difference), then a count per kind.
-The exit status is 1 when an analyze, cli, pairs, sigma or oracle item
-differs; lower only reports, since
+The exit status is 1 when an analyze, cli, pairs, sigma, quotients or
+oracle item differs; lower only reports, since
 σ_I^{(m,n)} and σ_I^{(n,m)} agree only up to rounding when they are built
 apart.
 """
@@ -59,7 +65,7 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 N_DRAWS = 40
 BLOCK_PARAMS = dict(a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j,
                     v=0.07 + 0.02j)
-KINDS = ("analyze", "cli", "pairs", "sigma", "lower", "oracle")
+KINDS = ("analyze", "cli", "pairs", "sigma", "lower", "quotients", "oracle")
 # `rstn sweep` grids, each run on both family files
 SWEEP_GRIDS = {"s-scale": "2,5,20", "a": "0.1,0.3", "d": "0.1,0.3", "w": "0:1:21",
                "b": "0,0.1", "u": "0,0.1", "v": "0,0.1", "nu": "0.25,0.5,0.75",
@@ -106,11 +112,13 @@ def corpus(root: str) -> dict:
 
 
 def engine_outputs(root: str) -> dict:
-    """pairs, sigma and lower items of one root, hex for the arrays."""
+    """pairs, sigma, lower and quotients items of one root, hex for the
+    arrays."""
     from rstn.ising import IsingEngine
 
     items = {}
-    for name, sc in corpus(root).items():
+    scenarios = corpus(root)
+    for name, sc in scenarios.items():
         engine = IsingEngine(sc)
         items[f"pairs {name}"] = repr(engine.all_pairs())
         for m in range(engine.n_sec):
@@ -118,6 +126,43 @@ def engine_outputs(root: str) -> dict:
                 kind = "sigma" if m <= n else "lower"
                 sigma = engine._sigma_array(m, n)
                 items[f"{kind} {name} ({m},{n})"] = sigma.tobytes().hex()
+    return {**items, **quotient_outputs(scenarios)}
+
+
+def quotient_outputs(scenarios: dict) -> dict:
+    """quotients items: each quotient of the shared engine, twice."""
+    from dataclasses import astuple
+
+    from rstn.holography import analyze_holography, solve_weights
+    from rstn.ising import IsingEngine
+    from rstn.observables import area_variance
+
+    def render(value) -> str:
+        if hasattr(value, "tobytes"):
+            return value.tobytes().hex()
+        if isinstance(value, tuple):
+            return "(" + ", ".join(map(render, value)) + ")"
+        return repr(value)
+
+    def twice(call) -> list[str]:
+        out = []
+        for _ in range(2):
+            try:
+                out.append(render(call()))
+            except Exception as exc:  # the failure is the output compared
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    items = {}
+    for name, sc in scenarios.items():
+        engine = IsingEngine.of(sc)
+        for quotient, call in (
+                ("purity", engine.purity),
+                ("distribution", engine.distribution),
+                ("analyze_holography", lambda: astuple(analyze_holography(sc))),
+                ("solve_weights", lambda: astuple(solve_weights(sc))),
+                ("area_variance", lambda: area_variance(sc))):
+            items[f"quotients {name} {quotient}"] = twice(call)
     return items
 
 
@@ -255,7 +300,7 @@ def main() -> None:
         counts[kind] += 1
         if first[key] != second[key]:
             differ[kind] += 1
-            note = ("" if kind in ("analyze", "cli", "pairs")
+            note = ("" if kind in ("analyze", "cli", "pairs", "quotients")
                     else oracle_difference(first[key], second[key]) if kind == "oracle"
                     else sigma_difference(first[key], second[key]))
             print(f"DIFFERS {key} {note}".rstrip())
