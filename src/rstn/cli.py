@@ -34,7 +34,6 @@ from rstn.graph import GraphError
 from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
 from rstn.holography import InfeasibleError, analyze_holography, solve_weights
 from rstn.ising import IsingEngine, NumericalError, SizeCapError
-from rstn.oracle import SEED_MAX, exact_purity, mc_purity
 from rstn.state import ParseError, ValidationError, content_hash, load_scenario
 
 EXIT_PARSE = 2
@@ -266,16 +265,25 @@ def sweep(path, param, grid, out):
     _write(buf.getvalue(), out)
 
 
+def _seed(ctx, param, value: int) -> int:
+    """`--seed` within the Philox keys, 0..SEED_MAX."""
+    from rstn.oracle import SEED_MAX
+
+    return click.IntRange(0, SEED_MAX).convert(value, param, ctx)
+
+
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["exact", "mc"]),
               default="exact")
 @click.option("--samples", type=int, default=2000)
-@click.option("--seed", type=click.IntRange(0, SEED_MAX), default=0)
+@click.option("--seed", type=int, default=0, callback=_seed, help="0 to 2^63-1")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guarded
 def oracle(path, method, samples, seed, out):
     """Brute-force reference purity next to the engine value."""
+    from rstn.oracle import exact_purity, mc_purity  # only this command needs it
+
     sc = load_scenario(path)
     engine_value = IsingEngine.of(sc).purity()
     report = {

@@ -123,6 +123,7 @@ def solve_weights(sc: Scenario) -> WeightSolution:
     and a deterministic multi-start simplex minimization.
     """
     engine = IsingEngine.of(sc)
+    engine._log_weights()  # NumericalError where the normalization vanishes
     q = q_matrix(engine)
     n = q.shape[0]
     beta = q - 1.0

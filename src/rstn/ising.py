@@ -118,7 +118,7 @@ def _layout(row_dims: tuple, col_dims: tuple, whole: int = 0, t: bool = False):
              for j in ((n, 0) if t else (0, n))] for w in (0, 1)]
     mapped = [x for x in reversed(live) if not whole >> x & 1]
     return (mapped, [_vertex_maps(row_dims[x]) for x in mapped],
-            [-1] + dims[t] + dims[1 - t] + [2], axes[0] + [0] + axes[1] + [2 * n + 1])
+            [-1] + dims[t] + dims[1 - t], axes[0] + [0] + axes[1])
 
 
 def _per_vertex(arr: np.ndarray, mats) -> np.ndarray:
@@ -130,11 +130,11 @@ def _per_vertex(arr: np.ndarray, mats) -> np.ndarray:
 
 
 def _planes(mat: np.ndarray, layout) -> np.ndarray:
-    """The float view of a block, its (row, col) factors of the mapped
-    vertices first, then one batch axis (the whole vertices and re/im)
-    that `_per_vertex` carries along and leaves leading."""
-    arr = np.ascontiguousarray(mat, dtype=complex).view(float)
-    arr = arr.reshape(layout[2]).transpose(layout[3])
+    """A block as its (row, col) factors of the mapped vertices, then one
+    complex batch axis (the whole vertices), copied only where that axis
+    needs it.  Gathered contiguous and viewed as floats, re/im innermost,
+    the batch axis is what `_per_vertex` carries along and leaves leading."""
+    arr = np.asarray(mat, dtype=complex).reshape(layout[2]).transpose(layout[3])
     return arr.reshape(arr.shape[:2 * len(layout[0])] + (-1,))
 
 
@@ -155,7 +155,7 @@ def _fill_traces(t: np.ndarray, blocks: dict, pairs) -> None:
     cplx = {k for _, _, tasks in pairs for _, a, b in tasks if b for k in (a, b)}
     for maps, items in stacks.values():  # |alpha|^2, and complex where needed
         arr = [item[0] for item in items]
-        arr = np.concatenate(arr, -1) if arr[1:] else arr[0]
+        arr = np.ascontiguousarray(np.concatenate(arr, -1) if arr[1:] else arr[0]).view(float)
         for basis, _ in maps:  # `_per_vertex`, the input freed as it goes
             arr = arr.reshape(len(basis), -1).T @ basis.T
         arr = arr.reshape([-1, 2] + [len(b) for b, _ in maps]).swapaxes(0, 1)
@@ -163,7 +163,7 @@ def _fill_traces(t: np.ndarray, blocks: dict, pairs) -> None:
         arr = arr if z is None else (z.real, z.imag)  # drops the planes
         parts = [z, np.square(arr[0])]
         parts[1] += np.square(arr[1])  # re^2 + im^2, in place
-        ends = np.cumsum([0] + [item[0].shape[-1] // 2 for item in items])
+        ends = np.cumsum([0] + [item[0].shape[-1] for item in items])
         for (_, key, mapped), lo, hi in zip(items, ends, ends[1:]):
             alpha[key] = parts, slice(lo, hi), mapped, maps
     for row, split, tasks in pairs:
@@ -208,7 +208,8 @@ def _subset_adjoint(a: np.ndarray, weights: np.ndarray, dims) -> np.ndarray:
     d = [dims[x] for x in reversed(mapped)]
     w = np.reshape(weights, (2,) * n).sum(axis=tuple(n - 1 - x for x in range(n)
                                                      if x not in mapped))
-    arr = _per_vertex(_planes(a, layout), [basis for basis, _ in maps]).reshape(2, -1)
+    arr = _per_vertex(np.ascontiguousarray(_planes(a, layout)).view(float),
+                      [basis for basis, _ in maps]).reshape(2, -1)
     arr = arr * _per_vertex(w, [pair[1].T for pair in maps]).ravel()
     for basis, _ in maps:
         arr = arr.reshape(2, len(basis), -1).transpose(0, 2, 1) @ basis

@@ -21,6 +21,7 @@ Two flavors:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,7 @@ def _pair_state(twice_j: int, g: complex) -> np.ndarray:
     return g / math.sqrt(d) * e
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def link_swap_trace(
     twice_j: int,
     twice_k: int,
@@ -62,7 +64,7 @@ def link_swap_trace(
 
     Copy one carries spin j, copy two spin k; each of the two legs of
     the link may be swapped between the copies.  Swapping legs of
-    unequal dimension gives exactly zero.
+    unequal dimension gives exactly zero.  Memoised by its arguments.
     """
     ej = _pair_state(twice_j, g_j)
     ek = _pair_state(twice_k, g_k)
@@ -71,16 +73,18 @@ def link_swap_trace(
     # rho1 = |ej><ej| with row legs (a_s, a_t), col legs (a_s', a_t');
     # swap on a leg reroutes the primed index to the other copy
     if not swap_source and not swap_target:
-        return np.einsum("ab,ab,cd,cd->", ej, ej.conj(), ek, ek.conj())
-    if swap_source and swap_target:
-        return np.einsum("ab,cd,cd,ab->", ej, ej.conj(), ek, ek.conj())
-    if swap_source:
-        return np.einsum("ab,cb,cd,ad->", ej, ej.conj(), ek, ek.conj())
-    return np.einsum("ab,ad,cd,cb->", ej, ej.conj(), ek, ek.conj())
+        sub = "ab,ab,cd,cd->"
+    elif swap_source and swap_target:
+        sub = "ab,cd,cd,ab->"
+    else:
+        sub = "ab,cb,cd,ad->" if swap_source else "ab,ad,cd,cb->"
+    return complex(np.einsum(sub, ej, ej.conj(), ek, ek.conj()))
 
 
+@functools.lru_cache(maxsize=1 << 10)
 def boundary_trace(twice_j: int, twice_k: int, swapped: bool) -> float:
-    """Trace of the doubled boundary leg, with or without a swap."""
+    """Trace of the doubled boundary leg, with or without a swap;
+    memoised by its arguments."""
     ij = np.eye(dim_rep(twice_j))
     ik = np.eye(dim_rep(twice_k))
     if not swapped:
@@ -92,96 +96,104 @@ def boundary_trace(twice_j: int, twice_k: int, swapped: bool) -> float:
 
 # -- exact configuration terms ---------------------------------------------
 
+@functools.lru_cache(maxsize=1 << 13)
+def _subscripts(nv: int, down: int) -> str:
+    """The two-operand einsum of a term on nv vertices whose vertices in
+    the bitmask `down` are swapped: rows, then columns, of each copy."""
+    r1, r2 = LETTERS[:nv], LETTERS[nv:2 * nv]
+    c1 = "".join(r2[x] if down >> x & 1 else r1[x] for x in range(nv))
+    c2 = "".join(r1[x] if down >> x & 1 else r2[x] for x in range(nv))
+    return f"{r1}{c1},{r2}{c2}->"
+
+
 class _RawTerms:
     """One scenario's tables for the raw configuration terms.
 
-    Vertex tuples, intertwiner shapes and the hybrid-sector lookup are
-    built once, and each ordered sector pair's boundary and link trace
-    factors once per pair (the traces memoised by spins and swap flags),
-    so a term costs one two-operand einsum and a product of table entries.
+    Built once: an ordered sector pair's two hybrid sectors for every
+    configuration, in one `itertools.product` pass over the vertices (only
+    the last pair's kept, 2^V entries), each (row sector, hybrid) block
+    reshaped to its per-vertex operand, and each pair's boundary and link
+    trace factors as plain numbers (the traces memoised module-wide by
+    their arguments), so a term costs one two-operand einsum and a product
+    of table entries.
     """
 
     def __init__(self, sc: Scenario):
-        g = sc.graph
-        self.sc, self.nv = sc, g.n_vertices
-        self.tuples = [
-            tuple(sc.vertex_tuple(s, x) for x in range(self.nv))
-            for s in range(len(sc.sectors))
-        ]
-        self.shapes = [sc.vertex_dims(s) for s in range(len(sc.sectors))]
+        self.sc, self.nv, n_sec = sc, sc.graph.n_vertices, len(sc.sectors)
+        if 2 * self.nv > 26:  # rows and columns take lowercase letters
+            raise SizeCapError(f"{2 * self.nv} einsum letters exceed the 26 the "
+                               f"reference contraction can name")
+        # vertex tuples highest vertex first: a product over the vertices
+        # runs over the configurations in increasing order, vertex 0 fastest
+        self.tuples = [tuple(sc.vertex_tuple(s, x) for x in reversed(range(self.nv)))
+                       for s in range(n_sec)]
         self.sector_of: dict[tuple, int] = {}
         for q, tup in enumerate(self.tuples):
             self.sector_of.setdefault(tup, q)
-        self.boundary_trace = functools.cache(boundary_trace)
-        self.link_trace = functools.cache(link_swap_trace)
-        self.factors: dict[tuple[int, int], tuple[list, list]] = {}
+        self.pair, self.pair_hybrids = None, []
+        self.shapes = [sc.vertex_dims(s) for s in range(n_sec)]
+        self.operands: dict[tuple[int, int], np.ndarray] = {}
+        self.factors: dict[tuple[int, int], tuple] = {}
 
-    def factor_table(self, m: int, n: int) -> tuple[list, list]:
-        """The pair's factors: per boundary leg its vertex, whether it lies on
-        C and its traces [unswapped, swapped]; per internal link its ends and
-        its traces [source swapped][target swapped]."""
+    def factor_table(self, m: int, n: int) -> tuple:
+        """The pair's factors per variant: per boundary leg its vertex and
+        its traces by whether that vertex is down (a leg on C swaps the
+        other way in variant 1); per internal link its ends and its traces
+        [source down][target down]."""
         if (m, n) not in self.factors:
             sc, g, tf = self.sc, self.sc.graph, (False, True)
             spins = {lid: (sc.spin(m, lid), sc.spin(n, lid)) for lid in g.link_ids()}
             amps = {lid: [sc.amplitude(lid, t) for t in spins[lid]] for lid in spins
                     if lid.startswith("i")}
-            links = {lid: [[self.link_trace(*spins[lid], *amps[lid], s, t) for t in tf]
-                           for s in tf] for lid in amps}
-            self.factors[m, n] = (
-                [(b.vertex, f"b{k}" in sc.region_C,
-                  [self.boundary_trace(*spins[f"b{k}"], s) for s in tf])
-                 for k, b in enumerate(g.boundary)],
-                [(ln.source, ln.target, links[f"i{k}"])
-                 for k, ln in enumerate(g.internal)])
+            links = [(ln.source, ln.target, [[link_swap_trace(*spins[f"i{k}"], *amps[f"i{k}"],
+                                                              s, t) for t in tf] for s in tf])
+                     for k, ln in enumerate(g.internal)]
+            bounds = [(b.vertex, f"b{k}" in sc.region_C,
+                       [boundary_trace(*spins[f"b{k}"], s) for s in tf])
+                      for k, b in enumerate(g.boundary)]
+            self.factors[m, n] = tuple(
+                ([(x, traces[::-1] if v and in_c else traces) for x, in_c, traces in bounds],
+                 links) for v in (0, 1))
         return self.factors[m, n]
 
-    def hybrid(self, m: int, n: int, down: frozenset[int]) -> int | None:
-        """Sector whose vertex tuples match m outside `down` and n inside."""
-        want = tuple(
-            self.tuples[n if x in down else m][x] for x in range(self.nv)
-        )
-        return self.sector_of.get(want)
+    def hybrids(self, m: int, n: int) -> list[tuple]:
+        """Per configuration, the sectors matching m outside its down set and
+        n inside, and n outside and m inside; the last pair's are kept."""
+        if self.pair != (m, n):
+            a, b, get = self.tuples[m], self.tuples[n], self.sector_of.get
+            self.pair, self.pair_hybrids = (m, n), list(zip(
+                map(get, itertools.product(*zip(a, b))), map(get, itertools.product(*zip(b, a)))))
+        return self.pair_hybrids
 
-    def intertwiner(self, m: int, n: int, down: frozenset[int]) -> complex:
-        """Raw trace of (rho^I x rho^I) with per-vertex swaps on `down`."""
-        h1 = self.hybrid(m, n, down)
-        h2 = self.hybrid(n, m, down)
+    def operand(self, m: int, h: int) -> np.ndarray:
+        """Block (m, h) with one row and one column axis per vertex."""
+        if (m, h) not in self.operands:
+            self.operands[m, h] = self.sc.block(m, h).reshape(self.shapes[m] + self.shapes[h])
+        return self.operands[m, h]
+
+    def intertwiner(self, m: int, n: int, down: int) -> complex:
+        """Raw trace of (rho^I x rho^I) with per-vertex swaps on the
+        vertices of the bitmask `down`."""
+        h1, h2 = self.hybrids(m, n)[down]
         if h1 is None or h2 is None:
             return 0.0
-        nv, sc, shapes = self.nv, self.sc, self.shapes
-        if 2 * nv > 26:  # rows and columns take lowercase letters
-            raise SizeCapError(f"{2 * nv} einsum letters exceed the 26 the "
-                               f"reference contraction can name")
-        r1, r2 = LETTERS[:nv], LETTERS[nv:2 * nv]
-        c1 = "".join(r2[x] if x in down else r1[x] for x in range(nv))
-        c2 = "".join(r1[x] if x in down else r2[x] for x in range(nv))
         # two operands: a path would add dispatch cost, not save work
-        return np.einsum(
-            f"{r1}{c1},{r2}{c2}->",
-            sc.block(m, h1).reshape(shapes[m] + shapes[h1]),
-            sc.block(n, h2).reshape(shapes[n] + shapes[h2]),
-        )
-
-    def terms(
-        self, m: int, n: int, config: int, variants: tuple[int, ...] = (0, 1)
-    ) -> list[float]:
-        """One configuration's contributions to Z_variant^{(m,n)}, raw."""
-        down = frozenset(x for x in range(self.nv) if config >> x & 1)
-        itw, table = self.intertwiner(m, n, down), self.factor_table(m, n)
-        return [_dressed(itw, table, down, v) for v in variants]
+        return complex(np.einsum(_subscripts(self.nv, down),
+                                 self.operand(m, h1), self.operand(n, h2)))
 
 
-def _dressed(total: complex, table: tuple, down: frozenset[int], variant: int) -> float:
-    """An intertwiner trace times its pair's boundary and link traces."""
+def _dressed(total: complex, table: tuple, down: int) -> float:
+    """An intertwiner trace times one variant's boundary and link traces
+    of its pair, at the configuration whose down set is the bitmask `down`."""
     if total == 0.0:
         return 0.0
     bounds, links = table
-    for vertex, in_c, traces in bounds:
-        total *= traces[(vertex in down) != (variant == 1 and in_c)]
+    for vertex, traces in bounds:
+        total *= traces[down >> vertex & 1]
         if total == 0.0:
             return 0.0
     for source, target, traces in links:
-        total *= traces[source in down][target in down]
+        total *= traces[down >> source & 1][down >> target & 1]
         if total == 0.0:
             return 0.0
     if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
@@ -193,7 +205,8 @@ def exact_term(
     sc: Scenario, m: int, n: int, config: int, variant: int
 ) -> float:
     """One configuration's contribution to Z_variant^{(m,n)}, raw."""
-    return _RawTerms(sc).terms(m, n, config, (variant,))[0]
+    raw = _RawTerms(sc)
+    return _dressed(raw.intertwiner(m, n, config), raw.factor_table(m, n)[variant], config)
 
 
 def _amplitude_cost(sc: Scenario) -> int:
@@ -217,10 +230,11 @@ def exact_purity(sc: Scenario) -> tuple[float, float, float]:
     z0 = z1 = 0.0
     for m in range(n_sec):
         for n in range(n_sec):
+            t0, t1 = raw.factor_table(m, n)
             for config in range(1 << sc.graph.n_vertices):
-                t0, t1 = raw.terms(m, n, config)
-                z0 += t0
-                z1 += t1
+                itw = raw.intertwiner(m, n, config)
+                z0 += _dressed(itw, t0, config)
+                z1 += _dressed(itw, t1, config)
     return z1 / z0, z1, z0
 
 

@@ -927,7 +927,7 @@ def exact_purity_reference(sc: Scenario) -> tuple[float, float, float]:
     z0 = z1 = 0.0
     for m, n, config in itertools.product(range(n_sec), range(n_sec), range(1 << nv)):
         down = frozenset(x for x in range(nv) if config >> x & 1)
-        itw = raw.intertwiner(m, n, down)
+        itw = raw.intertwiner(m, n, config)
         z0 += ref._dressed(itw, m, n, down, 0)
         z1 += ref._dressed(itw, m, n, down, 1)
     return z1 / z0, z1, z0

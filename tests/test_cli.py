@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 
 import pytest
@@ -566,3 +567,31 @@ def test_cli_import_skips_families():
         check=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_skips_oracle():
+    # only `rstn oracle` imports the reference contractions, `--seed`'s
+    # range check included
+    code = "import sys, rstn.cli; print('rstn.oracle' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rstn.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_solve_weights_weightless_sector_exit_6(runner, tmp_path):
+    """A scenario whose only sector weighs nothing (a zero amplitude) has
+    no normalization: `solve-weights` says so like `analyze`, exit 6,
+    before any weight is converted (no division warning)."""
+    data = ring_dict(4, 1)
+    data["amplitudes"] = {"i0": {"1": 0.0}}
+    path = tmp_path / "weightless.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("analyze", "solve-weights"):
+            res = runner.invoke(main, [command, str(path)])
+            assert res.exit_code == 6, (command, res.output)
+            assert "error: normalization sum vanishes" in res.stderr

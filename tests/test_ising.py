@@ -785,6 +785,8 @@ def stacked_fill_cases() -> tuple[list[Scenario], list[Scenario]]:
     multi += [dataclasses.replace(sc, blocks={
         k: sc.block(*k) for key in sc.blocks for k in (key, key[::-1])})
         for sc in multi[:3]]
+    # stacks whose strided blocks concatenate into a layout not in C order
+    multi.append(random_scenario(np.random.default_rng(11), "two", n_sectors=3, max_twice=3))
     return single, multi
 
 

@@ -1,4 +1,7 @@
 import cProfile
+import cmath
+import dataclasses
+import itertools
 import math
 import pstats
 import tracemalloc
@@ -106,7 +109,7 @@ def test_exact_purity_random_scenarios():
         assert got == pytest.approx(IsingEngine(sc).purity(), rel=1e-10)
 
 
-@pytest.mark.parametrize(
+PER_TERM_CORPUS = pytest.mark.parametrize(
     "make",
     [lambda: load_scenario(str(SCENARIOS / "tiny_oracle.json")),
      lambda: load_scenario(str(SCENARIOS / "once_fine_grained.json")),
@@ -120,11 +123,71 @@ def test_exact_purity_random_scenarios():
          "appendix_c2", "appendix_c2_blocks", "once_fine_grained1"]
     + [f"random{k}" for k in range(10)],
 )
+
+
+@PER_TERM_CORPUS
 def test_exact_purity_matches_per_term_lookups(make):
     """The per-pair factor tables multiply the same factors in the same
     order as looking each one up again per term: bit for bit."""
     sc = make()
     assert exact_purity(sc) == exact_purity_reference(sc)
+
+
+@PER_TERM_CORPUS
+def test_exact_terms_sum_to_exact_purity(make):
+    """`exact_term`, one fresh table per call, summed in `exact_purity`'s
+    order (pairs, then configurations) gives its z0 and z1 bit for bit."""
+    sc = make()
+    n_sec, nv = len(sc.sectors), sc.graph.n_vertices
+    z0 = z1 = 0.0
+    for m, n, config in itertools.product(range(n_sec), range(n_sec), range(1 << nv)):
+        z0 += exact_term(sc, m, n, config, 0)
+        z1 += exact_term(sc, m, n, config, 1)
+    assert exact_purity(sc) == (z1 / z0, z1, z0)
+
+
+@pytest.mark.parametrize("make", [tiny_generic, lambda: appendix_c(2, **BLOCK_PARAMS),
+                                  lambda: once_fine_grained(1)],
+                         ids=["tiny_generic", "appendix_c2_blocks", "once_fine_grained1"])
+def test_exact_purity_contracts_each_term_once(make, monkeypatch):
+    """One intertwiner contraction per term: n_sec^2 2^V calls, each
+    (m, n, configuration) once, in the order the sums are taken."""
+    sc, calls = make(), []
+    inner = oracle._RawTerms.intertwiner
+
+    def counted(self, m, n, down):
+        calls.append((m, n, down))
+        return inner(self, m, n, down)
+
+    monkeypatch.setattr(oracle._RawTerms, "intertwiner", counted)
+    exact_purity(sc)
+    n_sec, nv = len(sc.sectors), sc.graph.n_vertices
+    assert len(calls) == n_sec ** 2 << nv
+    assert calls == list(itertools.product(range(n_sec), range(n_sec), range(1 << nv)))
+
+
+def test_link_factor_memo_is_keyed_by_amplitude():
+    """Two scenarios that differ only in the phase of one amplitude: each
+    pair table holds the link factors of its own amplitude, as computed
+    without the memo.  The phase cancels in g conj(g) exactly, but not in
+    the rounding, so a memo keyed by spins alone would hand the second
+    scenario the first one's factors.  The memos are bounded."""
+    sc = tiny_generic()
+    (lid, amps), = sc.amplitudes.items()
+    turned = dataclasses.replace(
+        sc, amplitudes={lid: {t: g * cmath.exp(0.7j) for t, g in amps.items()}})
+    tables = []
+    for s in (sc, turned):
+        links = oracle._RawTerms(s).factor_table(0, 0)[0][1]
+        spins = (s.spin(0, lid),) * 2
+        g = (s.amplitude(lid, spins[0]),) * 2
+        fresh = [[link_swap_trace.__wrapped__(*spins, *g, a, b) for b in (False, True)]
+                 for a in (False, True)]
+        assert [traces for *_, traces in links] == [fresh]
+        tables.append(fresh)
+    assert tables[0] != tables[1]
+    for memo in (link_swap_trace, boundary_trace, oracle._subscripts):
+        assert memo.cache_info().maxsize is not None
 
 
 def test_exact_size_cap():

@@ -30,10 +30,13 @@ interpreter per case times `IsingEngine(sc).purity()` and reads its peak RSS:
 The mc stage, ROUNDS rounds, reports per round the median over MC_REPS
 calls of `mc_purity(tiny_generic(), 400, 7)` and of
 `mc_purity(appendix_c(2), 100, 7)` (perfbench's oracle inputs), and of
-`exact_purity` on `once_fine_grained(1)` and `appendix_c(2)` (the
-exact oracle's two largest perfbench inputs), and the wall seconds of
-one fresh interpreter running `rstn oracle FILE --method mc` (2000
-samples) on each of MC_FILES, after one untimed run per root has
+`exact_purity` on `once_fine_grained(1)`, `appendix_c(2)` and
+`tiny_generic()` (the exact oracle's perfbench inputs), each after one
+untimed call; `first_<case>_s`, per exact case, the first
+`exact_purity` call of a fresh interpreter (imports and the scenario
+built before the clock starts, the oracle's memos cold); and the wall
+seconds of one fresh interpreter running `rstn oracle FILE --method mc`
+(2000 samples) on each of MC_FILES, after one untimed run per root has
 written the bytecode of everything the command imports into the cache.
 
 The quotients stage, ROUNDS rounds, reports per round the median over
@@ -69,7 +72,9 @@ ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
 MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
             "appendix_c2_100": ("appendix_c", (2,), 100),
             "exact_once_fine_grained1": ("once_fine_grained", (1,), None),
-            "exact_appendix_c2": ("appendix_c", (2,), None)}
+            "exact_appendix_c2": ("appendix_c", (2,), None),
+            "exact_tiny_generic": ("tiny_generic", (), None)}
+EXACT_CASES = [c for c, (*_, samples) in MC_CASES.items() if samples is None]
 MC_FILES = ("tiny_oracle.json", "once_fine_grained.json")
 MC_REPS = 15
 QUOTIENT_CALLS = ("derive", "purity", "distribution", "analyze_holography",
@@ -182,6 +187,21 @@ def mc_stage() -> dict:
     return out
 
 
+def first_call(name: str) -> dict:
+    """Seconds of the first `exact_purity` call on MC_CASES[name] in this
+    interpreter: the oracle's memos hold nothing yet."""
+    import time
+
+    from rstn import families
+    from rstn.oracle import exact_purity
+
+    family, args, _ = MC_CASES[name]
+    sc = getattr(families, family)(*args)
+    t0 = time.perf_counter()
+    exact_purity(sc)
+    return {"s": time.perf_counter() - t0}
+
+
 def mc_cli(root: str, name: str, cache: str, write: bool = False) -> float:
     """Wall seconds of `rstn oracle FILE --method mc` in a fresh
     interpreter; with `write`, one that also writes the bytecode of all
@@ -248,12 +268,13 @@ def main() -> None:
     if args.child:
         kind, *case = args.child
         run = {"stages": stages, "mc": mc_stage, "cap": cap_case,
-               "quotients": quotient_stage}[kind]
+               "quotients": quotient_stage, "first": first_call}[kind]
         print(json.dumps(run(*case)))
         return
     roots = args.root or [f"checkout={os.getcwd()}"]
     runs = {root: {"stages": [], "mc": [], "quotients": [], **{c: [] for c in CAP_CASES},
-                   **{f: [] for f in MC_FILES}} for root in roots}
+                   **{f: [] for f in MC_FILES}, **{f"first_{c}": [] for c in EXACT_CASES}}
+            for root in roots}
     cache = tempfile.mkdtemp(prefix="bench_pairtable_")
     try:
         for root in roots:
@@ -267,6 +288,9 @@ def main() -> None:
                     runs[root]["mc"].append(child(root, ["mc"], cache))
                     for name in MC_FILES:
                         runs[root][name].append(mc_cli(root, name, cache))
+                    for case in EXACT_CASES:
+                        runs[root][f"first_{case}"].append(
+                            child(root, ["first", case], cache)["s"])
                 elif args.stage == "quotients":
                     runs[root]["quotients"].append(child(root, ["quotients"], cache))
                 else:
@@ -294,6 +318,7 @@ def main() -> None:
         if args.stage == "mc":
             report[root.split("=", 1)[0]] = {
                 **{f"{c}_s": quartiles([x[c] for x in r["mc"]]) for c in MC_CASES},
+                **{f"first_{c}_s": quartiles(r[f"first_{c}"]) for c in EXACT_CASES},
                 **{f"cli_{f}_s": quartiles(r[f]) for f in MC_FILES},
                 "purity": {c: r["mc"][0][c + "_purity"] for c in MC_CASES},
             }
