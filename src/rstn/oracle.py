@@ -298,8 +298,10 @@ def _draw_states(
     return v
 
 
-def _plan(subscripts: str, operands: tuple) -> list[tuple]:
-    """np.einsum's greedy path as batched-matmul steps: each operand has the
+@functools.lru_cache(maxsize=1 << 10)
+def _plan(subscripts: str, shapes: tuple) -> tuple:
+    """np.einsum's greedy path as batched-matmul steps, memoised by the
+    subscripts and operand shapes: each operand has the
     indices no later step reads summed and is transposed to (batch, free,
     contracted) or (batch, contracted, free) and fused to 3 axes; one matmul
     (a multiply where nothing is contracted, as numpy's step); its result
@@ -307,9 +309,10 @@ def _plan(subscripts: str, operands: tuple) -> list[tuple]:
     step of one or of three or more operands, which numpy runs as one plain
     einsum, keeps its subscripts.  An index has one size and no repeat
     within an operand."""
-    path = np.einsum_path(subscripts, *operands, optimize="greedy")[0][1:]
+    stand_ins = (np.broadcast_to(0j, shape) for shape in shapes)  # shapes, no data
+    path = np.einsum_path(subscripts, *stand_ins, optimize="greedy")[0][1:]
     *terms, output = subscripts.replace("->", ",").split(",")
-    size = {ix: d for t, op in zip(terms, operands) for ix, d in zip(t, op.shape)}
+    size = {ix: d for t, shape in zip(terms, shapes) for ix, d in zip(t, shape)}
 
     def prep(term, want, *groups):
         drop = tuple(k for k, ix in enumerate(term) if ix not in want)
@@ -336,18 +339,14 @@ def _plan(subscripts: str, operands: tuple) -> list[tuple]:
         shape, perm = tuple(size[ix] for ix in made), tuple(map(made.index, res))
         steps.append((pos, (prep(a, bat + keep_a + con, bat, keep_a, con),
                             prep(b, bat + con + keep_b, bat, con, keep_b), shape, perm)))
-    return steps
+    return tuple(steps)
 
 
-def _contract(plans: dict, subscripts: str, *operands: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
+def _contract(subscripts: str, *operands: np.ndarray, out: np.ndarray) -> np.ndarray:
     """np.einsum on its greedy path into `out`, each step run as the array
     operations `_plan` compiled once per subscripts and operand shapes."""
-    key = (subscripts,) + tuple(op.shape for op in operands)
-    if key not in plans:
-        plans[key] = _plan(subscripts, operands)
     ops = list(operands)
-    for pos, step in plans[key]:
+    for pos, step in _plan(subscripts, tuple(op.shape for op in operands)):
         args = [ops.pop(k) for k in pos]
         if isinstance(step, str):  # as numpy: one einsum, into `out` if last
             ops.append(np.einsum(step, *args, out=None if ops else out))
@@ -372,13 +371,25 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
 
     Samples are contracted in blocks along a leading sample axis, each
     block holding about BLOCK_BYTES of vertex states, boundary tensors,
-    Gram products and rho_C, by `_contract` plans compiled once per shape.
-    A vertex's states for a block fill one buffer, a keyed draw per row.
+    Gram products, fold temporaries and rho_C, by `_contract` plans
+    compiled once per process for each network and operand shapes.  A
+    vertex's states for a block fill one buffer, a keyed draw per row.
     Sectors whose rest spins agree stack their boundary tensors as rows
     (s, c, I) of one M; a Gram product G = M M^H holds every pair's sum
     over the rest legs, and rho^I is read off it with one matrix-vector
     product per nonzero block.  Where G would be larger than M (more rows
     than rest legs), rho^I weights the ket rows before the product instead.
+
+    Both read M only through sums over the rest legs, so a group may fold
+    a vertex x's rest legs (the gauge step of tensor-network canonical
+    forms): the group's distinct tuple slices of the states at x stack into
+    Psi_x, rows (intertwiner, kept legs) against x's r_x rest values, and
+    one index carrying L = R^T, R from the batched qr of Psi_x^T, replaces
+    those legs; L L^H = Psi_x Psi_x^H.  The rule reads shapes only: with h
+    rows and n_e rest values in the group, x is a candidate where r_x >= 4
+    rows and the Gram multiply-adds removed, h^2 n_e (r_x - rows) / r_x,
+    exceed the QR's rows^2 r_x; candidates fold only where the block, sized
+    with the folded M and the fold's temporaries, then holds more samples.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -425,52 +436,80 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         low = max((sl.stop for sl in c_span.values()), default=0)
         c_span.setdefault(c_spins[s], slice(low, low + n_c[s]))
     dim_c = max(sl.stop for sl in c_span.values())
-    # per group, each nonzero rho^I block r of a (ket, bra) pair as the vector
-    # G is read with (r.T flat) or as the matrix that weights the ket rows
-    stacks = []
+    # per group: its rows h, rest values n_e and the vertices x whose fold
+    # pays: Psi_x stacks the group's distinct tuples at x, rows (intertwiner,
+    # kept legs) against the r_x values of x's rest legs, the colors `cut`
+    # that `order` puts last; per tuple its rows of Psi_x and state shape
+    tuples = [[sc.vertex_tuple(s, x) for x in range(nv)] for s in range(n_sec)]
+    rest_at: dict[int, list[int]] = {}
+    for k in rest:
+        rest_at.setdefault(g.boundary[k].vertex, []).append(g.boundary[k].color)
+    cands = []
     for grp in groups.values():
-        h, n_e = span[grp[-1]].stop, n_rest[grp[0]]
-        stacks.append((grp, h, n_e, [(sk, sb, r.T.reshape(-1) if h <= n_e else r)
-                                     for sk in grp for sb in grp
-                                     if (r := sc.block(sb, sk)).any()]))
+        h, n_e, folds = span[grp[-1]].stop, n_rest[grp[0]], {}
+        for x, cut in rest_at.items():
+            order = [c for c in range(1, 5) if c not in cut] + cut
+            tups = list(dict.fromkeys(tuples[s][x] for s in grp))
+            r_x = math.prod(dim_rep(tups[0][c - 1]) for c in cut)
+            full = [(intertwiner_dimension(t), *(dim_rep(t[c - 1]) for c in order))
+                    for t in tups]
+            ends = list(itertools.accumulate((math.prod(f) // r_x for f in full), initial=0))
+            rows = ends[-1]
+            if r_x >= 4 * rows and h * h * n_e * (r_x - rows) > rows * rows * r_x * r_x:
+                folds[x] = (cut, order, r_x, rows, [(t, slice(a, b), f) for t, f, a, b
+                                                    in zip(tups, full, ends, ends[1:])])
+        cands.append((grp, h, n_e, folds))
 
-    # network: vertex states and conjugated link pair states -> sector
-    # boundary tensor A_s[sample, C legs, intertwiner indices, rest legs]
+    def per_sample(fold: bool) -> int:
+        """Bytes per sample of vertex states, each group's M, Gram product and
+        fold temporaries (Psi_x, qr's copy of it, R), and rho_C."""
+        total = sum(dims_x) + dim_c ** 2
+        for _, h, n_e, folds in cands:
+            for _, _, r_x, rows, _ in folds.values() if fold else ():
+                n_e = n_e // r_x * rows
+                total += 2 * rows * r_x + rows * rows
+            total += h * n_e + (h * h if h <= n_e else 0)
+        return 16 * total
+
+    fold = BLOCK_BYTES // per_sample(True) > BLOCK_BYTES // per_sample(False)
+    block = max(1, BLOCK_BYTES // per_sample(fold))
+
+    # network per group: vertex states (a folded vertex's rest legs one index,
+    # named as its first) and conjugated link pair states -> sector boundary
+    # tensor A_s[sample, C legs, intertwiner indices, rest legs]
     pool = iter(LETTERS)
     smp = next(pool)
     iota = "".join(next(pool) for _ in range(nv))
     leg = {(x, c): next(pool) for x in range(nv) for c in range(1, 5)}
     bleg = [leg[b.vertex, b.color] for b in g.boundary]
-    network = (
-        ",".join(
-            [smp + iota[x] + "".join(leg[x, c] for c in range(1, 5))
-             for x in range(nv)]
-            + [leg[ln.source, ln.color] + leg[ln.target, ln.color]
-               for ln in g.internal]
+    link_states = [[_pair_state(j := sc.spin(s, f"i{k}"), sc.amplitude(f"i{k}", j)).conj()
+                    for k in range(len(g.internal))] for s in range(n_sec)]
+    # per group also each nonzero rho^I block r of a (ket, bra) pair as the
+    # vector G is read with (r.T flat) or as the matrix that weights the ket rows
+    stacks = []
+    for grp, h, n_e, folds in cands:
+        folds = folds if fold else {}
+        kept = {x: order[:5 - len(cut)] for x, (cut, order, *_) in folds.items()}
+        outs = [k for k in rest if (b := g.boundary[k]).vertex not in folds
+                or b.color == folds[b.vertex][0][0]]
+        e_dims = [folds[x][3] if (x := g.boundary[k].vertex) in folds
+                  else dim_rep(sc.spin(grp[0], f"b{k}")) for k in outs]
+        n_e = math.prod(e_dims)
+        network = (
+            ",".join([smp + iota[x] + "".join(leg[x, c] for c in kept.get(x, range(1, 5)))
+                      for x in range(nv)]
+                     + [leg[ln.source, ln.color] + leg[ln.target, ln.color]
+                        for ln in g.internal])
+            + "->" + smp + "".join(bleg[k] for k in c_pos)
+            + iota + "".join(bleg[k] for k in outs)
         )
-        + "->" + smp + "".join(bleg[k] for k in c_pos)
-        + iota + "".join(bleg[k] for k in rest)
-    )
-    tuples = [[sc.vertex_tuple(s, x) for x in range(nv)] for s in range(n_sec)]
-    link_states = [
-        [_pair_state(sc.spin(s, f"i{k}"),
-                     sc.amplitude(f"i{k}", sc.spin(s, f"i{k}"))).conj()
-         for k in range(len(g.internal))]
-        for s in range(n_sec)
-    ]
+        # einsum's output axes: sample, C legs, intertwiner indices, rest legs
+        out_shape = {s: (-1, *map(dim_rep, c_spins[s]), *sc.vertex_dims(s), *e_dims)
+                     for s in grp}
+        stacks.append((grp, h, n_e, folds, network, out_shape,
+                       [(sk, sb, r.T.reshape(-1) if h <= n_e else r)
+                        for sk in grp for sb in grp if (r := sc.block(sb, sk)).any()]))
 
-    # einsum's output axes: sample, C legs, intertwiner indices, rest legs
-    out_shape = [(-1, *map(dim_rep, c_spins[s]), *sc.vertex_dims(s),
-                  *map(dim_rep, rest_spins[s])) for s in range(n_sec)]
-
-    per_sample = 16 * (
-        sum(dims_x)
-        + sum(n_c[s] * n_i[s] * n_rest[s] for s in range(n_sec))
-        + sum(h * h for _, h, n_e, _ in stacks if h <= n_e)  # Gram products
-        + dim_c ** 2
-    )
-    block = max(1, BLOCK_BYTES // per_sample)
-    plans: dict = {}
     nums = np.empty(n_samples)
     dens = np.empty(n_samples)
     for start in range(0, n_samples, block):
@@ -486,11 +525,20 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
                 off += width
             psi.append(parts)
         rho_c = np.zeros((size, dim_c, dim_c), complex)
-        for grp, height, n_e, weights in stacks:
+        for grp, height, n_e, folds, network, out_shape, weights in stacks:
+            ops = list(psi)
+            for x, (cut, order, r_x, rows, layout) in folds.items():
+                stack = np.empty((size, rows, r_x), complex)
+                for t, rs, full in layout:
+                    stack[:, rs].reshape((size, *full))[...] = psi[x][t].transpose(
+                        0, 1, *(1 + c for c in order))
+                # L = R^T for Psi_x^T = QR has L L^H = Psi_x Psi_x^H
+                low = np.linalg.qr(stack.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+                ops[x] = {t: low[:, rs].reshape((size, *full[:-len(cut)], rows))
+                          for t, rs, full in layout}
             m = np.empty((size, height, n_e), complex)
             for s in grp:
-                _contract(plans, network,
-                          *(psi[x][tuples[s][x]] for x in range(nv)),
+                _contract(network, *(ops[x][tuples[s][x]] for x in range(nv)),
                           *link_states[s], out=m[:, span[s]].reshape(out_shape[s]))
             # rho_C[c, c'] += sum r[I1, I2] A_ket[c, I2, e] conj(A_bra[c', I1, e]),
             # r the rho^I block (s_bra, s_ket): read off G = M M^H as a vector
@@ -517,20 +565,3 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         stderr = math.sqrt((n - 1) / n * ((jack - jack.mean()) ** 2).sum())
     return MCResult(mean_num / mean_den, stderr, n, mean_num, mean_den)
 
-
-def schur_moment_error(dim: int, n_samples: int = 10_000, seed: int = 3) -> float:
-    """Operator-norm error of the empirical doubled second Haar moment of
-    `mc_purity`'s sampler: the states `_draw_states` gives vertex 0,
-    samples 0..n_samples-1.  The exact value is (identity + swap) / (D (D + 1)).
-    """
-    if dim > 16:
-        raise SizeCapError("second-moment check capped at dimension 16")
-    v = _draw_states(seed, 0, 0, n_samples, dim)
-    emp = np.einsum("ma,mb,mc,md->abcd", v, v.conj(), v, v.conj()) / n_samples
-    ident = np.einsum(
-        "ab,cd->abcd", np.eye(dim), np.eye(dim)
-    )
-    swap = np.einsum("ad,cb->abcd", np.eye(dim), np.eye(dim))
-    exact = (ident + swap) / (dim * (dim + 1))
-    diff = (emp - exact).reshape(dim * dim, dim * dim)
-    return float(np.linalg.norm(diff, 2))

@@ -15,8 +15,9 @@ criteria by one Python pass per region, Delta and the link energies
 link by link from `cut_reference` (the cut rule on Python sets), the
 `analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
 and the bulk-boundary energy and the boundary factor by one pass over
-the links, the Monte Carlo purity one sample at a time, and the exact
-oracle's terms dressed by looking every trace factor up again per term.
+the links, the Monte Carlo purity one sample at a time, the second Haar
+moment of its sampler against the exact one, and the exact oracle's
+terms dressed by looking every trace factor up again per term.
 `subset_traces` is no reference: it runs the engine's stacked fill on
 two given matrices, for the tests that pin that fill against einsum.
 """
@@ -57,6 +58,7 @@ from rstn.oracle import (
     LETTERS,
     MCResult,
     NumericalError,
+    _draw_states,
     _pair_state,
     _philox,
     _RawTerms,
@@ -705,6 +707,19 @@ def draw_vertex_state(
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
+
+def schur_moment_error(dim: int, n_samples: int = 10_000, seed: int = 3) -> float:
+    """Operator-norm error of the empirical doubled second Haar moment of
+    `rstn.oracle.mc_purity`'s sampler: the states `_draw_states` gives
+    vertex 0, samples 0..n_samples-1.  The exact value is
+    (identity + swap) / (D (D + 1))."""
+    v = _draw_states(seed, 0, 0, n_samples, dim)
+    emp = np.einsum("ma,mb,mc,md->abcd", v, v.conj(), v, v.conj()) / n_samples
+    ident = np.einsum("ab,cd->abcd", np.eye(dim), np.eye(dim))
+    swap = np.einsum("ad,cb->abcd", np.eye(dim), np.eye(dim))
+    exact = (ident + swap) / (dim * (dim + 1))
+    diff = (emp - exact).reshape(dim * dim, dim * dim)
+    return float(np.linalg.norm(diff, 2))
 
 def _sector_boundary_tensor(
     sc: Scenario, s: int, psi: list[dict[tuple[int, ...], np.ndarray]],

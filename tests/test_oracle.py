@@ -10,7 +10,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oracles import draw_vertex_state, exact_purity_reference, mc_purity_reference
+from oracles import (
+    draw_vertex_state,
+    exact_purity_reference,
+    mc_purity_reference,
+    schur_moment_error,
+)
 from rings import dense_ring_dict, ring_dict
 from rstn import oracle
 from rstn.families import (
@@ -31,7 +36,6 @@ from rstn.oracle import (
     exact_term,
     link_swap_trace,
     mc_purity,
-    schur_moment_error,
 )
 from rstn.state import load_scenario, scenario_from_dict
 
@@ -326,9 +330,9 @@ def block_sizes(monkeypatch, sc, n_samples):
     sizes = []
     contract = oracle._contract
 
-    def spy(paths, subscripts, *operands, out):
+    def spy(subscripts, *operands, out):
         sizes.append(len(operands[0]))
-        return contract(paths, subscripts, *operands, out=out)
+        return contract(subscripts, *operands, out=out)
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_contract", spy)
@@ -406,15 +410,138 @@ def test_mc_matches_reference_across_rest_spin_groups(
         assert_matches_reference(got, mc_purity_reference(sc, n, seed=3))
 
 
+def mc_corpus():
+    """appendix_c(1) and (2), then the first 24 draws of default_rng(2026)
+    that `mc_purity` takes: templates one, two and chain in turn, with 1, 2
+    and 3 sectors, twice-spins up to 3."""
+    cases = [appendix_c(1), appendix_c(2)]
+    rng = np.random.default_rng(2026)
+    while len(cases) < 26:
+        k = len(cases) - 2
+        sc = random_scenario(rng, ("one", "two", "chain")[k % 3], n_sectors=1 + k % 3,
+                             max_twice=3)
+        try:
+            mc_purity(sc, 1)
+        except SizeCapError:
+            continue
+        cases.append(sc)
+    return cases
+
+
+def qr_spy(monkeypatch, calls):
+    """Record each np.linalg.qr call `mc_purity` makes: input and R."""
+    qr = np.linalg.qr
+
+    def spy(a, mode):
+        r = qr(a, mode=mode)
+        calls.append((a.copy(), r))
+        return r
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+
+
+def test_mc_matches_reference_with_and_without_folds(monkeypatch):
+    """Folding a vertex's rest legs keeps every estimate within 1e-12 of
+    the per-sample reference: appendix_c(1), appendix_c(2) and 24 random
+    draws, some of which fold."""
+    calls, folded = [], []
+    qr_spy(monkeypatch, calls)
+    for k, sc in enumerate(mc_corpus()):
+        del calls[:]
+        assert_matches_reference(mc_purity(sc, 20, seed=7), mc_purity_reference(sc, 20, seed=7))
+        if calls:
+            folded.append(k)
+    assert folded[:2] == [0, 1] and len(folded) > 2
+
+
+def test_fold_keeps_the_rest_leg_gram(monkeypatch):
+    """appendix_c(2) folds vertex 0, whose 63 rest values meet 3 rows (link
+    leg and intertwiner, one tuple): the qr input is Psi^T, Psi the drawn
+    states with the rest legs last, and L = R^T has L L^H = Psi Psi^H to
+    1e-13 relative per sample."""
+    sc = appendix_c(2)
+    calls = []
+    qr_spy(monkeypatch, calls)
+    mc_purity(sc, 100, seed=7)
+    a, r = calls[0]
+    size = len(a)
+    g = sc.graph
+    rest = [b.color for k, b in enumerate(g.boundary)
+            if b.vertex == 0 and f"b{k}" not in sc.region_C]
+    slices, _ = oracle._vertex_layout(sc, 0)
+    states = _draw_states(7, 0, 0, size, sum(di * math.prod(legs) for di, legs in slices))
+    parts, off = [], 0
+    for di, legs in slices:
+        width = di * math.prod(legs)
+        part = states[:, off:off + width].reshape((size, di) + legs)
+        r_x = math.prod(legs[c - 1] for c in rest)
+        parts.append(np.moveaxis(part, [1 + c for c in rest], range(-len(rest), 0))
+                     .reshape(size, -1, r_x))
+        off += width
+    psi = np.concatenate(parts, axis=1)
+    assert psi.shape[1:] == (3, 63) and r.shape == (size, 3, 3)
+    assert np.array_equal(a, psi.transpose(0, 2, 1))
+    low = r.transpose(0, 2, 1)
+    got = low @ low.conj().transpose(0, 2, 1)
+    want = psi @ psi.conj().transpose(0, 2, 1)
+    for g_s, w_s in zip(got, want):
+        assert abs(g_s - w_s).max() <= 1e-13 * abs(w_s).max()
+
+
+# the networks of mc_purity(tiny_generic(), 400) and
+# mc_purity(once_fine_grained(1), 48) before rest legs folded
+TINY_NET = "abdefg,achijk,dh->aijbcefgk"
+FINE_NET = ("abghij,acklmn,adopqr,aestuv,afwxyz,gk,hp,iu,jz,mq,rv,sw,xl"
+            "->anbcdefoty")
+
+
+def test_fold_shrinks_only_appendix_c2_rest_axis():
+    """appendix_c(2)'s M has a rest axis of 27 (vertex 0's 63 rest values
+    folded to 3, vertex 1's 9 kept), not 567; tiny_generic and
+    once_fine_grained(1) fold nothing and contract the networks they did
+    before, on the same shapes."""
+    def shapes(sc, n_samples):
+        return {(subscripts, tuple(op.shape for op in operands), out)
+                for subscripts, operands, out in mc_networks(sc, n_samples)}
+
+    sc = appendix_c(2)
+    lead = 1 + sum(f"b{k}" in sc.region_C for k in range(len(sc.graph.boundary))) + 2
+    assert {math.prod(out[lead:]) for *_, out in shapes(sc, 100)} == {27}
+    leg = (2,) * 5
+    assert shapes(tiny_generic(), 400) == {
+        (TINY_NET, ((b, *leg), (b, *leg), (2, 2)), (b,) + (2,) * 8) for b in (15, 55)}
+    assert shapes(once_fine_grained(1), 48) == {
+        (FINE_NET, ((48, *leg),) * 5 + ((2, 2),) * 8, (48,) + (2,) * 9)}
+
+
+@pytest.mark.parametrize(
+    "make, n_samples",
+    [(tiny_generic, 400), (lambda: appendix_c(1), 100), (lambda: appendix_c(2), 100)],
+    ids=["tiny_generic", "appendix_c1", "appendix_c2"],
+)
+def test_mc_traced_peak_within_two_blocks(make, n_samples):
+    """Block sizing counts every array a block holds, the folded M and the
+    fold's stack, qr copy and R included: a call's traced peak stays within
+    2 BLOCK_BYTES.  The Philox, built once per process, is built first."""
+    sc = make()
+    oracle._philox()
+    tracemalloc.start()
+    try:
+        mc_purity(sc, n_samples, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * oracle.BLOCK_BYTES
+
 def mc_networks(sc, n_samples):
-    """Every distinct (subscripts, operands) `mc_purity` contracts."""
+    """Every distinct (subscripts, operands, out shape) `mc_purity` contracts."""
     seen = {}
     contract = oracle._contract
 
-    def spy(plans, subscripts, *operands, out):
+    def spy(subscripts, *operands, out):
         seen.setdefault((subscripts,) + tuple(op.shape for op in operands),
-                        (subscripts, [op.copy() for op in operands]))
-        return contract(plans, subscripts, *operands, out=out)
+                        (subscripts, [op.copy() for op in operands], out.shape))
+        return contract(subscripts, *operands, out=out)
 
     oracle._contract = spy
     try:
@@ -462,9 +589,9 @@ def test_compiled_plan_matches_einsum_on_mc_networks(make, n_samples):
     over three operands as the same einsum."""
     networks = mc_networks(make(), n_samples)
     assert networks
-    for subscripts, operands in networks:
+    for subscripts, operands, _ in networks:
         want = einsum_on_path(subscripts, operands)
-        got = _contract({}, subscripts, *operands, out=np.empty_like(want))
+        got = _contract(subscripts, *operands, out=np.empty_like(want))
         assert_same_contraction(got, want, subscripts)
 
 
@@ -488,19 +615,26 @@ def test_compiled_plan_matches_einsum_on_synthetic_networks(subscripts, shapes):
     want = einsum_on_path(subscripts, operands)
     buf = np.zeros(want.shape + (2,), complex)
     for out in (np.empty_like(want), buf[..., 1]):
-        got = _contract({}, subscripts, *operands, out=out)
+        got = _contract(subscripts, *operands, out=out)
         assert got is out
         assert_same_contraction(got, want, subscripts)
     assert not buf[..., 0].any()
 
 
+def einsum_path_calls(*args):
+    prof = cProfile.Profile()
+    prof.runcall(mc_purity, *args)
+    calls = {name: count for (_, _, name), (count, *_) in pstats.Stats(prof).stats.items()}
+    return calls.get("einsum_path", 0)
+
+
 def test_mc_finds_each_einsum_path_once_per_network_shape():
-    """appendix_c(2) at 100 samples contracts 68 networks of 4 distinct
+    """appendix_c(2) at 100 samples contracts 12 networks of 4 distinct
     shapes (2 sectors, a full and a last short block): einsum_path runs
-    once per shape, not once per contraction."""
+    once per shape, not once per contraction, and the plans are kept
+    module-wide, so a second call finds no path."""
     sc = appendix_c(2)
     assert len(mc_networks(sc, 100)) == 4
-    prof = cProfile.Profile()
-    prof.runcall(mc_purity, sc, 100, 7)
-    calls = {name: count for (_, _, name), (count, *_) in pstats.Stats(prof).stats.items()}
-    assert calls["einsum_path"] == 4
+    oracle._plan.cache_clear()
+    assert einsum_path_calls(sc, 100, 7) == 4
+    assert einsum_path_calls(sc, 100, 7) == 0

@@ -29,11 +29,12 @@ interpreter per case times `IsingEngine(sc).purity()` and reads its peak RSS:
 
 The mc stage, ROUNDS rounds, reports per round the median over MC_REPS
 calls of `mc_purity(tiny_generic(), 400, 7)` and of
-`mc_purity(appendix_c(2), 100, 7)` (perfbench's oracle inputs), and of
-`exact_purity` on `once_fine_grained(1)`, `appendix_c(2)` and
-`tiny_generic()` (the exact oracle's perfbench inputs), each after one
-untimed call; `first_<case>_s`, per exact case, the first
-`exact_purity` call of a fresh interpreter (imports and the scenario
+`mc_purity(appendix_c(2), 100, 7)` (perfbench's oracle inputs), of
+`mc_purity(appendix_c(1), 100, 7)`, and of `exact_purity` on
+`once_fine_grained(1)`, `appendix_c(2)` and `tiny_generic()` (the exact
+oracle's perfbench inputs), each after one untimed call;
+`first_<case>_s`, per exact case, the median over FIRST_RUNS fresh
+interpreters of the first `exact_purity` call (imports and the scenario
 built before the clock starts, the oracle's memos cold); and the wall
 seconds of one fresh interpreter running `rstn oracle FILE --method mc`
 (2000 samples) on each of MC_FILES, after one untimed run per root has
@@ -71,12 +72,14 @@ STAGES = ("init", "sigma", "table")
 ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
 MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
             "appendix_c2_100": ("appendix_c", (2,), 100),
+            "appendix_c1_100": ("appendix_c", (1,), 100),
             "exact_once_fine_grained1": ("once_fine_grained", (1,), None),
             "exact_appendix_c2": ("appendix_c", (2,), None),
             "exact_tiny_generic": ("tiny_generic", (), None)}
 EXACT_CASES = [c for c, (*_, samples) in MC_CASES.items() if samples is None]
 MC_FILES = ("tiny_oracle.json", "once_fine_grained.json")
 MC_REPS = 15
+FIRST_RUNS = 10  # fresh interpreters per round for each first call
 QUOTIENT_CALLS = ("derive", "purity", "distribution", "analyze_holography",
                   "solve_weights", "area_variance")
 
@@ -289,8 +292,9 @@ def main() -> None:
                     for name in MC_FILES:
                         runs[root][name].append(mc_cli(root, name, cache))
                     for case in EXACT_CASES:
-                        runs[root][f"first_{case}"].append(
-                            child(root, ["first", case], cache)["s"])
+                        runs[root][f"first_{case}"].append(statistics.median(
+                            child(root, ["first", case], cache)["s"]
+                            for _ in range(FIRST_RUNS)))
                 elif args.stage == "quotients":
                     runs[root]["quotients"].append(child(root, ["quotients"], cache))
                 else:
