@@ -266,7 +266,7 @@ def sweep(path, param, grid, out):
 
 
 def _seed(ctx, param, value: int) -> int:
-    """`--seed` within the Philox keys, 0..SEED_MAX."""
+    """`--seed`, the first word of the Philox keys: 0..SEED_MAX."""
     from rstn.oracle import SEED_MAX
 
     return click.IntRange(0, SEED_MAX).convert(value, param, ctx)

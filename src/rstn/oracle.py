@@ -12,9 +12,9 @@ Two flavors:
 * `exact_term` / `exact_purity` contract the swap-operator expression
   one configuration at a time;
 * `mc_purity` draws explicit Haar-random vertex states and estimates
-  the purity as a quotient of sample means.  Each (vertex, sample)
-  state comes from its own Philox stream keyed by (seed, vertex,
-  sample), so the estimate does not depend on how samples are grouped
+  the purity as a quotient of sample means.  Each vertex's states come
+  from its own Philox stream keyed by (seed, vertex), read in sample
+  order, so the estimate does not depend on how samples are grouped
   into blocks for contraction.
 """
 
@@ -36,8 +36,8 @@ IMAG_TOL = 1e-9
 LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum indices
 BLOCK_BYTES = 1 << 19  # arrays held per block of Monte Carlo samples
 VERTEX_SPACE_CAP = 512  # largest vertex space the sampler draws states in
-SEED_MAX = 2**63 - 1  # seeds 0..SEED_MAX key the Philox streams exactly
-SAMPLE_MAX = 2**32  # sample numbers below it fit the key's 32 sample bits
+SEED_MAX = 2**63 - 1  # seeds 0..SEED_MAX are the first word of the Philox keys
+SAMPLE_MAX = 2**32  # more would need 64 GiB for the per-sample num and den alone
 
 
 # -- link and boundary traces ----------------------------------------------
@@ -269,29 +269,20 @@ def _vertex_layout(
     return seen, tuples
 
 
-@functools.cache
-def _philox():
-    """A Philox to re-key per draw, its fresh state and a Generator on it;
-    seeded (reads no OS entropy), built on first use (imports stay lean)."""
+def _stream(seed: int, vertex: int) -> np.random.Generator:
+    """The stream of one vertex's states: the Philox keyed [seed, vertex],
+    built seeded (reads no OS entropy) and re-keyed once."""
     bits = np.random.Philox(0)
-    return bits, bits.state, np.random.Generator(bits)
+    state = bits.state
+    state["state"]["key"] = np.array([seed, vertex], np.uint64)
+    bits.state = state
+    return np.random.Generator(bits)
 
 
-def _draw_states(
-    seed: int, vertex: int, start: int, stop: int, dim: int
-) -> np.ndarray:
-    """Haar states of samples start..stop-1 at one vertex, one row each,
-    from the counter-based stream keyed by (seed, vertex, sample): that of
-    the Philox keyed [seed, (vertex << 32) | sample], real parts drawn first."""
-    bits, fresh, rng = _philox()
-    key = np.array([seed, 0], np.uint64)
-    state = {**fresh, "state": {**fresh["state"], "key": key}}
-    normals = np.empty((stop - start, 2, dim))
-    for sample, row in enumerate(normals.reshape(stop - start, -1), start):
-        key[1] = (vertex << 32) | sample
-        bits.state = state
-        rng.standard_normal(out=row)
-    v = normals[:, 0] + 1j * normals[:, 1]
+def _draw_states(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
+    """The next `size` Haar states of dimension dim on one vertex's stream,
+    one row each: complex normals, real and imaginary parts interleaved."""
+    v = rng.standard_normal((size, dim, 2)).view(complex)[..., 0]
     # np.linalg.norm's strided dots, batched: rows are bit for bit v / norm(v)
     re, im = v.real[:, None], v.imag[:, None]
     v /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
@@ -365,15 +356,17 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
     """Estimate the purity of region C over explicit Haar vertex states.
 
     Per sample: contract the network, weight the intertwiner indices
-    with rho^I, reduce to the boundary, and record Tr[rho_C^2] and
-    (Tr rho)^2.  The estimate is mean(num)/mean(den) with a jackknife
-    standard error, NaN for a single sample.
+    with rho^I, reduce to the boundary, and record Tr[rho_C^2] (the squared
+    Frobenius norm of the Hermitian rho_C) and (Tr rho)^2.  The estimate
+    is mean(num)/mean(den) with a jackknife standard error, NaN for a
+    single sample.
 
     Samples are contracted in blocks along a leading sample axis, each
     block holding about BLOCK_BYTES of vertex states, boundary tensors,
     Gram products, fold temporaries and rho_C, by `_contract` plans
     compiled once per process for each network and operand shapes.  A
-    vertex's states for a block fill one buffer, a keyed draw per row.
+    vertex's states for a block are the next rows of its Philox stream,
+    keyed [seed, vertex] and built once per call, in one draw.
     Sectors whose rest spins agree stack their boundary tensors as rows
     (s, c, I) of one M; a Gram product G = M M^H holds every pair's sum
     over the rest legs, and rho^I is read off it with one matrix-vector
@@ -510,6 +503,7 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
                        [(sk, sb, r.T.reshape(-1) if h <= n_e else r)
                         for sk in grp for sb in grp if (r := sc.block(sb, sk)).any()]))
 
+    streams = [_stream(seed, x) for x in range(nv)]
     nums = np.empty(n_samples)
     dens = np.empty(n_samples)
     for start in range(0, n_samples, block):
@@ -517,7 +511,7 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
         size = stop - start
         psi: list[dict[tuple[int, ...], np.ndarray]] = []
         for x in range(nv):
-            vecs = _draw_states(seed, x, start, stop, dims_x[x])
+            vecs = _draw_states(streams[x], size, dims_x[x])
             parts, off = {}, 0
             for (di, legs), tup in zip(*layouts[x]):
                 width = di * math.prod(legs)
@@ -557,7 +551,9 @@ def mc_purity(sc: Scenario, n_samples: int = 5000, seed: int = 7) -> MCResult:
                 rho_c[:, c_span[c_spins[sk]], c_span[c_spins[sb]]] += pair
         tr = np.trace(rho_c, axis1=1, axis2=2).real
         dens[start:stop] = tr * tr
-        nums[start:stop] = np.einsum("sab,sba->s", rho_c, rho_c).real
+        # rho_C is Hermitian: Tr rho_C^2 is its squared Frobenius norm
+        flat = rho_c.view(float).reshape(size, 1, -1)
+        nums[start:stop] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
     n, mean_num, mean_den = n_samples, nums.mean(), dens.mean()
     stderr = math.nan  # a single sample leaves the jackknife undefined
     if n > 1:

@@ -60,8 +60,8 @@ from rstn.oracle import (
     NumericalError,
     _draw_states,
     _pair_state,
-    _philox,
     _RawTerms,
+    _stream,
     _vertex_layout,
     boundary_trace,
     link_swap_trace,
@@ -694,26 +694,27 @@ def sigma_build_reference(engine: IsingEngine, m: int, n: int) -> np.ndarray:
     return sigma
 
 
-def draw_vertex_state(
-    seed: int, vertex: int, sample: int, dim: int
-) -> np.ndarray:
-    """Haar state from the counter-based stream keyed by (seed, vertex,
-    sample): that of Philox(key=[seed, (vertex << 32) | sample]).  One
-    draw at a time, as `rstn.oracle.mc_purity` drew its states before
-    it filled one block of them at once (`rstn.oracle._draw_states`)."""
-    bits, fresh, rng = _philox()
-    key = np.array([seed, (vertex << 32) | sample], np.uint64)
-    bits.state = {**fresh, "state": {**fresh["state"], "key": key}}
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+def vertex_stream(seed: int, vertex: int) -> np.random.Generator:
+    """The stream of one vertex's states: a Generator on
+    Philox(key=[seed, vertex]), built by key alone."""
+    return np.random.Generator(np.random.Philox(key=[seed, vertex]))
+
+
+def draw_vertex_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The next Haar state of dimension dim on a vertex's stream: dim
+    complex normals, real and imaginary parts interleaved, normalised.  One
+    draw at a time, where `rstn.oracle._draw_states` fills a block of them."""
+    pairs = rng.standard_normal(2 * dim)
+    v = pairs[0::2] + 1j * pairs[1::2]
     return v / np.linalg.norm(v)
 
 
 def schur_moment_error(dim: int, n_samples: int = 10_000, seed: int = 3) -> float:
     """Operator-norm error of the empirical doubled second Haar moment of
-    `rstn.oracle.mc_purity`'s sampler: the states `_draw_states` gives
-    vertex 0, samples 0..n_samples-1.  The exact value is
+    `rstn.oracle.mc_purity`'s sampler: the first n_samples states
+    `_draw_states` gives on vertex 0's stream.  The exact value is
     (identity + swap) / (D (D + 1))."""
-    v = _draw_states(seed, 0, 0, n_samples, dim)
+    v = _draw_states(_stream(seed, 0), n_samples, dim)
     emp = np.einsum("ma,mb,mc,md->abcd", v, v.conj(), v, v.conj()) / n_samples
     ident = np.einsum("ab,cd->abcd", np.eye(dim), np.eye(dim))
     swap = np.einsum("ad,cb->abcd", np.eye(dim), np.eye(dim))
@@ -809,13 +810,14 @@ def mc_purity_reference(
                                         optimize="greedy")[0]
         return np.einsum(subscripts, *operands, optimize=paths[key])
 
+    streams = [vertex_stream(seed, x) for x in range(nv)]
     nums = np.empty(n_samples)
     dens = np.empty(n_samples)
     for it in range(n_samples):
         psi: list[dict[tuple[int, ...], np.ndarray]] = []
         for x in range(nv):
             slices, tuples = layouts[x]
-            vec = draw_vertex_state(seed, x, it, dims_x[x])
+            vec = draw_vertex_state(streams[x], dims_x[x])
             parts = {}
             off = 0
             for (di, legs), tup in zip(slices, tuples):

@@ -463,8 +463,9 @@ def test_oracle_seed_outside_philox_keys_exit_2(runner, seed):
 
 
 def test_oracle_samples_beyond_philox_keys_exit_4(runner):
-    """2**32 + 1 samples would reuse the Philox key of sample 0 at the
-    next vertex: refused as a size cap, before anything is sampled."""
+    """2**32 + 1 samples would need more than 64 GiB for their numerators
+    and denominators alone: refused as a size cap, before anything is
+    sampled."""
     start = time.perf_counter()
     res = runner.invoke(
         main,

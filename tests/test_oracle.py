@@ -15,6 +15,7 @@ from oracles import (
     exact_purity_reference,
     mc_purity_reference,
     schur_moment_error,
+    vertex_stream,
 )
 from rings import dense_ring_dict, ring_dict
 from rstn import oracle
@@ -31,6 +32,7 @@ from rstn.oracle import (
     SEED_MAX,
     _contract,
     _draw_states,
+    _stream,
     boundary_trace,
     exact_purity,
     exact_term,
@@ -247,23 +249,22 @@ def test_mc_seed_outside_philox_keys_rejected(seed):
 
 
 def test_vertex_draws_match_keyed_philox_streams():
-    """Re-keying one generator gives each (seed, vertex, sample) the
-    stream of a Philox built with that key, whatever was drawn before:
-    every row of a block of draws, wherever the block starts, is that
-    state bit for bit, and so is the one-draw reference."""
-    blocks = [(0, 0, 0, 3, 5), (7, 3, 5, 9, 12), (SEED_MAX, 1, 2**32 - 3, 2**32, 9),
-              (12345, 9, 77, 78, 1), (7, 3, 5, 9, 12), (3, 0, 0, 1, 1),
-              (3, 1, 40, 44, 1), (7, 1, 0, 5, 32), (7, 1, 97, 101, 32),
-              (5, 1, 0, 2, 459), (5, 0, 3, 6, 459)]
-    for seed, vertex, start, stop, dim in blocks:
-        got = _draw_states(seed, vertex, start, stop, dim)
-        assert got.shape == (stop - start, dim)
-        for row, sample in zip(got, range(start, stop)):
-            rng = np.random.Generator(
-                np.random.Philox(key=[seed, (vertex << 32) | sample]))
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            assert np.array_equal(row, v / np.linalg.norm(v))
-            assert np.array_equal(row, draw_vertex_state(seed, vertex, sample, dim))
+    """Each (seed, vertex) has one stream, that of a Philox built with the
+    key [seed, vertex], read in sample order: any split of the samples into
+    consecutive blocks gives, row for row and bit for bit, the states of one
+    draw of them all and of the one-draw-at-a-time reference."""
+    splits = {(0, 0, 5): [3], (7, 3, 12): [1, 4, 5], (SEED_MAX, 1, 9): [2, 2, 1],
+              (12345, 9, 1): [1], (3, 0, 1): [1, 1, 1], (3, 1, 1): [4, 40],
+              (7, 1, 32): [5, 1, 97], (5, 1, 459): [2, 1], (5, 0, 459): [6]}
+    for (seed, vertex, dim), sizes in splits.items():
+        whole = _draw_states(_stream(seed, vertex), sum(sizes), dim)
+        assert whole.shape == (sum(sizes), dim)
+        rng = _stream(seed, vertex)
+        assert np.array_equal(
+            np.concatenate([_draw_states(rng, size, dim) for size in sizes]), whole)
+        ref = vertex_stream(seed, vertex)
+        for row in whole:
+            assert np.array_equal(row, draw_vertex_state(ref, dim))
 
 
 def test_mc_reads_no_os_entropy():
@@ -274,11 +275,12 @@ def test_mc_reads_no_os_entropy():
 
 
 def test_mc_sample_count_beyond_philox_keys_refused():
-    """Sample numbers take the low 32 bits of the Philox key, so sample
-    2**32 of vertex 0 would draw the state of sample 0 of vertex 1: more
-    than SAMPLE_MAX samples are refused before any array is allocated."""
-    assert np.array_equal(_draw_states(7, 0, 2**32, 2**32 + 1, 8),
-                          _draw_states(7, 1, 0, 1, 8))
+    """Each vertex reads its own stream, so no sample count makes two
+    vertices share states; more than SAMPLE_MAX samples, whose per-sample
+    numerators and denominators alone would take 64 GiB, are refused
+    before any array is allocated."""
+    first = [_draw_states(_stream(7, x), 1, 8) for x in range(2)]
+    assert not np.array_equal(*first)
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError, match=f"{SAMPLE_MAX + 1} samples exceed"):
@@ -469,7 +471,8 @@ def test_fold_keeps_the_rest_leg_gram(monkeypatch):
     rest = [b.color for k, b in enumerate(g.boundary)
             if b.vertex == 0 and f"b{k}" not in sc.region_C]
     slices, _ = oracle._vertex_layout(sc, 0)
-    states = _draw_states(7, 0, 0, size, sum(di * math.prod(legs) for di, legs in slices))
+    states = _draw_states(_stream(7, 0), size,
+                          sum(di * math.prod(legs) for di, legs in slices))
     parts, off = [], 0
     for di, legs in slices:
         width = di * math.prod(legs)
@@ -486,6 +489,35 @@ def test_fold_keeps_the_rest_leg_gram(monkeypatch):
     want = psi @ psi.conj().transpose(0, 2, 1)
     for g_s, w_s in zip(got, want):
         assert abs(g_s - w_s).max() <= 1e-13 * abs(w_s).max()
+
+
+@pytest.mark.parametrize("make, folds", [(tiny_generic, {False}),
+                                         (lambda: appendix_c(2), {False, True})],
+                         ids=["tiny_generic", "appendix_c2"])
+def test_mc_estimate_independent_of_block_size(monkeypatch, make, folds):
+    """Blocks of 1 sample, of a few and of all 23 give one estimate: bit
+    for bit where the fold choice is the same, and to 1e-12 relative
+    across it.  tiny_generic never folds; appendix_c(2) folds wherever a
+    block holds one sample or more once folded, so not at a budget of 1."""
+    sc = make()
+    draw = oracle._draw_states
+    results, spans = {}, set()
+    for budget in (1, 1 << 15, 1 << 17, 1 << 40):
+        sizes, calls = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "BLOCK_BYTES", budget)
+            patch.setattr(oracle, "_draw_states",
+                          lambda rng, size, dim: sizes.append(size) or draw(rng, size, dim))
+            qr_spy(patch, calls)
+            res = mc_purity(sc, 23, seed=7)
+        spans.add(max(sizes))
+        results.setdefault(bool(calls), []).append(res)
+    assert 1 in spans and 23 in spans and len(spans) > 2
+    assert set(results) == folds
+    for same in results.values():
+        assert all(res == same[0] for res in same)
+    for res in results.get(True, []):
+        assert_matches_reference(res, results[False][0])
 
 
 # the networks of mc_purity(tiny_generic(), 400) and
@@ -522,9 +554,10 @@ def test_fold_shrinks_only_appendix_c2_rest_axis():
 def test_mc_traced_peak_within_two_blocks(make, n_samples):
     """Block sizing counts every array a block holds, the folded M and the
     fold's stack, qr copy and R included: a call's traced peak stays within
-    2 BLOCK_BYTES.  The Philox, built once per process, is built first."""
+    2 BLOCK_BYTES.  A Philox is built first: the first of a process
+    imports numpy.random."""
     sc = make()
-    oracle._philox()
+    _stream(7, 0)
     tracemalloc.start()
     try:
         mc_purity(sc, n_samples, seed=7)
