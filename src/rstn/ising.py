@@ -51,9 +51,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rstn.logdomain import LogSums, LogWeight, log_sum_tree
-from rstn.spins import dim_rep, intertwiner_dimension
+from rstn.spins import dim_rep
 from rstn.state import Scenario, adjoint_close
-from rstn.graph import ColoredGraph
 
 SIGMA_IMAG_TOL = 1e-9
 TIE_TOL = 1e-12
@@ -684,30 +683,3 @@ def purity_gradient(sc: Scenario, direction: np.ndarray) -> float:
     tr_rho = float(np.trace(rho).real)
     along = float(np.vdot(op, x).real)
     return 2.0 / tr_rho**2 * (along - float(np.trace(x).real) / tr_rho * c0)
-
-
-def hamiltonian_bulk_boundary(
-    graph: ColoredGraph,
-    spins: dict[str, int],
-    config: int,
-    bulk_field: dict[int, int] | int = 1,
-) -> float:
-    """Single-sector energy with a pinning field on the vertices.
-
-    Boundary half-edges pay log(2j+1) when their vertex is swapped,
-    internal links when cut, and each vertex pays log of its
-    intertwiner dimension when swapped against its bulk field b_x
-    (b_x = -1 models the bulk as input).
-    """
-    logd = [math.log(dim_rep(spins[lid])) for lid in graph.link_ids()]
-    total = float(np.dot(logd, graph.cuts(config)))
-    for x in range(graph.n_vertices):
-        bx = bulk_field if isinstance(bulk_field, int) else bulk_field.get(x, 1)
-        sigma = -1 if config >> x & 1 else 1
-        if sigma * bx == -1:
-            tup = tuple(spins[lid] for lid in graph.links_at(x))
-            dim = intertwiner_dimension(tup)
-            if dim == 0:
-                return math.inf
-            total += math.log(dim)
-    return total

@@ -16,18 +16,6 @@ def dim_rep(twice_j: int) -> int:
     return twice_j + 1
 
 
-def couple_range(twice_a: int, twice_b: int) -> range:
-    """Twice-spins appearing in the tensor product of two irreps."""
-    return range(abs(twice_a - twice_b), twice_a + twice_b + 1, 2)
-
-
-def triangle_ok(twice_a: int, twice_b: int, twice_c: int) -> bool:
-    """Triangle inequality + integer total spin for three irreps."""
-    if (twice_a + twice_b + twice_c) % 2 != 0:
-        return False
-    return abs(twice_a - twice_b) <= twice_c <= twice_a + twice_b
-
-
 def channel_spins(twice_js: tuple[int, int, int, int]) -> tuple[int, ...]:
     """Intermediate twice-spins of the (12)(34) recoupling channel.
 

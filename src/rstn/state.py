@@ -40,11 +40,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
-def link_state_purity(twice_j: int) -> float:
-    """Purity of one half of a maximally entangled link state."""
-    return 1.0 / dim_rep(twice_j)
-
-
 def adjoint_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     """a = b^H by np.allclose's rule, |a - b^H| <= atol + 1e-5 |b^H|, taken over
     row blocks of at most 2^14 entries; the atol test alone settles most blocks."""

@@ -66,7 +66,7 @@ from rstn.oracle import (
     boundary_trace,
     link_swap_trace,
 )
-from rstn.spins import dim_rep, intertwiner_dimension
+from rstn.spins import dim_rep
 from rstn.state import Scenario, scenario_from_dict
 
 
@@ -492,44 +492,6 @@ def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
                 report.failing.append((xs, lhs, rhs))
                 report.passed = False
     return report
-
-
-def bulk_boundary_reference(
-    g: ColoredGraph, spins: dict[str, int], config: int,
-    bulk_field: dict[int, int] | int = 1,
-) -> float:
-    """`hamiltonian_bulk_boundary` by one pass over each kind of link:
-    half-edges at swapped vertices, internal links with one swapped end,
-    then log D at the vertices swapped against their bulk field."""
-    total = 0.0
-    for k, b in enumerate(g.boundary):
-        if config >> b.vertex & 1:
-            total += math.log(dim_rep(spins[f"b{k}"]))
-    for k, ln in enumerate(g.internal):
-        if (config >> ln.source & 1) != (config >> ln.target & 1):
-            total += math.log(dim_rep(spins[f"i{k}"]))
-    for x in range(g.n_vertices):
-        bx = bulk_field if isinstance(bulk_field, int) else bulk_field.get(x, 1)
-        if (-1 if config >> x & 1 else 1) * bx == -1:
-            slots = {ln.color: f"i{k}" for k, ln in enumerate(g.internal)
-                     if x in (ln.source, ln.target)}
-            slots.update({b.color: f"b{k}" for k, b in enumerate(g.boundary)
-                          if b.vertex == x})
-            dim = intertwiner_dimension(tuple(spins[slots[c]] for c in range(1, 5)))
-            if dim == 0:
-                return math.inf
-            total += math.log(dim)
-    return total
-
-
-def boundary_factor_reference(sc: Scenario, x_obs, y_obs, m: int, n: int,
-                              config: int) -> float:
-    """`observables.boundary_factor` half-edge by half-edge."""
-    log = x_obs.log_eval(sc, m) + y_obs.log_eval(sc, n)
-    for k, b in enumerate(sc.graph.boundary):
-        if config >> b.vertex & 1:
-            log -= math.log(dim_rep(sc.spin(m, f"b{k}")))
-    return log
 
 
 def link_terms_reference(

@@ -20,13 +20,11 @@ from click.testing import CliRunner
 
 from oracles import (
     benchmark_partition_sums,
-    bulk_boundary_reference,
     einsum_partial_trace,
     einsum_sigma,
     fd_swapped_gradient,
     gradient_operator_reference,
     gradient_reference,
-    graph_scenarios,
     link_terms_reference,
     pair_reference,
     psd_safe_direction,
@@ -62,7 +60,6 @@ from rstn.ising import (
     NumericalError,
     SizeCapError,
     _survives,
-    hamiltonian_bulk_boundary,
     purity_gradient,
 )
 from rstn.cli import main
@@ -504,35 +501,6 @@ def test_gradient_memory_peaks():
             tracemalloc.stop()
     assert peaks[0] <= 3.0
     assert peaks[1] <= 0.5, peaks
-
-
-def test_bulk_boundary_hamiltonian():
-    sc = tiny_generic()
-    g = sc.graph
-    spins = sc.sectors[0].spins
-    # all up with all-plus field: nothing pays
-    assert hamiltonian_bulk_boundary(g, spins, 0, 1) == 0.0
-    # vertex 0 down: its three boundary legs + the cut link pay, and
-    # with bulk field +1 the vertex dimension pays too
-    expect = 4 * math.log(2) + math.log(2)
-    assert hamiltonian_bulk_boundary(g, spins, 0b01, 1) == pytest.approx(
-        expect
-    )
-    # bulk field -1 at vertex 0 instead rewards the flip
-    got = hamiltonian_bulk_boundary(g, spins, 0b01, {0: -1, 1: 1})
-    assert got == pytest.approx(4 * math.log(2))
-
-
-@pytest.mark.parametrize("sc", graph_scenarios())
-def test_bulk_boundary_hamiltonian_matches_link_loops(sc):
-    g = sc.graph
-    fields = [1, -1, {x: -1 for x in range(0, g.n_vertices, 2)}]
-    for spins in (sec.spins for sec in sc.sectors):
-        for config in range(1 << g.n_vertices):
-            for field in fields:
-                want = bulk_boundary_reference(g, spins, config, field)
-                got = hamiltonian_bulk_boundary(g, spins, config, field)
-                assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_random_scenarios_have_unit_distribution_sum():

@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import boundary_factor_reference, graph_scenarios
 from rstn.families import appendix_c, tiny_generic, two_sector
 from rstn.holography import reweighted_scenario, solve_weights
-from rstn.ising import IsingEngine
 from rstn.observables import (
-    IDENTITY,
-    DiagonalObservable,
     area_average,
     area_average_partition,
-    area_observable,
     area_variance,
-    boundary_factor,
     holographic_p,
     link_area,
     p_vector,
@@ -29,7 +23,6 @@ from rstn.observables import (
 def test_link_area_conventions():
     assert link_area(2) == 1.0
     assert link_area(1) == 0.5
-    assert link_area(2, sqrt_convention=True) == pytest.approx(math.sqrt(2))
 
 
 def test_sector_area_sums_region():
@@ -37,53 +30,16 @@ def test_sector_area_sums_region():
     assert sector_area(sc, 0) == 1.0
 
 
-def test_identity_boundary_factor_is_variant0_weight():
-    sc = tiny_generic()
-    link = IsingEngine(sc)._link_energies(np.arange(4))[0, 0]
-    for config in range(4):
-        fac = boundary_factor(sc, IDENTITY, IDENTITY, 0, 0, config)
-        pay = link[config]
-        # no internal link cut contributes on configs 0b00/0b11 only;
-        # compare boundary part directly
-        internal_pay = (
-            math.log(2) if (config in (0b01, 0b10)) else 0.0
-        )
-        assert fac == pytest.approx(-(pay - internal_pay), abs=1e-12)
-
-
-@pytest.mark.parametrize("sc", graph_scenarios())
-def test_boundary_factor_matches_half_edge_loop(sc):
-    for m in range(len(sc.sectors)):
-        obs = area_observable(sc, m)
-        for config in range(1 << sc.graph.n_vertices):
-            for x_obs in (IDENTITY, obs):
-                want = boundary_factor_reference(sc, x_obs, IDENTITY, m, m, config)
-                got = boundary_factor(sc, x_obs, IDENTITY, m, m, config)
-                assert got == pytest.approx(want, rel=0, abs=1e-12)
-
-
-def test_constant_observable_factors_out():
-    sc = tiny_generic()
-    obs = area_observable(sc, 0)
-    for config in range(4):
-        with_obs = boundary_factor(sc, obs, IDENTITY, 0, 0, config)
-        plain = boundary_factor(sc, IDENTITY, IDENTITY, 0, 0, config)
-        assert with_obs - plain == pytest.approx(
-            math.log(sector_area(sc, 0))
-        )
-
-
-def test_negative_eigenvalue_rejected():
-    sc = tiny_generic()
-    bad = DiagonalObservable({("b3", 1): -2.0})
-    with pytest.raises(ValueError, match="negative"):
-        boundary_factor(sc, bad, IDENTITY, 0, 0, 0)
-
-
 def test_single_sector_average_is_sector_area():
     sc = tiny_generic()
     assert area_average(sc, holographic=False) == sector_area(sc, 0)
     assert area_variance(sc, holographic=False) == 0.0
+
+
+@pytest.mark.parametrize("moment", [area_average, area_variance])
+def test_holographic_is_keyword_only(moment):
+    with pytest.raises(TypeError):
+        moment(tiny_generic(), False)
 
 
 def test_holographic_p_normalized():
@@ -144,3 +100,16 @@ def test_sequence_average_bounds():
         areas = rng.uniform(0.5, 50.0, size=rng.integers(2, 8))
         avg = sequence_average(areas)
         assert areas.mean() - 1e-12 <= avg <= areas.sum() + 1e-12
+
+
+@pytest.mark.parametrize("areas", [[], [math.nan], [math.inf], [0.0, 1.0],
+                                   [-1.0, 2.0], [[1.0, 2.0]]])
+@pytest.mark.parametrize("fn", [lambda a: sequence_renyi(a, 2),
+                                sequence_mean_prefactor,
+                                sequence_var_prefactor,
+                                sequence_average],
+                         ids=["renyi", "mean_prefactor", "var_prefactor",
+                              "average"])
+def test_sequence_functions_reject_bad_areas(fn, areas):
+    with pytest.raises(ValueError, match="areas must be"):
+        fn(areas)

@@ -1,29 +1,11 @@
 import pytest
 
 from oracles import casimir_invariant_dim, weight_counting_invariant_dim
-from rstn.spins import (
-    channel_spins,
-    couple_range,
-    dim_rep,
-    intertwiner_dimension,
-    triangle_ok,
-)
+from rstn.spins import channel_spins, dim_rep, intertwiner_dimension
 
 
 def test_dim_rep():
     assert [dim_rep(t) for t in range(5)] == [1, 2, 3, 4, 5]
-
-
-def test_couple_range_steps_of_two():
-    assert list(couple_range(1, 1)) == [0, 2]
-    assert list(couple_range(2, 4)) == [2, 4, 6]
-    assert list(couple_range(0, 3)) == [3]
-
-
-def test_triangle():
-    assert triangle_ok(1, 1, 2)
-    assert not triangle_ok(1, 1, 1)  # parity violation
-    assert not triangle_ok(1, 1, 4)
 
 
 def test_channel_spins_simple():

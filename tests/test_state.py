@@ -16,17 +16,10 @@ from rstn.state import (
     Sector,
     ValidationError,
     _block_in,
-    link_state_purity,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
-
-
-def test_link_state_purity():
-    assert link_state_purity(0) == 1.0
-    assert link_state_purity(1) == 0.5
-    assert link_state_purity(3) == 0.25
 
 
 def test_vertex_tuple_color_order():

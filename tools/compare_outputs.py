@@ -23,8 +23,9 @@ first and which is removed at the end, so that no checkout is left with
            each quotient called twice, so that the value first computed
            and the one read back are both compared: `purity` and the
            bytes of `distribution()`, every field of `analyze_holography`,
-           `solve_weights` (c, p, residual, method, ratio) and
-           `area_variance`, each as a repr or the exception raised;
+           `solve_weights` (c, p, residual, method, ratio), `area_average`,
+           `area_average_partition` and `area_variance`, each as a repr
+           or the exception raised;
   oracle   the repr of each field of `exact_purity` (purity, z1, z0) and
            of `mc_purity` (purity, stderr, mean_num, mean_den), seed 7:
            `tiny_generic()`, `appendix_c(2)` and `once_fine_grained(1)`
@@ -135,7 +136,8 @@ def quotient_outputs(scenarios: dict) -> dict:
 
     from rstn.holography import analyze_holography, solve_weights
     from rstn.ising import IsingEngine
-    from rstn.observables import area_variance
+    from rstn.observables import (area_average, area_average_partition,
+                                  area_variance)
 
     def render(value) -> str:
         if hasattr(value, "tobytes"):
@@ -161,6 +163,8 @@ def quotient_outputs(scenarios: dict) -> dict:
                 ("distribution", engine.distribution),
                 ("analyze_holography", lambda: astuple(analyze_holography(sc))),
                 ("solve_weights", lambda: astuple(solve_weights(sc))),
+                ("area_average", lambda: area_average(sc)),
+                ("area_average_partition", lambda: area_average_partition(sc)),
                 ("area_variance", lambda: area_variance(sc))):
             items[f"quotients {name} {quotient}"] = twice(call)
     return items
