@@ -7,8 +7,9 @@ is tracked by
     Q_{mn} = (Z_1^{(mn)} / Z_0^{(mn)}) * dim(H_C),
 
 and the sector distribution p (p_n proportional to Ktilde_n c_n)
-must satisfy <p, (Q - 1) p> = 0.  `solve_weights` looks for bulk
-weights c that achieve this; `fixed_spin_criteria` checks the
+must satisfy <p, (Q - 1) p> = 0.  `solve_weights` finds bulk
+weights c that achieve this, or shows from the exact extremes of the
+form on the simplex that none exist; `fixed_spin_criteria` checks the
 per-region flip conditions that protect the single-sector ground
 state.
 """
@@ -21,13 +22,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from rstn.ising import IsingEngine
+from rstn.ising import IsingEngine, SizeCapError
 from rstn.state import Scenario
 from rstn.spins import dim_rep
 
 HOLO_TOL = {"exact": 1e-6, "high_spin": 1e-2}
 WEIGHT_RESIDUAL_TOL = 1e-9
 EQUALITY_TOL = 1e-9
+MAX_WEIGHT_SECTORS = 12  # `solve_weights` visits all 2^n - 1 faces, twice
 
 
 class InfeasibleError(RuntimeError):
@@ -113,19 +115,47 @@ def _p_to_c(engine: IsingEngine, p: np.ndarray) -> np.ndarray:
     return c / c.sum()
 
 
+def _simplex_argmin(b: np.ndarray) -> np.ndarray:
+    """A minimiser of p.b.p (b symmetric) over the probability simplex.
+
+    The minimum lies at the stationary point of some face F, which
+    solves [[2 b_FF, 1], [1, 0]] [p_F; lam] = [0; 1].  A face whose
+    system has no solution (residual over 1e-9 max(1, |b|)) or whose
+    point leaves the simplex attains its minimum on one of its own
+    lower faces, so it is skipped; the lowest point of the other faces
+    is the minimum.
+    """
+    n, best = len(b), None
+    tol = 1e-9 * max(1.0, np.abs(b).max())
+    for mask in range(1, 1 << n):
+        face = [k for k in range(n) if mask >> k & 1]
+        kkt = np.ones((len(face) + 1,) * 2)
+        kkt[:-1, :-1], kkt[-1, -1] = 2.0 * b[np.ix_(face, face)], 0.0
+        rhs = np.eye(len(face) + 1)[-1]
+        x = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        if np.abs(kkt @ x - rhs).max() > tol or x[:-1].min() < 0.0:
+            continue
+        p = np.zeros(n)
+        p[face] = x[:-1]
+        if best is None or p @ b @ p <= best @ b @ best:
+            best = p  # on a tie the later face, so a flat b keeps all sectors
+    return best
+
+
 def solve_weights(sc: Scenario) -> WeightSolution:
     """Find bulk sector weights that make the scenario holographic.
 
     Solves <p, beta p> = 0 with beta = Q - 1 over the probability
     simplex, then converts p back to weights via p ~ Ktilde_n c_n.
-    Tries, in order: a null-vector of beta with single-signed entries,
-    an exact root on a segment between extreme diagonal directions,
-    and a deterministic multi-start simplex minimization.
+    A null vector of beta with single-signed entries is taken first.
+    Otherwise, the form being continuous on the convex simplex, a root
+    exists exactly when its exact minimum there (`_simplex_argmin`) is
+    <= 0 <= its maximum, and is bisected on the segment between them;
+    the 2^n - 1 faces cap n at MAX_WEIGHT_SECTORS (SizeCapError).
     """
     engine = IsingEngine.of(sc)
     engine._log_weights()  # NumericalError where the normalization vanishes
     q = q_matrix(engine)
-    n = q.shape[0]
     beta = q - 1.0
     beta_sym = (beta + beta.T) / 2.0
 
@@ -150,59 +180,25 @@ def solve_weights(sc: Scenario) -> WeightSolution:
         if np.all(v > 1e-12) or np.all(v < -1e-12):
             return finish(np.abs(v), "null_vector")
 
-    # (ii) root on a segment between the extreme diagonal directions
-    diag = np.diag(beta_sym)
-    lo, hi = int(np.argmin(diag)), int(np.argmax(diag))
-    if diag[lo] < 0.0 < diag[hi]:
-        e_lo = np.eye(n)[lo]
-        e_hi = np.eye(n)[hi]
-
-        def f(t: float) -> float:
-            return residual((1 - t) * e_lo + t * e_hi)
-
-        # f(0) < 0 < f(1): quadratic in t, bisect the sign change
-        t_lo, t_hi = 0.0, 1.0
-        for _ in range(200):
-            mid = (t_lo + t_hi) / 2.0
-            if f(mid) < 0.0:
-                t_lo = mid
-            else:
-                t_hi = mid
-        t = (t_lo + t_hi) / 2.0
-        p = (1 - t) * e_lo + t * e_hi
-        if abs(residual(p / p.sum())) <= WEIGHT_RESIDUAL_TOL:
-            return finish(p, "segment_root")
-
-    # (iii) deterministic multi-start simplex search
-    from scipy import optimize  # slow to import; only this fallback needs it
-
-    def objective(y: np.ndarray) -> float:
-        p = np.abs(y)
-        s = p.sum()
-        if s <= 0:
-            return 1.0
-        return residual(p / s) ** 2
-
-    starts = [np.ones(n)]
-    starts += [np.ones(n) + 3.0 * np.eye(n)[k] for k in range(n)]
-    best = None
-    for y0 in starts:
-        res = optimize.minimize(
-            objective, y0, method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun == 0.0:  # a square: no later start can beat it
-            break
-    p = np.abs(best.x)
-    p /= p.sum()
-    if abs(residual(p)) > WEIGHT_RESIDUAL_TOL:
+    # (ii) the exact extremes, then a root between them
+    if (n := len(q)) > MAX_WEIGHT_SECTORS:
+        raise SizeCapError(
+            f"weight solving visits {2**n - 1} faces of the simplex for {n} "
+            f"sectors, over the cap of {MAX_WEIGHT_SECTORS} sectors "
+            f"({2**MAX_WEIGHT_SECTORS - 1} faces)")
+    p_lo, p_hi = _simplex_argmin(beta_sym), _simplex_argmin(-beta_sym)
+    lo, hi = residual(p_lo), residual(p_hi)
+    if lo > WEIGHT_RESIDUAL_TOL or hi < -WEIGHT_RESIDUAL_TOL:
         raise InfeasibleError(
-            f"no weights reach the holographic ratio "
-            f"(best residual {residual(p):.3e})"
-        )
-    return finish(p, "simplex_search")
+            f"no weights reach the holographic ratio: p.(Q - 1).p ranges "
+            f"over [{lo:.3e}, {hi:.3e}] on the simplex")
+    t_lo, t_hi = 0.0, 1.0  # bisect the sign change from p_lo (t = 0) to p_hi
+    for _ in range(200):
+        mid = (t_lo + t_hi) / 2.0
+        below = residual((1 - mid) * p_lo + mid * p_hi) < 0.0
+        t_lo, t_hi = (mid, t_hi) if below else (t_lo, mid)
+    t = (t_lo + t_hi) / 2.0
+    return finish((1 - t) * p_lo + t * p_hi, "simplex_search")
 
 
 def reweighted_scenario(sc: Scenario, c: np.ndarray) -> Scenario:

@@ -212,6 +212,8 @@ def test_infeasible_exit_5(runner):
         main, ["solve-weights", scenario_path("tiny_oracle.json")]
     )
     assert res.exit_code == 5
+    # one sector: the form's minimum and maximum over the simplex agree
+    assert "ranges over [5.424e-01, 5.424e-01]" in res.output
 
 
 def test_analyze_report(runner):
@@ -549,14 +551,20 @@ def test_oracle_mc_once_fine_grained_finishes(runner):
 
 
 def test_cli_import_skips_scipy_optimize():
-    code = "import sys, rstn.cli; print('scipy.optimize' in sys.modules)"
+    # nor does solving an infeasible scenario load any scipy module
+    code = ("import sys, rstn.cli\n"
+            "from rstn.families import appendix_c\n"
+            "from rstn.holography import InfeasibleError, solve_weights\n"
+            "try:\n    solve_weights(appendix_c(2))\n"
+            "except InfeasibleError:\n    print('infeasible')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(rstn.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=env,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["infeasible", "[]"]
 
 
 def test_cli_import_skips_families():

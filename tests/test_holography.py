@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import fixed_spin_reference
 from rstn.families import (
@@ -22,7 +24,7 @@ from rstn.holography import (
     reweighted_scenario,
     solve_weights,
 )
-from rstn.ising import IsingEngine
+from rstn.ising import IsingEngine, SizeCapError
 
 
 def test_analyze_basic_fields():
@@ -100,12 +102,13 @@ def _solved_and_reweighted(sc):
     return sol, re
 
 
-def test_segment_root_weights(monkeypatch):
-    # beta = diag(-1/2, 1): no null vector, a sign change on the segment
+def test_simplex_search_root_between_two_vertices(monkeypatch):
+    # beta = diag(-1/2, 1): no null vector; the minimiser is e_0, the
+    # maximiser e_1, and the root lies on the segment between them
     monkeypatch.setattr(holography, "q_matrix",
                         lambda engine: np.array([[0.5, 1.0], [1.0, 2.0]]))
     sol, _ = _solved_and_reweighted(two_sector(5, 3, 0.5, mode="exact"))
-    assert sol.method == "segment_root"
+    assert sol.method == "simplex_search"
     # -(1 - t)^2 / 2 + t^2 = 0 on the segment from e_0 to e_1
     assert sol.p[1] / sol.p[0] == pytest.approx(math.sqrt(0.5), rel=1e-9)
 
@@ -125,23 +128,58 @@ def test_simplex_search_weights_on_a_flat_q():
     assert np.array_equal(q_matrix(IsingEngine(sc)), np.ones((2, 2)))
     sol, _ = _solved_and_reweighted(sc)
     assert sol.method == "simplex_search"
+    assert np.array_equal(sol.p, [0.5, 0.5])  # every face ties; the full one wins
 
 
-def test_simplex_search_stops_at_a_zero_objective(monkeypatch):
-    # the first start already reaches objective 0.0 on the flat Q; no
-    # later start can replace it, so the search ends there
-    from scipy import optimize
+def _simplex_grid(n: int, steps: int) -> np.ndarray:
+    """Every point of the probability simplex in R^n with coordinates in
+    multiples of 1/steps, one per row."""
+    head = np.indices((steps + 1,) * (n - 1)).reshape(n - 1, -1).T
+    head = head[head.sum(axis=1) <= steps]
+    return np.column_stack([head, steps - head.sum(axis=1)]) / steps
 
-    minimize, calls = optimize.minimize, []
 
-    def counting(*args, **kwargs):
-        calls.append(minimize(*args, **kwargs))
-        return calls[-1]
+# one scenario per sector count, for the weights' conversion only
+_BY_SECTORS = {2: two_sector(5, 3, 0.5, mode="exact"),
+               3: random_scenario(np.random.default_rng(0), "one", n_sectors=3)}
 
-    monkeypatch.setattr(optimize, "minimize", counting)
-    sol = solve_weights(appendix_c(1, region="s_link", mode="high_spin"))
-    assert sol.method == "simplex_search"
-    assert [res.fun for res in calls] == [0.0]
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: arrays(
+    float, (n, n), elements=st.floats(-1.0, 1.0))))
+def test_weights_exist_exactly_when_the_grid_changes_sign(b):
+    b = (b + b.T) / 2.0
+    n, steps = len(b), 200
+    grid = _simplex_grid(n, steps)
+    values = np.einsum("ki,ij,kj->k", grid, b, grid)
+    # a simplex point lies within 1-norm 2(n - 1)/steps of a grid point,
+    # and the form changes by at most 2 max|b| per unit of 1-norm
+    resolution = 4.0 * (n - 1) / steps
+    assume(not 0.0 < values.min() <= resolution)
+    assume(not -resolution <= values.max() < 0.0)
+    infeasible = values.min() > 0.0 or values.max() < 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holography, "q_matrix", lambda engine: b + 1.0)
+        if infeasible:
+            with pytest.raises(InfeasibleError, match="ranges over"):
+                solve_weights(_BY_SECTORS[n])
+            return
+        sol = solve_weights(_BY_SECTORS[n])
+    assert np.all(sol.p >= 0.0) and sol.p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert abs(sol.p @ b @ sol.p) <= WEIGHT_RESIDUAL_TOL
+    assert sol.residual <= WEIGHT_RESIDUAL_TOL
+
+
+def test_sector_count_cap(monkeypatch):
+    # beta = 1 (all ones): its null vectors are orthogonal to (1, ..., 1),
+    # never single-signed, so the solve reaches the faces
+    n = holography.MAX_WEIGHT_SECTORS + 1
+    monkeypatch.setattr(holography, "q_matrix",
+                        lambda engine: np.full((n, n), 2.0))
+    monkeypatch.setattr(holography, "_simplex_argmin", None)  # never called
+    with pytest.raises(SizeCapError, match=f"{2**n - 1} faces .* {n} sectors, "
+                       f"over the cap of {n - 1} sectors"):
+        solve_weights(two_sector(5, 3, 0.5, mode="exact"))
 
 
 def test_fixed_spin_regions_are_cached_read_only():
@@ -178,11 +216,12 @@ def test_reweighting_rescales_cross_blocks():
 
 def test_infeasible_raises():
     # single sector: beta is a scalar; a strictly positive beta has no
-    # root on the simplex
+    # root on the simplex, and the message states its one value twice
     sc = tiny_generic()
     q = q_matrix(IsingEngine(sc))
     assert q[0, 0] > 1.0
-    with pytest.raises(InfeasibleError):
+    b = f"{q[0, 0] - 1.0:.3e}"
+    with pytest.raises(InfeasibleError, match=rf"ranges over \[{b}, {b}\]"):
         solve_weights(sc)
 
 

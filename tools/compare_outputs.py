@@ -36,7 +36,9 @@ first and which is removed at the end, so that no checkout is left with
 
 The corpus: the families (`appendix_c` at twice-spins 2 and 4, plain
 and with coherent blocks, `two_sector`, `tiny_generic` in both modes,
-`once_fine_grained(1)`); perfbench's seed-1 inputs (`dense_ring8`,
+`once_fine_grained(1)`, and `appendix_c(1)` with C on the shared spin-1/2
+link in high-spin mode, whose flat Q = 1 sends `solve_weights` past the
+null vector); perfbench's seed-1 inputs (`dense_ring8`,
 `ms6`, `ms5`; the oracle workload's are families); and N_DRAWS
 `random_scenario` draws from one fixed generator.
 
@@ -96,6 +98,9 @@ def corpus(root: str) -> dict:
         "tiny_generic": families.tiny_generic(),
         "tiny_generic(high_spin)": families.tiny_generic("high_spin"),
         "once_fine_grained(1)": families.once_fine_grained(1),
+        # Q = 1: the one corpus scenario whose weights need the simplex search
+        "appendix_c(1, s_link, high_spin)": families.appendix_c(
+            1, region="s_link", mode="high_spin"),
     }
     # perfbench/run.py seeds each workload with [seed, its index]
     dense, _, _ = inputs.dense_bulk(np.random.default_rng([1, 1]))
