@@ -241,9 +241,9 @@ def random_scenario(
     n_sectors: int = 1,
     max_twice: int = 4,
     mode: str = "exact",
-    vertex_product: bool = False,
 ) -> Scenario:
-    """Draw a valid scenario: random admissible spins, random PSD state."""
+    """Draw a valid scenario: random admissible spins and a random PSD bulk
+    state, one dense matrix over all sectors cut into blocks m <= n."""
     graph = _template(template)
     ids = graph.link_ids()
 
@@ -272,16 +272,11 @@ def random_scenario(
         sectors.append(Sector(spins, name=f"r{len(sectors)}"))
         dims.append(dim)
     total = sum(dims)
-    if vertex_product or n_sectors == 1:
-        # block-diagonal (and per-sector product) state
-        weights = rng.random(n_sectors) + 0.1
-        weights /= weights.sum()
-        blocks = {}
-        for s, dim in enumerate(dims):
-            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            rho = x @ x.conj().T
-            rho *= weights[s] / np.trace(rho).real
-            blocks[(s, s)] = rho
+    if n_sectors == 1:
+        rng.random(1)  # the sector's weight, 1 once normalized: kept for the stream
+        x = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+        rho = x @ x.conj().T
+        blocks = {(0, 0): rho * (1.0 / np.trace(rho).real)}
     else:
         x = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
         full = x @ x.conj().T
@@ -314,5 +309,4 @@ def random_scenario(
         blocks=blocks,
         region_C=sorted(region_C),
         mode=mode,
-        vertex_product=vertex_product and n_sectors > 1,
     )

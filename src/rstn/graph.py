@@ -4,7 +4,8 @@ Vertices are integers 0..n-1.  Every vertex has exactly four link
 slots, one per color 1..4.  A slot is filled either by an internal
 link (joining two vertices, same color at both ends) or by a boundary
 link (a dangling half-edge).  Boundary links are "outer" by default;
-"inner" marks half-edges facing an optional core system.
+an "inner" half-edge is never in region C, and otherwise counts as any
+half-edge outside C.
 
 Link ids are strings: "i<k>" for the k-th internal link and "b<k>" for
 the k-th boundary link, in their declaration order.

@@ -52,7 +52,7 @@ import numpy as np
 
 from rstn.logdomain import LogSums, LogWeight, log_sum_tree
 from rstn.spins import dim_rep
-from rstn.state import Scenario, adjoint_close
+from rstn.state import Scenario, SizeCapError, adjoint_close
 
 SIGMA_IMAG_TOL = 1e-9
 TIE_TOL = 1e-12
@@ -60,11 +60,6 @@ CHUNK_BITS = 14  # configurations per chunk, at most
 TILE_BITS = 18  # configurations x pairs per pair-table tile, at most
 MAX_CONFIG_PAIRS = 2**24  # 2^V configurations x n_sec^2 ordered pairs
 COND_CAP = 1e12  # Q is singular past this condition number
-
-
-class SizeCapError(RuntimeError):
-    """Input too large to evaluate: for the engine, more than 2^24
-    configurations x ordered sector pairs (exit code 4)."""
 
 
 class NumericalError(ValueError):
@@ -387,15 +382,13 @@ class IsingEngine:
         A link needs equal spins in both sectors whenever the two
         copies are swapped on one of its ends (for a half-edge: sigma_s
         * h = -1), so the ends of differing links are pinned up, those
-        of differing C half-edges down in variant 1 (h = -1 on C).  A
-        vertex-product bulk state also pins the split vertices up.
+        of differing C half-edges down in variant 1 (h = -1 on C).  As in
+        both oracles, nothing else is pinned, whatever the bulk state.
         """
         split = self._full & ~self._agree[m][n]
         differ = self._twice[m] != self._twice[n]
         up = int(np.bitwise_or.reduce(self.sc.graph.ends[differ & ~self._on_C]))
         down = int(np.bitwise_or.reduce(self.sc.graph.ends[differ & self._on_C]))
-        if self.sc.vertex_product:
-            up |= split
         return (split, 0), (up, down)
 
     # -- bulk-state entropy term ---------------------------------------------

@@ -38,6 +38,7 @@ from rstn.spins import dim_rep, intertwiner_dimension
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+MAX_BULK_DIM = 4096  # sum of block dims: validation builds a dense square this wide
 
 
 def adjoint_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
@@ -61,6 +62,12 @@ class ValidationError(ValueError):
     """Well-formed input that violates a physical constraint."""
 
 
+class SizeCapError(RuntimeError):
+    """Input too large to evaluate (exit code 4): a bulk state of dimension
+    over MAX_BULK_DIM on validation, and the engine's, oracle's, weight
+    solver's and CLI's own caps, each raised before the work is allocated."""
+
+
 @dataclass(frozen=True, eq=False)
 class Sector:
     spins: Mapping[str, int]  # link id -> twice-spin
@@ -78,8 +85,6 @@ class Scenario:
     blocks: Mapping[tuple[int, int], np.ndarray]  # (m, n) -> rho^I block
     region_C: tuple[str, ...]
     mode: str = "exact"
-    vertex_product: bool = False
-    core: Mapping | None = None
     cutoffs: Mapping[str, float | None] | None = None
 
     def __post_init__(self):
@@ -88,9 +93,8 @@ class Scenario:
         object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
         object.__setattr__(self, "amplitudes", MappingProxyType({
             lid: MappingProxyType(dict(t)) for lid, t in self.amplitudes.items()}))
-        for name in ("core", "cutoffs"):
-            if (table := getattr(self, name)) is not None:
-                object.__setattr__(self, name, MappingProxyType(dict(table)))
+        if self.cutoffs is not None:
+            object.__setattr__(self, "cutoffs", MappingProxyType(dict(self.cutoffs)))
         for blk in self.blocks.values():
             blk.flags.writeable = False
         self.validate()
@@ -114,7 +118,7 @@ class Scenario:
         return dims[sector]
 
     def block_dim(self, sector: int) -> int:
-        return int(np.prod(self.vertex_dims(sector)))
+        return math.prod(self.vertex_dims(sector))
 
     def block(self, m: int, n: int) -> np.ndarray:
         """rho^I block between sectors m (rows) and n (columns)."""
@@ -206,6 +210,9 @@ class Scenario:
     def _validate_blocks(self) -> None:
         n_sec = len(self.sectors)
         dims = [self.block_dim(m) for m in range(n_sec)]
+        if sum(dims) > MAX_BULK_DIM:  # absent blocks cost nothing to write
+            raise SizeCapError(f"bulk state dimension {sum(dims)} exceeds the "
+                               f"cap of {MAX_BULK_DIM}")
         for (m, n), blk in self.blocks.items():
             if not (0 <= m < n_sec and 0 <= n < n_sec):
                 raise ValidationError(f"block index ({m},{n}) out of range")
@@ -246,8 +253,7 @@ class Scenario:
 # -- JSON -------------------------------------------------------------------
 
 _TOP_KEYS = {
-    "graph", "sectors", "amplitudes", "intertwiner", "region_C",
-    "core", "cutoffs", "mode",
+    "graph", "sectors", "amplitudes", "intertwiner", "region_C", "cutoffs", "mode",
 }
 
 
@@ -291,6 +297,13 @@ def _block_in(mat, key: str) -> np.ndarray:
 
 
 def _int_in(v, where: str) -> int:
+    """A JSON integer: an int that is not a bool (no float, no string)."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ParseError(f"{where}: expected an integer, got {v!r}")
+    return v
+
+
+def _int_key_in(v: str, where: str) -> int:
     try:
         return int(v)
     except (TypeError, ValueError) as exc:
@@ -325,18 +338,21 @@ def scenario_from_dict(data: dict) -> Scenario:
     }:
         raise ParseError("graph: expected keys vertices/internal_links/"
                          "boundary_links")
-    try:
-        internal = [
-            Link(int(d["from"]), int(d["to"]), int(d["color"]))
-            for d in gd.get("internal_links", [])
-        ]
-        boundary = [
-            BoundaryLink(int(d["vertex"]), int(d["color"]),
-                         d.get("side", "outer"))
-            for d in gd.get("boundary_links", [])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"graph: malformed link entry ({exc})") from exc
+
+    def entries(kind: str, keys: tuple[str, ...]):
+        """Each link entry of graph[kind] with its integer fields."""
+        rows = gd.get(kind, [])
+        if not isinstance(rows, list):
+            raise ParseError(f"graph.{kind}: expected a list, got {rows!r}")
+        for k, d in enumerate(rows):
+            where = f"graph.{kind}[{k}]"
+            d = _object_in(d, where)
+            yield d, [_int_in(d.get(key), f"{where}.{key}") for key in keys]
+
+    internal = [Link(*ints) for _, ints in
+                entries("internal_links", ("from", "to", "color"))]
+    boundary = [BoundaryLink(*ints, d.get("side", "outer")) for d, ints in
+                entries("boundary_links", ("vertex", "color"))]
     try:
         graph = ColoredGraph(_int_in(gd.get("vertices"), "graph.vertices"),
                              internal, boundary)
@@ -352,26 +368,21 @@ def scenario_from_dict(data: dict) -> Scenario:
         spins = {}
         for lid, tj in _object_in(sd.get("spins"),
                                   f"sectors[{s}].spins").items():
-            if not isinstance(tj, int) or isinstance(tj, bool):
-                raise ParseError(
-                    f"sectors[{s}].spins[{lid}]: twice-spin must be an "
-                    f"integer, got {tj!r}"
-                )
-            spins[str(lid)] = tj
+            spins[str(lid)] = _int_in(tj, f"sectors[{s}].spins[{lid}]")
         sectors.append(Sector(spins=spins, name=str(sd.get("name", str(s)))))
 
     amplitudes: dict[str, dict[int, complex]] = {}
     for lid, table in _object_in(data.get("amplitudes", {}),
                                  "amplitudes").items():
         amplitudes[str(lid)] = {
-            _int_in(tj, f"amplitudes[{lid}] key"):
+            _int_key_in(tj, f"amplitudes[{lid}] key"):
                 _complex_in(v, f"amplitudes[{lid}][{tj}]")
             for tj, v in _object_in(table, f"amplitudes[{lid}]").items()
         }
 
-    idata = data["intertwiner"]
-    if not isinstance(idata, dict) or set(idata) - {"blocks", "vertex_product"}:
-        raise ParseError("intertwiner: expected keys blocks/vertex_product?")
+    idata = _object_in(data["intertwiner"], "intertwiner")
+    if unknown := sorted(set(idata) - {"blocks"}):
+        raise ParseError(f"intertwiner.{unknown[0]}: unknown key")
     blocks = {}
     for key, mat in _object_in(idata.get("blocks", {}),
                                "intertwiner.blocks").items():
@@ -388,14 +399,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                                                  for x in region_C):
         raise ParseError(f"region_C: expected a list of link ids, got "
                          f"{region_C!r}")
-    vertex_product = idata.get("vertex_product", False)
-    if not isinstance(vertex_product, bool):
-        raise ParseError(f"intertwiner.vertex_product: expected true or "
-                         f"false, got {vertex_product!r}")
     mode = data.get("mode", "exact")
-    core = data.get("core")
-    if core is not None:
-        _object_in(core, "core")
     cutoffs = data.get("cutoffs")
     if cutoffs is not None and (
         not isinstance(cutoffs, dict) or set(cutoffs) - {"lower", "upper"}
@@ -413,8 +417,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         blocks=blocks,
         region_C=region_C,
         mode=mode,
-        vertex_product=vertex_product,
-        core=core,
         cutoffs=cutoffs,
     )
 
@@ -450,10 +452,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "region_C": list(sc.region_C),
         "mode": sc.mode,
     }
-    if sc.vertex_product:
-        out["intertwiner"]["vertex_product"] = True
-    if sc.core is not None:
-        out["core"] = dict(sc.core)
     if sc.cutoffs is not None:
         out["cutoffs"] = dict(sc.cutoffs)
     return out

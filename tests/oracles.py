@@ -20,10 +20,12 @@ moment of its sampler against the exact one, and the exact oracle's
 terms dressed by looking every trace factor up again per term.
 `subset_traces` is no reference: it runs the engine's stacked fill on
 two given matrices, for the tests that pin that fill against einsum.
+Nor is `block_diagonal`, which drops a state's cross-sector blocks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -200,7 +202,6 @@ def fd_swapped_gradient(
             blocks={(0, 0): rho},
             region_C=sc.region_C,
             mode="exact",
-            vertex_product=sc.vertex_product,
         )
         return swapped_sum_of(perturbed)
 
@@ -263,6 +264,13 @@ def psd_safe_direction(
     evals, evecs = np.linalg.eigh(rho)
     sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0, None))) @ evecs.conj().T
     return sqrt_rho @ h @ sqrt_rho
+
+
+def block_diagonal(sc: Scenario) -> Scenario:
+    """`sc` with the cross-sector blocks of its bulk state dropped: the
+    pinching onto the sectors, still PSD with trace 1."""
+    return dataclasses.replace(sc, blocks={
+        (m, n): blk for (m, n), blk in sc.blocks.items() if m == n})
 
 
 def brute_force_subsets(n: int) -> list[frozenset[int]]:
@@ -502,11 +510,9 @@ def link_terms_reference(
     S is the set of swapped vertices; in variant 1 the C half-edges are
     pinned swapped.  Delta needs equal spins in m and n on every link
     with a swapped end: an internal link with an end in S, a half-edge
-    whose vertex is swapped against its pinning (sigma * h = -1).  A
-    vertex-product state also needs every vertex in S to carry equal
-    spins on all its links.  The energy is log(2j+1) of sector m
-    summed over the links cut, `cut_reference(S)` with C toggled in
-    variant 1.
+    whose vertex is swapped against its pinning (sigma * h = -1).  The
+    energy is log(2j+1) of sector m summed over the links cut,
+    `cut_reference(S)` with C toggled in variant 1.
     """
     g = sc.graph
     down = {x for x in range(g.n_vertices) if config >> x & 1}
@@ -516,9 +522,6 @@ def link_terms_reference(
         if {ln.source, ln.target} & down
     }
     ok = all(sc.spin(m, lid) == sc.spin(n, lid) for lid in touched)
-    if sc.vertex_product:
-        ok = ok and all(sc.vertex_tuple(m, x) == sc.vertex_tuple(n, x)
-                        for x in down)
     energy = sum(math.log(dim_rep(sc.spin(m, lid)))
                  for lid in g.link_ids() if lid in cut)
     return ok, energy

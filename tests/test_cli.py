@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -61,11 +62,21 @@ def _set(path, value):
      "block 0,0"),
     (_set(["amplitudes", "i0"], {"x": 1.0}), "amplitudes[i0]"),
     (_set(["graph", "vertices"], "two"), "graph.vertices"),
-    (_set(["intertwiner", "vertex_product"], "no"),
-     "intertwiner.vertex_product"),
+    # graph integers are JSON integers: no float, bool or string
+    (_set(["graph", "vertices"], 2.7), "graph.vertices: expected an integer"),
+    (_set(["graph", "internal_links", 0, "from"], 0.9),
+     "graph.internal_links[0].from: expected an integer, got 0.9"),
+    (_set(["graph", "internal_links", 0, "color"], 1.5),
+     "graph.internal_links[0].color: expected an integer, got 1.5"),
+    (_set(["graph", "internal_links", 0, "color"], True),
+     "graph.internal_links[0].color: expected an integer, got True"),
+    (_set(["graph", "boundary_links", 0, "vertex"], "1"),
+     "graph.boundary_links[0].vertex"),
+    # keys rstn does not read
+    (_set(["intertwiner", "vertex_product"], True), "intertwiner.vertex_product"),
+    (_set(["core"], {"purity": 0.5}), "core"),
     (_set(["region_C"], 5), "region_C"),
     (_set(["region_C"], "b0"), "region_C"),
-    (_set(["core"], 5), "core"),
     # integers beyond the float range
     (_set(["intertwiner", "blocks", "0,0", 0], lambda row: [10**400] + row[1:]),
      "block 0,0[0][0]"),
@@ -190,6 +201,25 @@ def test_size_cap_exit_4(runner, tmp_path):
         assert time.perf_counter() - start < 1.0
         assert res.exit_code == 4, res.output
         assert "67108864" in res.output and "16777216" in res.output
+
+
+def test_bulk_dimension_cap_exit_4(runner, tmp_path):
+    # a sector with no block costs no bytes in the file: nine-dimensional
+    # vertices give a bulk state of dimension 32 + 9^5, a 52 GiB matrix
+    data = json.loads((SCENARIOS / "once_fine_grained.json").read_text())
+    spins = data["sectors"][0]["spins"]
+    data["sectors"].append({"name": "big", "spins": dict.fromkeys(spins, 8)})
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["validate", str(big)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 4, res.output
+    assert "59081" in res.output and "4096" in res.output
+    assert peak < 1 << 20
 
 
 def test_terms_size_cap_exit_4(runner, tmp_path):

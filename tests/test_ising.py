@@ -20,6 +20,7 @@ from click.testing import CliRunner
 
 from oracles import (
     benchmark_partition_sums,
+    block_diagonal,
     einsum_partial_trace,
     einsum_sigma,
     fd_swapped_gradient,
@@ -101,11 +102,10 @@ def symmetry_cases() -> list[Scenario]:
     for template in ("chain", "two", "one"):
         for n_sectors in (2, 3):
             for mode in ("exact", "high_spin"):
-                for vertex_product in (False, True):
-                    cases += [random_scenario(
-                        rng, template, n_sectors=n_sectors, max_twice=5,
-                        mode=mode, vertex_product=vertex_product)
-                        for _ in range(2)]
+                for _ in range(2):
+                    sc = random_scenario(rng, template, n_sectors=n_sectors,
+                                         max_twice=5, mode=mode)
+                    cases += [sc, block_diagonal(sc)]
     return cases
 
 
@@ -265,24 +265,21 @@ def test_delta_internal_link_any_down_endpoint():
     assert delta[0, 0b00]
 
 
-def link_table_cases(vertex_product: bool):
+def link_table_cases():
     """Random draws, whose sectors differ on most links, and scenarios
     whose sectors differ on a few links, C among them."""
     rng = np.random.default_rng(41)
     for template in ("one", "two", "chain"):
         for n_sectors in (1, 2, 3):
-            yield random_scenario(rng, template, n_sectors=n_sectors,
-                                  vertex_product=vertex_product)
-    for sc in (onoff_ring(), appendix_c(2, **BLOCK_PARAMS),
-               appendix_c(2, **BLOCK_PARAMS, region="s_link")):
-        yield dataclasses.replace(sc, vertex_product=vertex_product)
+            yield random_scenario(rng, template, n_sectors=n_sectors)
+    yield from (onoff_ring(), appendix_c(2, **BLOCK_PARAMS),
+                appendix_c(2, **BLOCK_PARAMS, region="s_link"))
 
 
-@pytest.mark.parametrize("vertex_product", [False, True])
-def test_delta_and_energies_match_link_by_link_reference(vertex_product):
+def test_delta_and_energies_match_link_by_link_reference():
     # the keep masks and energies of `terms`, and the Delta pins
     swapped_cross = 0  # admitted cross-pair terms with a swapped vertex
-    for sc in link_table_cases(vertex_product):
+    for sc in link_table_cases():
         engine = IsingEngine(sc)
         for m in range(len(sc.sectors)):
             for n in range(len(sc.sectors)):
@@ -742,11 +739,10 @@ def stacked_fill_cases() -> tuple[list[Scenario], list[Scenario]]:
                for mode in ("exact", "high_spin") for _ in range(3)]
     multi = [appendix_c(4, **BLOCK_PARAMS), onoff_ring(), perfbench_style_ring(),
              scenario_from_dict(ring_dict(8, 3))]
-    multi += [random_scenario(rng, template, n_sectors=k, max_twice=5,
-                              vertex_product=vertex_product)
-              for template in ("one", "two", "chain") for k in (2, 3, 4)
-              for vertex_product in (False, True)]
-    base = multi[-1]  # sector 2 incoherent with the others: absent blocks
+    multi += [case for template in ("one", "two", "chain") for k in (2, 3, 4)
+              for sc in [random_scenario(rng, template, n_sectors=k, max_twice=5)]
+              for case in (sc, block_diagonal(sc))]
+    base = multi[-2]  # dense; sector 2 made incoherent with the others: absent blocks
     multi.append(dataclasses.replace(base, blocks={
         k: v for k, v in base.blocks.items() if 2 not in k or k == (2, 2)}))
     # every block given both ways round
@@ -904,8 +900,8 @@ def test_nonreal_trace_that_delta_admits_is_refused():
 
 @pytest.mark.parametrize("build", [
     lambda: appendix_c(4, 0.3, 0.25, 0.45, u=0.1, v=0.05),
-    lambda: random_scenario(np.random.default_rng(5), "chain", n_sectors=3,
-                            vertex_product=True),
+    lambda: block_diagonal(random_scenario(np.random.default_rng(5), "chain",
+                                           n_sectors=3)),
     onoff_ring,  # non-real traces only where Delta excludes them
 ])
 def test_analyze_terms_match_per_configuration_calls(build, tmp_path):

@@ -102,7 +102,8 @@ def test_exact_term_matches_engine_termwise(sc):
 
 
 def test_exact_purity_matches_engine():
-    for sc in (tiny_generic(), appendix_c(2, **BLOCK_PARAMS)):
+    for sc in (tiny_generic(), appendix_c(1, **BLOCK_PARAMS),
+               appendix_c(2, **BLOCK_PARAMS)):
         got, _, _ = exact_purity(sc)
         assert got == pytest.approx(IsingEngine(sc).purity(), rel=1e-10)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import region_difference_reference, sequential_ground_scan
+from oracles import block_diagonal, region_difference_reference, sequential_ground_scan
 from rstn.families import random_scenario
 from rstn.ising import TIE_TOL, IsingEngine, _GroundScan
 from rstn.observables import area_variance
@@ -17,20 +17,20 @@ scenario_params = st.fixed_dictionaries(
         "template": st.sampled_from(["one", "two", "chain"]),
         "n_sectors": st.integers(1, 3),
         "max_twice": st.integers(1, 8),
-        "vertex_product": st.booleans(),
+        "pinch": st.booleans(),
     }
 )
 
 
 def build(params):
     rng = np.random.default_rng(params["seed"])
-    return random_scenario(
+    sc = random_scenario(
         rng,
         template=params["template"],
         n_sectors=params["n_sectors"],
         max_twice=params["max_twice"],
-        vertex_product=params["vertex_product"],
     )
+    return block_diagonal(sc) if params["pinch"] else sc
 
 
 @SETTINGS

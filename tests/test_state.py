@@ -268,16 +268,13 @@ def test_scenario_containers_are_read_only():
     assert IsingEngine.of(sc).purity() == purity == IsingEngine(sc).purity()
 
 
-def test_core_and_cutoffs_are_read_only():
-    sc = dataclasses.replace(tiny_generic(), cutoffs={"lower": 0, "upper": 10},
-                             core={"purity": 0.5})
+def test_cutoffs_are_read_only():
+    sc = dataclasses.replace(tiny_generic(), cutoffs={"lower": 0, "upper": 10})
     with pytest.raises(TypeError):
         sc.cutoffs["upper"] = 0
-    with pytest.raises(TypeError):
-        sc.core["purity"] = 1.0
     sc.validate()
     data = scenario_to_dict(sc)
-    assert type(data["cutoffs"]) is dict and type(data["core"]) is dict
+    assert type(data["cutoffs"]) is dict
     again = scenario_from_dict(json.loads(json.dumps(data)))
     assert scenario_to_dict(again) == data
 

@@ -40,7 +40,8 @@ and with coherent blocks, `two_sector`, `tiny_generic` in both modes,
 link in high-spin mode, whose flat Q = 1 sends `solve_weights` past the
 null vector); perfbench's seed-1 inputs (`dense_ring8`,
 `ms6`, `ms5`; the oracle workload's are families); and N_DRAWS
-`random_scenario` draws from one fixed generator.
+`random_scenario` draws from one fixed generator, every fifth with its
+cross-sector blocks dropped.
 
 It prints each root's line count of `src/`, one line per item that
 differs (for sigma and lower, with the largest difference relative to
@@ -55,6 +56,7 @@ apart.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -111,9 +113,12 @@ def corpus(root: str) -> dict:
     for k in range(N_DRAWS):
         template = ("one", "two", "chain")[k % 3]
         n_sec, mode = 1 + k % 4, ("exact", "high_spin")[k // 3 % 2]
-        out[f"random_scenario#{k}"] = families.random_scenario(
-            rng, template, n_sectors=n_sec, max_twice=5, mode=mode,
-            vertex_product=k % 5 == 4)
+        sc = families.random_scenario(rng, template, n_sectors=n_sec,
+                                      max_twice=5, mode=mode)
+        if k % 5 == 4:  # block-diagonal: the cross-sector blocks dropped
+            sc = dataclasses.replace(sc, blocks={
+                (m, n): blk for (m, n), blk in sc.blocks.items() if m == n})
+        out[f"random_scenario#{k}"] = sc
     return out
 
 
