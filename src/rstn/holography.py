@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,17 +96,6 @@ def holographic_p(sc: Scenario) -> np.ndarray:
     p = np.array([math.prod(dim_rep(sc.spin(m, lid)) for lid in sc.region_C)
                   for m in range(len(sc.sectors))], dtype=float)
     return p / p.sum()
-
-
-def closed_form_weights(sc: Scenario) -> np.ndarray:
-    """Weights that equalize the sector distribution with the C dims.
-
-    Valid when cross-sector pairs drop out (block-diagonal bulk state,
-    C carrying all sector differences): p must be `holographic_p`,
-    which pins c_n up to one normalization.  The result depends only
-    on the complement dims and internal amplitudes.
-    """
-    return _p_to_c(IsingEngine.of(sc), holographic_p(sc))
 
 
 def _p_to_c(engine: IsingEngine, p: np.ndarray) -> np.ndarray:
@@ -199,29 +188,6 @@ def solve_weights(sc: Scenario) -> WeightSolution:
         t_lo, t_hi = (mid, t_hi) if below else (t_lo, mid)
     t = (t_lo + t_hi) / 2.0
     return finish((1 - t) * p_lo + t * p_hi, "simplex_search")
-
-
-def reweighted_scenario(sc: Scenario, c: np.ndarray) -> Scenario:
-    """Rescale the bulk state's sector blocks to the given weights."""
-    n = len(sc.sectors)
-    if len(c) != n:
-        raise ValueError("one weight per sector required")
-    old = np.array([sc.c_norm(m) for m in range(n)])
-    blocks = {}
-    for m in range(n):
-        if old[m] > 0.0:
-            blocks[(m, m)] = sc.block(m, m) * (c[m] / old[m])
-        else:
-            dim = sc.block_dim(m)
-            blocks[(m, m)] = c[m] / dim * np.eye(dim, dtype=complex)
-    for (m, n2), blk in sc.blocks.items():
-        if m == n2:
-            continue
-        if old[m] > 0.0 and old[n2] > 0.0:
-            blocks[(m, n2)] = blk * math.sqrt(
-                (c[m] / old[m]) * (c[n2] / old[n2])
-            )
-    return replace(sc, blocks=blocks)
 
 
 # -- fixed-spin flip criteria -----------------------------------------------

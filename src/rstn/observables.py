@@ -29,15 +29,15 @@ def sector_area(sc: Scenario, sector: int) -> float:
     return sum(link_area(sc.spin(sector, lid)) for lid in sc.region_C)
 
 
-def p_vector(sc: Scenario, holographic: bool | None = None) -> np.ndarray:
+def p_vector(sc: Scenario) -> np.ndarray:
     """Sector weights for observable averages.
 
-    Holographic scenarios concentrate the C reduction on the sector
-    blocks with their C dimensions; otherwise the diagonal of the
-    pair distribution P is used.  Pass `holographic` to skip the
-    autodetection.
+    Where `analyze_holography` finds the scenario holographic, the C
+    reduction concentrates on the sector blocks with their C
+    dimensions (`holographic_p`); otherwise the diagonal of the pair
+    distribution P is used.
     """
-    if holographic or holographic is None and analyze_holography(sc).holographic:
+    if analyze_holography(sc).holographic:
         return holographic_p(sc)
     p = np.diag(IsingEngine.of(sc).distribution())
     return p / p.sum()
@@ -47,16 +47,16 @@ def _sector_areas(sc: Scenario) -> np.ndarray:
     return np.array([sector_area(sc, n) for n in range(len(sc.sectors))])
 
 
-def _area_moments(sc: Scenario, holographic: bool | None) -> tuple[float, float]:
+def _area_moments(sc: Scenario) -> tuple[float, float]:
     """<A_C> and <A_C^2> over the sector weights of `p_vector`."""
-    p = p_vector(sc, holographic)
+    p = p_vector(sc)
     areas = _sector_areas(sc)
     return float(p @ areas), float(p @ areas**2)
 
 
-def area_average(sc: Scenario, *, holographic: bool | None = None) -> float:
+def area_average(sc: Scenario) -> float:
     """<A_C> = sum_n p_n A_{C,n}."""
-    return _area_moments(sc, holographic)[0]
+    return _area_moments(sc)[0]
 
 
 def area_average_partition(sc: Scenario) -> float:
@@ -66,9 +66,9 @@ def area_average_partition(sc: Scenario) -> float:
     return float(p_mat.sum(axis=1) @ _sector_areas(sc))
 
 
-def area_variance(sc: Scenario, *, holographic: bool | None = None) -> float:
+def area_variance(sc: Scenario) -> float:
     """Var(A_C) = sum_n p_n A_n^2 - (sum_n p_n A_n)^2."""
-    mean, square = _area_moments(sc, holographic)
+    mean, square = _area_moments(sc)
     return max(square - mean**2, 0.0)
 
 

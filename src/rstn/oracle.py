@@ -9,8 +9,8 @@ is a real cross-check.
 
 Two flavors:
 
-* `exact_term` / `exact_purity` contract the swap-operator expression
-  one configuration at a time;
+* `exact_purity` contracts the swap-operator expression one
+  configuration at a time;
 * `mc_purity` draws explicit Haar-random vertex states and estimates
   the purity as a quotient of sample means.  Each vertex's states come
   from its own Philox stream keyed by (seed, vertex), read in sample
@@ -199,14 +199,6 @@ def _dressed(total: complex, table: tuple, down: int) -> float:
     if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
         raise NumericalError(f"configuration term is not real: {total}")
     return float(total.real)
-
-
-def exact_term(
-    sc: Scenario, m: int, n: int, config: int, variant: int
-) -> float:
-    """One configuration's contribution to Z_variant^{(m,n)}, raw."""
-    raw = _RawTerms(sc)
-    return _dressed(raw.intertwiner(m, n, config), raw.factor_table(m, n)[variant], config)
 
 
 def _amplitude_cost(sc: Scenario) -> int:

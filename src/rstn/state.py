@@ -27,6 +27,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -259,8 +260,8 @@ _TOP_KEYS = {
 
 def _complex_in(v, where: str) -> complex:
     pair = [v, 0] if isinstance(v, (int, float)) else v
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair)):
+    if not (isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
         raise ParseError(f"{where}: expected number or [re, im], got {v!r}")
     try:
         z = complex(*pair)
@@ -273,8 +274,8 @@ def _complex_in(v, where: str) -> complex:
 
 def _block_in(mat, key: str) -> np.ndarray:
     """A bulk-state block, read by numpy at once when its cells are all
-    finite numbers or all finite [re, im] pairs, else cell by cell
-    (naming a bad one)."""
+    finite numbers or all finite [re, im] pairs and none that numpy read
+    as 0 or 1 is a boolean, else cell by cell (naming a bad one)."""
     if not isinstance(mat, list) or any(
         not isinstance(row, list) or len(row) != len(mat[0]) for row in mat
     ):
@@ -284,8 +285,10 @@ def _block_in(mat, key: str) -> np.ndarray:
         arr = np.array(mat)
     except ValueError:  # mixed or ragged cells
         arr = np.array(None)
-    if (arr.dtype.kind in "biuf" and arr.ndim in (2, 3)
-            and arr.shape[2:] in ((), (2,)) and np.isfinite(arr).all()):
+    if (arr.dtype.kind in "iuf" and arr.ndim in (2, 3)
+            and arr.shape[2:] in ((), (2,)) and np.isfinite(arr).all()
+            and not any(isinstance(mat[i][j][k[0]] if k else mat[i][j], bool)
+                        for i, j, *k in np.argwhere((arr == 0) | (arr == 1)).tolist())):
         return (arr.astype(float).view(complex)[..., 0] if arr.ndim == 3
                 else arr.astype(complex))
     arr = np.array([[_complex_in(v, f"block {key}[{i}][{j}]")
@@ -303,11 +306,23 @@ def _int_in(v, where: str) -> int:
     return v
 
 
-def _int_key_in(v: str, where: str) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: expected an integer, got {v!r}") from exc
+def _key_in(key, count: int, where: str) -> list[int]:
+    """An object key of `count` comma-separated integers in their one
+    spelling: digits [0-9] only (\\d and int() take other scripts' digits),
+    with no sign, space, underscore or leading zero."""
+    if not (isinstance(key, str)
+            and re.fullmatch(",".join(["(0|[1-9][0-9]*)"] * count), key)):
+        shape = "m,n" if count == 2 else "n"
+        raise ParseError(f"{where} {key!r}: expected {shape} in plain decimal digits")
+    return [int(t) for t in key.split(",")]
+
+
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object, refusing a repeated key (`json.loads` keeps the last)."""
+    if len(out := dict(pairs)) < len(pairs):
+        key = next(k for k, _ in pairs if sum(k == k2 for k2, _ in pairs) > 1)
+        raise ParseError(f"key {key!r} is repeated in one JSON object")
+    return out
 
 
 def _object_in(v, where: str) -> dict:
@@ -369,13 +384,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         for lid, tj in _object_in(sd.get("spins"),
                                   f"sectors[{s}].spins").items():
             spins[str(lid)] = _int_in(tj, f"sectors[{s}].spins[{lid}]")
-        sectors.append(Sector(spins=spins, name=str(sd.get("name", str(s)))))
+        if not isinstance(name := sd.get("name", str(s)), str):
+            raise ParseError(f"sectors[{s}].name: expected a string, got {name!r}")
+        sectors.append(Sector(spins=spins, name=name))
 
     amplitudes: dict[str, dict[int, complex]] = {}
     for lid, table in _object_in(data.get("amplitudes", {}),
                                  "amplitudes").items():
         amplitudes[str(lid)] = {
-            _int_key_in(tj, f"amplitudes[{lid}] key"):
+            _key_in(tj, 1, f"amplitudes[{lid}] key")[0]:
                 _complex_in(v, f"amplitudes[{lid}][{tj}]")
             for tj, v in _object_in(table, f"amplitudes[{lid}]").items()
         }
@@ -386,12 +403,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     blocks = {}
     for key, mat in _object_in(idata.get("blocks", {}),
                                "intertwiner.blocks").items():
-        try:
-            m, n = (int(t) for t in key.split(","))
-        except ValueError as exc:
-            raise ParseError(
-                f"intertwiner block key {key!r} must be 'm,n'"
-            ) from exc
+        m, n = _key_in(key, 2, "intertwiner block key")
         blocks[(m, n)] = _block_in(mat, key)
 
     region_C = data["region_C"]
@@ -461,7 +473,7 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return scenario_from_dict(data)

@@ -21,6 +21,10 @@ terms dressed by looking every trace factor up again per term.
 `subset_traces` is no reference: it runs the engine's stacked fill on
 two given matrices, for the tests that pin that fill against einsum.
 Nor is `block_diagonal`, which drops a state's cross-sector blocks.
+Nor are the helpers that only tests call: `closed_form_weights` and
+`reweighted_scenario` (sector weights from the C dims, and a state
+rescaled to given weights) and `exact_term` (one raw term of the exact
+oracle).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from rstn.families import (
     two_sector,
 )
 from rstn.graph import ColoredGraph
-from rstn.holography import EQUALITY_TOL, FixedSpinReport
+from rstn.holography import EQUALITY_TOL, FixedSpinReport, _p_to_c, holographic_p
 from rstn.ising import (
     SIGMA_IMAG_TOL,
     TIE_TOL,
@@ -61,6 +65,7 @@ from rstn.oracle import (
     MCResult,
     NumericalError,
     _draw_states,
+    _dressed,
     _pair_state,
     _RawTerms,
     _stream,
@@ -271,6 +276,40 @@ def block_diagonal(sc: Scenario) -> Scenario:
     pinching onto the sectors, still PSD with trace 1."""
     return dataclasses.replace(sc, blocks={
         (m, n): blk for (m, n), blk in sc.blocks.items() if m == n})
+
+
+def closed_form_weights(sc: Scenario) -> np.ndarray:
+    """Weights that equalize the sector distribution with the C dims.
+
+    Valid when cross-sector pairs drop out (block-diagonal bulk state,
+    C carrying all sector differences): p must be `holographic_p`,
+    which pins c_n up to one normalization.  The result depends only
+    on the complement dims and internal amplitudes.
+    """
+    return _p_to_c(IsingEngine.of(sc), holographic_p(sc))
+
+
+def reweighted_scenario(sc: Scenario, c: np.ndarray) -> Scenario:
+    """Rescale the bulk state's sector blocks to the given weights."""
+    n = len(sc.sectors)
+    if len(c) != n:
+        raise ValueError("one weight per sector required")
+    old = np.array([sc.c_norm(m) for m in range(n)])
+    blocks = {}
+    for m in range(n):
+        if old[m] > 0.0:
+            blocks[(m, m)] = sc.block(m, m) * (c[m] / old[m])
+        else:
+            dim = sc.block_dim(m)
+            blocks[(m, m)] = c[m] / dim * np.eye(dim, dtype=complex)
+    for (m, n2), blk in sc.blocks.items():
+        if m == n2:
+            continue
+        if old[m] > 0.0 and old[n2] > 0.0:
+            blocks[(m, n2)] = blk * math.sqrt(
+                (c[m] / old[m]) * (c[n2] / old[n2])
+            )
+    return dataclasses.replace(sc, blocks=blocks)
 
 
 def brute_force_subsets(n: int) -> list[frozenset[int]]:
@@ -899,6 +938,14 @@ class DressedTermReference:
         if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
             raise NumericalError(f"configuration term is not real: {total}")
         return float(total.real)
+
+
+def exact_term(
+    sc: Scenario, m: int, n: int, config: int, variant: int
+) -> float:
+    """One configuration's contribution to Z_variant^{(m,n)}, raw."""
+    raw = _RawTerms(sc)
+    return _dressed(raw.intertwiner(m, n, config), raw.factor_table(m, n)[variant], config)
 
 
 def exact_purity_reference(sc: Scenario) -> tuple[float, float, float]:

@@ -274,7 +274,7 @@ def test_criterion_11_property_suite():
             assert diff == pytest.approx(
                 region_difference_reference(sc, 0, config), abs=1e-12
             )
-        assert area_variance(sc, holographic=False) >= 0.0
+        assert area_variance(sc) >= 0.0
     # run-to-run determinism: fresh engines agree bit for bit
     sc = random_scenario(rng, "chain", n_sectors=2, max_twice=4)
     assert IsingEngine(sc).log_purity() == IsingEngine(sc).log_purity()

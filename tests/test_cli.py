@@ -54,6 +54,36 @@ def _set(path, value):
     return mutate
 
 
+def _rename(path, old, new):
+    """The entry `old` of the object at `path` moved to the key `new`."""
+    def mutate(data):
+        for key in path:
+            data = data[key]
+        data[new] = data.pop(old)
+    return mutate
+
+
+def _repeat(path, key, value):
+    """`key` written a second time, with `value`, in the object at `path`;
+    returns the JSON text, since a dict holds each key once."""
+    def mutate(data):
+        _set([*path, "\0"], value)(data)
+        return json.dumps(data).replace(json.dumps("\0"), json.dumps(key))
+    return mutate
+
+
+def _in_file(name, then):
+    """The bundled file `name` in place of `tiny_oracle.json`, then `then`."""
+    def mutate(data):
+        data.clear()
+        data.update(json.loads((SCENARIOS / name).read_text()))
+        then(data)
+    return mutate
+
+
+_EYE = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+
+
 @pytest.mark.parametrize("mutate, named", [
     (_set(["cutoffs"], {"lower": "x"}), "cutoffs.lower"),
     (_set(["sectors", 0, "spins"], [1, 1]), "sectors[0].spins"),
@@ -83,19 +113,40 @@ def _set(path, value):
     (_set(["intertwiner", "blocks", "0,0", 1], lambda row: [[0, 10**400]] + row[1:]),
      "block 0,0[1][0]"),
     (_set(["amplitudes", "i0", "1"], 10**400), "amplitudes[i0][1]"),
+    # one spelling per key: plain ASCII decimals, no key repeated
+    *((_rename(["intertwiner", "blocks"], "0,0", key),
+       f"intertwiner block key {key!r}") for key in (" 0,+0", "0_0,0", "00,0", "٠,٠")),
+    *((_rename(["amplitudes", "i0"], "1", key), f"amplitudes[i0] key {key!r}")
+      for key in ("+1", " 1", "١")),
+    (_set(["amplitudes", "i0", "01"], [9.0, 0.0]), "amplitudes[i0] key '01'"),
+    (_set(["intertwiner", "blocks", "00,0"], _EYE), "block key '00,0': expected m,n"),
+    (_repeat(["amplitudes", "i0"], "1", [9.0, 0.0]), "key '1' is repeated"),
+    (_repeat(["intertwiner", "blocks"], "0,0", _EYE), "key '0,0' is repeated"),
+    # no JSON boolean where a number goes
+    (_set(["amplitudes", "i0", "1"], True), "amplitudes[i0][1]: expected number"),
+    (_in_file("appendix_c.json", _set(["intertwiner", "blocks", "1,1"], [[True]])),
+     "block 1,1[0][0]"),
+    (_set(["intertwiner", "blocks", "0,0"], [[*_EYE[0][:3], True], *_EYE[1:]]),
+     "block 0,0[0][3]"),
+    (_set(["intertwiner", "blocks", "0,0"],
+          [[[v, False if (i, j) == (2, 1) else 0.0] for j, v in enumerate(row)]
+           for i, row in enumerate(_EYE)]), "block 0,0[2][1]"),
+    # sector names are strings
+    (_set(["sectors", 0, "name"], [1, 2]), "sectors[0].name: expected a string, got [1, 2]"),
+    (_set(["sectors", 0, "name"], 5), "sectors[0].name: expected a string, got 5"),
 ])
 def test_malformed_scenario_is_parse_error(runner, tmp_path, mutate, named):
     data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
-    mutate(data)
+    text = mutate(data)  # the JSON text, where a dict cannot hold it
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(text or json.dumps(data))
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == 2, res.output
     assert named in res.output
 
 
 def _non_finite_at(where: str, value: float):
-    eye = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    eye = [row[:] for row in _EYE]
     if where == "cell":  # an all-number block: numpy's fast path first
         eye[0][1] = value
         return _set(["intertwiner", "blocks", "0,0"], eye)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import fixed_spin_reference
+from oracles import closed_form_weights, fixed_spin_reference, reweighted_scenario
 from rstn.families import (
     appendix_c,
     once_fine_grained,
@@ -18,10 +18,8 @@ from rstn.holography import (
     WEIGHT_RESIDUAL_TOL,
     InfeasibleError,
     analyze_holography,
-    closed_form_weights,
     fixed_spin_criteria,
     q_matrix,
-    reweighted_scenario,
     solve_weights,
 )
 from rstn.ising import IsingEngine, SizeCapError

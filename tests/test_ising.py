@@ -21,6 +21,7 @@ from click.testing import CliRunner
 from oracles import (
     benchmark_partition_sums,
     block_diagonal,
+    closed_form_weights,
     einsum_partial_trace,
     einsum_sigma,
     fd_swapped_gradient,
@@ -48,7 +49,6 @@ from rstn.graph import BoundaryLink, ColoredGraph, Link
 from rstn.holography import (
     InfeasibleError,
     analyze_holography,
-    closed_form_weights,
     fixed_spin_criteria,
     q_matrix,
     solve_weights,
@@ -1110,7 +1110,7 @@ def test_returned_quotients_leave_the_record_unchanged():
         q_matrix(engine)[:] = 7.0
         analyze_holography(sc).q_matrix[:] = 7.0
         engine.distribution()[:] = 7.0
-        p_vector(sc, holographic=False)[:] = 7.0
+        p_vector(sc)[:] = 7.0
         assert q_matrix(engine).tobytes() == q_matrix(reference).tobytes()
         assert (engine.distribution().tobytes()
                 == reference.distribution().tobytes())

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reweighted_scenario
 from rstn.families import appendix_c, tiny_generic, two_sector
-from rstn.holography import reweighted_scenario, solve_weights
+from rstn.holography import solve_weights
 from rstn.observables import (
     area_average,
     area_average_partition,
@@ -32,8 +33,8 @@ def test_sector_area_sums_region():
 
 def test_single_sector_average_is_sector_area():
     sc = tiny_generic()
-    assert area_average(sc, holographic=False) == sector_area(sc, 0)
-    assert area_variance(sc, holographic=False) == 0.0
+    assert area_average(sc) == sector_area(sc, 0)
+    assert area_variance(sc) == 0.0
 
 
 @pytest.mark.parametrize("moment", [area_average, area_variance])
@@ -51,9 +52,10 @@ def test_holographic_p_normalized():
 
 
 def test_p_vector_explicit_flag_matches_helpers():
-    sc = two_sector(9, 5, 0.4, mode="exact")
-    assert np.allclose(p_vector(sc, holographic=True), holographic_p(sc))
-    p = p_vector(sc, holographic=False)
+    sc = two_sector(399, 199, 0.5)
+    re = reweighted_scenario(sc, solve_weights(sc).c)  # detected holographic
+    assert np.allclose(p_vector(re), holographic_p(re))
+    p = p_vector(two_sector(9, 5, 0.4, mode="exact"))  # the diagonal of P
     assert p.sum() == pytest.approx(1.0)
 
 
@@ -62,13 +64,13 @@ def test_partition_path_matches_closed_form_when_holographic():
     sol = solve_weights(sc)
     re = reweighted_scenario(sc, sol.c)
     full = area_average_partition(re)
-    closed = area_average(re, holographic=True)
+    closed = area_average(re)
     assert full == pytest.approx(closed, abs=1e-10 * closed)
 
 
 def test_variance_nonnegative_mixed_state():
     sc = appendix_c(4, 0.3, 0.25, 0.45, u=0.1, v=0.05)
-    assert area_variance(sc, holographic=False) >= 0.0
+    assert area_variance(sc) >= 0.0
 
 
 def test_sequence_renyi_basic():

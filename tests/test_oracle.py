@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     draw_vertex_state,
     exact_purity_reference,
+    exact_term,
     mc_purity_reference,
     schur_moment_error,
     vertex_stream,
@@ -35,7 +36,6 @@ from rstn.oracle import (
     _stream,
     boundary_trace,
     exact_purity,
-    exact_term,
     link_swap_trace,
     mc_purity,
 )

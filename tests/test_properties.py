@@ -67,7 +67,7 @@ def test_energy_difference_supported_on_C(params):
 @given(scenario_params)
 def test_area_variance_nonnegative(params):
     sc = build(params)
-    assert area_variance(sc, holographic=False) >= 0.0
+    assert area_variance(sc) >= 0.0
 
 
 @SETTINGS

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from rings import dense_ring_dict
-from rstn.families import tiny_generic, appendix_c
+from rstn.families import appendix_c, once_fine_grained, tiny_generic, two_sector
 from rstn.ising import IsingEngine
 from rstn.state import (
     PSD_TOL,
@@ -20,6 +21,8 @@ from rstn.state import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+SCENARIOS = resources.files("rstn") / "scenarios"
 
 
 def test_vertex_tuple_color_order():
@@ -168,6 +171,20 @@ def test_json_round_trip(tmp_path):
     assert scenario_to_dict(rt) == data
 
 
+_FAMILIES = {"appendix_c(2)": lambda: appendix_c(2), "tiny_generic()": tiny_generic,
+             "once_fine_grained(1)": lambda: once_fine_grained(1),
+             "two_sector(9, 5, 0.4)": lambda: two_sector(9, 5, 0.4)}
+
+
+@pytest.mark.parametrize("name", ["appendix_c.json", "once_fine_grained.json",
+                                  "tiny_oracle.json", "two_sector_nu.json", *_FAMILIES])
+def test_canonical_form_round_trips(name):
+    """Each bundled file and family reads back exactly as written."""
+    data = (scenario_to_dict(_FAMILIES[name]()) if name in _FAMILIES
+            else json.loads((SCENARIOS / name).read_text()))
+    assert scenario_to_dict(scenario_from_dict(data)) == data
+
+
 def test_unknown_top_key_rejected():
     sc = scenario_to_dict(tiny_generic())
     sc["extra"] = 1
@@ -203,7 +220,7 @@ def _per_cell(mat):
 
 def test_block_parse_is_bit_identical_to_per_cell_parse():
     rng = np.random.default_rng(3)
-    numbers = [0, 1, -2, True, 0.5, -0.0, 1e-300, -7.25, 2**60 + 1]
+    numbers = [0, 1, -2, 0.5, -0.0, 1e-300, -7.25, 2**60 + 1, 1.0, 0.0]
 
     def cell():
         return numbers[rng.integers(len(numbers))]
@@ -217,6 +234,16 @@ def test_block_parse_is_bit_identical_to_per_cell_parse():
             got, want = _block_in(mat, "0,0"), _per_cell(mat)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            # a JSON boolean is no number, though numpy reads it as one
+            i, j = (int(rng.integers(n)) for n in shape)
+            for flag in (True, False):
+                bad = [[[*v] if isinstance(v, list) else v for v in row] for row in mat]
+                if isinstance(bad[i][j], list):
+                    bad[i][j][int(rng.integers(2))] = flag
+                else:
+                    bad[i][j] = flag
+                with pytest.raises(ParseError, match=rf"block 0,0\[{i}\]\[{j}\]"):
+                    _block_in(bad, "0,0")
 
 
 @pytest.mark.parametrize("bad", ["1.5", None, [1.0], [1.0, 2.0, 3.0],

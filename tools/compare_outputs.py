@@ -24,7 +24,8 @@ first and which is removed at the end, so that no checkout is left with
            and the one read back are both compared: `purity` and the
            bytes of `distribution()`, every field of `analyze_holography`,
            `solve_weights` (c, p, residual, method, ratio), `area_average`,
-           `area_average_partition` and `area_variance`, each as a repr
+           `area_average_partition` and `area_variance`, and
+           `fixed_spin_criteria(sc, s)` for every sector s, each as a repr
            or the exception raised;
   oracle   the repr of each field of `exact_purity` (purity, z1, z0) and
            of `mc_purity` (purity, stderr, mean_num, mean_den), seed 7:
@@ -144,7 +145,7 @@ def quotient_outputs(scenarios: dict) -> dict:
     """quotients items: each quotient of the shared engine, twice."""
     from dataclasses import astuple
 
-    from rstn.holography import analyze_holography, solve_weights
+    from rstn.holography import analyze_holography, fixed_spin_criteria, solve_weights
     from rstn.ising import IsingEngine
     from rstn.observables import (area_average, area_average_partition,
                                   area_variance)
@@ -177,6 +178,9 @@ def quotient_outputs(scenarios: dict) -> dict:
                 ("area_average_partition", lambda: area_average_partition(sc)),
                 ("area_variance", lambda: area_variance(sc))):
             items[f"quotients {name} {quotient}"] = twice(call)
+        for s in range(len(sc.sectors)):
+            items[f"quotients {name} fixed_spin_criteria({s})"] = twice(
+                lambda: fixed_spin_criteria(sc, s))
     return items
 
 
