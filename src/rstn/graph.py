@@ -63,6 +63,10 @@ class ColoredGraph:
                         + [1 << b.vertex for b in self.boundary], dtype=np.int64)
         ends.flags.writeable = False
         object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "_hash", hash((self.n_vertices, self.internal, self.boundary)))
+
+    def __hash__(self) -> int:  # kept: engine plans are keyed by the graph
+        return self._hash
 
     # -- ids ----------------------------------------------------------------
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,55 +132,72 @@ def _planes(mat: np.ndarray, layout) -> np.ndarray:
     return arr.reshape(arr.shape[:2 * len(layout[0])] + (-1,))
 
 
-def _fill_traces(t: np.ndarray, blocks: dict, pairs) -> None:
-    """Tr(A_S B_S) of the tasks (swapped, a, b) of each pair (row, split,
-    tasks) into their slabs S & split = swapped of t (rows, 2, ..., 2;
-    axis 1 is vertex V-1).  `blocks` maps a to (A, row dims, col dims,
-    whole = swapped) and b to the same of B^T, given as B (t=True last);
-    b=None stands for B = A^H (real traces).  Blocks whose mapped vertices
-    have the same dims are transformed as one stack; the products of
-    tasks whose free vertices (outside split) do are reduced as one,
-    whole components along the batch axis, summed at the end."""
-    stacks, alpha, groups, n = {}, {}, {}, t.ndim - 1
-    for key, (mat, *dims) in blocks.items():
-        mapped, maps, *_ = layout = _layout(*dims)
-        arr = _planes(mat, layout)
-        stacks.setdefault(arr.shape[:-1], (maps, []))[1].append((arr, key, mapped))
+def _fill_plan(blocks: dict, pairs, n: int) -> tuple:
+    """The bookkeeping of `_fill_traces`, from dims alone, for the tasks
+    (swapped, a, b) of each row (row, split, tasks) of an n-vertex table:
+    `blocks` maps a to (row dims, col dims, whole = swapped) of A and b to
+    the same of B^T, given as B (t=True last); b=None stands for B = A^H.
+    Blocks whose mapped vertices have the same dims form one stack, tasks
+    whose free vertices (outside split) do one group, reduced as one."""
+    stacks, alpha, groups = {}, {}, {}
+    for key, dims in blocks.items():
+        mapped, maps, shape, axes = layout = _layout(*dims)
+        lead = tuple(shape[a] for a in axes[:2 * len(mapped)])
+        s, _, items, ends = stacks.setdefault(lead, (len(stacks), maps, [], [0]))
+        items.append((key, layout))
+        ends.append(ends[-1] + math.prod(dims[0]) * math.prod(dims[1]) // math.prod(lead))
+        alpha[key] = s, slice(*ends[-2:]), mapped, maps
     cplx = {k for _, _, tasks in pairs for _, a, b in tasks if b for k in (a, b)}
-    for maps, items in stacks.values():  # |alpha|^2, and complex where needed
-        arr = [item[0] for item in items]
-        arr = np.ascontiguousarray(np.concatenate(arr, -1) if arr[1:] else arr[0]).view(float)
-        for basis, _ in maps:  # `_per_vertex`, the input freed as it goes
-            arr = arr.reshape(len(basis), -1).T @ basis.T
-        arr = arr.reshape([-1, 2] + [len(b) for b, _ in maps]).swapaxes(0, 1)
-        z = _interleave(arr) if cplx & {item[1] for item in items} else None
-        arr = arr if z is None else (z.real, z.imag)  # drops the planes
-        parts = [z, np.square(arr[0])]
-        parts[1] += np.square(arr[1])  # re^2 + im^2, in place
-        ends = np.cumsum([0] + [item[0].shape[-1] for item in items])
-        for (_, key, mapped), lo, hi in zip(items, ends, ends[1:]):
-            alpha[key] = parts, slice(lo, hi), mapped, maps
     for row, split, tasks in pairs:
         *_, mapped, maps = alpha[tasks[0][1]]  # the free vertices of every task
         free = [maps[k][1] for k, x in enumerate(mapped) if not split >> x & 1]
         shape = [1 + (x in mapped) for x in reversed(range(n)) if not split >> x & 1]
         for swapped, a, b in tasks:
             traced = split & ~swapped  # read component 0 there: the trace
-            za, zb = (z[b is None][(span,) + tuple(0 if traced >> x & 1 else slice(None)
-                                                   for x in xs) if traced else span]
-                      for z, span, xs, _ in (alpha[a], alpha[b or a]))
-            prod = (za * zb).view(float) if b else za  # re/im trailing if complex
+            za, zb = ((s, (span,) + tuple(0 if traced >> x & 1 else slice(None) for x in xs))
+                      for s, span, xs, _ in (alpha[a], alpha[b or a]))
+            kept = tuple(len(basis) for (basis, _), x in zip(alpha[a][3], alpha[a][2])
+                         if not traced >> x & 1)
             slab = (row,) + tuple(swapped >> x & 1 if split >> x & 1 else slice(None)
                                   for x in reversed(range(n)))
-            groups.setdefault((b is None, za.shape[1:]), (free, []))[1].append(
-                (slab, shape, prod.reshape(len(za), -1, 2 if b else 1)))
-    stacks = arr = parts = alpha = z = za = zb = None  # free the transforms
-    for (real, _), (reduce, items) in groups.items():
-        prods = [item[2] for item in items]
-        stack = (np.concatenate(prods) if prods[1:] else prods[0]).swapaxes(0, 1)
+            group = groups.setdefault((b is None, kept), (free, [], [0]))
+            group[1].append((slab, shape, za, zb if b else None))
+            group[2].append(group[2][-1] + alpha[a][1].stop - alpha[a][1].start)
+    return ([(maps, items, bool(cplx & {key for key, _ in items}))
+             for _, maps, items, _ in stacks.values()],
+            [(real, free, np.array(ends[:-1]), items)
+             for (real, _), (free, items, ends) in groups.items()])
+
+
+def _fill_traces(t: np.ndarray, block, plan: tuple) -> None:
+    """Tr(A_S B_S) of the tasks of a `_fill_plan` into their slabs S & split
+    = swapped of t (rows, 2, ..., 2; axis 1 is vertex V-1), `block(key)`
+    the matrix of each block; whole components lie along the batch axis
+    of the stacks' transforms and products, summed at the end."""
+    stacks, groups = plan
+    parts, prods = [], []
+    for maps, items, cplx in stacks:
+        arr = [_planes(block(key), layout) for key, layout in items]
+        arr = np.ascontiguousarray(np.concatenate(arr, -1) if arr[1:] else arr[0]).view(float)
+        for basis, _ in maps:  # `_per_vertex`, the input freed as it goes
+            arr = arr.reshape(len(basis), -1).T @ basis.T
+        arr = arr.reshape([-1, 2] + [len(b) for b, _ in maps]).swapaxes(0, 1)
+        z = _interleave(arr) if cplx else None
+        arr = arr if z is None else (z.real, z.imag)  # drops the planes
+        parts.append([z, np.square(arr[0])])
+        parts[-1][1] += np.square(arr[1])  # re^2 + im^2, in place
+    for real, _, _, items in groups:
+        prods.append([])
+        for _, _, (s, index), b in items:
+            za = parts[s][real][index]  # |alpha|^2, or alpha where complex
+            prod = za if real else (za * parts[b[0]][0][b[1]]).view(float)
+            prods[-1].append(prod.reshape(len(za), -1, 1 if real else 2))
+    parts = arr = z = za = prod = None  # free the transforms
+    for (real, reduce, offsets, items), group in zip(groups, prods):
+        stack = (np.concatenate(group) if group[1:] else group[0]).swapaxes(0, 1)
         out = _per_vertex(stack, reduce).reshape(stack.shape[1], stack.shape[2], -1)
-        out = np.add.reduceat(out, np.cumsum([0] + [len(p) for p in prods[:-1]]))
-        for (slab, shape, _), vals in zip(items, out[:, 0] if real
+        out = np.add.reduceat(out, offsets)
+        for (slab, shape, *_), vals in zip(items, out[:, 0] if real
                                           else _interleave(out.swapaxes(0, 1))):
             t[slab] = vals.reshape(shape)
 
@@ -291,6 +308,52 @@ class _GroundScan:
         self.floor[rows] = np.minimum(floor, low)
 
 
+PLAN_CAP, FILL_CAP = 32, 4  # structures kept, and sigma-fill pair lists per structure
+_plans: dict = {}  # structure key -> _Plan, least recently used first
+
+
+def _memo(cache: dict, key, build, cap: int):
+    """cache[key], built on a miss; the `cap` most recently used are kept."""
+    cache[key] = value = cache.pop(key, None) or build()
+    while len(cache) > cap:
+        del cache[next(iter(cache))]
+    return value
+
+
+class _Plan:
+    """What engines read of a scenario's structure alone (the key of
+    `_plans`: the graph, each sector's twice-spins in `graph.link_ids()`
+    order, region C, the given block keys), read-only: the link table
+    (`on_C`, per sector `twice` and `logd` = log(2j+1), the paying links
+    with their log(2j+1) and cut flip per variant); `pins[m, n]`, per
+    variant the vertices Delta pins (up, down): ends of links whose spins
+    differ (copies swapped at one end, for a half-edge sigma_s * h = -1,
+    need equal spins) up, of C half-edges down in variant 1 (h = -1 on C),
+    nothing else, as in both oracles; `agree[p][q]`, the vertices at no end
+    of a differing link; `fills`, `_sigma_tiles` per live sectors, pairs."""
+
+    def __init__(self, sc: Scenario, ids: list[str], twice: tuple):
+        ends, n = sc.graph.ends, len(twice)
+        self.on_C, self.twice = np.array([lid in sc.region_C for lid in ids]), np.array(twice)
+        self.logd = np.array([[math.log(dim_rep(tj)) for tj in row] for row in twice])
+        self.half_edge = np.bitwise_count(ends) == 1
+        self.pay = np.flatnonzero(self.logd.any(axis=0))
+        self.pay_logd = self.logd.T[self.pay, :, None, None]  # (links, sectors, 1, 1)
+        self.pay_flips = self.on_C[self.pay, None, None] * np.uint8([[0], [1]])  # C swapped
+        differ = np.where(self.twice[:, None] != self.twice, ends, 0)
+        up, down = (np.bitwise_or.reduce(np.where(on, differ, 0), axis=-1)
+                    for on in (~self.on_C, self.on_C))
+        self.pins = np.stack([up | down, 0 * up, up, down], -1).reshape(n, n, 2, 2)
+        for arr in vars(self).values():  # all arrays, so far
+            arr.flags.writeable = False
+        self.agree = ((1 << sc.graph.n_vertices) - 1 & ~(up | down)).tolist()
+        self.vdims = [sc.vertex_dims(s) for s in range(n)]
+        self.given = frozenset(sc.blocks)
+        self.present = frozenset(k for key in sc.blocks for k in (key, key[::-1]))
+        self.dim_H_C = sc.dim_H_C()
+        self.fills: dict = {}
+
+
 class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
@@ -305,11 +368,10 @@ class IsingEngine:
     ones: more than MAX_CONFIG_PAIRS (2^24) configurations x ordered
     sector pairs raises SizeCapError before anything is built.
 
-    The link table, in `graph.link_ids()` order beside the graph's
-    `ends`: `_on_C`, and per sector `_twice`, `_logd` = log(2j+1) and
-    `_log_g2` = log|g|^2 (internal links), and `_log_kt` = log Ktilde
-    (`log_K_tilde`).  `_agree[p][q]` masks the vertices at no end of a
-    link whose spins differ between sectors p and q.
+    The link table, Delta pins, vertex dims, dim H_C and sigma-fill
+    bookkeeping are the `_Plan` of the scenario's structure (in `_plans`,
+    the PLAN_CAP last used); per engine are c_m, log|g|^2 (`_log_g2`), log
+    Ktilde (`_log_kt`, `log_K_tilde`), the blocks and all that reads them.
     """
 
     def __init__(self, sc: Scenario):
@@ -329,28 +391,17 @@ class IsingEngine:
         self._gradient: tuple[np.ndarray, float] | None = None
         self._quotients: Quotients | None = None
         ids = sc.graph.link_ids()
-        self._on_C = np.isin(ids, sc.region_C)
-        self._twice = np.array([[sec.spins[lid] for lid in ids]
-                                for sec in sc.sectors])
-        rows = self._twice.tolist()
-        self._logd = np.array([[math.log(dim_rep(tj)) for tj in row]
-                               for row in rows])
-        g2 = np.ones(self._twice.shape)  # |g|^2 = 1 where no amplitude is given
+        twice = tuple(tuple(map(sec.spins.__getitem__, ids)) for sec in sc.sectors)
+        plan = self._plan = _memo(_plans, (sc.graph, twice, sc.region_C, frozenset(sc.blocks)),
+                                  lambda: _Plan(sc, ids, twice), PLAN_CAP)
+        self._on_C, self._logd = plan.on_C, plan.logd
+        self._agree, self._vdims, self._present = plan.agree, plan.vdims, plan.present
+        g2 = np.ones(plan.twice.shape)  # |g|^2 = 1 where no amplitude is given
         for k, lid in enumerate(ids):
             for tj, amp in sc.amplitudes.get(lid, {}).items():
-                g2[self._twice[:, k] == tj, k] = abs(amp) ** 2
-        self._log_g2 = np.log(g2, out=np.full(g2.shape, -math.inf),
-                              where=g2 > 0.0)
-        half_edge = np.bitwise_count(sc.graph.ends) == 1
-        self._log_kt = np.where(half_edge, self._logd, self._log_g2).sum(1).tolist()
-        # per link and variant: C is pinned swapped in variant 1
-        self._flips = np.array([[[0], [c]] for c in self._on_C], np.uint8)
-        differ = self._twice[:, None, :] != self._twice[None, :, :]
-        split = np.bitwise_or.reduce(np.where(differ, sc.graph.ends, 0), axis=-1)
-        self._agree = (self._full & ~split).tolist()
-        self._vdims = [sc.vertex_dims(s) for s in range(self.n_sec)]
-        # (row, col) of every block given, either way round
-        self._present = {k for key in sc.blocks for k in (key, key[::-1])}
+                g2[plan.twice[:, k] == tj, k] = abs(amp) ** 2
+        self._log_g2 = np.log(g2, out=np.full(g2.shape, -math.inf), where=g2 > 0.0)
+        self._log_kt = np.where(plan.half_edge, self._logd, self._log_g2).sum(1).tolist()
         self._c = [sc.c_norm(s) for s in range(self.n_sec)]
 
     @staticmethod
@@ -373,23 +424,6 @@ class IsingEngine:
         if c <= 0.0:
             return -math.inf
         return self.log_K_tilde(m) + math.log(c)
-
-    # -- constraint factor ---------------------------------------------------
-
-    def _delta_masks(self, m: int, n: int) -> tuple[tuple[int, int], ...]:
-        """Per variant, the vertices Delta pins (up, down) for pair (m, n).
-
-        A link needs equal spins in both sectors whenever the two
-        copies are swapped on one of its ends (for a half-edge: sigma_s
-        * h = -1), so the ends of differing links are pinned up, those
-        of differing C half-edges down in variant 1 (h = -1 on C).  As in
-        both oracles, nothing else is pinned, whatever the bulk state.
-        """
-        split = self._full & ~self._agree[m][n]
-        differ = self._twice[m] != self._twice[n]
-        up = int(np.bitwise_or.reduce(self.sc.graph.ends[differ & ~self._on_C]))
-        down = int(np.bitwise_or.reduce(self.sc.graph.ends[differ & self._on_C]))
-        return (split, 0), (up, down)
 
     # -- bulk-state entropy term ---------------------------------------------
 
@@ -424,22 +458,19 @@ class IsingEngine:
         return _partial_trace(self.sc.block(row, col), self._vdims[row],
                               self._vdims[col], keep)
 
-    def _sigma_fill(self, pairs: list[tuple[int, int]]) -> None:
-        """sigma_I of the `pairs` (m <= n), read-only into `_sigma_cache`.
-
-        Swapping S pairs the blocks (m, q) and (n, q'), q with the tuples
-        of m off S and of n on S, q' the other way round.  Only the part
-        T of S where m and n differ fixes the pair: each hybrid q (m or n
-        at every vertex) whose blocks are given is one `_fill_traces` task,
-        whole at T; B = A^H when it is block (q, m) given one way only.
-        The test for a trace that is not real runs in the table's planes."""
+    def _sigma_tiles(self, pairs: tuple, live: tuple) -> list:
+        """`pairs` (m <= n) in tiles of max(1, 2^TILE_BITS >> V) with the
+        `_fill_plan` of their tasks (`live[m]`: c_m > 0).  Swapping S pairs
+        blocks (m, q) and (n, q'), q with the tuples of m off S and of n on
+        S, q' the other way round; only the part T of S where m and n differ
+        fixes the pair: each hybrid q (m or n at every vertex) whose blocks
+        are given is one task, whole at T; B = A^H if it is (q, m) given once."""
         step = max(1, (1 << TILE_BITS) >> self.n_vert)
+        tiles, dims, given = [], self._vdims, self._plan.given
         for lo in range(0, len(pairs), step):
-            tile = pairs[lo:lo + step]
-            t = np.zeros((len(tile),) + (2,) * self.n_vert, dtype=complex)
-            tasks, blocks, sc, dims = [], {}, self.sc, self._vdims
+            tile, tasks, blocks = pairs[lo:lo + step], [], {}
             for row, (m, n) in enumerate(tile):
-                if self._c[m] <= 0.0 or self._c[n] <= 0.0:
+                if not live[m] or not live[n]:
                     continue
                 am, an = self._agree[m], self._agree[n]
                 split = self._full & ~am[n]
@@ -452,15 +483,26 @@ class IsingEngine:
                     if (m, q) not in self._present or (n, q2) not in self._present:
                         continue
                     herm = m == n or ((q, q2) == (n, m)  # B = A^H exactly
-                                      and not {(m, n), (n, m)} <= sc.blocks.keys())
+                                      and not {(m, n), (n, m)} <= given)
                     a, b = (m, q, 0), None if herm else (n, q2, 1)
-                    if a not in blocks:
-                        blocks[a] = sc.block(m, q), dims[m], dims[q], swapped
-                    if b and b not in blocks:  # B^T, given as B
-                        blocks[b] = sc.block(n, q2), dims[q2], dims[n], swapped, True
+                    blocks.setdefault(a, (dims[m], dims[q], swapped))
+                    if b:  # B^T, given as B
+                        blocks.setdefault(b, (dims[q2], dims[n], swapped, True))
                     pair.append((swapped, a, b))
                 tasks.append((row, split, pair))
-            _fill_traces(t, blocks, [task for task in tasks if task[2]])
+            tiles.append((tile, _fill_plan(blocks, [task for task in tasks if task[2]],
+                                           self.n_vert)))
+        return tiles
+
+    def _sigma_fill(self, pairs: list[tuple[int, int]]) -> None:
+        """sigma_I of the `pairs` (m <= n), read-only into `_sigma_cache`, by
+        the plan's `_sigma_tiles`; the test for a non-real trace in t's planes."""
+        live = tuple(c > 0.0 for c in self._c)
+        tiles = _memo(self._plan.fills, (live, tuple(pairs)),
+                      lambda: self._sigma_tiles(tuple(pairs), live), FILL_CAP)
+        for tile, plan in tiles:
+            t = np.zeros((len(tile),) + (2,) * self.n_vert, dtype=complex)
+            _fill_traces(t, lambda key: self.sc.block(*key[:2]), plan)
             c = np.array([[self._c[m] * self._c[n] if min(self._c[m], self._c[n]) > 0.0
                            else math.inf] for m, n in tile])  # inf: all sigma inf
             re, im = (part.reshape(len(tile), -1) for part in (t.real, t.imag))
@@ -486,11 +528,10 @@ class IsingEngine:
         could disagree on a paying link, Delta has already forced
         agreement.  Terms are added in link order, but for spin-0 links,
         which pay 0.0 in every sector."""
-        pay = np.flatnonzero(self._logd.any(axis=0))
-        e = np.zeros((self.n_sec, 2, configs.size))
-        for cut, logd, flip in zip(self.sc.graph.cuts(configs, pay), self._logd.T[pay],
-                                   self._flips[pay]):
-            e += logd[:, None, None] * (cut ^ flip).astype(float)
+        plan, e = self._plan, np.zeros((self.n_sec, 2, configs.size))
+        for cut, logd, flip in zip(self.sc.graph.cuts(configs, plan.pay), plan.pay_logd,
+                                   plan.pay_flips):
+            e += logd * (cut ^ flip).astype(float)
         return e
 
     def _chunks(self, n_pairs: int = 1):
@@ -515,7 +556,7 @@ class IsingEngine:
         `pairs`: energy (pairs, 2, k) is link energy plus sigma_I per
         variant, keep marks where Delta survives and the energy is finite.
         Raises ValueError first if Delta admits a non-real bulk trace."""
-        pins = np.array([self._delta_masks(m, n) for m, n in pairs])
+        pins = self._plan.pins[tuple(zip(*pairs))]
         sigmas = [self._sigma_array(m, n) for m, n in pairs]
         for (m, n), pin, sigma in zip(pairs, pins, sigmas):
             if np.isnan(sigma).any():
@@ -549,9 +590,9 @@ class IsingEngine:
         gap = [s - b if b != math.inf else s for s, b in zip(second, best)]
         fields = (np.reshape(a, (-1, 2)).tolist()
                   for a in (logz, scan.config, best, degen, gap))
-        upper = {(m, n): PairResult(m, n, *map(LogWeight, z), *map(tuple, rest))
-                 for (m, n), z, *rest in zip(pairs, *fields)}
-        return {(m, n): upper[m, n] if m <= n else replace(upper[n, m], m=m, n=n)
+        upper = {pair: (*map(LogWeight, z), *map(tuple, rest))
+                 for pair, z, *rest in zip(pairs, *fields)}
+        return {(m, n): PairResult(m, n, *upper[min(m, n), max(m, n)])
                 for m in range(self.n_sec) for n in range(self.n_sec)}
 
     def partition_pair(self, m: int, n: int) -> PairResult:
@@ -598,7 +639,7 @@ class IsingEngine:
             z = np.array([[r.z0.log, r.z1.log] for r in self.all_pairs()])
             table = (logK[:, None] + logK) + z.T.reshape(2, n, n)
             total = log_sum_tree(table[0].ravel())
-            dim = self.sc.dim_H_C()
+            dim = self._plan.dim_H_C
             q = np.reshape([math.exp(z1 - z0) * dim if -math.inf not in (z0, z1)
                             else 0.0 for z0, z1 in z.tolist()], (n, n))
             singular = bool(np.any(q == 0.0) or np.linalg.cond(q) > COND_CAP)

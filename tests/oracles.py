@@ -53,6 +53,7 @@ from rstn.ising import (
     IsingEngine,
     PairResult,
     SizeCapError,
+    _fill_plan,
     _fill_traces,
     _interleave,
     _per_vertex,
@@ -598,11 +599,13 @@ def subset_traces(a, b, row_dims, col_dims, whole: int = 0) -> np.ndarray:
     (then the traces are real), and the sets missing a vertex of `whole`
     (it must hold all whose dims differ) get 0."""
     dims = tuple(row_dims), tuple(col_dims), whole
-    blocks = {"a": (a, *dims)}
+    blocks = {"a": dims}
     if b is not None:
-        blocks["b"] = (b, *dims, True)  # B^T, given as B
+        blocks["b"] = (*dims, True)  # B^T, given as B
     t = np.zeros((1,) + (2,) * len(row_dims), float if b is None else complex)
-    _fill_traces(t, blocks, [(0, whole, [(whole, "a", None if b is None else "b")])])
+    plan = _fill_plan(blocks, [(0, whole, [(whole, "a", None if b is None else "b")])],
+                      len(row_dims))
+    _fill_traces(t, {"a": a, "b": b}.get, plan)
     return t.ravel()
 
 

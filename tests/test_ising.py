@@ -214,7 +214,7 @@ def delta_table(engine: IsingEngine, m: int, n: int) -> np.ndarray:
     """Delta of the pair for every configuration, (variant, config): the
     pins that `IsingEngine._terms` tests."""
     configs = np.arange(1 << engine.n_vert)
-    return np.array([_survives(configs, pins) for pins in engine._delta_masks(m, n)])
+    return np.array([_survives(configs, pins) for pins in engine._plan.pins[m, n]])
 
 
 def test_delta_constraints_cross_pair():
@@ -1054,10 +1054,12 @@ def quotient_family_cases() -> list[Scenario]:
 def test_each_quotient_derived_once_per_engine(monkeypatch):
     # purity, P, Q, dim H_C and Q's conditioning are one record, derived
     # from one pair table on an engine's first quotient call: two log
-    # sums (the variant-0 total and variant 1), one dim H_C, one
-    # condition number (none where Q has a zero entry) and one inverse
-    # where Q is not singular
+    # sums (the variant-0 total and variant 1), one condition number
+    # (none where Q has a zero entry) and one inverse where Q is not
+    # singular; dim H_C is read off the engine plan, computed once per
+    # structure, so by the first engine of each scenario below only
     counts = Counter()
+    monkeypatch.setattr(ising, "_plans", {})  # every structure cold
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1090,11 +1092,12 @@ def test_each_quotient_derived_once_per_engine(monkeypatch):
 
     for sc in (two_sector(9, 5, 0.4), appendix_c(4, **BLOCK_PARAMS),
                appendix_c(1, region="s_link", mode="high_spin"), tiny_generic()):
-        for run, builds in ((consumers, 1), (consumers, 0), (fresh, 1), (fresh, 1)):
+        for k, (run, builds) in enumerate(((consumers, 1), (consumers, 0),
+                                           (fresh, 1), (fresh, 1))):
             run(sc)
             rec = IsingEngine.of(sc).quotients()
             cond = builds * (not np.any(rec.q == 0.0))
-            assert counts == Counter(log_sum_tree=2 * builds, dim_H_C=builds,
+            assert counts == Counter(log_sum_tree=2 * builds, dim_H_C=int(k == 0),
                                      cond=cond, inv=builds * (not rec.singular),
                                      _pair_table=builds)
             counts.clear()
@@ -1301,3 +1304,160 @@ def test_perfbench_tracer_installs():
     res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def engine_outputs(engine: IsingEngine) -> list:
+    """The pair table, the sigma_I arrays, the gradient operator (one
+    sector) and the purity of an engine, as bytes and reprs, or the
+    error the engine raises on the way."""
+    out = []
+    try:
+        out.append([repr(r) for r in engine.all_pairs()])
+        out.append([engine._sigma_array(m, n).tobytes() for m in range(engine.n_sec)
+                    for n in range(m, engine.n_sec)])
+        if engine.n_sec == 1:
+            out.append(engine.gradient_operator()[0].tobytes())
+        out.append(engine.purity().hex())
+    except (NumericalError, ValueError) as exc:
+        out.append(repr(exc))
+    return out
+
+
+def plan_cases() -> list[Scenario]:
+    rng = np.random.default_rng(61)
+    bundled = [load_scenario(str(resources.files("rstn") / "scenarios" / name))
+               for name in ("appendix_c.json", "once_fine_grained.json",
+                            "tiny_oracle.json", "two_sector_nu.json")]
+    coherent = appendix_c(4, **BLOCK_PARAMS)
+    incoherent = dataclasses.replace(  # block (0, 1) left out
+        coherent, blocks={k: v for k, v in coherent.blocks.items() if k != (0, 1)})
+    # neighbours differ in one part of the structure, each after the one
+    # with less to fill: the given blocks, region C, which sectors have
+    # c_m > 0 (two_sector at c0 = 0, 1, then both); the modes share one
+    families = [incoherent, coherent, appendix_c(2), appendix_c(2, region="s_link"),
+                appendix_c(2, mode="high_spin"),
+                appendix_c(1, region="s_link", mode="high_spin"), once_fine_grained(1),
+                tiny_generic(), tiny_generic("high_spin"), two_sector(9, 5, 0.0),
+                two_sector(9, 5, 1.0), two_sector(9, 5, 0.4)]
+    draws = [random_scenario(rng, ("two", "chain")[k % 2], n_sectors=1 + k % 3,
+                             max_twice=2 + k % 4, mode=("exact", "high_spin")[k // 3 % 2])
+             for k in range(210)]
+    return bundled + families + draws
+
+
+def test_cold_and_warm_engines_are_bit_identical(monkeypatch):
+    # an engine that reads its structure's plan back from the memo, which
+    # the cases before it filled too, and one whose plan is built afresh
+    # (the memo cleared) agree bit for bit: pair tables, sigma_I,
+    # gradient operator, purity
+    monkeypatch.setattr(ising, "_plans", {})
+    cases, warm = plan_cases(), []
+    for sc in cases:
+        plan = IsingEngine(sc)._plan
+        engine = IsingEngine(sc)
+        assert engine._plan is plan
+        warm.append(engine_outputs(engine))
+    for sc, out in zip(cases, warm):
+        ising._plans.clear()
+        assert engine_outputs(IsingEngine(sc)) == out
+
+
+@pytest.mark.parametrize("family, values", [
+    (lambda w: appendix_c(4, w=w), [0.2, 0.45, 0.7]),
+    (lambda c0: two_sector(9, 5, c0, mode="exact"), [0.2, 0.4, 0.8]),
+])
+def test_sweep_points_share_one_plan(monkeypatch, family, values):
+    # the points of a sweep differ in value, not in structure: one plan,
+    # one sigma-fill plan, and each engine equals a cold one bit for bit
+    monkeypatch.setattr(ising, "_plans", {})
+    warm = [IsingEngine(family(x)) for x in values]
+    outputs = [engine_outputs(engine) for engine in warm]
+    assert len(ising._plans) == 1 and len(warm[0]._plan.fills) == 1
+    assert all(engine._plan is warm[0]._plan for engine in warm)
+    assert len({out[-1] for out in outputs}) == len(values)  # purities differ
+    for x, out in zip(values, outputs):
+        ising._plans.clear()
+        cold = IsingEngine(family(x))
+        assert cold._plan is not warm[0]._plan
+        assert engine_outputs(cold) == out
+
+
+def plan_arrays(obj, seen=None):
+    """Every numpy array reachable from `obj` through containers and
+    instance attributes."""
+    seen = {} if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen[id(obj)] = obj  # held, so that no id is reused
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for item in obj.items():
+            yield from plan_arrays(item, seen)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from plan_arrays(item, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        yield from plan_arrays(vars(obj), seen)
+
+
+def test_plan_memo_is_bounded_and_holds_no_values(monkeypatch):
+    monkeypatch.setattr(ising, "_plans", {})
+    # at most PLAN_CAP structures, the last used kept
+    structures = [(n, s) for s in range(1, 7) for n in range(4, 16, 2)]
+    assert len(structures) > ising.PLAN_CAP
+    engines = [IsingEngine(scenario_from_dict(ring_dict(n, s))) for n, s in structures]
+    assert len(ising._plans) == ising.PLAN_CAP
+    assert list(ising._plans.values()) == [e._plan for e in engines[-ising.PLAN_CAP:]]
+    IsingEngine(engines[-ising.PLAN_CAP].sc)  # a hit moves to the back
+    assert next(reversed(ising._plans.values())) is engines[-ising.PLAN_CAP]._plan
+    # at most FILL_CAP sigma-fill pair lists per structure
+    engine = IsingEngine(scenario_from_dict(ring_dict(4, 3)))
+    for pair in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+        engine._sigma_fill([pair])
+    assert len(engine._plan.fills) == ising.FILL_CAP
+    # no scenario kept alive, no array with an entry per configuration
+    sc = scenario_from_dict(ring_dict(16, 3))
+    engine = IsingEngine(sc)
+    engine.purity()
+    plan, alive = engine._plan, weakref.ref(sc)
+    del sc, engine
+    gc.collect()
+    assert alive() is None
+    arrays = list(plan_arrays(ising._plans))
+    assert any(a is plan.pins for a in arrays)
+    assert all(a.size < 1 << 16 for a in arrays)
+    for arr in (plan.on_C, plan.twice, plan.logd, plan.pay_logd, plan.pins):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+def test_engine_without_a_paying_link():
+    # every spin 0: no link pays, so every link energy is 0
+    data = ring_dict(4, 1)
+    data["sectors"][0]["spins"] = dict.fromkeys(data["sectors"][0]["spins"], 0)
+    sc = scenario_from_dict(data)
+    engine = IsingEngine(sc)
+    assert engine._plan.pay.size == 0
+    energies = engine._link_energies(np.arange(16))
+    assert energies.shape == (1, 2, 16) and not energies.any()
+    assert engine.purity() == pytest.approx(exact_purity(sc)[0], rel=1e-12)
+    assert engine_outputs(IsingEngine(sc)) == engine_outputs(engine)
+
+
+def test_engine_attributes_read_by_perfbench_and_oracles():
+    sc = random_scenario(np.random.default_rng(67), "chain", n_sectors=3, max_twice=4)
+    engine, other = IsingEngine(sc), IsingEngine(sc)
+    nv, ids = sc.graph.n_vertices, sc.graph.link_ids()
+    assert engine._full == (1 << nv) - 1
+    assert engine._vdims == [sc.vertex_dims(s) for s in range(3)]
+    for p in range(3):
+        for q in range(3):
+            ends = [e for e, lid in zip(sc.graph.ends.tolist(), ids)
+                    if sc.spin(p, lid) != sc.spin(q, lid)]
+            assert engine._agree[p][q] == engine._full & ~sum(
+                1 << x for x in range(nv) if any(e >> x & 1 for e in ends))
+    assert engine._sigma_cache == {} and engine._sigma_cache is not other._sigma_cache
+    engine.purity()
+    assert set(engine._sigma_cache) == {(m, n) for m in range(3) for n in range(m, 3)}
+    assert other._sigma_cache == {}

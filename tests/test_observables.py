@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -39,8 +40,13 @@ def test_single_sector_average_is_sector_area():
 
 @pytest.mark.parametrize("moment", [area_average, area_variance])
 def test_holographic_is_keyword_only(moment):
+    # the `holographic` keyword left: a moment takes the scenario alone,
+    # so a second argument, positional or not, is refused
+    assert len(inspect.signature(moment).parameters) == 1
     with pytest.raises(TypeError):
         moment(tiny_generic(), False)
+    with pytest.raises(TypeError):
+        moment(tiny_generic(), holographic=False)
 
 
 def test_holographic_p_normalized():

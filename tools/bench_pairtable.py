@@ -21,8 +21,14 @@ ms5 in high-spin mode), each on a fresh engine per repetition:
          them all (one `_sigma_array(m, n)` per pair in a checkout
          from before the stacked fill);
   table  `all_pairs()` once those arrays are cached.
-A round reports each stage's median over REPS repetitions, summed
-over the two inputs.  At the enumeration cap, CAP_ROUNDS times, one
+Each repetition runs the three stages twice: cold, with the engine
+plans of `rstn.ising._plans` cleared first (what the first engine of a
+scenario structure pays, as in every CLI process; a checkout without
+that memo has nothing to clear), then warm.  It then times one fresh
+`IsingEngine(sc).purity()` per input, cold and warm alike
+(`purity_<input>_<cold|warm>_s`).  A round reports each figure's median
+over REPS repetitions, the stages summed over the two inputs
+(`<stage>_<cold|warm>_s`).  At the enumeration cap, CAP_ROUNDS times, one
 interpreter per case times `IsingEngine(sc).purity()` and reads its peak RSS:
 `tests/rings.py:ring_dict(24, 1)` exact and high-spin, and
 `ring_dict(20, 4)` exact.
@@ -69,6 +75,7 @@ CAP_CASES = {"ring24_exact": (24, 1, "exact"),
              "ring24_high_spin": (24, 1, "high_spin"),
              "ring20x4_exact": (20, 4, "exact")}
 STAGES = ("init", "sigma", "table")
+TEMPS = ("cold", "warm")
 ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
 MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
             "appendix_c2_100": ("appendix_c", (2,), 100),
@@ -85,39 +92,51 @@ QUOTIENT_CALLS = ("derive", "purity", "distribution", "analyze_holography",
 
 
 def stages() -> dict:
-    """Median seconds per stage, summed over ms6 and ms5."""
+    """Median seconds per stage and temperature, summed over ms6 and ms5,
+    and of a fresh purity per input."""
     import time
 
     import numpy as np
 
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
     import inputs
+    from rstn import ising
     from rstn.ising import IsingEngine
     from rstn.state import scenario_from_dict
 
+    plans = getattr(ising, "_plans", {})
     # the generator perfbench seeds for many-sectors at --seed 1
     ms6, ms5, _ = inputs.many_sectors(np.random.default_rng([1, 2]))
-    out = dict.fromkeys(STAGES, 0.0)
-    for sc in map(scenario_from_dict, (ms6, ms5)):
+    out = {f"{stage}_{temp}": 0.0 for stage in STAGES for temp in TEMPS}
+    for name, sc in zip(("ms6", "ms5"), map(scenario_from_dict, (ms6, ms5))):
         upper = [(m, n) for m in range(len(sc.sectors))
                  for n in range(m, len(sc.sectors))]
-        times = {stage: [] for stage in STAGES}
+        times = {f"{key}_{temp}": [] for key in (*STAGES, f"purity_{name}") for temp in TEMPS}
         for _ in range(REPS):
-            t0 = time.perf_counter()
-            engine = IsingEngine(sc)
-            t1 = time.perf_counter()
-            if hasattr(engine, "_sigma_fill"):
-                engine._sigma_fill(upper)
-            else:
-                for m, n in upper:
-                    engine._sigma_array(m, n)
-            t2 = time.perf_counter()
-            engine.all_pairs()
-            t3 = time.perf_counter()
-            for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
-                times[stage].append(dt)
-        for stage in STAGES:
-            out[stage] += statistics.median(times[stage])
+            for temp in TEMPS:
+                if temp == "cold":
+                    plans.clear()
+                t0 = time.perf_counter()
+                engine = IsingEngine(sc)
+                t1 = time.perf_counter()
+                if hasattr(engine, "_sigma_fill"):
+                    engine._sigma_fill(upper)
+                else:
+                    for m, n in upper:
+                        engine._sigma_array(m, n)
+                t2 = time.perf_counter()
+                engine.all_pairs()
+                t3 = time.perf_counter()
+                for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
+                    times[f"{stage}_{temp}"].append(dt)
+            for temp in TEMPS:
+                if temp == "cold":
+                    plans.clear()
+                t0 = time.perf_counter()
+                IsingEngine(sc).purity()
+                times[f"purity_{name}_{temp}"].append(time.perf_counter() - t0)
+        for key, values in times.items():
+            out[key] = out.get(key, 0.0) + statistics.median(values)
     return out
 
 
@@ -328,7 +347,8 @@ def main() -> None:
             }
             continue
         report[root.split("=", 1)[0]] = {
-            **{f"{s}_s": quartiles([x[s] for x in r["stages"]]) for s in STAGES},
+            **{f"{key}_s": quartiles([x[key] for x in r["stages"]])
+               for key in r["stages"][0]},
             **{case: {key: quartiles([x[key] for x in r[case]])
                       for key in ("wall_s", "peak_rss_mb")}
                for case in CAP_CASES},
