@@ -30,7 +30,6 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from rstn.graph import GraphError
 from rstn.global_average import GlobalAvgInput, global_entropy, global_purity
 from rstn.holography import InfeasibleError, analyze_holography, solve_weights
 from rstn.ising import IsingEngine, NumericalError, SizeCapError
@@ -59,7 +58,7 @@ def _guarded(fn):
             _fail(EXIT_PARSE, str(exc))
         except NumericalError as exc:  # a ValueError, but not the input's fault
             _fail(EXIT_NUMERICAL, str(exc))
-        except (ValidationError, GraphError, ValueError) as exc:
+        except ValueError as exc:  # ValidationError, GraphError
             _fail(EXIT_VALIDATION, str(exc))
         except SizeCapError as exc:
             _fail(EXIT_SIZE, str(exc))

@@ -308,16 +308,8 @@ class _GroundScan:
         self.floor[rows] = np.minimum(floor, low)
 
 
-PLAN_CAP, FILL_CAP = 32, 4  # structures kept, and sigma-fill pair lists per structure
+PLAN_CAP = 32  # structures kept
 _plans: dict = {}  # structure key -> _Plan, least recently used first
-
-
-def _memo(cache: dict, key, build, cap: int):
-    """cache[key], built on a miss; the `cap` most recently used are kept."""
-    cache[key] = value = cache.pop(key, None) or build()
-    while len(cache) > cap:
-        del cache[next(iter(cache))]
-    return value
 
 
 class _Plan:
@@ -330,7 +322,8 @@ class _Plan:
     differ (copies swapped at one end, for a half-edge sigma_s * h = -1,
     need equal spins) up, of C half-edges down in variant 1 (h = -1 on C),
     nothing else, as in both oracles; `agree[p][q]`, the vertices at no end
-    of a differing link; `fills`, `_sigma_tiles` per live sectors, pairs."""
+    of a differing link; `tiles`, the sigma_I fill plan of every pair m <= n
+    (`_sigma_tiles`), so that an engine's fill reads only values."""
 
     def __init__(self, sc: Scenario, ids: list[str], twice: tuple):
         ends, n = sc.graph.ends, len(twice)
@@ -351,7 +344,42 @@ class _Plan:
         self.given = frozenset(sc.blocks)
         self.present = frozenset(k for key in sc.blocks for k in (key, key[::-1]))
         self.dim_H_C = sc.dim_H_C()
-        self.fills: dict = {}
+        self.tiles = self._sigma_tiles(sc.graph.n_vertices)
+
+    def _sigma_tiles(self, n_vert: int) -> list:
+        """The pairs m <= n in tiles of max(1, 2^TILE_BITS >> V) with the
+        `_fill_plan` of their tasks.  Swapping S pairs blocks (m, q) and
+        (n, q'), q with the tuples of m off S and of n on S, q' the other way
+        round; only the part T of S where m and n differ fixes the pair: each
+        hybrid q (m or n at every vertex) whose blocks are given is one task,
+        whole at T; B = A^H if it is (q, m) given once."""
+        n_sec, full, dims, agree = len(self.vdims), (1 << n_vert) - 1, self.vdims, self.agree
+        pairs = [(m, n) for m in range(n_sec) for n in range(m, n_sec)]
+        step, tiles = max(1, (1 << TILE_BITS) >> n_vert), []
+        for lo in range(0, len(pairs), step):
+            tile, tasks, blocks = pairs[lo:lo + step], [], {}
+            for row, (m, n) in enumerate(tile):
+                am, an = agree[m], agree[n]
+                split = full & ~am[n]
+                hybrids = [q for q in range(n_sec) if am[q] | an[q] == full]
+                partner = {split & ~an[q]: q for q in hybrids}
+                pair = []
+                for q in hybrids:
+                    swapped = split & ~am[q]
+                    q2 = partner.get(swapped)
+                    if (m, q) not in self.present or (n, q2) not in self.present:
+                        continue
+                    herm = m == n or ((q, q2) == (n, m)  # B = A^H exactly
+                                      and not {(m, n), (n, m)} <= self.given)
+                    a, b = (m, q, 0), None if herm else (n, q2, 1)
+                    blocks.setdefault(a, (dims[m], dims[q], swapped))
+                    if b:  # B^T, given as B
+                        blocks.setdefault(b, (dims[q2], dims[n], swapped, True))
+                    pair.append((swapped, a, b))
+                tasks.append((row, split, pair))
+            tiles.append((tile, _fill_plan(blocks, [task for task in tasks if task[2]],
+                                           n_vert)))
+        return tiles
 
 
 class IsingEngine:
@@ -368,10 +396,11 @@ class IsingEngine:
     ones: more than MAX_CONFIG_PAIRS (2^24) configurations x ordered
     sector pairs raises SizeCapError before anything is built.
 
-    The link table, Delta pins, vertex dims, dim H_C and sigma-fill
-    bookkeeping are the `_Plan` of the scenario's structure (in `_plans`,
-    the PLAN_CAP last used); per engine are c_m, log|g|^2 (`_log_g2`), log
-    Ktilde (`_log_kt`, `log_K_tilde`), the blocks and all that reads them.
+    The link table, Delta pins, vertex dims, dim H_C and sigma-fill plan
+    are the `_Plan` of the scenario's structure (in `_plans`, the PLAN_CAP
+    last used); per engine are only values: c_m, log|g|^2 (`_log_g2`), log
+    Ktilde (`_log_kt`, `log_K_tilde`), the blocks and all that reads them,
+    down to the sigma_I finish (log, negation, the test for a non-real trace).
     """
 
     def __init__(self, sc: Scenario):
@@ -385,23 +414,23 @@ class IsingEngine:
         self.sc = sc
         self.n_vert = sc.graph.n_vertices
         self.n_sec = len(sc.sectors)
-        self._full = (1 << self.n_vert) - 1
         self._sigma_cache: dict[tuple[int, int], np.ndarray] = {}
         self._table: dict[tuple[int, int], PairResult] | None = None
         self._gradient: tuple[np.ndarray, float] | None = None
         self._quotients: Quotients | None = None
         ids = sc.graph.link_ids()
         twice = tuple(tuple(map(sec.spins.__getitem__, ids)) for sec in sc.sectors)
-        plan = self._plan = _memo(_plans, (sc.graph, twice, sc.region_C, frozenset(sc.blocks)),
-                                  lambda: _Plan(sc, ids, twice), PLAN_CAP)
-        self._on_C, self._logd = plan.on_C, plan.logd
-        self._agree, self._vdims, self._present = plan.agree, plan.vdims, plan.present
+        key = (sc.graph, twice, sc.region_C, frozenset(sc.blocks))
+        _plans[key] = plan = self._plan = _plans.pop(key, None) or _Plan(sc, ids, twice)
+        while len(_plans) > PLAN_CAP:  # the least recently used goes
+            del _plans[next(iter(_plans))]
+        self._vdims = plan.vdims
         g2 = np.ones(plan.twice.shape)  # |g|^2 = 1 where no amplitude is given
         for k, lid in enumerate(ids):
             for tj, amp in sc.amplitudes.get(lid, {}).items():
                 g2[plan.twice[:, k] == tj, k] = abs(amp) ** 2
         self._log_g2 = np.log(g2, out=np.full(g2.shape, -math.inf), where=g2 > 0.0)
-        self._log_kt = np.where(plan.half_edge, self._logd, self._log_g2).sum(1).tolist()
+        self._log_kt = np.where(plan.half_edge, plan.logd, self._log_g2).sum(1).tolist()
         self._c = [sc.c_norm(s) for s in range(self.n_sec)]
 
     @staticmethod
@@ -444,13 +473,11 @@ class IsingEngine:
     def _sigma_array(self, m: int, n: int) -> np.ndarray:
         """sigma_I of every swapped set of the pair, indexed by bitmask;
         NaN marks a trace that is not real.  (m, n) and (n, m) read that of
-        (min, max), built on first use in one `_sigma_fill` of the uncached
-        pairs m <= n, so that no value depends on the order of calls."""
-        cache, key = self._sigma_cache, (min(m, n), max(m, n))
-        if key not in cache:
-            self._sigma_fill([p for p in np.ndindex(self.n_sec, self.n_sec)
-                              if p[0] <= p[1] and p not in cache])
-        return cache[key]
+        (min, max); the first call fills every pair m <= n in one
+        `_sigma_fill`, so that no value depends on the order of calls."""
+        if not self._sigma_cache:
+            self._sigma_fill()
+        return self._sigma_cache[min(m, n), max(m, n)]
 
     def _reduced(self, row: int, col: int, keep: int) -> np.ndarray:
         """Block rho_{row,col} traced over the vertices outside `keep`;
@@ -458,53 +485,14 @@ class IsingEngine:
         return _partial_trace(self.sc.block(row, col), self._vdims[row],
                               self._vdims[col], keep)
 
-    def _sigma_tiles(self, pairs: tuple, live: tuple) -> list:
-        """`pairs` (m <= n) in tiles of max(1, 2^TILE_BITS >> V) with the
-        `_fill_plan` of their tasks (`live[m]`: c_m > 0).  Swapping S pairs
-        blocks (m, q) and (n, q'), q with the tuples of m off S and of n on
-        S, q' the other way round; only the part T of S where m and n differ
-        fixes the pair: each hybrid q (m or n at every vertex) whose blocks
-        are given is one task, whole at T; B = A^H if it is (q, m) given once."""
-        step = max(1, (1 << TILE_BITS) >> self.n_vert)
-        tiles, dims, given = [], self._vdims, self._plan.given
-        for lo in range(0, len(pairs), step):
-            tile, tasks, blocks = pairs[lo:lo + step], [], {}
-            for row, (m, n) in enumerate(tile):
-                if not live[m] or not live[n]:
-                    continue
-                am, an = self._agree[m], self._agree[n]
-                split = self._full & ~am[n]
-                hybrids = [q for q in range(self.n_sec) if am[q] | an[q] == self._full]
-                partner = {split & ~an[q]: q for q in hybrids}
-                pair = []
-                for q in hybrids:
-                    swapped = split & ~am[q]
-                    q2 = partner.get(swapped)
-                    if (m, q) not in self._present or (n, q2) not in self._present:
-                        continue
-                    herm = m == n or ((q, q2) == (n, m)  # B = A^H exactly
-                                      and not {(m, n), (n, m)} <= given)
-                    a, b = (m, q, 0), None if herm else (n, q2, 1)
-                    blocks.setdefault(a, (dims[m], dims[q], swapped))
-                    if b:  # B^T, given as B
-                        blocks.setdefault(b, (dims[q2], dims[n], swapped, True))
-                    pair.append((swapped, a, b))
-                tasks.append((row, split, pair))
-            tiles.append((tile, _fill_plan(blocks, [task for task in tasks if task[2]],
-                                           self.n_vert)))
-        return tiles
-
-    def _sigma_fill(self, pairs: list[tuple[int, int]]) -> None:
-        """sigma_I of the `pairs` (m <= n), read-only into `_sigma_cache`, by
-        the plan's `_sigma_tiles`; the test for a non-real trace in t's planes."""
-        live = tuple(c > 0.0 for c in self._c)
-        tiles = _memo(self._plan.fills, (live, tuple(pairs)),
-                      lambda: self._sigma_tiles(tuple(pairs), live), FILL_CAP)
-        for tile, plan in tiles:
+    def _sigma_fill(self) -> None:
+        """sigma_I of every pair m <= n, read-only into `_sigma_cache`, by the
+        plan's tiles; the test for a non-real trace in t's planes."""
+        for tile, plan in self._plan.tiles:
             t = np.zeros((len(tile),) + (2,) * self.n_vert, dtype=complex)
             _fill_traces(t, lambda key: self.sc.block(*key[:2]), plan)
             c = np.array([[self._c[m] * self._c[n] if min(self._c[m], self._c[n]) > 0.0
-                           else math.inf] for m, n in tile])  # inf: all sigma inf
+                           else math.inf] for m, n in tile])
             re, im = (part.reshape(len(tile), -1) for part in (t.real, t.imag))
             sigma = re / c
             pos = sigma > 0.0
@@ -513,7 +501,8 @@ class IsingEngine:
             tol = np.maximum(np.abs(re, out=re), 1.0, out=re)  # max(1, |re|)
             tol *= SIGMA_IMAG_TOL
             sigma[np.greater(np.abs(im, out=im), tol, out=pos)] = math.nan  # not real
-            sigma[:, 0] = np.where(c[:, 0] < math.inf, 0.0, math.inf)  # t = c_m c_n
+            sigma[:, 0] = 0.0  # t = c_m c_n
+            sigma[c[:, 0] == math.inf] = math.inf  # c_m or c_n <= 0: all +inf, NaN too
             sigma.flags.writeable = False
             self._sigma_cache.update(zip(tile, sigma))
             t = re = im = tol = pos = None  # free before the next tile
@@ -544,8 +533,8 @@ class IsingEngine:
         """Sum of log(2j+1) of sector m over the links each configuration
         cuts, weighted -1 on C, added in link order."""
         total = np.zeros(configs.size)
-        for cut, logd, on_c in zip(self.sc.graph.cuts(configs), self._logd[m],
-                                   self._on_C):
+        for cut, logd, on_c in zip(self.sc.graph.cuts(configs), self._plan.logd[m],
+                                   self._plan.on_C):
             total += (-logd if on_c else logd) * cut
         return total
 

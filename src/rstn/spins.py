@@ -16,6 +16,17 @@ def dim_rep(twice_j: int) -> int:
     return twice_j + 1
 
 
+def _channels(twice_js: tuple[int, int, int, int]) -> range:
+    """The channel spins k of `channel_spins` as a range, O(1) at any spin:
+    lo = max(|j1 - j2|, |j3 - j4|) already has the parity of k."""
+    j1, j2, j3, j4 = twice_js
+    if any(j < 0 for j in twice_js):
+        raise ValueError(f"negative twice-spin in {twice_js}")
+    if (j1 + j2) % 2 != (j3 + j4) % 2:
+        return range(0)
+    return range(max(abs(j1 - j2), abs(j3 - j4)), min(j1 + j2, j3 + j4) + 1, 2)
+
+
 def channel_spins(twice_js: tuple[int, int, int, int]) -> tuple[int, ...]:
     """Intermediate twice-spins of the (12)(34) recoupling channel.
 
@@ -24,19 +35,10 @@ def channel_spins(twice_js: tuple[int, int, int, int]) -> tuple[int, ...]:
     intertwiner basis used everywhere else (block indices of the bulk
     state refer to this ordering).
     """
-    j1, j2, j3, j4 = twice_js
-    if any(j < 0 for j in twice_js):
-        raise ValueError(f"negative twice-spin in {twice_js}")
-    lo = max(abs(j1 - j2), abs(j3 - j4))
-    hi = min(j1 + j2, j3 + j4)
-    if (j1 + j2) % 2 != (j3 + j4) % 2:
-        return ()
-    # parity of k is fixed by j1+j2; start the scan on that parity
-    if lo % 2 != (j1 + j2) % 2:
-        lo += 1
-    return tuple(range(lo, hi + 1, 2))
+    return tuple(_channels(twice_js))
 
 
 def intertwiner_dimension(twice_js: tuple[int, int, int, int]) -> int:
-    """Dimension of the invariant subspace of a 4-valent vertex."""
-    return len(channel_spins(twice_js))
+    """Dimension of the invariant subspace of a 4-valent vertex, counted
+    without listing its channels."""
+    return len(_channels(twice_js))

@@ -306,6 +306,12 @@ def _int_in(v, where: str) -> int:
     return v
 
 
+def _str_in(v, where: str) -> str:
+    if not isinstance(v, str):
+        raise ParseError(f"{where}: expected a string, got {v!r}")
+    return v
+
+
 def _key_in(key, count: int, where: str) -> list[int]:
     """An object key of `count` comma-separated integers in their one
     spelling: digits [0-9] only (\\d and int() take other scripts' digits),
@@ -354,20 +360,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ParseError("graph: expected keys vertices/internal_links/"
                          "boundary_links")
 
-    def entries(kind: str, keys: tuple[str, ...]):
-        """Each link entry of graph[kind] with its integer fields."""
+    def entries(kind: str, keys: tuple[str, ...], side: tuple[str, ...] = ()):
+        """The fields of each link entry of graph[kind]: the integer `keys`,
+        then the string `side` ("outer" where absent), and no other key."""
         rows = gd.get(kind, [])
         if not isinstance(rows, list):
             raise ParseError(f"graph.{kind}: expected a list, got {rows!r}")
         for k, d in enumerate(rows):
             where = f"graph.{kind}[{k}]"
-            d = _object_in(d, where)
-            yield d, [_int_in(d.get(key), f"{where}.{key}") for key in keys]
+            if unknown := [key for key in _object_in(d, where) if key not in keys + side]:
+                raise ParseError(f"{where}.{unknown[0]}: unknown key")
+            yield ([_int_in(d.get(key), f"{where}.{key}") for key in keys]
+                   + [_str_in(d.get(key, "outer"), f"{where}.{key}") for key in side])
 
-    internal = [Link(*ints) for _, ints in
-                entries("internal_links", ("from", "to", "color"))]
-    boundary = [BoundaryLink(*ints, d.get("side", "outer")) for d, ints in
-                entries("boundary_links", ("vertex", "color"))]
+    internal = [Link(*row) for row in entries("internal_links", ("from", "to", "color"))]
+    boundary = [BoundaryLink(*row) for row in
+                entries("boundary_links", ("vertex", "color"), ("side",))]
     try:
         graph = ColoredGraph(_int_in(gd.get("vertices"), "graph.vertices"),
                              internal, boundary)
@@ -384,9 +392,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         for lid, tj in _object_in(sd.get("spins"),
                                   f"sectors[{s}].spins").items():
             spins[str(lid)] = _int_in(tj, f"sectors[{s}].spins[{lid}]")
-        if not isinstance(name := sd.get("name", str(s)), str):
-            raise ParseError(f"sectors[{s}].name: expected a string, got {name!r}")
-        sectors.append(Sector(spins=spins, name=name))
+        sectors.append(Sector(spins, _str_in(sd.get("name", str(s)), f"sectors[{s}].name")))
 
     amplitudes: dict[str, dict[int, complex]] = {}
     for lid, table in _object_in(data.get("amplitudes", {}),
@@ -411,7 +417,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                                                  for x in region_C):
         raise ParseError(f"region_C: expected a list of link ids, got "
                          f"{region_C!r}")
-    mode = data.get("mode", "exact")
+    mode = _str_in(data.get("mode", "exact"), "mode")
     cutoffs = data.get("cutoffs")
     if cutoffs is not None and (
         not isinstance(cutoffs, dict) or set(cutoffs) - {"lower", "upper"}

@@ -313,14 +313,6 @@ def reweighted_scenario(sc: Scenario, c: np.ndarray) -> Scenario:
     return dataclasses.replace(sc, blocks=blocks)
 
 
-def brute_force_subsets(n: int) -> list[frozenset[int]]:
-    return [
-        frozenset(c)
-        for r in range(n + 1)
-        for c in itertools.combinations(range(n), r)
-    ]
-
-
 # -- partial traces and log sums ----------------------------------------------
 
 
@@ -666,7 +658,7 @@ def sigma_build_reference(engine: IsingEngine, m: int, n: int) -> np.ndarray:
     cm, cn = engine._c[m], engine._c[n]
     if cm <= 0.0 or cn <= 0.0:
         return np.full(1 << engine.n_vert, math.inf)
-    full, agree = engine._full, engine._agree
+    full, agree = (1 << engine.n_vert) - 1, engine._plan.agree
     t = np.zeros((2,) * engine.n_vert, dtype=complex)  # axis 0: vertex V-1
     split = full & ~agree[m][n]
     hybrids = [q for q in range(engine.n_sec)  # m or n at every vertex
@@ -675,7 +667,7 @@ def sigma_build_reference(engine: IsingEngine, m: int, n: int) -> np.ndarray:
     for q in hybrids:
         swapped = split & ~agree[q][m]
         q2 = partner.get(swapped)
-        if not {(m, q), (n, q2)} <= engine._present:
+        if not {(m, q), (n, q2)} <= engine._plan.present:
             continue
         keep = full & ~split | swapped
         # traced vertices become factors of dim 1

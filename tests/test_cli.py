@@ -134,6 +134,18 @@ _EYE = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
     # sector names are strings
     (_set(["sectors", 0, "name"], [1, 2]), "sectors[0].name: expected a string, got [1, 2]"),
     (_set(["sectors", 0, "name"], 5), "sectors[0].name: expected a string, got 5"),
+    # link entries hold their own keys only; mode and side are strings
+    (_set(["graph", "boundary_links", 0, "sid"], "inner"),
+     "graph.boundary_links[0].sid: unknown key"),
+    (_set(["graph", "internal_links", 0, "colour"], 1),
+     "graph.internal_links[0].colour: unknown key"),
+    (_set(["graph", "internal_links", 0, "side"], "outer"),
+     "graph.internal_links[0].side: unknown key"),
+    (_set(["graph", "boundary_links", 0, "side"], 5),
+     "graph.boundary_links[0].side: expected a string, got 5"),
+    (_set(["mode"], 5), "mode: expected a string, got 5"),
+    (_set(["mode"], True), "mode: expected a string, got True"),
+    (_set(["mode"], ["exact"]), "mode: expected a string, got ['exact']"),
 ])
 def test_malformed_scenario_is_parse_error(runner, tmp_path, mutate, named):
     data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
@@ -270,6 +282,26 @@ def test_bulk_dimension_cap_exit_4(runner, tmp_path):
         tracemalloc.stop()
     assert res.exit_code == 4, res.output
     assert "59081" in res.output and "4096" in res.output
+    assert peak < 1 << 20
+
+
+def test_huge_spins_reach_the_bulk_dimension_cap_at_once(runner, tmp_path):
+    # twice-spins of 10^9: a vertex dimension is counted, not listed
+    data = json.loads((SCENARIOS / "tiny_oracle.json").read_text())
+    spins = data["sectors"][0]["spins"]
+    data["sectors"].append({"name": "huge", "spins": dict.fromkeys(spins, 10**9)})
+    big = tmp_path / "huge.json"
+    big.write_text(json.dumps(data))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["validate", str(big)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 4, res.output
+    assert str(4 + (10**9 + 1) ** 2) in res.output and "4096" in res.output  # 2 x 2 beside
     assert peak < 1 << 20
 
 

@@ -650,19 +650,18 @@ def test_sigma_arrays_match_einsum_reference():
 
 
 @pytest.mark.parametrize("n_vertices, n_sectors, pair",
-                         [(16, 1, (0, 0)), (14, 3, (0, 0)), (14, 3, (0, 1)),
-                          (14, 3, None)])
+                         [(16, 1, (0, 0)), (14, 3, None)])
 def test_sigma_build_memory_peak(n_vertices, n_sectors, pair):
     # the complex trace table (twice the results), the results and one
-    # boolean mask: 3.125 times the results of one tile; pair=None fills
-    # every unordered pair at once, as the pair table does (one tile)
+    # boolean mask: 3.125 times the results of one tile; the first read of
+    # a pair, or the fill itself (pair=None), builds every unordered pair at
+    # once, as the pair table does (one tile)
     engine = IsingEngine(scenario_from_dict(ring_dict(n_vertices, n_sectors)))
-    pairs = [pair] if pair else [(m, n) for m in range(n_sectors)
-                                 for n in range(m, n_sectors)]
+    pairs = [(m, n) for m in range(n_sectors) for n in range(m, n_sectors)]
     assert len(pairs) <= max(1, (1 << TILE_BITS) >> n_vertices)
     tracemalloc.start()
     try:
-        engine._sigma_fill(pairs)
+        engine._sigma_array(*pair) if pair else engine._sigma_fill()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -851,26 +850,6 @@ def nonreal_engine(sc: Scenario, bad: dict) -> IsingEngine:
     return engine
 
 
-def test_stacked_fill_skips_cached_pairs():
-    # arrays planted in `_sigma_cache` (as `nonreal_engine` plants NaN)
-    # stay; one stacked fill builds the other pairs of the table
-    sc = onoff_ring()
-    planted, fresh = IsingEngine(sc), IsingEngine(sc)
-    nan = np.full(1 << sc.graph.n_vertices, math.nan)
-    planted._sigma_cache.update({(0, 1): nan, (2, 2): nan})
-    calls = []
-    fill = planted._sigma_fill
-    planted._sigma_fill = lambda pairs: (calls.append(pairs), fill(pairs))
-    with pytest.raises(NumericalError, match=re.escape("pair (0,1) and swapped set")):
-        planted.all_pairs()
-    upper = [(m, n) for m in range(5) for n in range(m, 5)]
-    assert calls == [[p for p in upper if p not in ((0, 1), (2, 2))]]
-    assert planted._sigma_cache[0, 1] is nan and planted._sigma_cache[2, 2] is nan
-    fresh._sigma_fill(calls[0])
-    for p in calls[0]:
-        assert planted._sigma_cache[p].tobytes() == fresh._sigma_cache[p].tobytes()
-
-
 def test_nonreal_trace_that_delta_admits_is_refused():
     # every path names the first admitted set of the first bad pair, m-major
     ring = scenario_from_dict(ring_dict(16, 3))  # 4 chunks in `terms`
@@ -934,7 +913,7 @@ def test_engine_reductions_match_einsum_partial_trace():
         for row in range(3):
             for col in range(3):
                 for mask in rng.integers(0, 1 << nv, size=6).tolist():
-                    if full & ~mask & ~engine._agree[row][col]:
+                    if full & ~mask & ~engine._plan.agree[row][col]:
                         continue  # traced factors must match
                     expect = einsum_partial_trace(
                         sc.block(row, col), dims[row], dims[col], mask
@@ -1332,8 +1311,8 @@ def plan_cases() -> list[Scenario]:
     incoherent = dataclasses.replace(  # block (0, 1) left out
         coherent, blocks={k: v for k, v in coherent.blocks.items() if k != (0, 1)})
     # neighbours differ in one part of the structure, each after the one
-    # with less to fill: the given blocks, region C, which sectors have
-    # c_m > 0 (two_sector at c0 = 0, 1, then both); the modes share one
+    # with less to fill: the given blocks, region C; two_sector at c0 = 0,
+    # 1, then both, and the modes, share one
     families = [incoherent, coherent, appendix_c(2), appendix_c(2, region="s_link"),
                 appendix_c(2, mode="high_spin"),
                 appendix_c(1, region="s_link", mode="high_spin"), once_fine_grained(1),
@@ -1363,18 +1342,27 @@ def test_cold_and_warm_engines_are_bit_identical(monkeypatch):
 
 
 @pytest.mark.parametrize("family, values", [
-    (lambda w: appendix_c(4, w=w), [0.2, 0.45, 0.7]),
-    (lambda c0: two_sector(9, 5, c0, mode="exact"), [0.2, 0.4, 0.8]),
+    (lambda w: appendix_c(4, w=w), [0.0, 0.2, 0.45, 0.7]),
+    (lambda c0: two_sector(9, 5, c0, mode="exact"), [0.0, 0.2, 0.4, 0.8, 1.0]),
 ])
 def test_sweep_points_share_one_plan(monkeypatch, family, values):
-    # the points of a sweep differ in value, not in structure: one plan,
-    # one sigma-fill plan, and each engine equals a cold one bit for bit
+    # the points of a sweep differ in value, not in structure, endpoints
+    # (a sector with c_m = 0) included: one plan, one sigma-fill plan, and
+    # each engine equals a cold one bit for bit
     monkeypatch.setattr(ising, "_plans", {})
     warm = [IsingEngine(family(x)) for x in values]
     outputs = [engine_outputs(engine) for engine in warm]
-    assert len(ising._plans) == 1 and len(warm[0]._plan.fills) == 1
+    assert len(ising._plans) == 1
     assert all(engine._plan is warm[0]._plan for engine in warm)
+    assert all(engine._plan.tiles is warm[0]._plan.tiles for engine in warm)
     assert len({out[-1] for out in outputs}) == len(values)  # purities differ
+    dead = 0
+    for engine in warm:  # a pair with a dead sector: every sigma_I is +inf
+        for m, n in engine._sigma_cache:
+            if min(engine._c[m], engine._c[n]) <= 0.0:
+                assert np.all(engine._sigma_array(m, n) == math.inf)
+                dead += 1
+    assert dead > 0
     for x, out in zip(values, outputs):
         ising._plans.clear()
         cold = IsingEngine(family(x))
@@ -1411,11 +1399,6 @@ def test_plan_memo_is_bounded_and_holds_no_values(monkeypatch):
     assert list(ising._plans.values()) == [e._plan for e in engines[-ising.PLAN_CAP:]]
     IsingEngine(engines[-ising.PLAN_CAP].sc)  # a hit moves to the back
     assert next(reversed(ising._plans.values())) is engines[-ising.PLAN_CAP]._plan
-    # at most FILL_CAP sigma-fill pair lists per structure
-    engine = IsingEngine(scenario_from_dict(ring_dict(4, 3)))
-    for pair in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
-        engine._sigma_fill([pair])
-    assert len(engine._plan.fills) == ising.FILL_CAP
     # no scenario kept alive, no array with an entry per configuration
     sc = scenario_from_dict(ring_dict(16, 3))
     engine = IsingEngine(sc)
@@ -1449,13 +1432,14 @@ def test_engine_attributes_read_by_perfbench_and_oracles():
     sc = random_scenario(np.random.default_rng(67), "chain", n_sectors=3, max_twice=4)
     engine, other = IsingEngine(sc), IsingEngine(sc)
     nv, ids = sc.graph.n_vertices, sc.graph.link_ids()
-    assert engine._full == (1 << nv) - 1
+    full = (1 << nv) - 1
     assert engine._vdims == [sc.vertex_dims(s) for s in range(3)]
+    assert engine._plan.present == {k for key in sc.blocks for k in (key, key[::-1])}
     for p in range(3):
         for q in range(3):
             ends = [e for e, lid in zip(sc.graph.ends.tolist(), ids)
                     if sc.spin(p, lid) != sc.spin(q, lid)]
-            assert engine._agree[p][q] == engine._full & ~sum(
+            assert engine._plan.agree[p][q] == full & ~sum(
                 1 << x for x in range(nv) if any(e >> x & 1 for e in ends))
     assert engine._sigma_cache == {} and engine._sigma_cache is not other._sigma_cache
     engine.purity()

@@ -1,4 +1,9 @@
+import copy
+import functools
+import json
 import math
+import operator
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -6,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import block_diagonal, region_difference_reference, sequential_ground_scan
 from rstn.families import random_scenario
-from rstn.ising import TIE_TOL, IsingEngine, _GroundScan
+from rstn.graph import GraphError
+from rstn.ising import TIE_TOL, IsingEngine, NumericalError, _GroundScan
 from rstn.observables import area_variance
+from rstn.oracle import exact_purity
+from rstn.state import (ParseError, SizeCapError, ValidationError, scenario_from_dict,
+                        scenario_to_dict)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -106,3 +115,90 @@ def test_ground_scan_matches_sequential_loop(energies, cuts):
         best, second, index, degen = sequential_ground_scan(row, TIE_TOL)
         assert (scan.best[r], scan.second[r], scan.degen[r]) == (best, second, degen)
         assert scan.config[r] == (int(configs[index]) if row else 0)
+
+
+# -- the canonical form, under mutations of the bundled files ------------------
+
+BUNDLED = {f.name: json.loads(f.read_text())
+           for f in sorted(resources.files("rstn").joinpath("scenarios").iterdir(),
+                           key=lambda f: f.name) if f.name.endswith(".json")}
+# a value of each JSON type, for a node of another type
+_OTHER = [None, True, False, 0, -1, 2, 0.5, -1e-3, "x", "exact", [], [0.5, 0], {}]
+
+
+def _nodes(node, path=()):
+    """The path of every node under `node`, in document order."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutants(draw):
+    """A bundled file with one to three mutations, as the input fuzzer of
+    the ROADMAP's baseline made them: a node replaced by a value of
+    another JSON type, a key or list entry deleted, a list entry
+    duplicated, or a number nudged."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    data = copy.deepcopy(BUNDLED[name])
+    for _ in range(draw(st.integers(1, 3))):
+        *head, last = draw(st.sampled_from(list(_nodes(data))[1:]))
+        parent = functools.reduce(operator.getitem, head, data)
+        value, kind = parent[last], draw(st.sampled_from(["other", "del", "dup", "nudge"]))
+        if kind == "other":
+            other = [v for v in _OTHER if type(v) is not type(value)]
+            parent[last] = copy.deepcopy(draw(st.sampled_from(other)))
+        elif kind == "del":
+            del parent[last]
+        elif kind == "dup" and isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(value))
+        elif kind == "nudge" and type(value) in (int, float):
+            step = draw(st.sampled_from([-1, 1, 1e-13, -1e-3]))
+            parent[last] = value + step if type(value) is int else value * (1 + step)
+    return name, data
+
+
+def canonical(data: dict) -> dict:
+    """`data` as `scenario_to_dict` writes it back, by README's rule: the
+    defaults filled in, and a block cell or amplitude [re, 0] written as
+    re (an integer written as a float, which == leaves equal)."""
+    out = copy.deepcopy(data)
+    out.setdefault("mode", "exact")
+    out.setdefault("amplitudes", {})
+    if "cutoffs" in out and out["cutoffs"] is None:
+        del out["cutoffs"]
+    graph = out["graph"]
+    for kind in ("internal_links", "boundary_links"):
+        graph.setdefault(kind, [])
+    for link in graph["boundary_links"]:
+        link.setdefault("side", "outer")
+    for s, sector in enumerate(out["sectors"]):
+        sector.setdefault("name", str(s))
+    blocks = out["intertwiner"].setdefault("blocks", {})
+    real = lambda v: v[0] if isinstance(v, list) and v[1] == 0 else v  # noqa: E731
+    for table in out["amplitudes"].values():
+        table.update({tj: real(v) for tj, v in table.items()})
+    for key, mat in blocks.items():
+        blocks[key] = [[real(v) for v in row] for row in mat]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutants())
+def test_mutated_bundled_files_fail_as_documented_or_read_back(mutant):
+    # every mutant is refused with a documented exception or reads back in
+    # canonical form; in exact mode, within the oracle's cap, the engine
+    # equals the exact contraction
+    name, data = mutant
+    try:
+        sc = scenario_from_dict(data)
+    except (ParseError, ValidationError, GraphError, SizeCapError):
+        return
+    assert scenario_to_dict(sc) == canonical(data)
+    if sc.mode == "exact":
+        try:
+            got, expect = IsingEngine(sc).purity(), exact_purity(sc)[0]
+        except (NumericalError, SizeCapError):
+            return
+        assert got == pytest.approx(expect, rel=1e-10, abs=0.0)

@@ -17,9 +17,8 @@ round, so that drifts of a shared host hit both sides alike.
 Stages, on perfbench's seed-1 many-sectors inputs (ms6 in exact mode,
 ms5 in high-spin mode), each on a fresh engine per repetition:
   init   `IsingEngine(sc)`;
-  sigma  sigma_I of every unordered pair m <= n: one `_sigma_fill` of
-         them all (one `_sigma_array(m, n)` per pair in a checkout
-         from before the stacked fill);
+  sigma  sigma_I of every unordered pair m <= n: `_sigma_array(0, 0)`,
+         whose first call fills them all;
   table  `all_pairs()` once those arrays are cached.
 Each repetition runs the three stages twice: cold, with the engine
 plans of `rstn.ising._plans` cleared first (what the first engine of a
@@ -109,8 +108,6 @@ def stages() -> dict:
     ms6, ms5, _ = inputs.many_sectors(np.random.default_rng([1, 2]))
     out = {f"{stage}_{temp}": 0.0 for stage in STAGES for temp in TEMPS}
     for name, sc in zip(("ms6", "ms5"), map(scenario_from_dict, (ms6, ms5))):
-        upper = [(m, n) for m in range(len(sc.sectors))
-                 for n in range(m, len(sc.sectors))]
         times = {f"{key}_{temp}": [] for key in (*STAGES, f"purity_{name}") for temp in TEMPS}
         for _ in range(REPS):
             for temp in TEMPS:
@@ -119,11 +116,7 @@ def stages() -> dict:
                 t0 = time.perf_counter()
                 engine = IsingEngine(sc)
                 t1 = time.perf_counter()
-                if hasattr(engine, "_sigma_fill"):
-                    engine._sigma_fill(upper)
-                else:
-                    for m, n in upper:
-                        engine._sigma_array(m, n)
+                engine._sigma_array(0, 0)
                 t2 = time.perf_counter()
                 engine.all_pairs()
                 t3 = time.perf_counter()
