@@ -136,14 +136,3 @@ class ColoredGraph:
         configuration (an int or an int array of swapped vertex sets): a
         swapped set cuts a link when it holds an odd number of its ends."""
         return np.bitwise_count(np.bitwise_and.outer(self.ends[links], configs)) & 1
-
-    def check_region_C(self, region_C: list[str]) -> None:
-        """The marked boundary region must consist of outer half-edges."""
-        outer = set(self.outer_boundary_ids())
-        for lid in region_C:
-            if lid not in outer:
-                raise GraphError(
-                    f"region C entry {lid!r} is not an outer boundary link"
-                )
-        if len(set(region_C)) != len(region_C):
-            raise GraphError("region C has repeated links")

@@ -17,6 +17,7 @@ state.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -196,14 +197,11 @@ def solve_weights(sc: Scenario) -> WeightSolution:
 @functools.lru_cache(maxsize=4)
 def _regions(nv: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """Masks (read-only) and tuples of the nonempty sets of nv vertices,
-    by size, then as tuples: the larger bit-reversed mask comes first."""
-    masks = np.arange(1, 1 << nv)
-    size = sum((masks >> x) & 1 for x in range(nv))
-    rev = sum(((masks >> x) & 1) << (nv - 1 - x) for x in range(nv))
-    masks = masks[np.lexsort((-rev, size))]
+    by size, then in `itertools.combinations` order."""
+    regions = tuple(r for k in range(1, nv + 1) for r in itertools.combinations(range(nv), k))
+    masks = np.array([sum(1 << x for x in r) for r in regions], dtype=np.int64)
     masks.flags.writeable = False
-    return masks, tuple(tuple(x for x in range(nv) if mask >> x & 1)
-                        for mask in masks.tolist())
+    return masks, regions
 
 
 def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:

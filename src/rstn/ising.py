@@ -24,9 +24,9 @@ P, Q and the error bound read.  It is built on first use in one pass
 over tiles of at most 2^TILE_BITS configurations x pairs:
 `IsingEngine._terms`, where Delta, the link energies of all sectors
 and sigma_I meet, fills a (pairs, 2, configs) energy/keep table, one
-row per pair and variant, and row-wise reductions carry their state
-across chunks (segmented reductions: Blelloch, "Prefix Sums and Their
-Applications", 1990).  `rstn analyze --terms` lists it by pair.
+row per pair and variant; the ground scan carries its state across
+chunks, and each exact chunk sums to one aligned subtree of its row's
+log-sum tree.  `rstn analyze --terms` lists it by pair.
 The bulk term sigma_I is one float array per unordered pair over all
 2^V swapped sets, built on first use for all pairs m <= n at once,
 max(1, 2^TILE_BITS >> V) pairs a tile.  Each block is transformed once
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rstn.logdomain import LogSums, LogWeight, log_sum_tree
+from rstn.logdomain import LogWeight, log_sum_rows, log_sum_tree
 from rstn.spins import dim_rep
 from rstn.state import Scenario, SizeCapError, adjoint_close
 
@@ -564,18 +564,19 @@ class IsingEngine:
 
     def _pair_table(self) -> dict[tuple[int, int], PairResult]:
         """The n_sec^2 rows, m-major: one `_GroundScan` over the rows of
-        `_terms`, Z from one `LogSums` (exact) or the ground state."""
+        `_terms`, Z from the ground state or (exact) the log sum of each
+        row's chunk sums, aligned subtrees of its one tree (`rstn.logdomain`)."""
         pairs = [(m, n) for m in range(self.n_sec) for n in range(m, self.n_sec)]
-        scan, sums = _GroundScan(2 * len(pairs)), None
+        scan, sums = _GroundScan(2 * len(pairs)), []
         for configs, energy, keep in self._terms(pairs):
             e = np.where(keep, energy, math.inf).reshape(2 * len(pairs), -1)
             live = np.flatnonzero(keep.reshape(len(e), -1).any(axis=1))
             scan.feed(e[live], configs, live)
             if self.sc.mode == "exact":
-                sums = sums or LogSums(len(e), configs.size, 1 << self.n_vert)
-                sums.feed(-e)
+                sums.append(log_sum_rows(-e))
         best, second, degen = (a.tolist() for a in (scan.best, scan.second, scan.degen))
-        logz = sums.total() if sums else [-b + math.log(d) for b, d in zip(best, degen)]
+        logz = (log_sum_rows(np.stack(sums, 1)) if sums
+                else [-b + math.log(d) for b, d in zip(best, degen)])
         gap = [s - b if b != math.inf else s for s, b in zip(second, best)]
         fields = (np.reshape(a, (-1, 2)).tolist()
                   for a in (logz, scan.config, best, degen, gap))

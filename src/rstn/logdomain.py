@@ -1,9 +1,13 @@
 """Log-domain arithmetic for partition sums.
 
 Weights are nonnegative reals kept as their natural log; -inf encodes
-an exactly excluded (zero) term, +inf in an energy likewise.  Sums are
-pairwise-tree reduced in index order, so each result is a fixed
-function of its terms and their order.
+an exactly excluded (zero) term, +inf in an energy likewise.  Every sum
+is one fixed pairwise tree over index slots: a row is padded at its end
+with -inf to a power of two, and each level adds neighbours (0,1),
+(2,3), ...  A zero term keeps its slot and passes its neighbour up
+unchanged (np.logaddexp(x, -inf) is x, but -0.0 becomes 0.0), so each
+aligned run of 2^k slots is a subtree: the sums of such chunks, summed
+in turn, are the sum of the row, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,55 +25,18 @@ class LogWeight:
     log: float
 
 
-def log_sum_tree(logs) -> float:
-    """log(sum(exp(logs))) by pairwise tree reduction in index order.
-
-    Each level adds neighbours (0,1), (2,3), ... and carries an odd
-    last term up unchanged.
-    """
-    vals = np.asarray(logs, dtype=float)
-    vals = vals[vals != -math.inf]
-    if not vals.size:
-        return -math.inf
-    while vals.size > 1:
-        even = vals.size & ~1
-        pairs = np.logaddexp(vals[0:even:2], vals[1:even:2])
-        vals = np.concatenate((pairs, vals[even:]))
-    return float(vals[0])
-
-
 def log_sum_rows(vals: np.ndarray) -> np.ndarray:
-    """log_sum_tree of each row, its terms left-justified and padded with
-    -inf: a term paired with the padding is carried up as is (-0.0 too)."""
+    """log(sum(exp(row))) of each row of a (rows, k) array, k >= 1, by
+    the pairwise tree over its slots."""
+    rows, k = vals.shape
+    if k & (k - 1):  # padded at the end to a power of two
+        vals = np.concatenate((vals, np.full((rows, (1 << k.bit_length()) - k), -math.inf)), 1)
     while vals.shape[1] > 1:
-        if vals.shape[1] & 1:
-            vals = np.hstack((vals, np.full((len(vals), 1), -math.inf)))
-        left, right = vals[:, 0::2], vals[:, 1::2]
-        vals = np.where(right == -math.inf, left, np.logaddexp(left, right))
+        vals = np.logaddexp(vals[:, 0::2], vals[:, 1::2])
     return vals[:, 0]
 
 
-class LogSums:
-    """log_sum_tree of each row's terms, fed as (rows, k) logs (-inf: no
-    term) per chunk: its nodes at width k, a power of two, sum aligned
-    blocks of k terms, so each row reduces a block once it is complete."""
-
-    def __init__(self, rows: int, width: int, terms: int):
-        self.pending = np.full((rows, 2 * width), -math.inf)
-        self.seen = np.zeros(rows, dtype=np.int64)  # terms fed per row
-        self.sums = np.full((rows, terms // width + 1), -math.inf)
-
-    def feed(self, logs: np.ndarray) -> None:
-        p, w, kept = self.pending, logs.shape[1], logs != -math.inf
-        start, end = self.seen % w, self.seen % w + kept.sum(axis=1)
-        self.seen += end - start
-        cols = np.arange(2 * w)
-        p[(cols >= start[:, None]) & (cols < end[:, None])] = logs[kept]
-        full = np.flatnonzero(end >= w)
-        self.sums[full, self.seen[full] // w - 1] = log_sum_rows(p[full, :w])
-        p[full] = np.c_[p[full, w:], np.full((len(full), w), -math.inf)]
-
-    def total(self) -> np.ndarray:
-        w, rows = self.pending.shape[1] // 2, np.arange(len(self.sums))
-        self.sums[rows, self.seen // w] = log_sum_rows(self.pending[:, :w])
-        return log_sum_rows(self.sums)
+def log_sum_tree(logs) -> float:
+    """log_sum_rows of `logs` as one row; -inf when empty."""
+    vals = np.asarray(logs, dtype=float).reshape(1, -1)
+    return float(log_sum_rows(vals)[0]) if vals.size else -math.inf

@@ -204,7 +204,11 @@ class Scenario:
                     f"sectors {seen[key]} and {s} carry identical spins"
                 )
             seen[key] = s
-        g.check_region_C(self.region_C)
+        outer = g.outer_boundary_ids()
+        if bad := [lid for lid in self.region_C if lid not in outer]:
+            raise ValidationError(f"region C entry {bad[0]!r} is not an outer boundary link")
+        if len(set(self.region_C)) != len(self.region_C):
+            raise ValidationError("region C has repeated links")
 
         self._validate_blocks()
 

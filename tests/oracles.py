@@ -9,8 +9,9 @@ subset transforms per direction, the gradient operator term by term
 from einsum partial traces, partial traces
 by one np.einsum per subset (and sigma_I from them), sigma_I one block
 pair at a time as the engine built it before its stacked fill, the pairwise
-log-sum as a scalar loop, each pair's partition data by its own ground
-scan and log_sum_tree over its compacted chunks, the fixed-spin flip
+log-sum as a scalar loop over slots and over the kept terms alone, each
+pair's partition data by its own ground scan over its compacted chunks
+and log_sum_tree over its whole rows, the fixed-spin flip
 criteria by one Python pass per region, Delta and the link energies
 link by link from `cut_reference` (the cut rule on Python sets), the
 `analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
@@ -370,7 +371,20 @@ def einsum_sigma(sc: Scenario, m: int, n: int, mask: int) -> float:
 
 
 def scalar_log_sum_tree(logs: list[float]) -> float:
-    """The pairwise log-sum as a scalar loop over each tree level."""
+    """The pairwise log-sum as a scalar loop over each tree level, the
+    terms padded with -inf to a power of two and each kept in its slot."""
+    if not logs:
+        return -math.inf
+    vals = list(logs) + [-math.inf] * ((1 << (len(logs) - 1).bit_length()) - len(logs))
+    while len(vals) > 1:
+        vals = [np.logaddexp(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
+    return float(vals[0])
+
+
+def compacted_log_sum_tree(logs: list[float]) -> float:
+    """The pairwise log-sum of the kept terms alone: the -inf terms
+    dropped, then a scalar loop over each tree level that carries an odd
+    last term up unchanged."""
     vals = [v for v in logs if v != -math.inf]
     if not vals:
         return -math.inf
@@ -452,14 +466,14 @@ def pair_reference(engine: IsingEngine, m: int, n: int) -> PairResult:
     """The pair's row of the pair table by one reduction per pair: per
     variant, each chunk of `engine.terms(m, n)` compacted to its kept
     energies feeds one `_PairGroundScan`, and in exact mode log_sum_tree
-    sums the concatenated chunks."""
+    sums the concatenated chunks, -inf in the slot of each excluded term."""
     exact = engine.sc.mode == "exact"
     logs: list[list[np.ndarray]] = [[], []]
     scans = (_PairGroundScan(), _PairGroundScan())
     for configs, energy, keep in engine.terms(m, n):
         for variant in (0, 1):
             e = energy[variant][keep[variant]]
-            logs[variant].append(-e)
+            logs[variant].append(np.where(keep[variant], -energy[variant], -math.inf))
             scans[variant].feed(e, configs[keep[variant]])
     if exact:
         z0, z1 = (LogWeight(log_sum_tree(np.concatenate(parts))) for parts in logs)

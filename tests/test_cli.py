@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -345,6 +346,16 @@ def test_analyze_deterministic(runner):
     b = runner.invoke(main, args)
     assert a.exit_code == 0
     assert a.output == b.output
+
+
+@pytest.mark.parametrize("mode", ["exact", "high_spin"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.iterdir()
+                                        if p.name.endswith(".json")))
+def test_analyze_prints_no_negative_zero(runner, name, mode):
+    # a row's one kept term passes through the tree as 0.0, never -0.0
+    res = runner.invoke(main, ["analyze", scenario_path(name), "--mode", mode])
+    assert res.exit_code == 0
+    assert not re.search(r"-0\.0(?!\d)", res.output)
 
 
 def test_analyze_mode_override(runner):

@@ -120,20 +120,3 @@ def test_vertex_count_fits_the_bitmasks():
     legs = [BoundaryLink(x, c) for x in range(64) for c in (3, 4)]
     with pytest.raises(GraphError, match="1 to 63 vertices"):
         ColoredGraph(64, ring, legs)
-
-
-def test_region_c_must_be_outer():
-    g = ColoredGraph(
-        1,
-        [],
-        [
-            BoundaryLink(0, 1, "inner"),
-            BoundaryLink(0, 2), BoundaryLink(0, 3), BoundaryLink(0, 4),
-        ],
-    )
-    assert g.outer_boundary_ids() == ["b1", "b2", "b3"]
-    with pytest.raises(GraphError, match="outer"):
-        g.check_region_C(["b0"])
-    with pytest.raises(GraphError, match="repeated"):
-        g.check_region_C(["b1", "b1"])
-    g.check_region_C(["b1", "b3"])

@@ -182,6 +182,28 @@ def test_pair_table_matches_per_pair_reference():
     assert min(seen.values()) >= 2, seen
 
 
+def test_pair_table_is_independent_of_the_chunk_size(monkeypatch):
+    # each chunk of a row sums to an aligned subtree of the row's one tree,
+    # so the table is the same at every chunk width; the ring's off-diagonal
+    # sigma_I hold 12,285 +inf slots, and an edited copy scatters +inf over
+    # a third of the configurations that Delta admits on the diagonal
+    ring = scenario_from_dict(ring_dict(12, 3))
+    chain = block_diagonal(random_scenario(np.random.default_rng(7), "chain", n_sectors=3,
+                                           max_twice=4, mode="exact"))
+    assert ring.mode == chain.mode == "exact"
+    for sc, edit in ((ring, False), (chain, False), (ring, True)):
+        tables = set()
+        for bits in (1, 3, 14):
+            monkeypatch.setattr(ising, "CHUNK_BITS", bits)
+            engine = IsingEngine(sc)
+            if edit:
+                sigma = engine._sigma_array(1, 1).copy()
+                sigma[np.random.default_rng(3).random(sigma.size) < 0.3] = math.inf
+                engine._sigma_cache[1, 1] = sigma
+            tables.add(repr(engine.all_pairs()))
+        assert len(tables) == 1
+
+
 def test_sigma_I_diagonal_is_renyi_of_reduction():
     sc = tiny_generic()
     engine = IsingEngine(sc)

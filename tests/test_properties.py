@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import block_diagonal, region_difference_reference, sequential_ground_scan
 from rstn.families import random_scenario
-from rstn.graph import GraphError
 from rstn.ising import TIE_TOL, IsingEngine, NumericalError, _GroundScan
 from rstn.observables import area_variance
 from rstn.oracle import exact_purity
@@ -193,7 +192,7 @@ def test_mutated_bundled_files_fail_as_documented_or_read_back(mutant):
     name, data = mutant
     try:
         sc = scenario_from_dict(data)
-    except (ParseError, ValidationError, GraphError, SizeCapError):
+    except (ParseError, ValidationError, SizeCapError):
         return
     assert scenario_to_dict(sc) == canonical(data)
     if sc.mode == "exact":

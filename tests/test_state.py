@@ -145,6 +145,19 @@ def test_zero_dimension_sector_is_admissible():
     assert two.c_norm(1) == 0.0
 
 
+def test_region_c_must_be_outer():
+    # region C is a scenario field, so its faults are ValidationErrors
+    sc = tiny_generic()
+    data = scenario_to_dict(sc)
+    data["graph"]["boundary_links"][0]["side"] = "inner"  # b0
+    with pytest.raises(ValidationError, match="'b0' is not an outer"):
+        scenario_from_dict({**data, "region_C": ["b0"]})
+    for region, match in ((("i0",), "'i0' is not an outer"), (("b1", "b1"), "repeated")):
+        with pytest.raises(ValidationError, match=match):
+            dataclasses.replace(sc, region_C=region)
+    assert dataclasses.replace(sc, region_C=("b1", "b3")).region_C == ("b1", "b3")
+
+
 def test_cutoffs_enforced():
     sc = tiny_generic()
     with pytest.raises(ValidationError, match="cutoffs"):

@@ -46,12 +46,13 @@ cross-sector blocks dropped.
 
 It prints each root's line count of `src/`, one line per item that
 differs (for sigma and lower, with the largest difference relative to
-max(1, |sigma|) and whether the inf/NaN patterns agree; for oracle, each
-differing field with its relative difference), then a count per kind.
-The exit status is 1 when an analyze, cli, pairs, sigma, quotients or
-oracle item differs; lower only reports, since
-σ_I^{(m,n)} and σ_I^{(n,m)} agree only up to rounding when they are built
-apart.
+max(1, |sigma|) and whether the inf/NaN patterns agree; for pairs, how
+many log Z differ only in the sign of zero, the largest relative
+difference of the others and whether the other fields agree; for oracle,
+each differing field with its relative difference), then a count per
+kind.  The exit status is 1 when an analyze, cli, pairs, sigma,
+quotients or oracle item differs; lower only reports: σ_I^{(n,m)} reads
+the array of (m, n), so a lower item repeats a sigma item.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ import argparse
 import dataclasses
 import glob
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -277,6 +280,22 @@ def sigma_difference(a: str, b: str) -> str:
             f"{x.size} sets; inf/NaN patterns {'equal' if same else 'DIFFER'}")
 
 
+def pairs_difference(a: str, b: str) -> str:
+    """The log Z values of two pair-table reprs, by position: how many
+    differ only in the sign of zero, and the largest relative difference
+    of the others (to the larger magnitude)."""
+    pattern = r"LogWeight\(log=([^)]*)\)"
+    x, y = (re.findall(pattern, s) for s in (a, b))
+    moved = [(float(u), float(v)) for u, v in zip(x, y) if u != v]
+    signed = sum(u == v == 0.0 for u, v in moved)
+    rel = max((abs(u - v) / max(abs(u), abs(v)) if math.isfinite(u - v) else math.inf
+               for u, v in moved if u != v), default=0.0)
+    same = len(x) == len(y) and re.sub(pattern, "", a) == re.sub(pattern, "", b)
+    return (f"{signed} of {len(x)} log Z differ in the sign of zero only, "
+            f"{len(moved) - signed} more by at most {rel:.3g} relative; "
+            f"other fields {'equal' if same else 'DIFFER'}")
+
+
 def oracle_difference(a: list[str], b: list[str]) -> str:
     """Relative difference of each field that differs, by position (to the
     larger magnitude; absolute where both are zero, as 0.0 and -0.0)."""
@@ -318,7 +337,8 @@ def main() -> None:
         counts[kind] += 1
         if first[key] != second[key]:
             differ[kind] += 1
-            note = ("" if kind in ("analyze", "cli", "pairs", "quotients")
+            note = ("" if kind in ("analyze", "cli", "quotients")
+                    else pairs_difference(first[key], second[key]) if kind == "pairs"
                     else oracle_difference(first[key], second[key]) if kind == "oracle"
                     else sigma_difference(first[key], second[key]))
             print(f"DIFFERS {key} {note}".rstrip())
