@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -40,8 +41,9 @@ EXIT_VALIDATION = 3
 EXIT_SIZE = 4
 EXIT_INFEASIBLE = 5
 EXIT_NUMERICAL = 6
-MAX_TERM_ROWS = 2**19  # `analyze --terms`: about 2.3 KB of memory per row
+MAX_TERM_ROWS = 2**19  # `analyze --terms` rows stream: this bounds output size and time
 MAX_GRID_VALUES = 10_000  # `sweep --grid`: one full analysis per value
+TERM_SLICE = 1 << 8  # `analyze --terms` rows formatted and written at a time
 
 
 def _fail(code: int, message: str):
@@ -68,16 +70,45 @@ def _guarded(fn):
     return wrapper
 
 
-def _write(text: str, out: str | None):
+def _write(chunks, out: str | None):
+    """Text chunks to the file `out`, or to stdout, each as it comes."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        click.echo(text, nl=False)
+        stream = click.get_text_stream("stdout")
+        stream.writelines(chunks)
+        stream.flush()
+
+
+def _dumps(report: dict) -> str:
+    return json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(report: dict, out: str | None):
-    _write(json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n", out)
+    _write([_dumps(report)], out)
+
+
+def _term_rows(engine: IsingEngine):
+    """The "terms" list of `analyze --terms` as `_dumps` lays it out in the
+    report, made as `IsingEngine.terms` yields the rows and written in
+    slices of at most TERM_SLICE rows, each one json.dumps of its rows."""
+    lead = "["
+    for m in range(engine.n_sec):
+        for n in range(engine.n_sec):
+            for configs, energy, keep in engine.terms(m, n):
+                cells = np.argwhere(keep.T)  # config-major
+                for lo in range(0, len(cells), TERM_SLICE):
+                    rows = json.dumps([
+                        {"m": m, "n": n, "variant": v, "energy": float(energy[v, i]),
+                         "config": [x for x in range(engine.n_vert)
+                                    if int(configs[i]) >> x & 1]}
+                        for i, v in cells[lo:lo + TERM_SLICE].tolist()],
+                        indent=1, sort_keys=True, allow_nan=False)
+                    # the list's rows, moved one level deeper
+                    yield lead + rows[1:-2].replace("\n", "\n ")
+                    lead = ","
+    yield "]" if lead == "[" else "\n ]"
 
 
 def _finite(x: float) -> float | None:
@@ -148,15 +179,11 @@ def analyze(path, mode, terms, out):
             for r in engine.all_pairs()
         ],
     }
-    if terms:
-        report["terms"] = [
-            {"m": m, "n": n, "variant": v, "energy": float(energy[v, i]),
-             "config": [x for x in range(engine.n_vert) if int(configs[i]) >> x & 1]}
-            for m in range(engine.n_sec) for n in range(engine.n_sec)
-            for configs, energy, keep in engine.terms(m, n)
-            for i, v in np.argwhere(keep.T).tolist()  # config-major
-        ]
-    _emit(report, out)
+    if not terms:
+        return _emit(report, out)
+    # every check has run: the rows are written as they are made
+    head, tail = _dumps({**report, "terms": None}).split('"terms": null')
+    _write(itertools.chain([head + '"terms": '], _term_rows(engine), [tail]), out)
 
 
 @main.command("solve-weights")
@@ -261,7 +288,7 @@ def sweep(path, param, grid, out):
     for value in values:
         holo = analyze_holography(builder(**{**kw, **keywords(kw, value)}))
         writer.writerow([repr(float(v)) for v in (value, holo.purity, holo.ratio)])
-    _write(buf.getvalue(), out)
+    _write([buf.getvalue()], out)
 
 
 def _seed(ctx, param, value: int) -> int:

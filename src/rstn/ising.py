@@ -17,11 +17,11 @@ Links of both kinds share one table in `graph.link_ids()` order; their
 ends and the one cut rule are the graph's (`ColoredGraph.ends`, `.cuts`).
 
 Z_v^{(m,n)} = Z_v^{(n,m)} (Delta's pins are symmetric in m and n, a
-link whose spins differ pays nothing where Delta admits, Tr(A_S B_S) =
-Tr(B_S A_S)), so an engine evaluates each unordered pair once and
-keeps the n_sec^2 results, mirrored, as its pair table, which purity,
-P, Q and the error bound read.  It is built on first use in one pass
-over tiles of at most 2^TILE_BITS configurations x pairs:
+link whose spins differ pays nothing where Delta admits and sigma_I is
+finite, Tr(A_S B_S) = Tr(B_S A_S)), so an engine evaluates each unordered
+pair once and keeps the n_sec^2 results, mirrored, as its pair table,
+which purity, P, Q and the error bound read.  It is built on first use
+in one pass over tiles of at most 2^TILE_BITS configurations x pairs:
 `IsingEngine._terms`, where Delta, the link energies of all sectors
 and sigma_I meet, fills a (pairs, 2, configs) energy/keep table, one
 row per pair and variant; the ground scan carries its state across
@@ -318,12 +318,18 @@ class _Plan:
     order, region C, the given block keys), read-only: the link table
     (`on_C`, per sector `twice` and `logd` = log(2j+1), the paying links
     with their log(2j+1) and cut flip per variant); `pins[m, n]`, per
-    variant the vertices Delta pins (up, down): ends of links whose spins
-    differ (copies swapped at one end, for a half-edge sigma_s * h = -1,
-    need equal spins) up, of C half-edges down in variant 1 (h = -1 on C),
-    nothing else, as in both oracles; `agree[p][q]`, the vertices at no end
-    of a differing link; `tiles`, the sigma_I fill plan of every pair m <= n
-    (`_sigma_tiles`), so that an engine's fill reads only values."""
+    variant the vertices Delta pins (up, down): of half-edges whose spins
+    differ (a leg swapped between the copies, sigma_s * h = -1, needs equal
+    spins) up, of C half-edges down in variant 1 (h = -1 on C), nothing
+    else, as in both oracles; `agree[p][q]`, the vertices at no end of a
+    differing link; `tiles`, the sigma_I fill plan of every pair m <= n
+    (`_sigma_tiles`), so that an engine's fill reads only values.
+
+    An internal link whose spins differ pins nothing: swapped at both ends,
+    each copy's ket meets the other copy's bra, a hybrid sector that carries
+    the exchanged spins there, and the term stands; swapped at one end, no
+    hybrid sector exists, so the bulk trace is 0 and sigma_I is +inf, which
+    the fill gives by having no task for that set."""
 
     def __init__(self, sc: Scenario, ids: list[str], twice: tuple):
         ends, n = sc.graph.ends, len(twice)
@@ -335,11 +341,12 @@ class _Plan:
         self.pay_flips = self.on_C[self.pay, None, None] * np.uint8([[0], [1]])  # C swapped
         differ = np.where(self.twice[:, None] != self.twice, ends, 0)
         up, down = (np.bitwise_or.reduce(np.where(on, differ, 0), axis=-1)
-                    for on in (~self.on_C, self.on_C))
+                    for on in (self.half_edge & ~self.on_C, self.on_C))
         self.pins = np.stack([up | down, 0 * up, up, down], -1).reshape(n, n, 2, 2)
         for arr in vars(self).values():  # all arrays, so far
             arr.flags.writeable = False
-        self.agree = ((1 << sc.graph.n_vertices) - 1 & ~(up | down)).tolist()
+        self.agree = ((1 << sc.graph.n_vertices) - 1
+                      & ~np.bitwise_or.reduce(differ, axis=-1)).tolist()
         self.vdims = [sc.vertex_dims(s) for s in range(n)]
         self.given = frozenset(sc.blocks)
         self.present = frozenset(k for key in sc.blocks for k in (key, key[::-1]))
@@ -513,10 +520,11 @@ class IsingEngine:
         """Link energy of each configuration, (n_sec, 2, k), per sector and
         variant.  A link pays log(2j+1) when cut; in variant 1 the C
         half-edges are pinned swapped, so there the cut flips.  A pair
-        reads the spins of its first sector; wherever the two sectors
-        could disagree on a paying link, Delta has already forced
-        agreement.  Terms are added in link order, but for spin-0 links,
-        which pay 0.0 in every sector."""
+        reads the spins of its first sector: where its two sectors differ
+        on a link, no configuration that Delta admits with finite sigma_I
+        cuts it (Delta pins a half-edge's vertex, sigma_I is +inf where an
+        internal link is swapped at one end only).  Terms are added in link
+        order, but for spin-0 links, which pay 0.0 in every sector."""
         plan, e = self._plan, np.zeros((self.n_sec, 2, configs.size))
         for cut, logd, flip in zip(self.sc.graph.cuts(configs, plan.pay), plan.pay_logd,
                                    plan.pay_flips):

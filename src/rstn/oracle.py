@@ -63,19 +63,22 @@ def link_swap_trace(
     """Trace of two doubled link states against leg swaps.
 
     Copy one carries spin j, copy two spin k; each of the two legs of
-    the link may be swapped between the copies.  Swapping legs of
-    unequal dimension gives exactly zero.  Memoised by its arguments.
+    the link may be swapped between the copies.  Swapping one leg of
+    unequal dimension gives exactly zero.  Swapped at both legs, each
+    ket pairs with the other copy's bra, which belongs to a hybrid sector
+    carrying the other spin there: the bras are those of k, then j.
+    Memoised by its arguments.
     """
     ej = _pair_state(twice_j, g_j)
     ek = _pair_state(twice_k, g_k)
-    if (swap_source or swap_target) and twice_j != twice_k:
+    if swap_source != swap_target and twice_j != twice_k:
         return 0.0
     # rho1 = |ej><ej| with row legs (a_s, a_t), col legs (a_s', a_t');
     # swap on a leg reroutes the primed index to the other copy
     if not swap_source and not swap_target:
         sub = "ab,ab,cd,cd->"
     elif swap_source and swap_target:
-        sub = "ab,cd,cd,ab->"
+        return complex(np.einsum("ab,cd,cd,ab->", ej, ek.conj(), ek, ej.conj()))
     else:
         sub = "ab,cb,cd,ad->" if swap_source else "ab,ad,cd,cb->"
     return complex(np.einsum(sub, ej, ej.conj(), ek, ek.conj()))

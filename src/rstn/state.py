@@ -480,12 +480,15 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def load_scenario(path: str) -> Scenario:
+    """The scenario of a JSON file.  The text goes as soon as it is parsed,
+    so the peak of a load is the parse: the text beside the parsed tree."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         data = json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    del text  # the blocks are built and validated without it
     return scenario_from_dict(data)
 
 

@@ -21,7 +21,10 @@ moment of its sampler against the exact one, and the exact oracle's
 terms dressed by looking every trace factor up again per term.
 `subset_traces` is no reference: it runs the engine's stacked fill on
 two given matrices, for the tests that pin that fill against einsum.
-Nor is `block_diagonal`, which drops a state's cross-sector blocks.
+Nor is `block_diagonal`, which drops a state's cross-sector blocks, nor
+`pure_bulk`, which draws a random pure state in place of a given one, nor
+`internal_link_pair`, a scenario whose two sectors differ on an internal
+link.
 Nor are the helpers that only tests call: `closed_form_weights` and
 `reweighted_scenario` (sector weights from the C dims, and a state
 rescaled to given weights) and `exact_term` (one raw term of the exact
@@ -40,6 +43,7 @@ import numpy as np
 
 from rings import ring_dict
 from rstn.families import (
+    _template,
     appendix_c,
     once_fine_grained,
     random_scenario,
@@ -76,7 +80,7 @@ from rstn.oracle import (
     link_swap_trace,
 )
 from rstn.spins import dim_rep
-from rstn.state import Scenario, scenario_from_dict
+from rstn.state import Scenario, Sector, scenario_from_dict
 
 
 def weight_counting_invariant_dim(twice: tuple[int, ...]) -> int:
@@ -278,6 +282,30 @@ def block_diagonal(sc: Scenario) -> Scenario:
     pinching onto the sectors, still PSD with trace 1."""
     return dataclasses.replace(sc, blocks={
         (m, n): blk for (m, n), blk in sc.blocks.items() if m == n})
+
+
+def pure_bulk(sc: Scenario, rng: np.random.Generator) -> Scenario:
+    """`sc` with its bulk state replaced by a random pure one over all its
+    sectors, |psi><psi| cut into the blocks m <= n."""
+    dims = [sc.block_dim(m) for m in range(len(sc.sectors))]
+    psi = rng.normal(size=sum(dims)) + 1j * rng.normal(size=sum(dims))
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    offs = np.cumsum([0] + dims)
+    return dataclasses.replace(sc, blocks={
+        (m, n): rho[offs[m]:offs[m + 1], offs[n]:offs[n + 1]]
+        for m in range(len(dims)) for n in range(m, len(dims))})
+
+
+def internal_link_pair(region_C=("b1", "b2", "b3", "b4", "b5")) -> Scenario:
+    """The "two" template in the pure state (|s> + |t>)/sqrt 2 of two
+    sectors that differ on the internal link and on b1..b5, every block
+    [[0.5]]: both vertices swapped, each copy's ket of the link meets the
+    other copy's bra, so those terms stand although the spins differ."""
+    s = {"i0": 0, "b0": 2, "b1": 2, "b2": 2, "b3": 2, "b4": 2, "b5": 0}
+    t = {"i0": 1, "b0": 2, "b1": 1, "b2": 0, "b3": 0, "b4": 2, "b5": 1}
+    half = np.array([[0.5 + 0j]])
+    return Scenario(_template("two"), [Sector(s), Sector(t)], {},
+                    {(0, 0): half, (0, 1): half, (1, 1): half}, region_C)
 
 
 def closed_form_weights(sc: Scenario) -> np.ndarray:
@@ -554,19 +582,17 @@ def link_terms_reference(
     """Delta and the link energy of one configuration, link by link.
 
     S is the set of swapped vertices; in variant 1 the C half-edges are
-    pinned swapped.  Delta needs equal spins in m and n on every link
-    with a swapped end: an internal link with an end in S, a half-edge
-    whose vertex is swapped against its pinning (sigma * h = -1).  The
-    energy is log(2j+1) of sector m summed over the links cut,
-    `cut_reference(S)` with C toggled in variant 1.
+    pinned swapped.  Delta needs equal spins in m and n on every half-edge
+    whose vertex is swapped against its pinning (sigma * h = -1).  An
+    internal link whose spins differ is no Delta constraint: swapped at
+    one end it has no hybrid sector (sigma_I is +inf), swapped at both its
+    term stands.  The energy is log(2j+1) of sector m summed over the
+    links cut, `cut_reference(S)` with C toggled in variant 1.
     """
     g = sc.graph
     down = {x for x in range(g.n_vertices) if config >> x & 1}
     cut = set(cut_reference(g, down)) ^ (set(sc.region_C) if variant else set())
-    touched = {lid for lid in cut if not g.is_internal(lid)} | {
-        f"i{k}" for k, ln in enumerate(g.internal)
-        if {ln.source, ln.target} & down
-    }
+    touched = {lid for lid in cut if not g.is_internal(lid)}
     ok = all(sc.spin(m, lid) == sc.spin(n, lid) for lid in touched)
     energy = sum(math.log(dim_rep(sc.spin(m, lid)))
                  for lid in g.link_ids() if lid in cut)

@@ -321,6 +321,43 @@ def test_terms_size_cap_exit_4(runner, tmp_path):
     assert len(json.loads(res.output)["terms"]) == 2 * 2**12
 
 
+def test_analyze_terms_streams_the_bytes_of_one_dump(runner, tmp_path):
+    # rows are written as they are made: they add less than a tenth of the
+    # output to the traced peak of plain `analyze`, where holding them all
+    # at once would add several times the output; the bytes are json.dumps
+    # of the whole report, to stdout and to --out alike
+    path = tmp_path / "ring.json"  # 4^2 pairs x 2^10 configurations x 2
+    path.write_text(json.dumps(ring_dict(10, 4)))
+    out = tmp_path / "report.json"
+    peaks = []
+    for extra in ([], ["--terms"]):
+        runner.invoke(main, ["analyze", str(path), *extra])  # caches warm
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, ["analyze", str(path), *extra, "--out", str(out)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0, res.output
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert len(report["terms"]) > 2**12
+    assert text == json.dumps(report, indent=1, sort_keys=True) + "\n"
+    assert peaks[1] < peaks[0] + len(text) / 10
+    assert runner.invoke(main, ["analyze", str(path), "--terms"]).stdout == text
+
+
+def test_analyze_terms_failure_writes_nothing(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(ising, "SIGMA_IMAG_TOL", -1.0)  # every trace not real
+    out = tmp_path / "terms.json"
+    for extra in ([], ["--out", str(out)]):
+        res = runner.invoke(main, ["analyze", scenario_path("tiny_oracle.json"),
+                                   "--terms", *extra])
+        assert res.exit_code == 6, res.output
+        assert res.stdout == "" and "is not real" in res.stderr
+    assert not out.exists()
+
+
 def test_infeasible_exit_5(runner):
     res = runner.invoke(
         main, ["solve-weights", scenario_path("tiny_oracle.json")]

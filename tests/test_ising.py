@@ -27,6 +27,7 @@ from oracles import (
     fd_swapped_gradient,
     gradient_operator_reference,
     gradient_reference,
+    internal_link_pair,
     link_terms_reference,
     pair_reference,
     psd_safe_direction,
@@ -255,8 +256,9 @@ def test_delta_constraints_cross_pair():
 
 
 def test_delta_internal_link_any_down_endpoint():
-    # two sectors differing only on the internal link: any swapped
-    # endpoint must exclude the pair
+    # two sectors differing only on the internal link: Delta pins nothing
+    # (no half-edge differs), and the bulk trace excludes every swapped set;
+    # one swapped end has no hybrid sector, both are the zero cross block
     g = ColoredGraph(
         n_vertices=2,
         internal=[Link(0, 1, 1)],
@@ -280,11 +282,13 @@ def test_delta_internal_link_any_down_endpoint():
         },
         region_C=["b3"],
     )
-    delta = delta_table(IsingEngine(sc), 0, 1)
+    engine = IsingEngine(sc)
+    assert delta_table(engine, 0, 1).all()
+    (_, _, keep), = engine.terms(0, 1)
     for config in (0b01, 0b10, 0b11):
-        assert not delta[0, config]
-        assert not delta[1, config]
-    assert delta[0, 0b00]
+        assert engine.sigma_I(0, 1, config) == math.inf
+        assert not keep[:, config].any()
+    assert keep[:, 0b00].all()
 
 
 def link_table_cases():
@@ -295,7 +299,7 @@ def link_table_cases():
         for n_sectors in (1, 2, 3):
             yield random_scenario(rng, template, n_sectors=n_sectors)
     yield from (onoff_ring(), appendix_c(2, **BLOCK_PARAMS),
-                appendix_c(2, **BLOCK_PARAMS, region="s_link"))
+                appendix_c(2, **BLOCK_PARAMS, region="s_link"), internal_link_pair())
 
 
 def test_delta_and_energies_match_link_by_link_reference():

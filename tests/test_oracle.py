@@ -14,6 +14,7 @@ from oracles import (
     draw_vertex_state,
     exact_purity_reference,
     exact_term,
+    internal_link_pair,
     mc_purity_reference,
     schur_moment_error,
     vertex_stream,
@@ -59,12 +60,26 @@ def test_swap_trace_lemmas():
         both = link_swap_trace(tj, tk, gj, gk, True, True)
         mag = abs(gj) ** 2 * abs(gk) ** 2
         assert no == pytest.approx(mag, rel=1e-12)
+        # swapped at both ends, each ket meets the other copy's bra
+        assert both == pytest.approx(mag, rel=1e-12)
         if tj == tk:
             assert one == pytest.approx(mag / (tj + 1), rel=1e-12)
-            assert both == pytest.approx(mag, rel=1e-12)
         else:
             assert one == 0.0
-            assert both == 0.0
+
+
+def test_internal_link_swapped_at_both_ends_matches_monte_carlo():
+    # the sectors differ on the internal link; C = b1..b5 and its complement
+    # b0 are both checked, whose purities a pure bulk state makes equal
+    purity = {}
+    for region in (("b1", "b2", "b3", "b4", "b5"), ("b0",)):
+        sc = internal_link_pair(region)
+        purity[region] = IsingEngine(sc).purity()
+        assert exact_purity(sc)[0] == pytest.approx(purity[region], rel=1e-10)
+        res = mc_purity(sc, 2000, 5)
+        assert abs(res.purity - purity[region]) <= 5 * res.stderr
+    first, second = purity.values()
+    assert first == pytest.approx(second, rel=1e-12)
 
 
 def test_boundary_trace():

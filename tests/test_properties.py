@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import block_diagonal, region_difference_reference, sequential_ground_scan
-from rstn.families import random_scenario
+from oracles import (block_diagonal, pure_bulk, region_difference_reference,
+                     sequential_ground_scan)
+from rstn.families import _template, random_scenario
 from rstn.ising import TIE_TOL, IsingEngine, NumericalError, _GroundScan
 from rstn.observables import area_variance
 from rstn.oracle import exact_purity
@@ -76,6 +78,25 @@ def test_energy_difference_supported_on_C(params):
 def test_area_variance_nonnegative(params):
     sc = build(params)
     assert area_variance(sc) >= 0.0
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["one", "two", "chain"]),
+       st.integers(2, 3), st.integers(1, 2))
+def test_pure_coherent_draws_are_complement_symmetric(seed, template, n_sectors, max_twice):
+    # every leg is outer and the bulk state pure across the sectors, so the
+    # purities of C and of its complement are equal; sectors differing on an
+    # internal link meet it swapped at both ends
+    rng = np.random.default_rng(seed)
+    sc = pure_bulk(random_scenario(rng, template, n_sectors=n_sectors,
+                                   max_twice=max_twice), rng)
+    outer = _template(template).outer_boundary_ids()
+    assert len(outer) == len(sc.graph.boundary)  # no inner legs
+    rest = dataclasses.replace(sc, region_C=[b for b in outer if b not in sc.region_C])
+    purity = [IsingEngine(x).purity() for x in (sc, rest)]
+    assert purity[0] == pytest.approx(purity[1], rel=1e-12)
+    for x, value in zip((sc, rest), purity):
+        assert exact_purity(x)[0] == pytest.approx(value, rel=1e-10)
 
 
 @SETTINGS

@@ -424,3 +424,22 @@ def test_block_validation_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * full
+
+
+def test_load_peaks_at_the_parse(tmp_path):
+    # the text goes once parsed: building and validating the blocks beside
+    # the parsed tree adds no more than one complex copy of the state
+    path = tmp_path / "dense8.json"
+    path.write_text(json.dumps(dense_ring_dict(8, np.random.default_rng(3))),
+                    encoding="utf-8")
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parse = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+    assert peak(lambda: load_scenario(str(path))) <= parse + 16 * 256 ** 2

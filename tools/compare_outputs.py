@@ -10,7 +10,8 @@ first and which is removed at the end, so that no checkout is left with
 
   analyze  the stdout, stderr and exit code of `rstn analyze FILE`,
            plain and with `--terms`, with `--mode exact` and
-           `--mode high_spin`, for every bundled scenario file;
+           `--mode high_spin`, each also with `--out` (the file it writes
+           read back after stdout), for every bundled scenario file;
   cli      the same for the other commands: `rstn sweep` of every
            parameter on both family files (`appendix_c.json`,
            `two_sector_nu.json`), and `validate`, `solve-weights` and
@@ -45,7 +46,8 @@ null vector); perfbench's seed-1 inputs (`dense_ring8`,
 cross-sector blocks dropped.
 
 It prints each root's line count of `src/`, one line per item that
-differs (for sigma and lower, with the largest difference relative to
+differs (for analyze and cli, with the first line that differs, as each
+root has it; for sigma and lower, with the largest difference relative to
 max(1, |sigma|) and whether the inf/NaN patterns agree; for pairs, how
 many log Z differ only in the sign of zero, the largest relative
 difference of the others and whether the other fields agree; for oracle,
@@ -215,7 +217,7 @@ def command_args(bundled: str) -> dict:
     for path in sorted(glob.glob(os.path.join(bundled, "*.json"))):
         name = os.path.basename(path)
         for mode in ("exact", "high_spin"):
-            for extra in ([], ["--terms"]):
+            for extra in ([], ["--terms"], ["--out"], ["--terms", "--out"]):
                 items[" ".join(["analyze", name, "--mode", mode, *extra])] = [
                     "analyze", path, "--mode", mode, *extra]
         for cmd, *extra in (["validate"], ["solve-weights"],
@@ -234,14 +236,24 @@ def command_args(bundled: str) -> dict:
 
 
 def command_outputs(root: str, cache: str) -> dict:
-    """analyze and cli items of one root, one fresh interpreter per command."""
+    """analyze and cli items of one root, one fresh interpreter per command;
+    a command ending in --out writes a temporary file, read back and removed."""
     env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
     items = {}
-    for key, args in command_args(os.path.join(src(root), "rstn", "scenarios")).items():
-        res = subprocess.run([sys.executable, "-m", "rstn.cli", *args],
-                             env=env, capture_output=True)
-        items[key] = (f"exit {res.returncode}\n" + res.stdout.decode()
-                      + res.stderr.decode().replace(src(root), "<src>"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        for key, args in command_args(os.path.join(src(root), "rstn", "scenarios")).items():
+            if args[-1] == "--out":
+                args = [*args, out]
+            res = subprocess.run([sys.executable, "-m", "rstn.cli", *args],
+                                 env=env, capture_output=True)
+            written = ""
+            if os.path.exists(out):
+                with open(out, encoding="utf-8") as fh:
+                    written = fh.read()
+                os.remove(out)
+            items[key] = (f"exit {res.returncode}\n" + res.stdout.decode() + written
+                          + res.stderr.decode().replace(src(root), "<src>"))
     return items
 
 
@@ -264,6 +276,15 @@ def collect(root: str, cache: str) -> dict:
                         fh.name], env=env, check=True)
         items = json.load(fh)
     return {**command_outputs(root, cache), **items}
+
+
+def line_difference(a: str, b: str) -> str:
+    """The first line where two outputs differ, numbered from 1, as each
+    has it ("(end)" past the last line of the shorter)."""
+    x, y = a.splitlines(), b.splitlines()
+    k = next((k for k, (u, v) in enumerate(zip(x, y)) if u != v), min(len(x), len(y)))
+    return "line {}: {} vs {}".format(
+        k + 1, *(repr(lines[k]) if k < len(lines) else "(end)" for lines in (x, y)))
 
 
 def sigma_difference(a: str, b: str) -> str:
@@ -337,7 +358,8 @@ def main() -> None:
         counts[kind] += 1
         if first[key] != second[key]:
             differ[kind] += 1
-            note = ("" if kind in ("analyze", "cli", "quotients")
+            note = ("" if kind == "quotients"
+                    else line_difference(first[key], second[key]) if kind in ("analyze", "cli")
                     else pairs_difference(first[key], second[key]) if kind == "pairs"
                     else oracle_difference(first[key], second[key]) if kind == "oracle"
                     else sigma_difference(first[key], second[key]))
