@@ -277,9 +277,9 @@ def _complex_in(v, where: str) -> complex:
 
 
 def _block_in(mat, key: str) -> np.ndarray:
-    """A bulk-state block, read by numpy at once when its cells are all
-    finite numbers or all finite [re, im] pairs and none that numpy read
-    as 0 or 1 is a boolean, else cell by cell (naming a bad one)."""
+    """A bulk-state block (or a batch of its rows), read by numpy at once when
+    its cells are all finite numbers or all finite [re, im] pairs and none
+    that numpy read as 0 or 1 is a boolean, else cell by cell (naming a bad one)."""
     if not isinstance(mat, list) or any(
         not isinstance(row, list) or len(row) != len(mat[0]) for row in mat
     ):
@@ -414,7 +414,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key, mat in _object_in(idata.get("blocks", {}),
                                "intertwiner.blocks").items():
         m, n = _key_in(key, 2, "intertwiner block key")
-        blocks[(m, n)] = _block_in(mat, key)
+        blocks[(m, n)] = mat[0] if isinstance(mat, _Read) else _block_in(mat, key)
 
     region_C = data["region_C"]
     if not isinstance(region_C, list) or not all(isinstance(x, str)
@@ -479,19 +479,113 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return out
 
 
+_WS = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*").match
+_NEXT = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # the end of a member
+_ROUTE = ("intertwiner", "blocks")
+
+
+class _Read(list):
+    """[a block `_Reader` converted], for `scenario_from_dict` to take as it is."""
+
+
+class _Reader:
+    """A scenario's JSON text, read as `json.loads` reads it with
+    `object_pairs_hook=_distinct_keys`, but with a repeated key's path named
+    and each block of `intertwiner.blocks` read row by row into `_block_in`
+    batches of at most 2^14 cells. The C scanner reads whole each row, each
+    value off that route and each value shorter than 2^16 characters (fewer
+    objects than a batch of [re, im] cells); it reads again, whole, a
+    container the walk finds malformed, for its error, and a block that
+    fails, for `scenario_from_dict` to refuse in its own order."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.raw = json.JSONDecoder(object_pairs_hook=_distinct_keys).raw_decode
+
+    def value(self, p: int, path: tuple):
+        """The value at p, and the index past it."""
+        text = self.text
+        if (path != _ROUTE[:len(path)] or len(text) - p < 1 << 16
+                or text[p:p + 1] not in ("{", "[")):
+            try:
+                return self.raw(text, p)
+            except ParseError:  # a repeated key: walked below, to name its path
+                pass
+        pairs, end = self.members(p, path)
+        if text[p] == "[":
+            return [v for _, v in pairs], end
+        try:
+            return _distinct_keys(pairs), end
+        except ParseError as exc:
+            where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+            raise ParseError(f"{where.removeprefix('.')}: {exc}" if path else str(exc)) from None
+
+    def members(self, p: int, path: tuple):
+        """The (key, value) pairs of the object or array at p, an array's keys
+        its indices, and the index past it. Where it is malformed,
+        `self.raw(text, p)` scans it again, and raises the C scanner's error."""
+        text, close, pairs = self.text, "}" if self.text[p] == "{" else "]", []
+        read = self.block if close == "}" and path == _ROUTE else self.value
+        q = _WS(text, p + 1).end()
+        if text[q:q + 1] == close:
+            return pairs, q + 1
+        while True:
+            key = len(pairs)
+            if close == "}":
+                key, q = self.raw(text, q) if text[q:q + 1] == '"' else self.raw(text, p)
+                q = (_COLON(text, q) or self.raw(text, p)).end()
+            value, q = read(q, (*path, key))
+            pairs.append((key, value))
+            if not (sep := _NEXT(text, q)) or sep[1] not in "," + close:
+                self.raw(text, p)
+            if sep[1] == close:
+                return pairs, sep.end()
+            q = sep.end()
+
+    def block(self, p: int, path: tuple):
+        """The block at p, its rows read one at a time and converted in
+        batches, as a `_Read`; where short or failing, as `value` reads it."""
+        text, parts, rows, sep = self.text, [], [], None
+        if text[p:p + 1] == "[" and len(text) - p >= 1 << 16:
+            try:
+                while not sep or sep[1] == ",":
+                    row, q = self.raw(text, sep.end() if sep else _WS(text, p + 1).end())
+                    rows.append(row)
+                    sep = _NEXT(text, q)
+                    if sep[1] != "," or (len(rows) + 1) * max(1, len(rows[0])) > 1 << 14:
+                        parts.append(_block_in(rows, path[-1]))
+                        rows = []
+                if sep[1] == "]":
+                    return _Read([np.concatenate(parts)]), sep.end()
+            except (TypeError, ValueError):  # a fault of any kind, ParseError too:
+                pass  # read whole below
+        return self.value(p, path)
+
+
 def load_scenario(path: str) -> Scenario:
-    """The scenario of a JSON file.  The text goes as soon as it is parsed,
-    so the peak of a load is the parse: the text beside the parsed tree."""
+    """The scenario of a JSON file, read by `_Reader`. A load peaks at the
+    read, the file's bytes beside its text, or at the text beside one batch
+    of row objects and the blocks; the text goes before validation."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text, object_pairs_hook=_distinct_keys)
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        data, end = _Reader(text).value(_WS(text, 0).end(), ())
+        if (end := _WS(text, end).end()) != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    del text  # the blocks are built and validated without it
+    del text  # the blocks are built, and validated without it
     return scenario_from_dict(data)
 
 
 def content_hash(path: str) -> str:
+    """The SHA-256 of a file, read in chunks of 64 KiB."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

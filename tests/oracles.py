@@ -17,8 +17,10 @@ link by link from `cut_reference` (the cut rule on Python sets), the
 `analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
 and the bulk-boundary energy and the boundary factor by one pass over
 the links, the Monte Carlo purity one sample at a time, the second Haar
-moment of its sampler against the exact one, and the exact oracle's
-terms dressed by looking every trace factor up again per term.
+moment of its sampler against the exact one, the exact oracle's
+terms dressed by looking every trace factor up again per term, and a
+scenario file loaded by `json.loads` whole, as `load_scenario` loaded it
+before it read blocks row by row.
 `subset_traces` is no reference: it runs the engine's stacked fill on
 two given matrices, for the tests that pin that fill against einsum.
 Nor is `block_diagonal`, which drops a state's cross-sector blocks, nor
@@ -36,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -80,7 +83,7 @@ from rstn.oracle import (
     link_swap_trace,
 )
 from rstn.spins import dim_rep
-from rstn.state import Scenario, Sector, scenario_from_dict
+from rstn.state import ParseError, Scenario, Sector, _distinct_keys, scenario_from_dict
 
 
 def weight_counting_invariant_dim(twice: tuple[int, ...]) -> int:
@@ -995,3 +998,15 @@ def exact_purity_reference(sc: Scenario) -> tuple[float, float, float]:
         z0 += ref._dressed(itw, m, n, down, 0)
         z1 += ref._dressed(itw, m, n, down, 1)
     return z1 / z0, z1, z0
+
+
+def json_load_reference(path: str) -> Scenario:
+    """The scenario of a JSON file, parsed whole by `json.loads` and then
+    read by `scenario_from_dict`, with `load_scenario`'s error for bad JSON."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text, object_pairs_hook=_distinct_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    return scenario_from_dict(data)

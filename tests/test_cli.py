@@ -121,8 +121,11 @@ _EYE = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
       for key in ("+1", " 1", "١")),
     (_set(["amplitudes", "i0", "01"], [9.0, 0.0]), "amplitudes[i0] key '01'"),
     (_set(["intertwiner", "blocks", "00,0"], _EYE), "block key '00,0': expected m,n"),
-    (_repeat(["amplitudes", "i0"], "1", [9.0, 0.0]), "key '1' is repeated"),
-    (_repeat(["intertwiner", "blocks"], "0,0", _EYE), "key '0,0' is repeated"),
+    pytest.param(_repeat(["amplitudes", "i0"], "1", [9.0, 0.0]),
+                 "amplitudes.i0: key '1' is repeated", id="mutate-key '1' is repeated"),
+    pytest.param(_repeat(["intertwiner", "blocks"], "0,0", _EYE),
+                 "intertwiner.blocks: key '0,0' is repeated",
+                 id="mutate-key '0,0' is repeated"),
     # no JSON boolean where a number goes
     (_set(["amplitudes", "i0", "1"], True), "amplitudes[i0][1]: expected number"),
     (_in_file("appendix_c.json", _set(["intertwiner", "blocks", "1,1"], [[True]])),

@@ -4,20 +4,22 @@ import functools
 import json
 import math
 import operator
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (block_diagonal, pure_bulk, region_difference_reference,
-                     sequential_ground_scan)
+from oracles import (block_diagonal, json_load_reference, pure_bulk,
+                     region_difference_reference, sequential_ground_scan)
+from rings import dense_ring_dict
 from rstn.families import _template, random_scenario
 from rstn.ising import TIE_TOL, IsingEngine, NumericalError, _GroundScan
 from rstn.observables import area_variance
 from rstn.oracle import exact_purity
-from rstn.state import (ParseError, SizeCapError, ValidationError, scenario_from_dict,
-                        scenario_to_dict)
+from rstn.state import (ParseError, SizeCapError, ValidationError, load_scenario,
+                        scenario_from_dict, scenario_to_dict)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -222,3 +224,118 @@ def test_mutated_bundled_files_fail_as_documented_or_read_back(mutant):
         except (NumericalError, SizeCapError):
             return
         assert got == pytest.approx(expect, rel=1e-10, abs=0.0)
+
+
+# -- the file reader, against json.loads of the whole text ---------------------
+
+TEXTS = {f.name: f.read_text(encoding="utf-8")
+         for f in resources.files("rstn").joinpath("scenarios").iterdir()
+         if f.name.endswith(".json")}
+# files longer than the reader's whole-read size: their route to the blocks is
+# walked and their blocks read row by row (D = 64, and 128 in pretty print)
+TEXTS["dense_ring_dict(6)"] = json.dumps(dense_ring_dict(6, np.random.default_rng(2)))
+TEXTS["dense_ring_dict(7), indented"] = json.dumps(
+    dense_ring_dict(7, np.random.default_rng(4)), indent=1)
+PAD = " " * (1 << 16)  # trailing space past the whole-read size: every file walked
+TEXTS.update({f"{name}, padded": TEXTS[name] + PAD
+              for name in ("appendix_c.json", "tiny_oracle.json")})
+
+
+def load_outcome(load, path) -> tuple:
+    """What a loader makes of a file: the scenario's canonical dict and the
+    shape and bytes of each block, or the class and message of its error."""
+    try:
+        sc = load(str(path))
+    except Exception as exc:  # the refusal is the outcome compared
+        return type(exc), str(exc)
+    return (repr(scenario_to_dict(sc)),
+            [(key, blk.shape, blk.tobytes()) for key, blk in sc.blocks.items()])
+
+
+def assert_loads_alike(path) -> None:
+    """`load_scenario` reads the file as `json.loads` of the whole text and
+    `scenario_from_dict` read it, field by field and bit for bit, or fails
+    with the same class and message; a repeated key's message gains its path."""
+    got, want = load_outcome(load_scenario, path), load_outcome(json_load_reference, path)
+    if got != want:
+        assert got[0] is want[0] is ParseError and "is repeated" in want[1], (got, want)
+        assert got[1].endswith(": " + want[1]), (got, want)
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_files_load_as_json_loads_reads_them(tmp_path, name):
+    path = tmp_path / "in.json"
+    path.write_text(TEXTS[name], encoding="utf-8")
+    assert_loads_alike(path)
+    assert load_outcome(load_scenario, path)[0] not in (ParseError, ValidationError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutant=mutants())
+def test_mutants_load_as_json_loads_reads_them(tmp_path_factory, mutant):
+    path = tmp_path_factory.mktemp("mutant") / "in.json"
+    path.write_text(json.dumps(mutant[1]), encoding="utf-8")
+    assert_loads_alike(path)
+
+
+# a cut or an edit mostly near the start of a text, where the route to the
+# blocks is, else anywhere
+_AT = st.integers(0, 4000) | st.integers(0, 1 << 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(TEXTS)), cut=_AT)
+def test_truncated_files_load_as_json_loads_reads_them(tmp_path_factory, name, cut):
+    path = tmp_path_factory.mktemp("prefix") / "in.json"
+    path.write_text(TEXTS[name][:cut], encoding="utf-8")
+    assert_loads_alike(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(TEXTS)), at=_AT, drop=st.integers(0, 2),
+       put=st.sampled_from(["", ",", ":", "[", "]", "{", "}", '"', " ", "\ufeff",
+                            "0", "true", "NaN", '{"a": 1, "a": 2}', '"0,0": [[1]], ']))
+def test_edited_files_load_as_json_loads_reads_them(tmp_path_factory, name, at, drop, put):
+    text = TEXTS[name]
+    path = tmp_path_factory.mktemp("edit") / "in.json"
+    path.write_text(text[:at] + put + text[at + drop:], encoding="utf-8")
+    assert_loads_alike(path)
+
+
+@pytest.mark.parametrize("name", ["appendix_c.json, padded", "tiny_oracle.json, padded"])
+def test_structural_edits_load_as_json_loads_reads_them(tmp_path, name):
+    # each bracket, brace, colon, comma and quote of a walked file deleted,
+    # or made a closing bracket, a closing brace or a comma
+    text, path = TEXTS[name], tmp_path / "in.json"
+    edits = ["\ufeff" + text, text + "x"]  # a byte order mark, extra data
+    edits += [text[:at] + put + text[at + 1:] for put in ("", "]", "}", ",")
+              for at in (m.start() for m in re.finditer(r'[][{}:,"]', text))]
+    for edited in edits:
+        path.write_text(edited, encoding="utf-8")
+        assert_loads_alike(path)
+
+
+def _cell(data, value):
+    data["intertwiner"]["blocks"]["0,0"][0][0] = value
+
+
+@pytest.mark.parametrize("edit", [
+    # two faults: each loader reports the one scenario_from_dict reaches first
+    lambda d: (_cell(d, True), d.update(grph=d.pop("graph"))),
+    lambda d: (_cell(d, True), d.update(region_C=5)),
+    lambda d: (_cell(d, "x"), d["sectors"][0].update(name=5)),
+    # rows of 10,000 cells are converted one at a time: a bad cell in the
+    # second batch keeps its row number, and a ragged row later in the block
+    # is reported before a bad cell earlier in it
+    lambda d: d["intertwiner"]["blocks"].update({"0,0": [[0.5] * 10_000, [0.5] * 9_999 + [True]]}),
+    lambda d: d["intertwiner"]["blocks"].update({"0,0": [[True] + [0.5] * 9_999, [0.5] * 9_999]}),
+    lambda d: d["intertwiner"]["blocks"].update({"0,0": [[0.5] * 10_000, [0.5] * 10_000]}),
+], ids=["bool cell, key", "bool cell, region_C", "string cell, sector name",
+        "second batch", "ragged after a bad cell", "wrong shape"])
+def test_faults_of_a_walked_file_come_in_json_loads_order(tmp_path, edit):
+    data = json.loads(TEXTS["tiny_oracle.json"])
+    edit(data)
+    path = tmp_path / "in.json"
+    for text in (json.dumps(data) + PAD, json.dumps(data)[:-3] + PAD):  # and cut short
+        path.write_text(text, encoding="utf-8")
+        assert_loads_alike(path)

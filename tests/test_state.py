@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from rstn.state import (
     Sector,
     ValidationError,
     _block_in,
+    content_hash,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -426,20 +428,52 @@ def test_block_validation_memory_peak():
     assert peak <= 1.5 * full
 
 
+def _peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_peaks_at_the_parse(tmp_path):
-    # the text goes once parsed: building and validating the blocks beside
-    # the parsed tree adds no more than one complex copy of the state
+    # no parsed tree: the text, one batch of at most 2^14 [re, im] row cells
+    # (under 200 B each as Python objects) and a few complex copies of the
+    # block; a parse of the whole text takes about 145 B per cell beside it
     path = tmp_path / "dense8.json"
     path.write_text(json.dumps(dense_ring_dict(8, np.random.default_rng(3))),
                     encoding="utf-8")
+    size = path.stat().st_size
+    assert _peak(lambda: load_scenario(str(path))) <= (
+        size + (1 << 14) * 200 + 3 * 16 * 256 ** 2)
 
-    def peak(call) -> int:
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    parse = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
-    assert peak(lambda: load_scenario(str(path))) <= parse + 16 * 256 ** 2
+def test_content_hash_reads_in_chunks(tmp_path):
+    path = tmp_path / "dense8.json"
+    path.write_bytes(json.dumps(dense_ring_dict(8, np.random.default_rng(3))).encode())
+    assert content_hash(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert _peak(lambda: content_hash(str(path))) <= path.stat().st_size // 16
+
+
+@pytest.mark.parametrize("text, named", [
+    # the route to a block is walked in a file past the whole-read size
+    ('{"intertwiner": {"blocks": {"0,0": [[1]], "0,0": ROWS}}}',
+     "intertwiner.blocks: key '0,0' is repeated"),
+    ('{"intertwiner": {"blocks": {"0,0": [[{"a": 1, "a": 2}], ROWS]}}}',
+     "intertwiner.blocks.0,0[0][0]: key 'a' is repeated"),
+    ('{"graph": {"vertices": 1, "vertices": 1}, "intertwiner": {"blocks": {"0,0": ROWS}}}',
+     "graph: key 'vertices' is repeated"),
+    ('{"mode": "exact", "mode": "exact", "intertwiner": {"blocks": {"0,0": ROWS}}}',
+     "key 'mode' is repeated"),
+    # and in a short file, read whole
+    ('{"amplitudes": {"i0": {"1": 1, "1": 2}}}', "amplitudes.i0: key '1' is repeated"),
+    ('{"sectors": [{"spins": {}}, {"spins": {"b0": 1, "b0": 1}}]}',
+     "sectors[1].spins: key 'b0' is repeated"),
+])
+def test_repeated_key_names_its_path(tmp_path, text, named):
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace("ROWS", "[" + ", ".join(["[0, 0]"] * 20000) + "]"))
+    with pytest.raises(ParseError) as err:
+        load_scenario(str(path))
+    assert str(err.value).startswith(named)

@@ -28,6 +28,12 @@ first and which is removed at the end, so that no checkout is left with
            `area_average_partition` and `area_variance`, and
            `fixed_spin_criteria(sc, s)` for every sector s, each as a repr
            or the exception raised;
+  load     `load_scenario` of every bundled file and of every corpus
+           scenario written by `scenario_to_dict`, and of each LOAD_VARIANTS
+           edit of `tiny_oracle.json` and of the corpus's `dense_ring8` (whose
+           3 MB text the loader reads row by row), each as `json.dumps`
+           writes it: each block's shape and the SHA-256 of its bytes, or the
+           error's class and message;
   oracle   the repr of each field of `exact_purity` (purity, z1, z0) and
            of `mc_purity` (purity, stderr, mean_num, mean_den), seed 7:
            `tiny_generic()`, `appendix_c(2)` and `once_fine_grained(1)`
@@ -51,10 +57,11 @@ root has it; for sigma and lower, with the largest difference relative to
 max(1, |sigma|) and whether the inf/NaN patterns agree; for pairs, how
 many log Z differ only in the sign of zero, the largest relative
 difference of the others and whether the other fields agree; for oracle,
-each differing field with its relative difference), then a count per
-kind.  The exit status is 1 when an analyze, cli, pairs, sigma,
-quotients or oracle item differs; lower only reports: σ_I^{(n,m)} reads
-the array of (m, n), so a lower item repeats a sigma item.
+each differing field with its relative difference; for load, the first
+line that differs), then a count per kind.  The exit status is 1 when an
+analyze, cli, pairs, sigma, quotients, oracle or load item differs;
+lower only reports: σ_I^{(n,m)} reads the array of (m, n), so a lower
+item repeats a sigma item.
 """
 
 from __future__ import annotations
@@ -62,9 +69,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
+import hashlib
 import json
 import math
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -76,7 +85,7 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 N_DRAWS = 40
 BLOCK_PARAMS = dict(a=0.3, d=0.25, w=0.45, b=0.1 + 0.05j, u=0.12 - 0.03j,
                     v=0.07 + 0.02j)
-KINDS = ("analyze", "cli", "pairs", "sigma", "lower", "quotients", "oracle")
+KINDS = ("analyze", "cli", "pairs", "sigma", "lower", "quotients", "oracle", "load")
 # `rstn sweep` grids, each run on both family files
 SWEEP_GRIDS = {"s-scale": "2,5,20", "a": "0.1,0.3", "d": "0.1,0.3", "w": "0:1:21",
                "b": "0,0.1", "u": "0,0.1", "v": "0,0.1", "nu": "0.25,0.5,0.75",
@@ -86,6 +95,27 @@ GLOBAL_ARGS = (("8", "3", "0.5", "0", "3"), ("12", "5", "1.0", "1", "4"))
 # family, and the CLI default for the bundled files
 MC_SAMPLES = {"tiny_generic": 400, "appendix_c(2)": 100, "once_fine_grained(1)": 48,
               "tiny_oracle.json": 2000, "once_fine_grained.json": 2000}
+
+
+FIRST_CELL = r'("0,0": \[\[)(\[[^\]]*\]|[^,\]]*)'  # the first cell of block 0,0
+# malformed texts: name -> edit of a valid scenario's text
+LOAD_VARIANTS = {
+    **{f"cut at {k}/8": (lambda t, k=k: t[:len(t) * k // 8]) for k in range(1, 8)},
+    "byte order mark": lambda t: "\ufeff" + t,
+    "extra data": lambda t: t + " x",
+    "trailing comma": lambda t: t.replace('"blocks": {', '"blocks": {"9,9": [[1]],}', 1),
+    "missing colon": lambda t: t.replace('"blocks": {"0,0":', '"blocks": {"0,0"', 1),
+    "repeated top-level key": lambda t: t[:t.rindex("}")] + ', "region_C": []}',
+    "repeated block key": lambda t: t.replace('"blocks": {', '"blocks": {"0,0": [[1]], ', 1),
+    "repeated key in a cell": lambda t: re.sub(FIRST_CELL, r'\1{"a": 1, "a": 2}', t, 1),
+    "boolean cell": lambda t: re.sub(FIRST_CELL, r"\1true", t, 1),
+    "NaN cell": lambda t: re.sub(FIRST_CELL, r"\1NaN", t, 1),
+    "string cell": lambda t: re.sub(FIRST_CELL, r'\1"x"', t, 1),
+    "ragged row": lambda t: re.sub(FIRST_CELL + ", ", r"\1", t, 1),
+    "bad cell and bad key": lambda t: re.sub(FIRST_CELL, r"\1true", t, 1).replace(
+        '"graph"', '"grph"', 1),
+    "block not a matrix": lambda t: re.sub(r'"0,0": \[', '"0,0": [5, ', t, 1),
+}
 
 
 def corpus(root: str) -> dict:
@@ -208,6 +238,36 @@ def oracle_outputs(root: str) -> dict:
         res = mc_purity(sc, MC_SAMPLES[name], 7)
         items[f"oracle {name} mc {MC_SAMPLES[name]}"] = [
             repr(float(getattr(res, f))) for f in fields]
+    return items
+
+
+def load_outputs(root: str) -> dict:
+    """load items of one root, each file written to a temporary directory."""
+    from rstn.state import load_scenario, scenario_to_dict
+
+    def loaded(path: str) -> str:
+        try:
+            sc = load_scenario(path)
+        except Exception as exc:  # the failure is the output compared
+            return f"{type(exc).__name__}: {exc}".replace(os.path.dirname(path), "<dir>")
+        return "\n".join(f"{m},{n} {blk.shape} {hashlib.sha256(blk.tobytes()).hexdigest()}"
+                         for (m, n), blk in sc.blocks.items())
+
+    bundled = os.path.join(src(root), "rstn", "scenarios")
+    texts = {f"bundled:{os.path.basename(path)}": pathlib.Path(path).read_text(encoding="utf-8")
+             for path in sorted(glob.glob(os.path.join(bundled, "*.json")))}
+    texts.update({f"corpus:{name}": json.dumps(scenario_to_dict(sc))
+                  for name, sc in corpus(root).items()})
+    for base in ("bundled:tiny_oracle.json", "corpus:perfbench:dense_ring8"):
+        compact = json.dumps(json.loads(texts[base]))  # the spacing the edits match
+        texts.update({f"{base} {name}": edit(compact) for name, edit in LOAD_VARIANTS.items()})
+    items = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        for name, text in texts.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            items[f"load {name}"] = loaded(path)
     return items
 
 
@@ -335,7 +395,8 @@ def main() -> None:
     if args.child:
         with open(args.child[1], "w", encoding="utf-8") as fh:
             json.dump({**engine_outputs(args.child[0]),
-                       **oracle_outputs(args.child[0])}, fh)
+                       **oracle_outputs(args.child[0]),
+                       **load_outputs(args.child[0])}, fh)
         return
     if len(args.root) != 2:
         ap.error("give exactly two --root NAME=PATH")
@@ -359,7 +420,8 @@ def main() -> None:
         if first[key] != second[key]:
             differ[kind] += 1
             note = ("" if kind == "quotients"
-                    else line_difference(first[key], second[key]) if kind in ("analyze", "cli")
+                    else line_difference(first[key], second[key])
+                    if kind in ("analyze", "cli", "load")
                     else pairs_difference(first[key], second[key]) if kind == "pairs"
                     else oracle_difference(first[key], second[key]) if kind == "oracle"
                     else sigma_difference(first[key], second[key]))
