@@ -169,24 +169,12 @@ def once_fine_grained(twice_j: int = 1) -> Scenario:
             BoundaryLink(3, 2), BoundaryLink(4, 3),
         ],
     )
-    spins = {lid: twice_j for lid in graph.link_ids()}
-    sec = Sector(spins, name="hom")
-    dims = [
-        intertwiner_dimension(tuple(twice_j for _ in range(4)))
-        for _ in range(5)
-    ]
-    total = int(np.prod(dims))
+    total = intertwiner_dimension((twice_j,) * 4) ** 5  # five equal vertices
     if total == 0:
         raise ValueError(f"no invariant state for twice-spin {twice_j}")
-    blocks = {(0, 0): np.eye(total, dtype=complex) / total}
-    return Scenario(
-        graph=graph,
-        sectors=[sec],
-        amplitudes={},
-        blocks=blocks,
-        region_C=["b0"],
-        mode="exact",
-    )
+    return Scenario(graph=graph, sectors=[Sector(dict.fromkeys(graph.link_ids(), twice_j), "hom")],
+                    amplitudes={}, blocks={(0, 0): np.eye(total, dtype=complex) / total},
+                    region_C=["b0"], mode="exact")
 
 
 def tiny_generic(mode: str = "exact") -> Scenario:
@@ -205,14 +193,9 @@ def tiny_generic(mode: str = "exact") -> Scenario:
     )
     rho = bmat.conj().T @ bmat
     rho /= np.trace(rho).real
-    return Scenario(
-        graph=graph,
-        sectors=[Sector(spins, name="half")],
-        amplitudes={"i0": {1: 0.9 + 0.3j}},
-        blocks={(0, 0): rho},
-        region_C=["b3", "b4"],
-        mode=mode,
-    )
+    return Scenario(graph=graph, sectors=[Sector(spins, name="half")],
+                    amplitudes={"i0": {1: 0.9 + 0.3j}}, blocks={(0, 0): rho},
+                    region_C=["b3", "b4"], mode=mode)
 
 
 # -- randomized scenarios for property tests --------------------------------
@@ -254,23 +237,15 @@ def random_scenario(
             intertwiner_dimension(tuple(spins[lid] for lid in graph.links_at(x)))
             for x in range(graph.n_vertices))
 
-    sectors: list[Sector] = []
-    dims: list[int] = []
-    seen = set()
-    attempts = 0
+    sectors, dims, seen, attempts = [], [], set(), 0
     while len(sectors) < n_sectors:
-        attempts += 1
-        if attempts > 2000:
+        if (attempts := attempts + 1) > 2000:
             raise RuntimeError("could not draw admissible sectors")
-        spins, dim = draw_sector()
-        if dim == 0:
-            continue
-        key = tuple(sorted(spins.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        sectors.append(Sector(spins, name=f"r{len(sectors)}"))
-        dims.append(dim)
+        spins, dim = draw_sector()  # kept where admissible and new
+        if dim and (key := tuple(sorted(spins.items()))) not in seen:
+            seen.add(key)
+            sectors.append(Sector(spins, name=f"r{len(sectors)}"))
+            dims.append(dim)
     total = sum(dims)
     if n_sectors == 1:
         rng.random(1)  # the sector's weight, 1 once normalized: kept for the stream
@@ -282,31 +257,17 @@ def random_scenario(
         full = x @ x.conj().T
         full /= np.trace(full).real
         offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        blocks = {
-            (m, n): full[offs[m]:offs[m + 1], offs[n]:offs[n + 1]]
-            for m in range(n_sectors)
-            for n in range(n_sectors)
-            if m <= n
-        }
+        blocks = {(m, n): full[offs[m]:offs[m + 1], offs[n]:offs[n + 1]]
+                  for m in range(n_sectors) for n in range(m, n_sectors)}
     outer = graph.outer_boundary_ids()
     n_c = int(rng.integers(1, len(outer)))
     region_C = [str(x) for x in rng.choice(outer, size=n_c, replace=False)]
     amplitudes: dict[str, dict[int, complex]] = {}
     for k in range(len(graph.internal)):
-        lid = f"i{k}"
-        amplitudes[lid] = {}
-        for sec in sectors:
-            tw = sec.spins[lid]
-            if tw not in amplitudes[lid]:
+        table = amplitudes[f"i{k}"] = {}
+        for tw in (sec.spins[f"i{k}"] for sec in sectors):
+            if tw not in table:
                 z = rng.normal() + 1j * rng.normal()
-                if abs(z) < 0.1:
-                    z = 0.5 + 0.5j
-                amplitudes[lid][tw] = z
-    return Scenario(
-        graph=graph,
-        sectors=sectors,
-        amplitudes=amplitudes,
-        blocks=blocks,
-        region_C=sorted(region_C),
-        mode=mode,
-    )
+                table[tw] = z if abs(z) >= 0.1 else 0.5 + 0.5j
+    return Scenario(graph=graph, sectors=sectors, amplitudes=amplitudes, blocks=blocks,
+                    region_C=sorted(region_C), mode=mode)

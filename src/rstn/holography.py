@@ -204,6 +204,28 @@ def _regions(nv: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     return masks, regions
 
 
+def _flip_sides(engine: IsingEngine, sector: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left side of every region of `_regions` and whether it fails the
+    necessary condition, read-only: the scenario's structure alone fixes
+    both, so each engine keeps them per sector."""
+    if sector not in engine._flip_sides:
+        masks, regions = _regions(engine.n_vert)
+        energy = engine._link_energies(np.concatenate(([0], masks)))[sector, 1]
+        lhs, dims, plan = energy[1:] - energy[0], engine.sc.vertex_dims(sector), engine._plan
+        nec = sum(math.log(dim) * ((masks >> x) & 1) for x, dim in enumerate(dims))
+        necessary = lhs <= nec
+        # near a tie, in integers: prod_{cut(X) \ C} d <= prod_{x in X} dim_x prod_{cut(X) & C} d
+        links = list(zip(map(dim_rep, plan.twice[sector].tolist()), plan.on_C.tolist()))
+        for i in np.flatnonzero(np.abs(lhs - nec) <= 1e-9 * np.maximum(1.0, np.abs(nec))).tolist():
+            prods = [1, math.prod(dims[x] for x in regions[i])]  # away from C, on C
+            for (d, on_c), cut in zip(links, engine.sc.graph.cuts(int(masks[i])).tolist()):
+                prods[on_c] *= d**cut
+            necessary[i] = prods[0] <= prods[1]
+        lhs.flags.writeable = necessary.flags.writeable = False
+        engine._flip_sides[sector] = lhs, necessary
+    return engine._flip_sides[sector]
+
+
 def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     """Region-flip stability of one sector's holographic ground state.
 
@@ -213,18 +235,20 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
 
         sum_{cut(X) \\ C} log d  -  sum_{cut(X) & C} log d  >  S2(rho_X).
 
-    Equality cases are collected separately as degeneracies.  The
-    report also lists regions that already fail the weaker necessary
-    condition with the full intertwiner dimensions in place of exp(S2).
+    The left side is the engine's swapped-variant link energy of X
+    (`IsingEngine._link_energies`, C half-edges pinned swapped) less that
+    of the empty set, sum_C log d.  Equality cases are collected
+    separately as degeneracies.  The report also lists regions that
+    already fail the weaker necessary condition, sum_{x in X} log dim_x
+    in place of S2: the sums are logs of integers, so within 1e-9 of a
+    tie the products decide, exactly (`_flip_sides`).
     """
     if not 0 <= sector < len(sc.sectors):
         raise ValueError(f"sector {sector} out of range for a scenario "
                          f"with {len(sc.sectors)} sectors")
     engine = IsingEngine.of(sc)
     masks, regions = _regions(engine.n_vert)
-    lhs = engine.cut_weight(sector, masks)
-    nec = sum(math.log(dim) * ((masks >> x) & 1)
-              for x, dim in enumerate(sc.vertex_dims(sector)))
+    lhs, necessary = _flip_sides(engine, sector)
     rhs = engine._sigma_array(sector, sector)[masks]  # = S2 of the reduction
     # math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL), elementwise
     tol = np.maximum(1e-9 * np.maximum(np.abs(lhs), np.abs(rhs)), EQUALITY_TOL)
@@ -241,5 +265,5 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
         passed=not (degenerate.any() or failing.any()),
         failing=rows(failing),
         degenerate=rows(degenerate),
-        necessary_failing=[row[0] for row in rows(lhs <= nec)],
+        necessary_failing=[row[0] for row in rows(necessary)],
     )

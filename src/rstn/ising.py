@@ -392,11 +392,11 @@ class _Plan:
 class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
-    The pair table, per-pair sigma_I arrays, gradient operator and
-    `Quotients` (all read-only) live on the engine and die with it.  A
-    Scenario is frozen with read-only blocks, so the caches stay valid
-    for its whole life: `IsingEngine.of(sc)` is the one engine every
-    consumer shares, while the constructor builds a fresh, unshared one.
+    The pair table, per-pair sigma_I arrays, gradient operator, `Quotients`
+    and flip-criteria sides (all read-only) live on the engine and die
+    with it.  A Scenario is frozen with read-only blocks, so the caches
+    stay valid for its whole life: `IsingEngine.of(sc)` is the one engine
+    every consumer shares, while the constructor builds a fresh, unshared one.
 
     The work is 2^V enumeration steps and 8 bytes of sigma_I for each
     of the n_sec(n_sec+1)/2 unordered pairs; the cap counts ordered
@@ -425,6 +425,7 @@ class IsingEngine:
         self._table: dict[tuple[int, int], PairResult] | None = None
         self._gradient: tuple[np.ndarray, float] | None = None
         self._quotients: Quotients | None = None
+        self._flip_sides: dict = {}  # `holography._flip_sides`, per sector
         ids = sc.graph.link_ids()
         twice = tuple(tuple(map(sec.spins.__getitem__, ids)) for sec in sc.sectors)
         key = (sc.graph, twice, sc.region_C, frozenset(sc.blocks))
@@ -526,9 +527,9 @@ class IsingEngine:
         internal link is swapped at one end only).  Terms are added in link
         order, but for spin-0 links, which pay 0.0 in every sector."""
         plan, e = self._plan, np.zeros((self.n_sec, 2, configs.size))
-        for cut, logd, flip in zip(self.sc.graph.cuts(configs, plan.pay), plan.pay_logd,
-                                   plan.pay_flips):
-            e += logd * (cut ^ flip).astype(float)
+        paid = (self.sc.graph.cuts(configs, plan.pay)[:, None] ^ plan.pay_flips).astype(float)
+        for cut, logd in zip(paid, plan.pay_logd):  # cut: 0.0 or 1.0 per variant
+            e += logd * cut
         return e
 
     def _chunks(self, n_pairs: int = 1):
@@ -536,15 +537,6 @@ class IsingEngine:
         size = min(1 << self.n_vert, 1 << CHUNK_BITS,
                    max(1, (1 << TILE_BITS) >> (n_pairs - 1).bit_length()))
         return (np.arange(lo, lo + size) for lo in range(0, 1 << self.n_vert, size))
-
-    def cut_weight(self, m: int, configs: np.ndarray) -> np.ndarray:
-        """Sum of log(2j+1) of sector m over the links each configuration
-        cuts, weighted -1 on C, added in link order."""
-        total = np.zeros(configs.size)
-        for cut, logd, on_c in zip(self.sc.graph.cuts(configs), self._plan.logd[m],
-                                   self._plan.on_C):
-            total += (-logd if on_c else logd) * cut
-        return total
 
     # -- partition sums ------------------------------------------------------
 

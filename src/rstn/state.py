@@ -159,31 +159,22 @@ class Scenario:
         all_ids = set(g.link_ids())
         for lid in self.amplitudes:
             if lid not in all_ids or not g.is_internal(lid):
-                raise ValidationError(
-                    f"amplitudes[{lid}]: not an internal link id")
+                raise ValidationError(f"amplitudes[{lid}]: not an internal link id")
         for s, sec in enumerate(self.sectors):
-            if set(sec.spins) != all_ids:
-                missing = all_ids - set(sec.spins)
-                extra = set(sec.spins) - all_ids
-                raise ValidationError(
-                    f"sector {s}: spins must cover every link exactly "
-                    f"(missing {sorted(missing)}, unknown {sorted(extra)})"
-                )
+            if (given := set(sec.spins)) != all_ids:
+                raise ValidationError(f"sector {s}: spins must cover every link exactly (missing "
+                                      f"{sorted(all_ids - given)}, unknown {sorted(given - all_ids)})")
             for lid, tj in sec.spins.items():
                 if not isinstance(tj, int) or tj < 0:
-                    raise ValidationError(
-                        f"sector {s}, link {lid}: twice-spin must be a "
-                        f"nonnegative integer, got {tj!r}"
-                    )
+                    raise ValidationError(f"sector {s}, link {lid}: twice-spin must be a "
+                                          f"nonnegative integer, got {tj!r}")
             if self.cutoffs:
                 lo = self.cutoffs.get("lower", 0)
                 hi = self.cutoffs.get("upper", None)
                 for lid, tj in sec.spins.items():
                     if tj < lo or (hi is not None and tj > hi):
-                        raise ValidationError(
-                            f"sector {s}, link {lid}: twice-spin {tj} "
-                            f"outside cutoffs [{lo}, {hi}]"
-                        )
+                        raise ValidationError(f"sector {s}, link {lid}: twice-spin {tj} "
+                                              f"outside cutoffs [{lo}, {hi}]")
             # a vertex with no invariant state is allowed: the sector
             # then carries weight zero and drops out of every sum
         for lid, table in self.amplitudes.items():
@@ -200,9 +191,7 @@ class Scenario:
         for s, sec in enumerate(self.sectors):
             key = tuple(sorted(sec.spins.items()))
             if key in seen:
-                raise ValidationError(
-                    f"sectors {seen[key]} and {s} carry identical spins"
-                )
+                raise ValidationError(f"sectors {seen[key]} and {s} carry identical spins")
             seen[key] = s
         outer = g.outer_boundary_ids()
         if bad := [lid for lid in self.region_C if lid not in outer]:
@@ -222,10 +211,8 @@ class Scenario:
             if not (0 <= m < n_sec and 0 <= n < n_sec):
                 raise ValidationError(f"block index ({m},{n}) out of range")
             if blk.shape != (dims[m], dims[n]):
-                raise ValidationError(
-                    f"block ({m},{n}) has shape {blk.shape}, expected "
-                    f"({dims[m]}, {dims[n]})"
-                )
+                raise ValidationError(f"block ({m},{n}) has shape {blk.shape}, expected "
+                                      f"({dims[m]}, {dims[n]})")
             if not np.isfinite(blk).all():
                 raise ValidationError(f"block ({m},{n}) has a non-finite entry")
         # each given (n, m) against (m, n), a diagonal block against itself:
@@ -235,24 +222,48 @@ class Scenario:
             if back is not None and not adjoint_close(back, blk, PSD_TOL):
                 raise ValidationError(
                     f"blocks ({m},{n}) and ({n},{m}) are not adjoints")
-        # absent blocks stay zero
+        full = self._full(dims)
+        tr = np.trace(full)
+        if abs(tr.real - 1.0) > TRACE_TOL:
+            raise ValidationError(f"bulk state trace {tr.real} != 1")
+        if abs(tr.imag) > TRACE_TOL:
+            raise ValidationError("bulk state trace is not real")
+        full[np.diag_indices_from(full)] += PSD_TOL
+        if not _cholesky_in_place(full):  # full is overwritten: built again for the message
+            least = np.linalg.eigvalsh(self._full(dims)).min()
+            if least < -PSD_TOL:
+                raise ValidationError(f"bulk state is not positive semidefinite "
+                                      f"(min eigenvalue {least:.3e})")
+
+    def _full(self, dims: list[int]) -> np.ndarray:
+        """The bulk state as one dense matrix; absent blocks stay zero."""
         full = np.zeros((sum(dims), sum(dims)), dtype=complex)
         offs = np.concatenate([[0], np.cumsum(dims)])
         for (m, n), blk in self.blocks.items():
             full[offs[m]:offs[m + 1], offs[n]:offs[n + 1]] = blk
             if (n, m) not in self.blocks:
                 full[offs[n]:offs[n + 1], offs[m]:offs[m + 1]] = blk.conj().T
-        tr = np.trace(full)
-        if abs(tr.real - 1.0) > TRACE_TOL:
-            raise ValidationError(f"bulk state trace {tr.real} != 1")
-        if abs(tr.imag) > TRACE_TOL:
-            raise ValidationError("bulk state trace is not real")
-        evals = np.linalg.eigvalsh(full)
-        if evals.min() < -PSD_TOL:
-            raise ValidationError(
-                f"bulk state is not positive semidefinite "
-                f"(min eigenvalue {evals.min():.3e})"
-            )
+        return full
+
+
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Whether Hermitian `a` (its lower triangle) is positive definite, up to
+    rounding: a blocked Cholesky that overwrites `a`, LAPACK on each diagonal
+    block of `step` rows, so that beside `a` it holds three panels of `step`
+    columns, about a fifth of its size."""
+    n = len(a)
+    step = max(16, n // 16)
+    for k in range(0, n, step):
+        e = min(k + step, n)
+        try:
+            l11 = np.linalg.cholesky(a[k:e, k:e])
+        except np.linalg.LinAlgError:
+            return False
+        a[e:, k:e] = np.linalg.solve(l11, a[e:, k:e].conj().T).conj().T  # L21 = A21 L11^-H
+        for r in range(e, n, step):  # A22 -= L21 L21^H, its lower triangle
+            prod = a[r:r + step, k:e].conj() @ a[e:r + step, k:e].T
+            a[r:r + step, e:r + step] -= np.conjugate(prod, out=prod)
+    return True
 
 
 # -- JSON -------------------------------------------------------------------
@@ -276,10 +287,17 @@ def _complex_in(v, where: str) -> complex:
     return z
 
 
-def _block_in(mat, key: str) -> np.ndarray:
+def _holds_bool(mat, arr: np.ndarray) -> bool:
+    """Whether a cell, or part of one, that numpy read as 0 or 1 is a boolean."""
+    return any(isinstance(mat[i][j][k[0]] if k else mat[i][j], bool)
+               for i, j, *k in np.argwhere((arr == 0) | (arr == 1)).tolist())
+
+
+def _block_in(mat, key: str, bools: bool = True) -> np.ndarray:
     """A bulk-state block (or a batch of its rows), read by numpy at once when
-    its cells are all finite numbers or all finite [re, im] pairs and none
-    that numpy read as 0 or 1 is a boolean, else cell by cell (naming a bad one)."""
+    its cells are all finite numbers or all finite [re, im] pairs and none is a
+    boolean (`_holds_bool`, skipped where not `bools`: the text holds none),
+    else cell by cell (naming a bad one)."""
     if not isinstance(mat, list) or any(
         not isinstance(row, list) or len(row) != len(mat[0]) for row in mat
     ):
@@ -291,8 +309,7 @@ def _block_in(mat, key: str) -> np.ndarray:
         arr = np.array(None)
     if (arr.dtype.kind in "iuf" and arr.ndim in (2, 3)
             and arr.shape[2:] in ((), (2,)) and np.isfinite(arr).all()
-            and not any(isinstance(mat[i][j][k[0]] if k else mat[i][j], bool)
-                        for i, j, *k in np.argwhere((arr == 0) | (arr == 1)).tolist())):
+            and not (bools and _holds_bool(mat, arr))):
         return (arr.astype(float).view(complex)[..., 0] if arr.ndim == 3
                 else arr.astype(complex))
     arr = np.array([[_complex_in(v, f"block {key}[{i}][{j}]")
@@ -549,13 +566,16 @@ class _Reader:
         text, parts, rows, sep = self.text, [], [], None
         if text[p:p + 1] == "[" and len(text) - p >= 1 << 16:
             try:
+                start = _WS(text, p + 1).end()  # of the batch's text
                 while not sep or sep[1] == ",":
-                    row, q = self.raw(text, sep.end() if sep else _WS(text, p + 1).end())
+                    row, q = self.raw(text, sep.end() if sep else start)
                     rows.append(row)
                     sep = _NEXT(text, q)
                     if sep[1] != "," or (len(rows) + 1) * max(1, len(rows[0])) > 1 << 14:
-                        parts.append(_block_in(rows, path[-1]))
-                        rows = []
+                        # true and false hold a t or an f, a finite number neither
+                        bools = text.find("t", start, q) >= 0 or text.find("f", start, q) >= 0
+                        parts.append(_block_in(rows, path[-1], bools))
+                        rows, start = [], sep.end()
                 if sep[1] == "]":
                     return _Read([np.concatenate(parts)]), sep.end()
             except (TypeError, ValueError):  # a fault of any kind, ParseError too:

@@ -12,7 +12,8 @@ pair at a time as the engine built it before its stacked fill, the pairwise
 log-sum as a scalar loop over slots and over the kept terms alone, each
 pair's partition data by its own ground scan over its compacted chunks
 and log_sum_tree over its whole rows, the fixed-spin flip
-criteria by one Python pass per region, Delta and the link energies
+criteria by one Python pass per region, their necessary condition and
+the ground states of constant-sigma_I pairs in integer products, Delta and the link energies
 link by link from `cut_reference` (the cut rule on Python sets), the
 `analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
 and the bulk-boundary energy and the boundary factor by one pass over
@@ -26,7 +27,7 @@ two given matrices, for the tests that pin that fill against einsum.
 Nor is `block_diagonal`, which drops a state's cross-sector blocks, nor
 `pure_bulk`, which draws a random pure state in place of a given one, nor
 `internal_link_pair`, a scenario whose two sectors differ on an internal
-link.
+link, nor `tie_chains`, scenarios whose ground products tie.
 Nor are the helpers that only tests call: `closed_form_weights` and
 `reweighted_scenario` (sector weights from the C dims, and a state
 rescaled to given weights) and `exact_term` (one raw term of the exact
@@ -550,26 +551,62 @@ def cut_reference(g: ColoredGraph, region) -> list[str]:
     return out
 
 
+def cut_products(sc: Scenario, sector: int, config: int, swap_C: bool = False) -> tuple[int, int]:
+    """prod d = 2j+1 of sector over the links the vertex set `config` cuts
+    (`cut_reference`), as Python ints: (away from C, on C).  With
+    `swap_C`, the cut is toggled on C first, as the swapped variant pins
+    the C half-edges swapped."""
+    g = sc.graph
+    cut = set(cut_reference(g, {x for x in range(g.n_vertices) if config >> x & 1}))
+    if swap_C:
+        cut ^= set(sc.region_C)
+    prods = [1, 1]
+    for lid in cut:
+        prods[lid in sc.region_C] *= dim_rep(sc.spin(sector, lid))
+    return prods[0], prods[1]
+
+
+def necessary_reference(sc: Scenario, sector: int) -> list[tuple[int, ...]]:
+    """The regions X of one sector that fail the necessary flip condition,
+    decided in integers: prod_{cut(X) \\ C} d <= prod_{x in X} dim_x *
+    prod_{cut(X) & C} d, in `itertools.combinations` order by size."""
+    nv, dims = sc.graph.n_vertices, sc.vertex_dims(sector)
+    out = []
+    for r in range(1, nv + 1):
+        for xs in itertools.combinations(range(nv), r):
+            away, on_c = cut_products(sc, sector, sum(1 << x for x in xs))
+            if away <= math.prod(dims[x] for x in xs) * on_c:
+                out.append(xs)
+    return out
+
+
 def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
     """The flip criteria of one sector, region by region.
 
     Regions come from itertools.combinations, cut links from
-    `cut_reference` and S2 of each reduction from `einsum_sigma`.
+    `cut_reference` and S2 of each reduction from `einsum_sigma`.  The
+    left side is summed link by link in link order, as the swapped-variant
+    link energy (the cut toggled on C) less sum_C log d, also in link
+    order; the necessary list is `necessary_reference`, in integers.
     """
     g = sc.graph
-    logd = {
-        lid: math.log(dim_rep(sc.spin(sector, lid))) for lid in g.link_ids()
-    }
-    log_D = [math.log(d) for d in sc.vertex_dims(sector)]
-    report = FixedSpinReport(sector=sector, passed=True)
+    ids = g.link_ids()
+    logd = {lid: math.log(dim_rep(sc.spin(sector, lid))) for lid in ids}
+    on_c = 0.0
+    for lid in ids:
+        if lid in sc.region_C:
+            on_c += logd[lid]
+    report = FixedSpinReport(sector=sector, passed=True,
+                             necessary_failing=necessary_reference(sc, sector))
     for r in range(1, g.n_vertices + 1):
         for xs in itertools.combinations(range(g.n_vertices), r):
-            lhs = 0.0
-            for lid in cut_reference(g, set(xs)):
-                lhs += -logd[lid] if lid in sc.region_C else logd[lid]
+            cut = set(cut_reference(g, set(xs)))
+            energy = 0.0
+            for lid in ids:
+                if (lid in cut) != (lid in sc.region_C):
+                    energy += logd[lid]
+            lhs = energy - on_c
             rhs = einsum_sigma(sc, sector, sector, sum(1 << x for x in xs))
-            if lhs <= sum(log_D[x] for x in xs):
-                report.necessary_failing.append(xs)
             if math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL):
                 report.degenerate.append((xs, lhs, rhs))
                 report.passed = False
@@ -577,6 +614,36 @@ def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
                 report.failing.append((xs, lhs, rhs))
                 report.passed = False
     return report
+
+
+def ground_reference(sc: Scenario, m: int, variant: int) -> tuple[int, int, int, int | None]:
+    """The ground state of the pair (m, m) in integers, where its sigma_I
+    is constant (every vertex of dimension 1) and Delta pins nothing:
+    each configuration's Boltzmann weight is 1 / prod_{cut} d, the cut
+    toggled on C in variant 1.  Returns the first configuration of least
+    product, that product, how many configurations share it, and the next
+    larger product (None if there is none)."""
+    prods = [math.prod(cut_products(sc, m, config, bool(variant)))
+             for config in range(1 << sc.graph.n_vertices)]
+    least = min(prods)
+    return (prods.index(least), least, prods.count(least),
+            min((p for p in prods if p > least), default=None))
+
+
+def tie_chains() -> list[Scenario]:
+    """One-sector chains (the "chain" template, 1x1 bulk state, so sigma_I
+    is 0 on every set) whose swapped-variant ground products tie between
+    configurations whose log sums differ in the last bit, the earlier
+    configuration holding the larger float: 2 * 9 = 6 * 3 (configurations
+    6 and 7) and 6 * 3 * 4 * 2 = 6 * 4 * 6 (0 and 6)."""
+    graph = _template("chain")
+    out = []
+    for twice, region_C in (
+            ((1, 5, 5, 2, 8, 0, 4, 8, 3, 0), ("b2", "b4", "b5", "b6")),
+            ((0, 1, 3, 4, 5, 3, 2, 5, 3, 1), ("b2", "b4", "b6", "b7"))):
+        out.append(Scenario(graph, [Sector(dict(zip(graph.link_ids(), twice)))], {},
+                            {(0, 0): np.ones((1, 1), complex)}, region_C, "high_spin"))
+    return out
 
 
 def link_terms_reference(

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import closed_form_weights, fixed_spin_reference, reweighted_scenario
+from oracles import (closed_form_weights, cut_products, fixed_spin_reference,
+                     necessary_reference, reweighted_scenario)
 from rstn.families import (
     appendix_c,
     once_fine_grained,
@@ -277,6 +278,31 @@ def test_fixed_spin_matches_per_region_reference(k):
             for (_, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(rows, ref_rows):
                 assert lhs == ref_lhs
                 assert rhs == pytest.approx(ref_rhs, rel=1e-12, abs=1e-12)
+
+
+def test_flip_sides_are_kept_per_engine_and_sector(monkeypatch):
+    # the left sides and the necessary flags depend on the structure alone
+    sc = appendix_c(2, 0.3, 0.25, 0.45)
+    first = [fixed_spin_criteria(sc, s) for s in (0, 1)]
+    monkeypatch.setattr(IsingEngine, "_link_energies", None)  # never called again
+    assert [fixed_spin_criteria(sc, s) for s in (0, 1)] == first
+    _, necessary = holography._flip_sides(IsingEngine.of(sc), 1)
+    with pytest.raises(ValueError, match="read-only"):
+        necessary[0] = True
+
+
+def test_necessary_condition_is_exact_at_a_tie():
+    # draw 25 of this loop, sector 1, region (0,): both sides are 18 in
+    # integers, so the region fails the necessary condition; the float
+    # sums of their logs round the other way
+    rng = np.random.default_rng(4)
+    for i in range(26):
+        sc = random_scenario(rng, ("one", "two", "chain")[i % 3], 1 + i % 2, max_twice=8)
+    away, on_c = cut_products(sc, 1, 0b1)
+    assert away == sc.vertex_dims(1)[0] * on_c == 18
+    rep = fixed_spin_criteria(sc, 1)
+    assert (0,) in rep.necessary_failing
+    assert rep.necessary_failing == necessary_reference(sc, 1)
 
 
 @pytest.mark.parametrize("sector", [-1, 2])

@@ -27,6 +27,7 @@ from oracles import (
     fd_swapped_gradient,
     gradient_operator_reference,
     gradient_reference,
+    ground_reference,
     internal_link_pair,
     link_terms_reference,
     pair_reference,
@@ -36,6 +37,7 @@ from oracles import (
     subset_traces,
     subset_traces_reference,
     terms_reference,
+    tie_chains,
 )
 from rings import dense_ring_dict, ring_dict
 from rstn.families import (
@@ -181,6 +183,28 @@ def test_pair_table_matches_per_pair_reference():
                 seen["negative"] += min(got.ground_energy) < 0.0
                 seen["tie"] += max(got.degeneracy) > 1
     assert min(seen.values()) >= 2, seen
+
+
+def test_ground_states_match_integer_products():
+    # where sigma_I is constant the energies are logs of integer products,
+    # so the ground configuration (the first of least product), its
+    # degeneracy and the gap are exact; the chains tie products whose log
+    # sums differ in the last bit (2 * 9 = 6 * 3), the smaller float later
+    cases = tie_chains() + [dataclasses.replace(scenario_from_dict(ring_dict(n, k)), mode=mode)
+                            for n, k in ((6, 3), (8, 1)) for mode in ("exact", "high_spin")]
+    ties = 0
+    for sc in cases:
+        engine = IsingEngine(sc)
+        for m in range(engine.n_sec):
+            got = engine.partition_pair(m, m)
+            for v in (0, 1):
+                config, least, count, second = ground_reference(sc, m, v)
+                assert (got.ground_config[v], got.degeneracy[v]) == (config, count)
+                assert got.ground_energy[v] == pytest.approx(math.log(least), abs=1e-12)
+                assert got.gap[v] == pytest.approx(
+                    math.log(second / least) if second else math.inf, abs=1e-12)
+                ties += count > 1
+    assert ties >= 6
 
 
 def test_pair_table_is_independent_of_the_chunk_size(monkeypatch):

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (block_diagonal, json_load_reference, pure_bulk,
+from oracles import (block_diagonal, json_load_reference, necessary_reference, pure_bulk,
                      region_difference_reference, sequential_ground_scan)
 from rings import dense_ring_dict
 from rstn.families import _template, random_scenario
+from rstn.holography import fixed_spin_criteria
 from rstn.ising import TIE_TOL, IsingEngine, NumericalError, _GroundScan
 from rstn.observables import area_variance
 from rstn.oracle import exact_purity
@@ -73,6 +74,16 @@ def test_energy_difference_supported_on_C(params):
         h0, h1 = link[:, config]
         assert h1 - h0 == pytest.approx(
             region_difference_reference(sc, 0, config), abs=1e-12)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["one", "two", "chain"]),
+       st.integers(1, 3), st.integers(8, 12))
+def test_necessary_condition_equals_integer_products(seed, template, n_sectors, max_twice):
+    sc = random_scenario(np.random.default_rng(seed), template, n_sectors, max_twice)
+    for sector in range(n_sectors):
+        assert (fixed_spin_criteria(sc, sector).necessary_failing
+                == necessary_reference(sc, sector))
 
 
 @SETTINGS

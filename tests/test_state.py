@@ -10,6 +10,7 @@ import pytest
 
 from rings import dense_ring_dict
 from rstn.families import appendix_c, once_fine_grained, tiny_generic, two_sector
+from rstn import state
 from rstn.ising import IsingEngine
 from rstn.state import (
     PSD_TOL,
@@ -102,6 +103,25 @@ def test_psd_enforced():
             blocks={(0, 0): rho},
             region_C=sc.region_C,
         )
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("scale, accepted", [(1 - 1e-3, True), (1 + 1e-3, False)])
+def test_psd_check_holds_at_its_tolerance(n, scale, accepted):
+    # the least eigenvalue moved to -PSD_TOL * scale, the trace kept at 1;
+    # D = 16, 64 and 256 factor in 1, 4 and 16 diagonal blocks
+    sc = scenario_from_dict(dense_ring_dict(n, np.random.default_rng(n)))
+    w, v = np.linalg.eigh(sc.block(0, 0))
+    w[-1] += w[0] + PSD_TOL * scale
+    w[0] = -PSD_TOL * scale
+    rho = (v * w) @ v.conj().T
+    rho = (rho + rho.conj().T) / 2
+    assert np.linalg.eigvalsh(rho).min() == pytest.approx(-PSD_TOL * scale, rel=1e-4)
+    if accepted:
+        dataclasses.replace(sc, blocks={(0, 0): rho})
+        return
+    with pytest.raises(ValidationError, match=r"positive semidefinite \(min eigenvalue -1\.001e-10\)"):
+        dataclasses.replace(sc, blocks={(0, 0): rho})
 
 
 def test_identical_sectors_rejected():
@@ -447,6 +467,40 @@ def test_load_peaks_at_the_parse(tmp_path):
     size = path.stat().st_size
     assert _peak(lambda: load_scenario(str(path))) <= (
         size + (1 << 14) * 200 + 3 * 16 * 256 ** 2)
+
+
+def _real_ring8(tmp_path, edit=None):
+    """The dense 8-vertex ring's real part, every cell written [re, 0.0]
+    (1.5 MB, so its rows are read in batches), after `edit` of its cells."""
+    data = dense_ring_dict(8, np.random.default_rng(3))
+    cells = [[[re, 0.0] for re, _ in row] for row in data["intertwiner"]["blocks"]["0,0"]]
+    (edit or (lambda c: None))(cells)
+    data["intertwiner"]["blocks"]["0,0"] = cells
+    path = tmp_path / "real8.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path), np.array([[re for re, _ in row] for row in cells], dtype=complex)
+
+
+def test_real_block_loads_without_the_per_cell_visit(tmp_path, monkeypatch):
+    # numpy reads 0.0 as 0, so every imaginary part was visited in Python;
+    # a batch whose text holds no t or f holds no boolean
+    path, want = _real_ring8(tmp_path)
+    calls = []
+    holds_bool = state._holds_bool
+    monkeypatch.setattr(state, "_holds_bool", lambda *a: calls.append(1) or holds_bool(*a))
+    got = load_scenario(path).block(0, 0)
+    assert got.tobytes() == want.tobytes() and calls == []
+
+
+@pytest.mark.parametrize("i, j, k, flag", [(0, 0, 0, True), (255, 255, 0, False),
+                                           (100, 37, 1, True)])
+def test_boolean_in_a_batched_block_is_refused(tmp_path, i, j, k, flag):
+    def edit(cells):
+        cells[i][j][k] = flag
+
+    path, _ = _real_ring8(tmp_path, edit)
+    with pytest.raises(ParseError, match=rf"block 0,0\[{i}\]\[{j}\]: expected number"):
+        load_scenario(path)
 
 
 def test_content_hash_reads_in_chunks(tmp_path):

@@ -1,9 +1,37 @@
 """Stage timings of the pair table, and cost at the enumeration cap;
 or, with `--stage mc`, of the Monte Carlo oracle; or, with `--stage
-quotients`, of the quotients read off a built pair table.
+quotients`, of the quotients read off a built pair table; or, with
+`--interleave`, an in-process A/B of two checkouts.
 
     python3 tools/bench_pairtable.py --root parent=PATH --root change=PATH \
         [--stage pairtable|mc|quotients] [--out BENCH_pairtable.json]
+    python3 tools/bench_pairtable.py --interleave --root A=PATH --root B=PATH \
+        [--out FILE]
+
+`--interleave` imports both checkouts' `rstn` into one interpreter (one
+BLAS/OpenMP thread), each with the `rstn*` entries of `sys.modules` of
+the other set aside, and keeps both sets.  It then alternates, INTERLEAVE
+times, the calls of each INTERLEAVE_STAGES stage between the two sides,
+the side going first alternating too: per side and alternation, the
+median of that stage's call count, each call after `gc.collect()`.
+Stages, on perfbench's seed-1 inputs (each side builds its own scenarios
+from the same dicts): `purity`, a fresh `IsingEngine(sc).purity()` on ms6
+and then ms5; `fixed_spin`, `fixed_spin_criteria(dense_ring8, 0)` on the
+scenario's shared engine, whose sigma_I arrays are built by an untimed
+first call, as in every perfbench dense-bulk cycle after the first;
+`load`, `load_scenario` of `dense_ring8.json` (3.3 MB, validation
+included).  It reports per side and stage the median and quartiles of
+the alternation medians and the alternations won.  Decision rule: a side
+is faster on a stage when it wins at least 70 of 100 alternations; an A/A
+run (one checkout on both sides) should read inside 30-70.  Limits: the
+stages call the library only, and each side's modules are put back into
+`sys.modules` before its calls, so that an import inside a function (as
+in `rstn.cli`) resolves to that side; module-level memos are per side by
+construction, and all are warm after the untimed first calls: the engine
+plans (`rstn.ising._plans`), the block layouts and vertex maps
+(`_layout`, `_vertex_maps`), and `holography._regions`.  numpy, click and
+the standard library are shared.  A second harness, not a gate:
+perfbench stays the gate for end-to-end metrics.
 
 Every `--root NAME=PATH` is a checkout of rstn whose `src/` is imported
 in fresh interpreters (one BLAS/OpenMP thread); the report keys its
@@ -76,6 +104,8 @@ CAP_CASES = {"ring24_exact": (24, 1, "exact"),
 STAGES = ("init", "sigma", "table")
 TEMPS = ("cold", "warm")
 ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
+INTERLEAVE = 100  # alternations of `--interleave`
+INTERLEAVE_STAGES = {"purity": 15, "fixed_spin": 15, "load": 3}  # calls a side, each time
 MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
             "appendix_c2_100": ("appendix_c", (2,), 100),
             "appendix_c1_100": ("appendix_c", (1,), 100),
@@ -259,6 +289,69 @@ def src(root: str) -> str:
     return os.path.join(root.split("=", 1)[-1], "src")
 
 
+def interleave(roots: list[str]) -> dict:
+    """The in-process A/B of `--interleave`, run in this interpreter."""
+    import gc
+    import importlib
+    import time
+
+    import numpy as np
+
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+    import inputs
+
+    dense, _, _ = inputs.dense_bulk(np.random.default_rng([1, 1]))
+    ms = inputs.many_sectors(np.random.default_rng([1, 2]))[:2]
+    tmp = tempfile.mkdtemp(prefix="bench_interleave_")
+    path = os.path.join(tmp, "dense_ring8.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dense, fh)
+    sides = []
+    for root in roots:
+        for name in [n for n in sys.modules if n == "rstn" or n.startswith("rstn.")]:
+            del sys.modules[name]
+        sys.path.insert(0, src(root))
+        state, ising, holography = (importlib.import_module(f"rstn.{m}")
+                                    for m in ("state", "ising", "holography"))
+        sys.path.pop(0)
+        assert state.__file__.startswith(src(root)), state.__file__
+        scs = [state.scenario_from_dict(d) for d in ms]
+        sc = state.load_scenario(path)
+        holography.fixed_spin_criteria(sc, 0)  # builds the shared engine's sigma_I
+        stages = {"purity": lambda ising=ising, scs=scs: [ising.IsingEngine(x).purity()
+                                                          for x in scs],
+                  "fixed_spin": lambda h=holography, sc=sc: h.fixed_spin_criteria(sc, 0),
+                  "load": lambda state=state: state.load_scenario(path)}
+        for call in stages.values():
+            call()
+        sides.append(({n: m for n, m in sys.modules.items()
+                       if n == "rstn" or n.startswith("rstn.")}, stages))
+    medians = {root: {stage: [] for stage in INTERLEAVE_STAGES} for root in roots}
+    try:
+        for k in range(INTERLEAVE):
+            for stage, calls in INTERLEAVE_STAGES.items():
+                for i in ((0, 1) if k % 2 == 0 else (1, 0)):
+                    modules, stages = sides[i]
+                    sys.modules.update(modules)
+                    times = []
+                    for _ in range(calls):
+                        gc.collect()
+                        t0 = time.perf_counter()
+                        stages[stage]()
+                        times.append(time.perf_counter() - t0)
+                    medians[roots[i]][stage].append(statistics.median(times))
+    finally:
+        shutil.rmtree(tmp)
+    report = {}
+    for i, root in enumerate(roots):
+        other = medians[roots[1 - i]]
+        report[root.split("=", 1)[0]] = {
+            f"{stage}_s": {**quartiles(values),
+                           "won": sum(a < b for a, b in zip(values, other[stage]))}
+            for stage, values in medians[root].items()}
+    return report
+
+
 def child(root: str, task: list[str], cache: str) -> dict:
     env = dict(os.environ, **THREADS, PYTHONPATH=src(root), PYTHONPYCACHEPREFIX=cache)
     res = subprocess.run([sys.executable, __file__, "--child", *task], env=env,
@@ -279,7 +372,25 @@ def main() -> None:
                     default="pairtable")
     ap.add_argument("--out")
     ap.add_argument("--child", nargs="+")
+    ap.add_argument("--interleave", action="store_true")
     args = ap.parse_args()
+    if args.interleave:
+        if len(args.root) != 2:
+            ap.error("--interleave takes exactly two --root NAME=PATH")
+        if any(os.environ.get(k) != v for k, v in THREADS.items()):
+            os.execve(sys.executable, [sys.executable, *sys.argv], dict(os.environ, **THREADS))
+        from importlib.metadata import version
+
+        report = {"machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
+                             f"{platform.python_version()}, numpy {version('numpy')}",
+                  "alternations": INTERLEAVE, "calls": INTERLEAVE_STAGES,
+                  **interleave(args.root)}
+        text = json.dumps(report, indent=1)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        print(text)
+        return
     if args.child:
         kind, *case = args.child
         run = {"stages": stages, "mc": mc_stage, "cap": cap_case,

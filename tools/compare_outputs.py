@@ -58,7 +58,9 @@ max(1, |sigma|) and whether the inf/NaN patterns agree; for pairs, how
 many log Z differ only in the sign of zero, the largest relative
 difference of the others and whether the other fields agree; for oracle,
 each differing field with its relative difference; for load, the first
-line that differs), then a count per kind.  The exit status is 1 when an
+line that differs; for quotients, per call, each `fixed_spin_criteria`
+region whose lhs or list membership differs with both entries, or else
+the first field that differs), then a count per kind.  The exit status is 1 when an
 analyze, cli, pairs, sigma, quotients, oracle or load item differs;
 lower only reports: σ_I^{(n,m)} reads the array of (m, n), so a lower
 item repeats a sigma item.
@@ -387,6 +389,69 @@ def oracle_difference(a: list[str], b: list[str]) -> str:
                      for k, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
+def _fields(text: str) -> list[str]:
+    """The top-level fields of a rendered tuple "(a, b, ...)", else [text]."""
+    if not (text.startswith("(") and text.endswith(")")):
+        return [text]
+    fields, depth, start = [], 0, 1
+    for k, ch in enumerate(text[1:-1], 1):
+        depth += (ch in "([{") - (ch in ")]}")
+        if depth == 0 and text.startswith(", ", k):
+            fields.append(text[start:k])
+            start = k + 2
+    return fields + [text[start:-1]]
+
+
+def _regions(text: str) -> dict | None:
+    """Region -> {list: entry} of a FixedSpinReport repr: (lhs, rhs) in
+    failing and degenerate, True in necessary_failing; None for an error."""
+    if not text.startswith("FixedSpinReport("):
+        return None
+    rep = eval(text, {"__builtins__": {}},  # the repr of our own dataclass
+               {"FixedSpinReport": dict, "inf": math.inf, "nan": math.nan})
+    out: dict = {}
+    for name in ("failing", "degenerate"):
+        for xs, lhs, rhs in rep[name]:
+            out.setdefault(xs, {})[name] = (lhs, rhs)
+    for xs in rep["necessary_failing"]:
+        out.setdefault(xs, {})["necessary_failing"] = True
+    return out
+
+
+def quotient_difference(key: str, a: list[str], b: list[str]) -> str:
+    """What moved in a quotients item, call by call: for
+    `fixed_spin_criteria`, each region whose lhs or list membership
+    differs, with both sides' entries (absent: not in that list); for the
+    others the first field that differs, an array field (hex bytes) at its
+    first differing entry."""
+    notes = []
+    for call, (x, y) in enumerate(zip(a, b)):
+        if x == y:
+            continue
+        rx, ry = (_regions(t) for t in (x, y)) if "fixed_spin_criteria" in key else (None,) * 2
+        if rx is not None and ry is not None:
+            for xs in sorted(rx.keys() | ry.keys(), key=lambda r: (len(r), r)):
+                u, v = rx.get(xs, {}), ry.get(xs, {})
+                notes += [f"call {call} region {xs} {name}: {u.get(name, 'absent')} vs "
+                          f"{v.get(name, 'absent')}" for name in sorted(u.keys() | v.keys())
+                          if u.get(name) != v.get(name)]
+            continue
+        fx, fy = _fields(x), _fields(y)
+        k = next((k for k, (u, v) in enumerate(zip(fx, fy)) if u != v), min(len(fx), len(fy)))
+        if k >= min(len(fx), len(fy)):
+            notes.append(f"call {call}: {len(fx)} vs {len(fy)} fields")
+            continue
+        u, v = fx[k], fy[k]
+        if len(u) == len(v) and len(u) % 16 == 0 and re.fullmatch("[0-9a-f]+", u + v):
+            import numpy as np
+
+            p, q = (np.frombuffer(bytes.fromhex(h)) for h in (u, v))
+            i = int(np.flatnonzero(p.view(np.int64) != q.view(np.int64))[0])
+            u, v, k = repr(float(p[i])), repr(float(q[i])), f"{k} entry {i}"
+        notes.append(f"call {call} field {k}: {u} vs {v}")
+    return "\n    ".join([""] + notes)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", action="append", default=[])
@@ -419,7 +484,7 @@ def main() -> None:
         counts[kind] += 1
         if first[key] != second[key]:
             differ[kind] += 1
-            note = ("" if kind == "quotients"
+            note = (quotient_difference(key, first[key], second[key]) if kind == "quotients"
                     else line_difference(first[key], second[key])
                     if kind in ("analyze", "cli", "load")
                     else pairs_difference(first[key], second[key]) if kind == "pairs"
