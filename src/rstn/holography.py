@@ -16,10 +16,9 @@ state.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -194,36 +193,46 @@ def solve_weights(sc: Scenario) -> WeightSolution:
 # -- fixed-spin flip criteria -----------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
-def _regions(nv: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Masks (read-only) and tuples of the nonempty sets of nv vertices,
-    by size, then in `itertools.combinations` order."""
-    regions = tuple(r for k in range(1, nv + 1) for r in itertools.combinations(range(nv), k))
-    masks = np.array([sum(1 << x for x in r) for r in regions], dtype=np.int64)
-    masks.flags.writeable = False
-    return masks, regions
+def _by_size(bits: np.ndarray) -> np.ndarray:
+    """The order of vertex sets, rows of 0/1 per vertex, by size, then as
+    `itertools.combinations` lists them: descending as binary, vertex 0 the
+    highest bit.  One key: size * 2^n less that number (n at most 57)."""
+    return np.argsort(bits @ ((1 << bits.shape[1]) - (1 << np.arange(bits.shape[1])[::-1])))
 
 
-def _flip_sides(engine: IsingEngine, sector: int) -> tuple[np.ndarray, np.ndarray]:
-    """The left side of every region of `_regions` and whether it fails the
-    necessary condition, read-only: the scenario's structure alone fixes
-    both, so each engine keeps them per sector."""
-    if sector not in engine._flip_sides:
-        masks, regions = _regions(engine.n_vert)
-        energy = engine._link_energies(np.concatenate(([0], masks)))[sector, 1]
-        lhs, dims, plan = energy[1:] - energy[0], engine.sc.vertex_dims(sector), engine._plan
-        nec = sum(math.log(dim) * ((masks >> x) & 1) for x, dim in enumerate(dims))
+def _flip_report(engine: IsingEngine, sector: int, dims: tuple[int, ...]) -> tuple:
+    """The failing, degenerate and necessary-failing rows of `fixed_spin_criteria`
+    as tuples.  The sets come in the engine's `_chunks` of masks, as rows of 0/1
+    per vertex; those in a row are put in order (`_by_size`) as vertex tuples."""
+    # per link: d away from C (else 1), d on C (else 1)
+    away, on_c = ([dim_rep(tj) ** (c == side) for tj, c in zip(
+        engine._plan.twice[sector].tolist(), engine._plan.on_C.tolist())] for side in (False, True))
+    sigma, found, empty = engine._sigma_array(sector, sector), [], None  # sigma: S2 per set
+    for configs in engine._chunks():
+        bits = np.bitwise_and(configs[:, None] >> np.arange(engine.n_vert), 1, dtype=np.int8)
+        energy = engine._link_energies(configs)[sector, 1]
+        empty = energy[0] if empty is None else empty  # sum_C log d
+        lhs, rhs, nec = energy - empty, sigma[configs[0]:configs[-1] + 1], bits @ np.log(dims)
         necessary = lhs <= nec
         # near a tie, in integers: prod_{cut(X) \ C} d <= prod_{x in X} dim_x prod_{cut(X) & C} d
-        links = list(zip(map(dim_rep, plan.twice[sector].tolist()), plan.on_C.tolist()))
-        for i in np.flatnonzero(np.abs(lhs - nec) <= 1e-9 * np.maximum(1.0, np.abs(nec))).tolist():
-            prods = [1, math.prod(dims[x] for x in regions[i])]  # away from C, on C
-            for (d, on_c), cut in zip(links, engine.sc.graph.cuts(int(masks[i])).tolist()):
-                prods[on_c] *= d**cut
-            necessary[i] = prods[0] <= prods[1]
-        lhs.flags.writeable = necessary.flags.writeable = False
-        engine._flip_sides[sector] = lhs, necessary
-    return engine._flip_sides[sector]
+        ties = np.flatnonzero(np.abs(lhs - nec) <= 1e-9 * np.maximum(1.0, np.abs(nec)))
+        necessary[ties] = [math.prod(compress(away, cut)) <= math.prod(compress(dims, row))
+                           * math.prod(compress(on_c, cut)) for cut, row in zip(
+                               engine.sc.graph.cuts(configs[ties]).T.tolist(), bits[ties].tolist())]
+        # math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL), elementwise
+        tol = np.maximum(1e-9 * np.maximum(np.abs(lhs), np.abs(rhs)), EQUALITY_TOL)
+        degenerate = (lhs == rhs) | (np.isfinite(rhs) & (np.abs(rhs - lhs) <= tol))
+        failing = ~degenerate & (lhs < rhs)
+        hit = np.flatnonzero(failing | degenerate | necessary)
+        found.append([a[hit] for a in (bits, lhs, rhs, failing, degenerate, necessary)])
+    bits, *rest = map(np.concatenate, zip(*found))
+    order = _by_size(bits)[1:]  # not the empty set, which passes the necessary test
+    bits, lhs, rhs, failing, degenerate, necessary = (a[order] for a in (bits, *rest))
+    regions = list(map(tuple, map(islice, repeat(iter(np.nonzero(bits)[1].tolist())),
+                                  bits.sum(axis=1).tolist())))  # each takes its size of them
+    rows = list(zip(regions, lhs.tolist(), rhs.tolist()))
+    return (tuple(compress(rows, failing)), tuple(compress(rows, degenerate)),
+            tuple(compress(regions, necessary)))
 
 
 def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
@@ -241,29 +250,19 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
     separately as degeneracies.  The report also lists regions that
     already fail the weaker necessary condition, sum_{x in X} log dim_x
     in place of S2: the sums are logs of integers, so within 1e-9 of a
-    tie the products decide, exactly (`_flip_sides`).
+    tie the products decide, exactly.  Rows go by region size, then in
+    `itertools.combinations` order.  The report is built on the first
+    call per sector (`_flip_report`) and kept on the shared engine; each
+    call returns new lists of the same rows.
     """
     if not 0 <= sector < len(sc.sectors):
         raise ValueError(f"sector {sector} out of range for a scenario "
                          f"with {len(sc.sectors)} sectors")
+    if 0 in (dims := sc.vertex_dims(sector)):
+        raise ValueError(f"sector {sector} has intertwiner dimension 0 at vertex "
+                         f"{dims.index(0)}: no bulk state, so no flip criteria")
     engine = IsingEngine.of(sc)
-    masks, regions = _regions(engine.n_vert)
-    lhs, necessary = _flip_sides(engine, sector)
-    rhs = engine._sigma_array(sector, sector)[masks]  # = S2 of the reduction
-    # math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL), elementwise
-    tol = np.maximum(1e-9 * np.maximum(np.abs(lhs), np.abs(rhs)), EQUALITY_TOL)
-    degenerate = (lhs == rhs) | (np.isfinite(rhs) & (np.abs(rhs - lhs) <= tol))
-    failing = ~degenerate & (lhs < rhs)
-
-    found = list(zip(regions, lhs.tolist(), rhs.tolist()))
-
-    def rows(flags: np.ndarray) -> list:  # (region, lhs, rhs), in order
-        return [found[i] for i in np.flatnonzero(flags).tolist()]
-
-    return FixedSpinReport(
-        sector=sector,
-        passed=not (degenerate.any() or failing.any()),
-        failing=rows(failing),
-        degenerate=rows(degenerate),
-        necessary_failing=[row[0] for row in rows(necessary)],
-    )
+    if sector not in engine._flip_reports:
+        engine._flip_reports[sector] = _flip_report(engine, sector, dims)
+    rows = engine._flip_reports[sector]
+    return FixedSpinReport(sector, not (rows[0] or rows[1]), *map(list, rows))

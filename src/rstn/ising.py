@@ -393,8 +393,8 @@ class IsingEngine:
     """Constrained Ising sums of one scenario, with per-engine caches.
 
     The pair table, per-pair sigma_I arrays, gradient operator, `Quotients`
-    and flip-criteria sides (all read-only) live on the engine and die
-    with it.  A Scenario is frozen with read-only blocks, so the caches
+    (all read-only) and flip-criteria reports (tuples, per sector) live on
+    the engine and die with it.  A Scenario is frozen with read-only blocks, so the caches
     stay valid for its whole life: `IsingEngine.of(sc)` is the one engine
     every consumer shares, while the constructor builds a fresh, unshared one.
 
@@ -425,7 +425,7 @@ class IsingEngine:
         self._table: dict[tuple[int, int], PairResult] | None = None
         self._gradient: tuple[np.ndarray, float] | None = None
         self._quotients: Quotients | None = None
-        self._flip_sides: dict = {}  # `holography._flip_sides`, per sector
+        self._flip_reports: dict = {}  # `holography._flip_report`, per sector
         ids = sc.graph.link_ids()
         twice = tuple(tuple(map(sec.spins.__getitem__, ids)) for sec in sc.sectors)
         key = (sc.graph, twice, sc.region_C, frozenset(sc.blocks))
@@ -526,11 +526,9 @@ class IsingEngine:
         cuts it (Delta pins a half-edge's vertex, sigma_I is +inf where an
         internal link is swapped at one end only).  Terms are added in link
         order, but for spin-0 links, which pay 0.0 in every sector."""
-        plan, e = self._plan, np.zeros((self.n_sec, 2, configs.size))
-        paid = (self.sc.graph.cuts(configs, plan.pay)[:, None] ^ plan.pay_flips).astype(float)
-        for cut, logd in zip(paid, plan.pay_logd):  # cut: 0.0 or 1.0 per variant
-            e += logd * cut
-        return e
+        plan = self._plan
+        paid = self.sc.graph.cuts(configs, plan.pay)[:, None] ^ plan.pay_flips  # 0 or 1
+        return np.add.reduce(plan.pay_logd * paid[:, None], axis=0)  # a slow axis: in link order
 
     def _chunks(self, n_pairs: int = 1):
         """Consecutive ranges of 2^k configurations (CHUNK_BITS, TILE_BITS)."""

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import (closed_form_weights, cut_products, fixed_spin_reference,
                      necessary_reference, reweighted_scenario)
+from rings import ring_dict
 from rstn.families import (
     appendix_c,
     once_fine_grained,
@@ -24,6 +28,7 @@ from rstn.holography import (
     solve_weights,
 )
 from rstn.ising import IsingEngine, SizeCapError
+from rstn.state import Sector, scenario_from_dict
 
 
 def test_analyze_basic_fields():
@@ -182,15 +187,27 @@ def test_sector_count_cap(monkeypatch):
 
 
 def test_fixed_spin_regions_are_cached_read_only():
-    # one ordered region list per vertex count, shared by every call
+    # one report per engine and sector, whose row tuples every call shares
+    # in new lists: a caller's edit reaches no later report, and the cached
+    # rows are tuples all the way down
     sc, other = once_fine_grained(1), appendix_c(2, 0.3, 0.25, 0.45)
     first = fixed_spin_criteria(sc)
     fixed_spin_criteria(other)
     again = fixed_spin_criteria(sc)
     assert again == first and again.failing[0][0] is first.failing[0][0]
-    masks, _ = holography._regions(IsingEngine.of(sc).n_vert)
-    with pytest.raises(ValueError, match="read-only"):
-        masks[0] = 0
+    assert again.failing is not first.failing
+    first.failing.clear()
+    first.necessary_failing.append((9,))
+    assert fixed_spin_criteria(sc) == again
+    cached = IsingEngine.of(sc)._flip_reports[0]
+    assert all(type(row) is tuple for rows in cached for row in (rows, *rows))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_flip_regions_go_by_size_in_combinations_order(n):
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    got = [tuple(np.flatnonzero(bits[i]).tolist()) for i in holography._by_size(bits)]
+    assert got == [r for k in range(n + 1) for r in itertools.combinations(range(n), k)]
 
 
 def test_reweighting_fills_a_zero_weight_sector():
@@ -281,14 +298,49 @@ def test_fixed_spin_matches_per_region_reference(k):
 
 
 def test_flip_sides_are_kept_per_engine_and_sector(monkeypatch):
-    # the left sides and the necessary flags depend on the structure alone
+    # a second call per sector reads neither the link energies nor sigma_I;
+    # a new scenario's engine builds its own report, equal to the bit
     sc = appendix_c(2, 0.3, 0.25, 0.45)
     first = [fixed_spin_criteria(sc, s) for s in (0, 1)]
-    monkeypatch.setattr(IsingEngine, "_link_energies", None)  # never called again
-    assert [fixed_spin_criteria(sc, s) for s in (0, 1)] == first
-    _, necessary = holography._flip_sides(IsingEngine.of(sc), 1)
-    with pytest.raises(ValueError, match="read-only"):
-        necessary[0] = True
+    calls = []
+    for name in ("_link_energies", "_sigma_array"):
+        real = getattr(IsingEngine, name)
+        monkeypatch.setattr(IsingEngine, name, lambda self, *args, name=name, real=real:
+                            calls.append(name) or real(self, *args))
+    assert [fixed_spin_criteria(sc, s) for s in (0, 1)] == first and calls == []
+    assert [fixed_spin_criteria(dataclasses.replace(sc), s) for s in (0, 1)] == first
+    assert calls.count("_link_energies") == 2 and "_sigma_array" in calls
+
+
+def test_fixed_spin_names_a_dimension_zero_vertex():
+    # twice-spin 8 on b0 leaves no intertwiner at vertex 0 (dims (0, 2)):
+    # the error names the sector and the vertex before any engine is built
+    base = tiny_generic()
+    spins = {**base.sectors[0].spins, "b0": 8}
+    sc = dataclasses.replace(base, sectors=[base.sectors[0], Sector(spins, name="empty")])
+    assert sc.vertex_dims(1) == (0, 2)
+    with pytest.raises(ValueError, match="sector 1 has intertwiner dimension 0 at vertex 0"):
+        fixed_spin_criteria(sc, 1)
+    assert "_engine" not in sc.__dict__
+    assert fixed_spin_criteria(sc, 0) == fixed_spin_criteria(base, 0)
+
+
+def test_fixed_spin_memory_is_bounded():
+    # 2^16 regions go chunk by chunk, and no table of them outlives the
+    # call: once the engine's report goes, nothing the call made is held
+    sc = scenario_from_dict(ring_dict(16, 1))
+    engine = IsingEngine.of(sc)
+    engine._sigma_array(0, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fixed_spin_criteria(sc, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        engine._flip_reports.clear()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20 and held < 2**14
 
 
 def test_necessary_condition_is_exact_at_a_tie():

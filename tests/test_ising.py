@@ -351,6 +351,17 @@ def test_delta_and_energies_match_link_by_link_reference():
     assert swapped_cross >= 100
 
 
+def test_link_energies_add_link_by_link_in_order():
+    # the one reduction over links adds their terms one at a time, in link
+    # order, as the reference's loop does: equal to the bit
+    for sc in link_table_cases():
+        nv = sc.graph.n_vertices
+        energies = IsingEngine(sc)._link_energies(np.arange(1 << nv)).tolist()
+        assert energies == [[[link_terms_reference(sc, m, m, config, variant)[1]
+                              for config in range(1 << nv)] for variant in (0, 1)]
+                            for m in range(len(sc.sectors))]
+
+
 def test_hamiltonian_difference_supported_on_C():
     sc = tiny_generic()
     (_, energy, _), = IsingEngine(sc).terms(0, 0)

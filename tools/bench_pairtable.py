@@ -19,19 +19,22 @@ from the same dicts): `purity`, a fresh `IsingEngine(sc).purity()` on ms6
 and then ms5; `fixed_spin`, `fixed_spin_criteria(dense_ring8, 0)` on the
 scenario's shared engine, whose sigma_I arrays are built by an untimed
 first call, as in every perfbench dense-bulk cycle after the first;
-`load`, `load_scenario` of `dense_ring8.json` (3.3 MB, validation
-included).  It reports per side and stage the median and quartiles of
-the alternation medians and the alternations won.  Decision rule: a side
+`fixed_spin_first`, the same call on a fresh scenario built from
+dense_ring8's dict, its validation and sigma_I fill untimed before each
+call: the first call on an engine, which perfbench never times; `load`,
+`load_scenario` of `dense_ring8.json` (3.3 MB, validation included).  It
+reports per side and stage the median and quartiles of the alternation
+medians and the alternations won.  Decision rule: a side
 is faster on a stage when it wins at least 70 of 100 alternations; an A/A
 run (one checkout on both sides) should read inside 30-70.  Limits: the
 stages call the library only, and each side's modules are put back into
 `sys.modules` before its calls, so that an import inside a function (as
 in `rstn.cli`) resolves to that side; module-level memos are per side by
 construction, and all are warm after the untimed first calls: the engine
-plans (`rstn.ising._plans`), the block layouts and vertex maps
-(`_layout`, `_vertex_maps`), and `holography._regions`.  numpy, click and
-the standard library are shared.  A second harness, not a gate:
-perfbench stays the gate for end-to-end metrics.
+plans (`rstn.ising._plans`) and the block layouts and vertex maps
+(`_layout`, `_vertex_maps`).  numpy, click and the standard library are
+shared.  A second harness, not a gate: perfbench stays the gate for
+end-to-end metrics.
 
 Every `--root NAME=PATH` is a checkout of rstn whose `src/` is imported
 in fresh interpreters (one BLAS/OpenMP thread); the report keys its
@@ -105,7 +108,8 @@ STAGES = ("init", "sigma", "table")
 TEMPS = ("cold", "warm")
 ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
 INTERLEAVE = 100  # alternations of `--interleave`
-INTERLEAVE_STAGES = {"purity": 15, "fixed_spin": 15, "load": 3}  # calls a side, each time
+INTERLEAVE_STAGES = {"purity": 15, "fixed_spin": 15, "fixed_spin_first": 15,
+                     "load": 3}  # calls a side, each time
 MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
             "appendix_c2_100": ("appendix_c", (2,), 100),
             "appendix_c1_100": ("appendix_c", (1,), 100),
@@ -318,12 +322,21 @@ def interleave(roots: list[str]) -> dict:
         scs = [state.scenario_from_dict(d) for d in ms]
         sc = state.load_scenario(path)
         holography.fixed_spin_criteria(sc, 0)  # builds the shared engine's sigma_I
-        stages = {"purity": lambda ising=ising, scs=scs: [ising.IsingEngine(x).purity()
-                                                          for x in scs],
-                  "fixed_spin": lambda h=holography, sc=sc: h.fixed_spin_criteria(sc, 0),
-                  "load": lambda state=state: state.load_scenario(path)}
-        for call in stages.values():
-            call()
+
+        def fresh(state=state, ising=ising):  # validated, sigma_I filled
+            x = state.scenario_from_dict(dense)
+            ising.IsingEngine.of(x)._sigma_array(0, 0)
+            return x
+
+        flips = lambda x, h=holography: h.fixed_spin_criteria(x, 0)
+        # stage: (untimed setup, timed call of its result)
+        stages = {"purity": (lambda scs=scs: scs, lambda scs, ising=ising: [
+                      ising.IsingEngine(x).purity() for x in scs]),
+                  "fixed_spin": (lambda sc=sc: sc, flips),
+                  "fixed_spin_first": (fresh, flips),
+                  "load": (lambda: path, state.load_scenario)}
+        for setup, call in stages.values():
+            call(setup())
         sides.append(({n: m for n, m in sys.modules.items()
                        if n == "rstn" or n.startswith("rstn.")}, stages))
     medians = {root: {stage: [] for stage in INTERLEAVE_STAGES} for root in roots}
@@ -333,11 +346,13 @@ def interleave(roots: list[str]) -> dict:
                 for i in ((0, 1) if k % 2 == 0 else (1, 0)):
                     modules, stages = sides[i]
                     sys.modules.update(modules)
+                    setup, call = stages[stage]
                     times = []
                     for _ in range(calls):
+                        arg = setup()
                         gc.collect()
                         t0 = time.perf_counter()
-                        stages[stage]()
+                        call(arg)
                         times.append(time.perf_counter() - t0)
                     medians[roots[i]][stage].append(statistics.median(times))
     finally:

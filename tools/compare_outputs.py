@@ -51,7 +51,8 @@ null vector); perfbench's seed-1 inputs (`dense_ring8`,
 `random_scenario` draws from one fixed generator, every fifth with its
 cross-sector blocks dropped.
 
-It prints each root's line count of `src/`, one line per item that
+It prints each root's line and AST statement counts of `src/` (joining
+or splitting lines moves only the first), one line per item that
 differs (for analyze and cli, with the first line that differs, as each
 root has it; for sigma and lower, with the largest difference relative to
 max(1, |sigma|) and whether the inf/NaN patterns agree; for pairs, how
@@ -69,6 +70,7 @@ item repeats a sigma item.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import glob
 import hashlib
@@ -323,12 +325,17 @@ def src(root: str) -> str:
     return os.path.join(root.split("=", 1)[-1], "src")
 
 
-def src_lines(root: str) -> int:
-    total = 0
+def src_size(root: str) -> tuple[int, int]:
+    """Lines and AST statements (`ast.stmt` nodes) over every `src/**/*.py`:
+    joining or splitting lines changes the first count only."""
+    lines = statements = 0
     for path in glob.glob(os.path.join(src(root), "**", "*.py"), recursive=True):
         with open(path, encoding="utf-8") as fh:
-            total += sum(1 for _ in fh)
-    return total
+            text = fh.readlines()
+        lines += len(text)
+        statements += sum(isinstance(node, ast.stmt)
+                          for node in ast.walk(ast.parse("".join(text))))
+    return lines, statements
 
 
 def collect(root: str, cache: str) -> dict:
@@ -466,7 +473,8 @@ def main() -> None:
     if len(args.root) != 2:
         ap.error("give exactly two --root NAME=PATH")
     for root in args.root:
-        print(f"{root.split('=', 1)[0]}: src/ has {src_lines(root)} lines")
+        print("{}: src/ has {} lines and {} statements".format(
+            root.split("=", 1)[0], *src_size(root)))
     cache = tempfile.mkdtemp(prefix="compare_outputs_")
     try:
         for root in args.root:
