@@ -200,25 +200,26 @@ def _by_size(bits: np.ndarray) -> np.ndarray:
     return np.argsort(bits @ ((1 << bits.shape[1]) - (1 << np.arange(bits.shape[1])[::-1])))
 
 
-def _flip_report(engine: IsingEngine, sector: int, dims: tuple[int, ...]) -> tuple:
+def _flip_report(engine: IsingEngine, sector: int) -> tuple:
     """The failing, degenerate and necessary-failing rows of `fixed_spin_criteria`
     as tuples.  The sets come in the engine's `_chunks` of masks, as rows of 0/1
-    per vertex; those in a row are put in order (`_by_size`) as vertex tuples."""
-    # per link: d away from C (else 1), d on C (else 1)
-    away, on_c = ([dim_rep(tj) ** (c == side) for tj, c in zip(
-        engine._plan.twice[sector].tolist(), engine._plan.on_C.tolist())] for side in (False, True))
-    sigma, found, empty = engine._sigma_array(sector, sector), [], None  # sigma: S2 per set
+    per vertex; those in a row are put in order (`_by_size`) as vertex tuples.
+    Per set, in exponents over the plan's base: those of lhs, the variant-1
+    link exponents less the empty set's, and the gap, lhs's less those of
+    prod_{x in X} dim_x, whose float `near` and size sum_b |e_b| log b."""
+    plan, sigma, found = engine._plan, engine._sigma_array(sector, sector), []
+    empty = plan.pay_exps[:, sector, plan.on_C[plan.pay]].sum(-1)[:, None]  # of prod_C d
     for configs in engine._chunks():
         bits = np.bitwise_and(configs[:, None] >> np.arange(engine.n_vert), 1, dtype=np.int8)
-        energy = engine._link_energies(configs)[sector, 1]
-        empty = energy[0] if empty is None else empty  # sum_C log d
-        lhs, rhs, nec = energy - empty, sigma[configs[0]:configs[-1] + 1], bits @ np.log(dims)
-        necessary = lhs <= nec
-        # near a tie, in integers: prod_{cut(X) \ C} d <= prod_{x in X} dim_x prod_{cut(X) & C} d
-        ties = np.flatnonzero(np.abs(lhs - nec) <= 1e-9 * np.maximum(1.0, np.abs(nec)))
-        necessary[ties] = [math.prod(compress(away, cut)) <= math.prod(compress(dims, row))
-                           * math.prod(compress(on_c, cut)) for cut, row in zip(
-                               engine.sc.graph.cuts(configs[ties]).T.tolist(), bits[ties].tolist())]
+        exps = engine._link_exponents(configs)[:, sector, 1] - empty
+        gap = exps - plan.vertex_exps[sector].T @ bits.T
+        lhs, near, size = map(plan.log_of, (exps, gap, np.abs(gap)))
+        necessary = ~gap.any(axis=0) | (near < 0.0)  # a zero vector is a tie
+        for i in np.flatnonzero(gap.any(axis=0) & (np.abs(near) <= 1e-9 * size)).tolist():
+            v = gap[:, i].astype(int).tolist()
+            necessary[i] = (math.prod(b ** e for b, e in zip(plan.base, v) if e > 0)
+                            < math.prod(b ** -e for b, e in zip(plan.base, v) if e < 0))
+        rhs = sigma[configs[0]:configs[-1] + 1]
         # math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL), elementwise
         tol = np.maximum(1e-9 * np.maximum(np.abs(lhs), np.abs(rhs)), EQUALITY_TOL)
         degenerate = (lhs == rhs) | (np.isfinite(rhs) & (np.abs(rhs - lhs) <= tol))
@@ -244,13 +245,17 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
 
         sum_{cut(X) \\ C} log d  -  sum_{cut(X) & C} log d  >  S2(rho_X).
 
-    The left side is the engine's swapped-variant link energy of X
-    (`IsingEngine._link_energies`, C half-edges pinned swapped) less that
-    of the empty set, sum_C log d.  Equality cases are collected
-    separately as degeneracies.  The report also lists regions that
-    already fail the weaker necessary condition, sum_{x in X} log dim_x
-    in place of S2: the sums are logs of integers, so within 1e-9 of a
-    tie the products decide, exactly.  Rows go by region size, then in
+    The left side is the engine's swapped-variant link exponents of X
+    (`IsingEngine._link_exponents`, C half-edges pinned swapped) less those
+    of the empty set, prod_C d, converted once (`_Plan.log_of`): no float
+    is subtracted.  Equality cases are collected separately as
+    degeneracies.  The report also lists regions that already fail the
+    weaker necessary condition, sum_{x in X} log dim_x in place of S2,
+    decided on the exponent vector v of lhs less prod_{x in X} dim_x: a
+    zero vector is an exact tie, and fails; any other by the sign of its
+    float sum_b v_b log b, whose rounding error is below (base size + 2)
+    2^-52 sum_b |v_b| log b, except within 1e-9 of that size, where Python
+    int products of the base powers decide.  Rows go by region size, then in
     `itertools.combinations` order.  The report is built on the first
     call per sector (`_flip_report`) and kept on the shared engine; each
     call returns new lists of the same rows.
@@ -263,6 +268,6 @@ def fixed_spin_criteria(sc: Scenario, sector: int = 0) -> FixedSpinReport:
                          f"{dims.index(0)}: no bulk state, so no flip criteria")
     engine = IsingEngine.of(sc)
     if sector not in engine._flip_reports:
-        engine._flip_reports[sector] = _flip_report(engine, sector, dims)
+        engine._flip_reports[sector] = _flip_report(engine, sector)
     rows = engine._flip_reports[sector]
     return FixedSpinReport(sector, not (rows[0] or rows[1]), *map(list, rows))

@@ -11,7 +11,9 @@ with v = 0 (normalization) or 1 (region C swapped at the boundary).
 Purity of C is then a quotient of K-weighted sums of these.
 
 Configurations are ints; bit x set means sigma_x = -1 (swapped).
-Energies are natural logs; +inf marks an excluded configuration.
+Energies are natural logs; +inf marks an excluded configuration.  A link
+energy is stated once, in integers: the exponents of prod 2j+1 over a
+coprime base (`IsingEngine._link_exponents`), converted once (`_Plan.log_of`).
 
 Links of both kinds share one table in `graph.link_ids()` order; their
 ends and the one cut rule are the graph's (`ColoredGraph.ends`, `.cuts`).
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rstn.logdomain import LogWeight, log_sum_rows, log_sum_tree
-from rstn.spins import dim_rep
+from rstn.spins import coprime_base, dim_rep
 from rstn.state import Scenario, SizeCapError, adjoint_close
 
 SIGMA_IMAG_TOL = 1e-9
@@ -316,14 +318,20 @@ class _Plan:
     """What engines read of a scenario's structure alone (the key of
     `_plans`: the graph, each sector's twice-spins in `graph.link_ids()`
     order, region C, the given block keys), read-only: the link table
-    (`on_C`, per sector `twice` and `logd` = log(2j+1), the paying links
-    with their log(2j+1) and cut flip per variant); `pins[m, n]`, per
-    variant the vertices Delta pins (up, down): of half-edges whose spins
-    differ (a leg swapped between the copies, sigma_s * h = -1, needs equal
-    spins) up, of C half-edges down in variant 1 (h = -1 on C), nothing
-    else, as in both oracles; `agree[p][q]`, the vertices at no end of a
-    differing link; `tiles`, the sigma_I fill plan of every pair m <= n
-    (`_sigma_tiles`), so that an engine's fill reads only values.
+    (`on_C`, per sector `twice`; the paying links, 2j+1 > 1 in some sector,
+    with their cut flip per variant and `pay_exps`, the exponents of 2j+1
+    per base element, sector and link over `base`, the `coprime_base` of
+    every link and vertex dimension, whose logs `log_base` holds in base
+    order; `vertex_exps`, those of each sector's vertex dimensions, 0 for
+    a dimension 0; both integers held in float64, which is exact: an
+    exponent is below log2(2j+1), so every sum of them is an integer far
+    below 2^53); `pins[m, n]`, per variant the vertices Delta pins (up,
+    down): of half-edges whose spins differ (a leg swapped between the
+    copies, sigma_s * h = -1, needs equal spins) up, of C half-edges down
+    in variant 1 (h = -1 on C), nothing else, as in both oracles;
+    `agree[p][q]`, the vertices at no end of a differing link; `tiles`,
+    the sigma_I fill plan of every pair m <= n (`_sigma_tiles`), so that
+    an engine's fill reads only values.
 
     An internal link whose spins differ pins nothing: swapped at both ends,
     each copy's ket meets the other copy's bra, a hybrid sector that carries
@@ -334,24 +342,39 @@ class _Plan:
     def __init__(self, sc: Scenario, ids: list[str], twice: tuple):
         ends, n = sc.graph.ends, len(twice)
         self.on_C, self.twice = np.array([lid in sc.region_C for lid in ids]), np.array(twice)
-        self.logd = np.array([[math.log(dim_rep(tj)) for tj in row] for row in twice])
         self.half_edge = np.bitwise_count(ends) == 1
-        self.pay = np.flatnonzero(self.logd.any(axis=0))
-        self.pay_logd = self.logd.T[self.pay, :, None, None]  # (links, sectors, 1, 1)
+        self.pay = np.flatnonzero(self.twice.any(axis=0))
         self.pay_flips = self.on_C[self.pay, None, None] * np.uint8([[0], [1]])  # C swapped
+        vdims = [sc.vertex_dims(s) for s in range(n)]
+        dims = {dim_rep(tj) for row in twice for tj in row} | set(sum(vdims, ()))
+        base = coprime_base(dims)
+        self.log_base = np.array([math.log(b) for b in base])
+        exps = {d: [next(k for k in range(d.bit_length()) if d % b ** (k + 1)) if d else 0
+                    for b in base] for d in dims}  # the multiplicity of b in d
+        self.pay_exps = np.ascontiguousarray(np.array(
+            [[exps[dim_rep(row[k])] for k in self.pay] for row in twice], float,
+        ).reshape(n, len(self.pay), len(base)).transpose(2, 0, 1))
+        self.vertex_exps = np.array([[exps[d] for d in row] for row in vdims], float)
         differ = np.where(self.twice[:, None] != self.twice, ends, 0)
         up, down = (np.bitwise_or.reduce(np.where(on, differ, 0), axis=-1)
                     for on in (self.half_edge & ~self.on_C, self.on_C))
         self.pins = np.stack([up | down, 0 * up, up, down], -1).reshape(n, n, 2, 2)
         for arr in vars(self).values():  # all arrays, so far
             arr.flags.writeable = False
+        self.base, self.vdims = base, vdims
         self.agree = ((1 << sc.graph.n_vertices) - 1
                       & ~np.bitwise_or.reduce(differ, axis=-1)).tolist()
-        self.vdims = [sc.vertex_dims(s) for s in range(n)]
         self.given = frozenset(sc.blocks)
         self.present = frozenset(k for key in sc.blocks for k in (key, key[::-1]))
         self.dim_H_C = sc.dim_H_C()
         self.tiles = self._sigma_tiles(sc.graph.n_vertices)
+
+    def log_of(self, exps: np.ndarray) -> np.ndarray:
+        """sum_b e_b log b over the base, axis 0 of `exps`: term by term in
+        base order, one elementwise step each, so that every entry is a
+        function of its own exponents, whatever the array's layout."""
+        return sum((row * log_b for row, log_b in zip(exps, self.log_base)),
+                   np.zeros(exps.shape[1:]))
 
     def _sigma_tiles(self, n_vert: int) -> list:
         """The pairs m <= n in tiles of max(1, 2^TILE_BITS >> V) with the
@@ -438,7 +461,8 @@ class IsingEngine:
             for tj, amp in sc.amplitudes.get(lid, {}).items():
                 g2[plan.twice[:, k] == tj, k] = abs(amp) ** 2
         self._log_g2 = np.log(g2, out=np.full(g2.shape, -math.inf), where=g2 > 0.0)
-        self._log_kt = np.where(plan.half_edge, plan.logd, self._log_g2).sum(1).tolist()
+        self._log_kt = (plan.log_of(plan.pay_exps[..., plan.half_edge[plan.pay]].sum(-1))
+                        + np.where(plan.half_edge, 0.0, self._log_g2).sum(1)).tolist()
         self._c = [sc.c_norm(s) for s in range(self.n_sec)]
 
     @staticmethod
@@ -517,18 +541,24 @@ class IsingEngine:
 
     # -- energies ------------------------------------------------------------
 
+    def _link_exponents(self, configs: np.ndarray) -> np.ndarray:
+        """Link exponents of each configuration, (base, n_sec, 2, k), per base
+        element, sector and variant: those of prod 2j+1 over the links cut,
+        which in variant 1, where the C half-edges are pinned swapped, flips
+        on C.  A pair reads the spins of its first sector: where its two
+        sectors differ on a link, no configuration that Delta admits with
+        finite sigma_I cuts it (Delta pins a half-edge's vertex, sigma_I is
+        +inf where an internal link is swapped at one end only).  One product
+        of `_Plan.pay_exps` with the 0/1 cut table: a sum of integers, exact
+        in float64 (see `_Plan`), so its order does not matter."""
+        paid = self.sc.graph.cuts(configs, self._plan.pay)[:, None] ^ self._plan.pay_flips
+        return np.tensordot(self._plan.pay_exps, paid, 1)
+
     def _link_energies(self, configs: np.ndarray) -> np.ndarray:
-        """Link energy of each configuration, (n_sec, 2, k), per sector and
-        variant.  A link pays log(2j+1) when cut; in variant 1 the C
-        half-edges are pinned swapped, so there the cut flips.  A pair
-        reads the spins of its first sector: where its two sectors differ
-        on a link, no configuration that Delta admits with finite sigma_I
-        cuts it (Delta pins a half-edge's vertex, sigma_I is +inf where an
-        internal link is swapped at one end only).  Terms are added in link
-        order, but for spin-0 links, which pay 0.0 in every sector."""
-        plan = self._plan
-        paid = self.sc.graph.cuts(configs, plan.pay)[:, None] ^ plan.pay_flips  # 0 or 1
-        return np.add.reduce(plan.pay_logd * paid[:, None], axis=0)  # a slow axis: in link order
+        """Link energy of each configuration, (n_sec, 2, k): the log of prod
+        2j+1 over the links cut, `_Plan.log_of` its `_link_exponents`, so a
+        function of the exponent vector alone."""
+        return self._plan.log_of(self._link_exponents(configs))
 
     def _chunks(self, n_pairs: int = 1):
         """Consecutive ranges of 2^k configurations (CHUNK_BITS, TILE_BITS)."""

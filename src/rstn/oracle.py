@@ -69,19 +69,17 @@ def link_swap_trace(
     carrying the other spin there: the bras are those of k, then j.
     Memoised by its arguments.
     """
-    ej = _pair_state(twice_j, g_j)
-    ek = _pair_state(twice_k, g_k)
     if swap_source != swap_target and twice_j != twice_k:
         return 0.0
+    ej, ek = _pair_state(twice_j, g_j), _pair_state(twice_k, g_k)
     # rho1 = |ej><ej| with row legs (a_s, a_t), col legs (a_s', a_t');
     # swap on a leg reroutes the primed index to the other copy
-    if not swap_source and not swap_target:
-        sub = "ab,ab,cd,cd->"
-    elif swap_source and swap_target:
-        return complex(np.einsum("ab,cd,cd,ab->", ej, ek.conj(), ek, ej.conj()))
-    else:
-        sub = "ab,cb,cd,ad->" if swap_source else "ab,ad,cd,cb->"
-    return complex(np.einsum(sub, ej, ej.conj(), ek, ek.conj()))
+    sub = {(False, False): "ab,ab,cd,cd->", (True, False): "ab,cb,cd,ad->",
+           (False, True): "ab,ad,cd,cb->", (True, True): "ab,cd,cd,ab->"}
+    bras = (ek, ej) if swap_source and swap_target else (ej, ek)
+    # a path: pairwise products, O(d^3), where the four-operand loop is O(d^4)
+    return complex(np.einsum(sub[swap_source, swap_target], ej, bras[0].conj(), ek,
+                             bras[1].conj(), optimize="greedy"))
 
 
 @functools.lru_cache(maxsize=1 << 10)

@@ -8,6 +8,8 @@ tensors; only dimensions and channel labels are needed.
 
 from __future__ import annotations
 
+import math
+
 
 def dim_rep(twice_j: int) -> int:
     """Dimension 2j+1 of the spin-j irrep, j given as twice its value."""
@@ -42,3 +44,21 @@ def intertwiner_dimension(twice_js: tuple[int, int, int, int]) -> int:
     """Dimension of the invariant subspace of a 4-valent vertex, counted
     without listing its channels."""
     return len(_channels(twice_js))
+
+
+def coprime_base(values) -> tuple[int, ...]:
+    """Pairwise coprime integers above 1, ascending, whose products give
+    every value above 1 in `values`: a value that shares a factor g with
+    one of the base leaves, and both come back as g and their quotients
+    by g.  No factoring: at most one gcd per value and base element per
+    step, polynomial in the values' bits.  Over such a base a product has
+    one exponent vector, so equal products are equal vectors."""
+    base, todo = set(), {v for v in values if v > 1}
+    while todo:
+        x = todo.pop()
+        if b := next((b for b in base if math.gcd(x, b) > 1), None):
+            base.discard(b)
+            todo |= {g := math.gcd(x, b), b // g, x // g} - {1}
+        else:
+            base.add(x)
+    return tuple(sorted(base))

@@ -14,7 +14,9 @@ pair's partition data by its own ground scan over its compacted chunks
 and log_sum_tree over its whole rows, the fixed-spin flip
 criteria by one Python pass per region, their necessary condition and
 the ground states of constant-sigma_I pairs in integer products, Delta and the link energies
-link by link from `cut_reference` (the cut rule on Python sets), the
+link by link from `cut_reference` (the cut rule on Python sets), their
+exponents over the engine's base (the largest power of each element
+dividing d) summed in Python ints and converted as the engine does, the
 `analyze --terms` rows from those and the einsum sigma_I, H_1 - H_0
 and the bulk-boundary energy and the boundary factor by one pass over
 the links, the Monte Carlo purity one sample at a time, the second Haar
@@ -83,7 +85,7 @@ from rstn.oracle import (
     boundary_trace,
     link_swap_trace,
 )
-from rstn.spins import dim_rep
+from rstn.spins import coprime_base, dim_rep
 from rstn.state import ParseError, Scenario, Sector, _distinct_keys, scenario_from_dict
 
 
@@ -585,27 +587,18 @@ def fixed_spin_reference(sc: Scenario, sector: int) -> FixedSpinReport:
 
     Regions come from itertools.combinations, cut links from
     `cut_reference` and S2 of each reduction from `einsum_sigma`.  The
-    left side is summed link by link in link order, as the swapped-variant
-    link energy (the cut toggled on C) less sum_C log d, also in link
-    order; the necessary list is `necessary_reference`, in integers.
+    left side is the swapped-variant link energy (the cut toggled on C)
+    less that of the empty set, prod_C d divided out, in exponents by
+    `links_log_reference`; the necessary list is `necessary_reference`,
+    in integers.
     """
     g = sc.graph
-    ids = g.link_ids()
-    logd = {lid: math.log(dim_rep(sc.spin(sector, lid))) for lid in ids}
-    on_c = 0.0
-    for lid in ids:
-        if lid in sc.region_C:
-            on_c += logd[lid]
     report = FixedSpinReport(sector=sector, passed=True,
                              necessary_failing=necessary_reference(sc, sector))
     for r in range(1, g.n_vertices + 1):
         for xs in itertools.combinations(range(g.n_vertices), r):
             cut = set(cut_reference(g, set(xs)))
-            energy = 0.0
-            for lid in ids:
-                if (lid in cut) != (lid in sc.region_C):
-                    energy += logd[lid]
-            lhs = energy - on_c
+            lhs = links_log_reference(sc, sector, cut ^ set(sc.region_C), sc.region_C)
             rhs = einsum_sigma(sc, sector, sector, sum(1 << x for x in xs))
             if math.isclose(lhs, rhs, abs_tol=EQUALITY_TOL):
                 report.degenerate.append((xs, lhs, rhs))
@@ -646,6 +639,36 @@ def tie_chains() -> list[Scenario]:
     return out
 
 
+def base_reference(sc: Scenario) -> tuple[int, ...]:
+    """The engine's base of a scenario: `coprime_base` of every sector's
+    link and vertex dimensions (the convention that `tests/test_spins.py`
+    pins), so that a link energy converts as the engine's does."""
+    return coprime_base({dim_rep(tj) for sec in sc.sectors for tj in sec.spins.values()}
+                        | {d for s in range(len(sc.sectors)) for d in sc.vertex_dims(s)})
+
+
+def exponents_reference(d: int, base: tuple[int, ...]) -> list[int]:
+    """Per base element b, the largest k with b^k dividing d."""
+    return [max(k for k in range(d.bit_length() + 1) if d % b**k == 0) for b in base]
+
+
+def links_log_reference(sc: Scenario, sector: int, links, less=()) -> float:
+    """log of prod 2j+1 of sector over `links` (over `less` divided out),
+    in exponents summed link by link in `link_ids()` order, then converted
+    as `_Plan.log_of` does: sum_b e_b log b, term by term in base order."""
+    base = base_reference(sc)
+    exps = [0] * len(base)
+    for lid in sc.graph.link_ids():
+        for sign, group in ((1, links), (-1, less)):
+            if lid in group:
+                d = dim_rep(sc.spin(sector, lid))
+                exps = [e + sign * k for e, k in zip(exps, exponents_reference(d, base))]
+    out = 0.0
+    for e, b in zip(exps, base):
+        out += e * math.log(b)
+    return out
+
+
 def link_terms_reference(
     sc: Scenario, m: int, n: int, config: int, variant: int
 ) -> tuple[bool, float]:
@@ -656,17 +679,16 @@ def link_terms_reference(
     whose vertex is swapped against its pinning (sigma * h = -1).  An
     internal link whose spins differ is no Delta constraint: swapped at
     one end it has no hybrid sector (sigma_I is +inf), swapped at both its
-    term stands.  The energy is log(2j+1) of sector m summed over the
-    links cut, `cut_reference(S)` with C toggled in variant 1.
+    term stands.  The energy is log prod 2j+1 of sector m over the links
+    cut, `cut_reference(S)` with C toggled in variant 1, by
+    `links_log_reference`.
     """
     g = sc.graph
     down = {x for x in range(g.n_vertices) if config >> x & 1}
     cut = set(cut_reference(g, down)) ^ (set(sc.region_C) if variant else set())
     touched = {lid for lid in cut if not g.is_internal(lid)}
     ok = all(sc.spin(m, lid) == sc.spin(n, lid) for lid in touched)
-    energy = sum(math.log(dim_rep(sc.spin(m, lid)))
-                 for lid in g.link_ids() if lid in cut)
-    return ok, energy
+    return ok, links_log_reference(sc, m, cut)
 
 
 def terms_reference(sc: Scenario) -> list[dict]:

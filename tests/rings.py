@@ -9,6 +9,9 @@ spin 0, and sector s puts twice-spin s+1 on every internal link, so
 each vertex tuple (s+1, s+1, 0, 0) has intertwiner dimension 1 and the
 bulk state is diagonal with equal weights.
 
+`mixed_ring_dict` takes per sector the twice-spins of the ring links,
+with legs that keep each vertex of dimension 1.
+
 `dense_ring_dict` has one spin-1/2 sector, every vertex tuple of
 intertwiner dimension 2, and a dense 2^N x 2^N bulk state.  For odd N
 the closing link takes colour 3, and its ends move that leg to the
@@ -45,6 +48,19 @@ def ring_dict(n_vertices: int, n_sectors: int) -> dict:
         },
         "region_C": ["b0"],
     }
+
+
+def mixed_ring_dict(twice: list[list[int]]) -> dict:
+    """`ring_dict(len(twice[0]), len(twice))` with sector s carrying
+    twice[s][x] on ring link i<x>: leg b<2x> carries the sum of vertex x's
+    two ring twice-spins and b<2x+1> spin 0, so that every vertex keeps
+    intertwiner dimension 1 and the 1x1 blocks stay valid."""
+    n = len(twice[0])
+    data = ring_dict(n, len(twice))
+    for sector, row in zip(data["sectors"], twice):
+        sector["spins"].update({f"i{x}": row[x] for x in range(n)})
+        sector["spins"].update({f"b{2 * x}": row[x - 1] + row[x] for x in range(n)})
+    return data
 
 
 def dense_ring_dict(n_vertices: int, rng: np.random.Generator,

@@ -303,13 +303,13 @@ def test_flip_sides_are_kept_per_engine_and_sector(monkeypatch):
     sc = appendix_c(2, 0.3, 0.25, 0.45)
     first = [fixed_spin_criteria(sc, s) for s in (0, 1)]
     calls = []
-    for name in ("_link_energies", "_sigma_array"):
+    for name in ("_link_exponents", "_sigma_array"):
         real = getattr(IsingEngine, name)
         monkeypatch.setattr(IsingEngine, name, lambda self, *args, name=name, real=real:
                             calls.append(name) or real(self, *args))
     assert [fixed_spin_criteria(sc, s) for s in (0, 1)] == first and calls == []
     assert [fixed_spin_criteria(dataclasses.replace(sc), s) for s in (0, 1)] == first
-    assert calls.count("_link_energies") == 2 and "_sigma_array" in calls
+    assert calls.count("_link_exponents") == 2 and "_sigma_array" in calls
 
 
 def test_fixed_spin_names_a_dimension_zero_vertex():
@@ -341,6 +341,22 @@ def test_fixed_spin_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20 and held < 2**14
+
+
+def test_every_set_ties_on_a_spin_zero_ring():
+    # every link has dimension 1: each of the 1,023 sets has lhs exponents of
+    # zero against prod dim_x = 1 and S2 = 0, so it is degenerate and fails
+    # the necessary test, exactly, as the region-by-region references say
+    data = ring_dict(10, 1)
+    data["sectors"][0]["spins"] = dict.fromkeys(data["sectors"][0]["spins"], 0)
+    sc = scenario_from_dict(data)
+    rep = fixed_spin_criteria(sc, 0)
+    regions = [r for k in range(1, 11) for r in itertools.combinations(range(10), k)]
+    assert len(regions) == 1023 and not rep.passed and not rep.failing
+    assert [r[0] for r in rep.degenerate] == regions
+    assert all(lhs == 0.0 == rhs for _, lhs, rhs in rep.degenerate)
+    assert rep.necessary_failing == regions == necessary_reference(sc, 0)
+    assert rep == fixed_spin_reference(sc, 0)
 
 
 def test_necessary_condition_is_exact_at_a_tie():

@@ -352,8 +352,9 @@ def test_delta_and_energies_match_link_by_link_reference():
 
 
 def test_link_energies_add_link_by_link_in_order():
-    # the one reduction over links adds their terms one at a time, in link
-    # order, as the reference's loop does: equal to the bit
+    # the exponents of the links cut, summed link by link in link order as
+    # the reference's loop does and converted once as the plan does, are
+    # the engine's energies to the bit, whatever order the engine sums in
     for sc in link_table_cases():
         nv = sc.graph.n_vertices
         energies = IsingEngine(sc)._link_energies(np.arange(1 << nv)).tolist()
@@ -1471,7 +1472,7 @@ def test_plan_memo_is_bounded_and_holds_no_values(monkeypatch):
     arrays = list(plan_arrays(ising._plans))
     assert any(a is plan.pins for a in arrays)
     assert all(a.size < 1 << 16 for a in arrays)
-    for arr in (plan.on_C, plan.twice, plan.logd, plan.pay_logd, plan.pins):
+    for arr in (plan.on_C, plan.twice, plan.log_base, plan.pay_exps, plan.vertex_exps, plan.pins):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import pstats
+import time
 import tracemalloc
 from importlib import resources
 
@@ -66,6 +67,22 @@ def test_swap_trace_lemmas():
             assert one == pytest.approx(mag / (tj + 1), rel=1e-12)
         else:
             assert one == 0.0
+
+
+@pytest.mark.parametrize("tj", [120, 200, 240])
+def test_swap_trace_closed_values_at_high_spin(tj):
+    # d = 121 and beyond: |g_j g_k|^2 unswapped and swapped at both ends,
+    # |g_j g_k|^2 / d swapped at one end; pairwise products keep each call
+    # in O(d^3), which the four-operand loop took seconds for at d = 121
+    gj, gk = 0.3 + 0.4j, 1.1 - 0.2j
+    mag = abs(gj) ** 2 * abs(gk) ** 2
+    t0 = time.perf_counter()
+    for swaps, expect in (((False, False), mag), ((True, True), mag),
+                          ((True, False), mag / (tj + 1)), ((False, True), mag / (tj + 1))):
+        value = link_swap_trace.__wrapped__(tj, tj, gj, gk, *swaps)
+        assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert link_swap_trace.__wrapped__(tj, tj - 2, gj, gk, True, False) == 0.0
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_internal_link_swapped_at_both_ends_matches_monte_carlo():

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (block_diagonal, json_load_reference, necessary_reference, pure_bulk,
-                     region_difference_reference, sequential_ground_scan)
-from rings import dense_ring_dict
+from oracles import (block_diagonal, cut_products, json_load_reference, necessary_reference,
+                     pure_bulk, region_difference_reference, sequential_ground_scan)
+from rings import dense_ring_dict, mixed_ring_dict
 from rstn.families import _template, random_scenario
 from rstn.holography import fixed_spin_criteria
 from rstn.ising import TIE_TOL, IsingEngine, NumericalError, _GroundScan
@@ -84,6 +84,72 @@ def test_necessary_condition_equals_integer_products(seed, template, n_sectors, 
     for sector in range(n_sectors):
         assert (fixed_spin_criteria(sc, sector).necessary_failing
                 == necessary_reference(sc, sector))
+
+
+link_params = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "template": st.sampled_from(["one", "two", "chain", "ring4", "ring6", "ring8"]),
+    "n_sectors": st.integers(1, 3),
+    "max_twice": st.integers(1, 12),
+})
+
+
+def build_links(params):
+    """A `random_scenario` on a template, or a `mixed_ring_dict` of 4, 6 or
+    8 vertices with distinct random ring twice-spins per sector."""
+    rng = np.random.default_rng(params["seed"])
+    if not params["template"].startswith("ring"):
+        return random_scenario(rng, params["template"], params["n_sectors"],
+                               params["max_twice"])
+    n, rows = int(params["template"][4:]), set()
+    while len(rows) < params["n_sectors"]:
+        rows.add(tuple(rng.integers(0, params["max_twice"] + 1, n).tolist()))
+    return scenario_from_dict(mixed_ring_dict(sorted(rows)))
+
+
+@SETTINGS
+@given(link_params)
+def test_equal_link_products_give_bit_equal_energies(params):
+    # every sector, variant and configuration whose cut links have the same
+    # product of dimensions (`cut_products`, in Python ints) has one float
+    sc = build_links(params)
+    nv = sc.graph.n_vertices
+    energies = IsingEngine(sc)._link_energies(np.arange(1 << nv)).tolist()
+    by_product: dict[int, set] = {}
+    for s, rows in enumerate(energies):
+        for v, row in enumerate(rows):
+            for config, energy in enumerate(row):
+                key = math.prod(cut_products(sc, s, config, bool(v)))
+                by_product.setdefault(key, set()).add(energy)
+    assert all(len(values) == 1 for values in by_product.values())
+
+
+@SETTINGS
+@given(link_params, st.integers(0, 2**32 - 1))
+def test_link_exponents_of_any_split_add_to_the_whole(params, split_seed):
+    # the exponents of two halves of the paying links, summed in integers and
+    # then converted, are the whole's energies to the bit
+    sc = build_links(params)
+    engine = IsingEngine(sc)
+    plan, configs = engine._plan, np.arange(1 << sc.graph.n_vertices)
+    paid = sc.graph.cuts(configs, plan.pay)[:, None] ^ plan.pay_flips
+    half = np.random.default_rng(split_seed).random(len(plan.pay)) < 0.5
+    parts = [np.einsum("psl,lvk->psvk", plan.pay_exps[..., side].astype(np.int64), paid[side])
+             for side in (half, ~half)]
+    whole = engine._link_exponents(configs)
+    assert np.array_equal(parts[0] + parts[1], whole)
+    assert plan.log_of(parts[0] + parts[1]).tobytes() == engine._link_energies(configs).tobytes()
+
+
+@SETTINGS
+@given(link_params)
+def test_necessary_condition_on_links_equals_integer_products(params):
+    # no band: ties, near ties and clear cases alike, on templates and rings
+    sc = build_links(params)
+    for sector in range(len(sc.sectors)):
+        if 0 not in sc.vertex_dims(sector):
+            assert (fixed_spin_criteria(sc, sector).necessary_failing
+                    == necessary_reference(sc, sector))
 
 
 @SETTINGS

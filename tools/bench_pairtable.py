@@ -22,7 +22,11 @@ first call, as in every perfbench dense-bulk cycle after the first;
 `fixed_spin_first`, the same call on a fresh scenario built from
 dense_ring8's dict, its validation and sigma_I fill untimed before each
 call: the first call on an engine, which perfbench never times; `load`,
-`load_scenario` of `dense_ring8.json` (3.3 MB, validation included).  It
+`load_scenario` of `dense_ring8.json` (3.3 MB, validation included);
+`flip_ties`, the same first call as `fixed_spin_first` on a fresh
+`tests/rings.py:ring_dict(TIE_RING, 1)` with every link spin set to 0,
+where every one of the 2^14 - 1 sets ties in the necessary test and is
+degenerate, its validation and sigma_I fill untimed.  It
 reports per side and stage the median and quartiles of the alternation
 medians and the alternations won.  Decision rule: a side
 is faster on a stage when it wins at least 70 of 100 alternations; an A/A
@@ -109,7 +113,8 @@ TEMPS = ("cold", "warm")
 ROUNDS, REPS, CAP_ROUNDS = 7, 200, 3
 INTERLEAVE = 100  # alternations of `--interleave`
 INTERLEAVE_STAGES = {"purity": 15, "fixed_spin": 15, "fixed_spin_first": 15,
-                     "load": 3}  # calls a side, each time
+                     "load": 3, "flip_ties": 3}  # calls a side, each time
+TIE_RING = 14  # vertices of the spin-0 ring of `flip_ties`
 MC_CASES = {"tiny_generic_400": ("tiny_generic", (), 400),
             "appendix_c2_100": ("appendix_c", (2,), 100),
             "appendix_c1_100": ("appendix_c", (1,), 100),
@@ -302,9 +307,13 @@ def interleave(roots: list[str]) -> dict:
     import numpy as np
 
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests"))
     import inputs
+    from rings import ring_dict
 
     dense, _, _ = inputs.dense_bulk(np.random.default_rng([1, 1]))
+    ties = ring_dict(TIE_RING, 1)  # every link spin 0: every set ties
+    ties["sectors"][0]["spins"] = dict.fromkeys(ties["sectors"][0]["spins"], 0)
     ms = inputs.many_sectors(np.random.default_rng([1, 2]))[:2]
     tmp = tempfile.mkdtemp(prefix="bench_interleave_")
     path = os.path.join(tmp, "dense_ring8.json")
@@ -323,8 +332,8 @@ def interleave(roots: list[str]) -> dict:
         sc = state.load_scenario(path)
         holography.fixed_spin_criteria(sc, 0)  # builds the shared engine's sigma_I
 
-        def fresh(state=state, ising=ising):  # validated, sigma_I filled
-            x = state.scenario_from_dict(dense)
+        def fresh(data=dense, state=state, ising=ising):  # validated, sigma_I filled
+            x = state.scenario_from_dict(data)
             ising.IsingEngine.of(x)._sigma_array(0, 0)
             return x
 
@@ -334,7 +343,8 @@ def interleave(roots: list[str]) -> dict:
                       ising.IsingEngine(x).purity() for x in scs]),
                   "fixed_spin": (lambda sc=sc: sc, flips),
                   "fixed_spin_first": (fresh, flips),
-                  "load": (lambda: path, state.load_scenario)}
+                  "load": (lambda: path, state.load_scenario),
+                  "flip_ties": (lambda fresh=fresh: fresh(ties), flips)}
         for setup, call in stages.values():
             call(setup())
         sides.append(({n: m for n, m in sys.modules.items()

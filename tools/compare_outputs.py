@@ -53,18 +53,20 @@ cross-sector blocks dropped.
 
 It prints each root's line and AST statement counts of `src/` (joining
 or splitting lines moves only the first), one line per item that
-differs (for analyze and cli, with the first line that differs, as each
-root has it; for sigma and lower, with the largest difference relative to
-max(1, |sigma|) and whether the inf/NaN patterns agree; for pairs, how
-many log Z differ only in the sign of zero, the largest relative
-difference of the others and whether the other fields agree; for oracle,
-each differing field with its relative difference; for load, the first
-line that differs; for quotients, per call, each `fixed_spin_criteria`
-region whose lhs or list membership differs with both entries, or else
-the first field that differs), then a count per kind.  The exit status is 1 when an
-analyze, cli, pairs, sigma, quotients, oracle or load item differs;
-lower only reports: σ_I^{(n,m)} reads the array of (m, n), so a lower
-item repeats a sigma item.
+differs (for analyze, cli and load, where only numbers differ, how many
+do and the largest relative difference, with both values and its line,
+else the first line that differs, as each root has it; for sigma and
+lower, with the largest difference relative to max(1, |sigma|) and
+whether the inf/NaN patterns agree; for pairs, how many log Z differ
+only in the sign of zero, the largest relative difference of the others
+and whether the other fields agree; for oracle, each differing field
+with its relative difference; for quotients, per call, each
+`fixed_spin_criteria` region whose lhs or list membership differs with
+both entries, or else the first field that differs), then a count per
+kind.  The exit status is 1 when an analyze, cli, pairs, sigma,
+quotients, oracle or load item differs; lower only reports:
+σ_I^{(n,m)} reads the array of (m, n), so a lower item repeats a sigma
+item.
 """
 
 from __future__ import annotations
@@ -356,6 +358,29 @@ def line_difference(a: str, b: str) -> str:
         k + 1, *(repr(lines[k]) if k < len(lines) else "(end)" for lines in (x, y)))
 
 
+NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
+
+def numeric_difference(a: str, b: str) -> str | None:
+    """Where two outputs differ in their numeric tokens alone: how many
+    numbers differ, and the largest relative difference (to the larger
+    magnitude) with both values and its line; None where anything else
+    differs, the exit code of a command's first line included."""
+    x, y = (re.split(f"({NUMBER})", text) for text in (a, b))
+    exits = [text.partition("\n")[0] for text in (a, b) if text.startswith("exit ")]
+    if len(x) != len(y) or x[::2] != y[::2] or len(set(exits)) > 1:
+        return None
+
+    def rel(k: int) -> float:
+        u, v = float(x[k]), float(y[k])
+        return abs(u - v) / (max(abs(u), abs(v)) or 1.0)
+
+    moved = [k for k in range(1, len(x), 2) if x[k] != y[k]]
+    k = max(moved, key=rel)
+    return (f"{len(moved)} of {len(x) // 2} numbers differ, by at most {rel(k):.3g} "
+            f"relative: {x[k]} vs {y[k]} on line {''.join(x[:k]).count(chr(10)) + 1}")
+
+
 def sigma_difference(a: str, b: str) -> str:
     import numpy as np
 
@@ -493,7 +518,8 @@ def main() -> None:
         if first[key] != second[key]:
             differ[kind] += 1
             note = (quotient_difference(key, first[key], second[key]) if kind == "quotients"
-                    else line_difference(first[key], second[key])
+                    else numeric_difference(first[key], second[key])
+                    or line_difference(first[key], second[key])
                     if kind in ("analyze", "cli", "load")
                     else pairs_difference(first[key], second[key]) if kind == "pairs"
                     else oracle_difference(first[key], second[key]) if kind == "oracle"
